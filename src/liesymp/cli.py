@@ -13,6 +13,10 @@ Subcommands::
 
 Exit codes are the machine contract: 0 success (or green report), 1 a
 computed-vs-expected mismatch in a verification run, 2 invalid input.
+Errors are reported as one ``error:`` line on stderr, never a traceback.
+Exit code 2 also covers a witness search that exhausts its integer box
+(``WitnessSearchExhausted``): the Pfaffian is nonzero, so a witness exists,
+and the message says to raise ``LIESYMP_WITNESS_BOUND`` to find it.
 JSON output is deterministic (sorted keys, no timestamps) and follows the
 schemas exported as SYMPLECTIC_REPORT_SCHEMA / CATALOG_REPORT_SCHEMA /
 PROPS_REPORT_SCHEMA.
@@ -35,7 +39,7 @@ from .regression import (
     run_regression,
 )
 from .structure import is_complete, is_maximal_rank
-from .symplectic import SymplecticVerdict, TwoForm, decide_symplectic
+from .symplectic import SymplecticVerdict, TwoForm, WitnessSearchExhausted, decide_symplectic
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -608,7 +612,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, WitnessSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

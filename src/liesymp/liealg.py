@@ -14,45 +14,66 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, RationalMatrix, as_fraction, is_zero_vector, vector
+from .linalg import (
+    Q,
+    RationalMatrix,
+    as_fraction,
+    dense_row,
+    reduce_row,
+    sparse_kernel_basis,
+    sparse_row,
+    sparse_rref,
+    vector,
+)
 
 
 class Subspace:
-    """A linear subspace of Q^n with a canonical (reduced echelon) basis."""
+    """A linear subspace of Q^n with a canonical (reduced echelon) basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    The spanning vectors may be dense sequences or sparse ``{index: Fraction}``
+    rows (see :mod:`liesymp.linalg`).  The echelon basis is kept as sparse
+    pivot rows; ``basis`` and ``pivots`` are dense views of them.
+    """
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
-        rows = [vector(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            red, pivots = RationalMatrix(rows).rref()
-            self.basis = tuple(r for r in red.data if not is_zero_vector(r))
-            self.pivots = pivots
-        else:
-            self.basis = ()
-            self.pivots = ()
+    __slots__ = ("ambient_dim", "_rows")
+
+    def __init__(
+        self, ambient_dim: int, vectors: Iterable[Sequence | Mapping[int, Fraction]] = ()
+    ):
+        rows = []
+        for v in vectors:
+            if isinstance(v, Mapping):
+                if any(not 0 <= j < ambient_dim for j in v):
+                    raise ValueError("vector index out of the ambient dimension")
+                rows.append(v)
+            else:
+                v = vector(v)
+                if len(v) != ambient_dim:
+                    raise ValueError("vector length does not match ambient dimension")
+                rows.append(sparse_row(v))
+        self._rows = sparse_rref(rows)
         self.ambient_dim = ambient_dim
 
     @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._rows))
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(dense_row(self._rows[p], 0, self.ambient_dim) for p in self.pivots)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._rows
 
     def contains(self, v: Sequence) -> bool:
-        v = list(vector(v))
+        v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j in range(p, self.ambient_dim):
-                    v[j] -= c * row[j]
-        return all(x == 0 for x in v)
+        return not reduce_row(sparse_row(v), self._rows)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -61,7 +82,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
@@ -72,11 +93,14 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, RationalMatrix.identity(n).data)
+        return cls(n, ({i: Q(1)} for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
+
+
+_NO_TERMS: Mapping[int, Fraction] = {}
 
 
 class LieAlgebra:
@@ -141,21 +165,42 @@ class LieAlgebra:
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.bracket_basis(i, j).get(k, Q(0))
+        if i < j:
+            return self.table.get((i, j), _NO_TERMS).get(k, Q(0))
+        if i > j:
+            c = self.table.get((j, i), _NO_TERMS).get(k)
+            if c is not None:
+                return -c
+        return Q(0)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Bilinear antisymmetric extension of the structure constants."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
-        out = [Q(0)] * self.dim
-        for (i, j), coeffs in self.table.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f == 0:
-                continue
-            for k, c in coeffs.items():
-                out[k] += f * c
-        return tuple(out)
+        return dense_row(self._bracket_rows(sparse_row(x), sparse_row(y)), 0, self.dim)
+
+    def _bracket_rows(
+        self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
+    ) -> dict[int, Fraction]:
+        """[x, y] for sparse coordinate maps, summed over their nonzero
+        coordinates only; the result may hold zero entries."""
+        table = self.table
+        out: dict[int, Fraction] = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                if i < j:
+                    coeffs = table.get((i, j))
+                    f = a * b
+                elif i > j:
+                    coeffs = table.get((j, i))
+                    f = -a * b
+                else:
+                    continue
+                if coeffs:
+                    for k, c in coeffs.items():
+                        out[k] = out.get(k, 0) + f * c
+        return out
 
     def ad_matrix(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad_x = [x, .] in the basis (columns are images)."""
@@ -188,21 +233,19 @@ class LieAlgebra:
     def jacobi_failure(self) -> tuple[int, int, int] | None:
         """First basis triple (i < j < k) violating the Jacobi identity, if any."""
         n = self.dim
+        brackets: dict[tuple[int, int], Mapping[int, Fraction]] = {}
+        for (i, j), coeffs in self.table.items():
+            brackets[(i, j)] = coeffs
+            brackets[(j, i)] = {k: -c for k, c in coeffs.items()}
         for i in range(n):
             for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
                 for k in range(j + 1, n):
-                    acc = [Q(0)] * n
-                    for m, c in bij.items():
-                        for t, d in self.bracket_basis(m, k).items():
-                            acc[t] += c * d
-                    for m, c in self.bracket_basis(j, k).items():
-                        for t, d in self.bracket_basis(m, i).items():
-                            acc[t] += c * d
-                    for m, c in self.bracket_basis(k, i).items():
-                        for t, d in self.bracket_basis(m, j).items():
-                            acc[t] += c * d
-                    if any(a != 0 for a in acc):
+                    acc: dict[int, Fraction] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in brackets.get((a, b), _NO_TERMS).items():
+                            for t, y in brackets.get((m, c), _NO_TERMS).items():
+                                acc[t] = acc.get(t, 0) + x * y
+                    if any(acc.values()):
                         return (i, j, k)
         return None
 
@@ -215,17 +258,25 @@ class LieAlgebra:
     # -- classical subspaces ----------------------------------------------------
 
     def center(self) -> Subspace:
-        """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to zero."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.structure_constant(i, j, k) for i in range(self.dim)])
-        return Subspace(self.dim, RationalMatrix(rows).kernel_basis())
+        """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to zero.
+
+        One equation per (j, k), sum_i c_ij^k x_i = 0, assembled from the
+        bracket table.
+        """
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (a, b), coeffs in self.table.items():
+            for k, c in coeffs.items():
+                rows.setdefault((b, k), {})[a] = c
+                rows.setdefault((a, k), {})[b] = -c
+        kernel = sparse_kernel_basis(sparse_rref(rows.values()), self.dim)
+        return Subspace(self.dim, kernel)
 
     def subalgebra_product(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all [x, y] with x in a, y in b."""
-        vecs = [self.bracket(x, y) for x in a.basis for y in b.basis]
-        return Subspace(self.dim, [v for v in vecs if not is_zero_vector(v)])
+        return Subspace(
+            self.dim,
+            (self._bracket_rows(x, y) for x in a._rows.values() for y in b._rows.values()),
+        )
 
     def derived_subalgebra(self) -> Subspace:
         full = Subspace.full(self.dim)
@@ -266,9 +317,8 @@ class LieAlgebra:
         """True iff [e_i, w] lies in w for every basis vector e_i."""
         if w.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match")
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for v in w.basis:
-                if not w.contains(self.bracket(ei, v)):
-                    return False
-        return True
+        return all(
+            not reduce_row(self._bracket_rows({i: Q(1)}, v), w._rows)
+            for i in range(self.dim)
+            for v in w._rows.values()
+        )

@@ -1,19 +1,27 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one sparse elimination kernel.
 
 All entries are ``fractions.Fraction``, so every result is exact: a kernel
 vector really multiplies to zero, a rank really is the rank, and an inverse
-really inverts.  Matrices are immutable after construction and all operations
-return new objects, so values can be shared freely.
+really inverts.
 
-Row reduction skips zero work (only nonzero positions of the pivot row are
-touched), which keeps elimination fast on the sparse systems that dominate
-this package (cocycle and derivation equations).
+Every linear system in the package goes through one Gauss-Jordan kernel,
+:func:`sparse_rref`.  A row is a sparse map ``{column: Fraction}``; the
+kernel returns the reduced row-echelon form as pivot rows keyed by pivot
+column, and :func:`sparse_kernel_basis` reads a kernel basis off it.  The
+reduced echelon form of a row space is canonical, so the result does not
+depend on the order in which rows arrive, and callers assemble their
+systems (Leibniz, cocycle and center equations) sparse, straight from a
+bracket table.
+
+:class:`RationalMatrix` is an immutable dense matrix; its ``rref``,
+``kernel_basis``, ``solve``, ``inverse``, ``determinant`` and
+``minimal_polynomial`` are thin adapters over the same kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 
@@ -31,21 +39,90 @@ def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_fraction(x) for x in entries)
 
 
-def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+# -- the elimination kernel ----------------------------------------------------
+#
+# A sparse row maps column indices to nonzero Fractions.  Pivot rows are kept
+# reduced: each has entry 1 at its pivot, which is its leading column, and no
+# entry in any other pivot column.
+
+SparseRow = dict[int, Fraction]
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v))
+def sparse_row(entries: Iterable) -> SparseRow:
+    """The nonzero entries of a dense row, keyed by column."""
+    return {j: x for j, x in enumerate(entries) if x}
 
 
-def vec_scale(c, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = as_fraction(c)
-    return tuple(c * a for a in v)
+def reduce_row(row: Mapping[int, Fraction], pivots: Mapping[int, SparseRow]) -> SparseRow:
+    """``row`` minus the multiples of the pivot rows that clear its pivot
+    columns: zero exactly when ``row`` lies in their span."""
+    out = {j: x for j, x in row.items() if x}
+    for c in [c for c in out if c in pivots]:
+        f = out.pop(c)
+        for j, v in pivots[c].items():
+            if j != c:
+                x = out.get(j)
+                x = -f * v if x is None else x - f * v
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
+    return out
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+def _add_row(pivots: dict[int, SparseRow], residual: SparseRow) -> None:
+    """Add a row already reduced by ``pivots`` (see :func:`reduce_row`) as a
+    new pivot row, keeping every pivot row reduced.  Takes ownership of
+    ``residual``; an empty residual adds nothing."""
+    if not residual:
+        return
+    c = min(residual)
+    lead = residual[c]
+    row = residual if lead == 1 else {j: x / lead for j, x in residual.items()}
+    for other in pivots.values():
+        f = other.pop(c, None)
+        if f is not None:
+            for j, v in row.items():
+                if j != c:
+                    x = other.get(j)
+                    x = -f * v if x is None else x - f * v
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+    pivots[c] = row
+
+
+def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
+    """Reduced row-echelon form of the span of ``rows`` by exact Gauss-Jordan
+    elimination, as {pivot column: pivot row}.
+
+    The reduced echelon form of a row space is canonical, so the result does
+    not depend on the order of the rows.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        _add_row(pivots, reduce_row(row, pivots))
+    return pivots
+
+
+def sparse_kernel_basis(pivots: Mapping[int, SparseRow], cols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : row . x = 0 for every pivot row}, one vector per free
+    column in increasing order, with 1 at its free column."""
+    basis = {f: [Q(0)] * cols for f in range(cols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = Q(1)
+    for p, row in pivots.items():
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return [tuple(v) for v in basis.values()]
+
+
+def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fraction, ...]:
+    """Columns start..stop-1 of a sparse row as a dense tuple."""
+    zero = Q(0)
+    return tuple(row.get(j, zero) for j in range(start, stop))
 
 
 class RationalMatrix:
@@ -74,10 +151,6 @@ class RationalMatrix:
         d = vector(entries)
         n = len(d)
         return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        return cls(rows)
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable]) -> "RationalMatrix":
@@ -163,43 +236,37 @@ class RationalMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    # -- elimination ---------------------------------------------------------
+    # -- elimination: dense adapters over the sparse kernel -------------------
+
+    def _pivot_rows(self) -> dict[int, SparseRow]:
+        return sparse_rref(sparse_row(r) for r in self.data)
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and the pivot column indices."""
-        m = [list(row) for row in self.data]
-        reduced, pivots = _rref_inplace(m, self.cols)
-        return RationalMatrix(reduced), tuple(pivots)
+        pivots = self._pivot_rows()
+        order = tuple(sorted(pivots))
+        reduced = [dense_row(pivots[p], 0, self.cols) for p in order]
+        reduced += [(Q(0),) * self.cols] * (self.rows - len(order))
+        return RationalMatrix(reduced), order
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._pivot_rows())
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel {x : A @ x = 0}, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Q(0)] * self.cols
-            v[f] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.data[r][f]
-            basis.append(tuple(v))
-        return basis
+        return sparse_kernel_basis(self._pivot_rows(), self.cols)
 
     def solve(self, b: Sequence) -> tuple[Fraction, ...] | None:
         """One exact solution of A @ x = b, or None if inconsistent."""
         b = vector(b)
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        aug = self.augment(RationalMatrix([[x] for x in b]))
-        red, pivots = aug.rref()
+        pivots = self.augment(RationalMatrix([[x] for x in b]))._pivot_rows()
         if self.cols in pivots:
             return None
         x = [Q(0)] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = red.data[r][self.cols]
+        for p, row in pivots.items():
+            x[p] = row.get(self.cols, Q(0))
         return tuple(x)
 
     def is_invertible(self) -> bool:
@@ -209,36 +276,29 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        red, pivots = self.augment(RationalMatrix.identity(n)).rref()
-        if len(pivots) < n or pivots[n - 1] != n - 1:
+        pivots = self.augment(RationalMatrix.identity(n))._pivot_rows()
+        if any(p not in pivots for p in range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix([row[n:] for row in red.data])
+        return RationalMatrix([dense_row(pivots[p], n, 2 * n) for p in range(n)])
 
     def determinant(self) -> Fraction:
-        """Determinant by fraction-exact Gaussian elimination."""
+        """Determinant from the elimination kernel: the product of the leading
+        entries as rows are reduced, times the sign of the pivot order."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.data]
+        pivots: dict[int, SparseRow] = {}
+        order = []
         det = Q(1)
-        for c in range(n):
-            p = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if p is None:
+        for r in self.data:
+            residual = reduce_row(sparse_row(r), pivots)
+            if not residual:
                 return Q(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            support = [j for j in range(c, n) if m[c][j] != 0]
-            for r in range(c + 1, n):
-                f = m[r][c]
-                if f == 0:
-                    continue
-                f *= inv
-                for j in support:
-                    m[r][j] -= f * m[c][j]
-        return det
+            c = min(residual)
+            det *= residual[c]
+            order.append(c)
+            _add_row(pivots, residual)
+        inversions = sum(1 for a in range(len(order)) for b in range(a) if order[b] > order[a])
+        return -det if inversions % 2 else det
 
     def pfaffian(self) -> Fraction:
         """Pfaffian of an antisymmetric matrix of even size.
@@ -280,24 +340,35 @@ class RationalMatrix:
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.data for x in row)
 
+    def is_diagonal(self) -> bool:
+        return all(
+            x == 0 for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j
+        )
+
     def minimal_polynomial(self) -> tuple[Fraction, ...]:
         """Monic minimal polynomial, coefficients in ascending degree order.
 
-        Found as the first linear dependency among I, A, A**2, ...
+        Found as the first linear dependency among I, A, A**2, ...: each
+        flattened power, tagged with its degree in an extra column, is reduced
+        against the earlier ones in one incremental elimination, and the first
+        residual with no matrix part is the polynomial itself.
         """
         if self.rows != self.cols:
             raise ValueError("minimal polynomial of a non-square matrix")
         n = self.rows
         if n == 0:
             return (Q(0), Q(1))  # x, by convention
-        powers = [RationalMatrix.identity(n)]
-        for k in range(1, n + 2):
-            nxt = powers[-1] @ self
-            system = RationalMatrix.from_columns([p.flatten() for p in powers])
-            sol = system.solve(nxt.flatten())
-            if sol is not None:
-                return tuple(-c for c in sol) + (Q(1),)
-            powers.append(nxt)
+        size = n * n
+        pivots: dict[int, SparseRow] = {}
+        power = RationalMatrix.identity(n)
+        for k in range(n + 1):
+            row = sparse_row(power.flatten())
+            row[size + k] = Q(1)
+            residual = reduce_row(row, pivots)
+            if min(residual) >= size:
+                return dense_row(residual, size, size + k) + (Q(1),)
+            _add_row(pivots, residual)
+            power = power @ self
         raise AssertionError("no minimal polynomial of degree <= n found")
 
 
@@ -429,35 +500,3 @@ def _gcd_int(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def _rref_inplace(m: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    rows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        if inv != 1:
-            for j in range(c, cols):
-                if m[r][j] != 0:
-                    m[r][j] *= inv
-        support = [j for j in range(c, cols) if m[r][j] != 0]
-        for i in range(rows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            row_i, row_r = m[i], m[r]
-            for j in support:
-                row_i[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-    return m, pivots

@@ -331,10 +331,6 @@ class PolyMatrix:
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def from_rational(cls, m: RationalMatrix) -> "PolyMatrix":
-        return cls(m.data)
-
     def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
         i, j = ij
         return self.data[i][j]

@@ -26,7 +26,15 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
-from .linalg import Q, RationalMatrix, as_fraction, is_zero_vector, vector
+from .linalg import (
+    Q,
+    RationalMatrix,
+    as_fraction,
+    dense_row,
+    sparse_kernel_basis,
+    sparse_rref,
+    vector,
+)
 from .poly import MultiPoly, PolyMatrix
 
 DEFAULT_WITNESS_BOUND = 16
@@ -63,7 +71,7 @@ class TwoForm:
             if not _entry_is_zero(grid[i][i]):
                 raise ValueError("two-form has a nonzero diagonal entry")
             for j in range(i + 1, dim):
-                if not _entry_is_zero(_entry_add(grid[i][j], grid[j][i])):
+                if not _entry_is_zero(grid[i][j] + grid[j][i]):
                     raise ValueError("two-form entries are not antisymmetric")
         self.dim = dim
         self.entries = grid
@@ -77,11 +85,11 @@ class TwoForm:
                 raise ValueError("diagonal coefficient in a two-form")
             v = _as_entry(value)
             if i < j:
-                grid[i][j] = _entry_add(grid[i][j], v)
-                grid[j][i] = _entry_add(grid[j][i], _entry_neg(v))
+                grid[i][j] = grid[i][j] + v
+                grid[j][i] = grid[j][i] - v
             else:
-                grid[j][i] = _entry_add(grid[j][i], _entry_neg(v))
-                grid[i][j] = _entry_add(grid[i][j], v)
+                grid[j][i] = grid[j][i] - v
+                grid[i][j] = grid[i][j] + v
         return cls(dim, grid, variables)
 
     @classmethod
@@ -139,7 +147,7 @@ class TwoForm:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         grid = [
-            [_entry_add(a, b) for a, b in zip(r, s)]
+            [a + b for a, b in zip(r, s)]
             for r, s in zip(self.entries, other.entries)
         ]
         variables = self.variables or other.variables
@@ -155,7 +163,7 @@ class TwoForm:
         if self.dim != other.dim:
             return False
         return all(
-            _entry_is_zero(_entry_add(a, _entry_neg(b)))
+            _entry_is_zero(a - b)
             for r, s in zip(self.entries, other.entries)
             for a, b in zip(r, s)
         )
@@ -173,16 +181,6 @@ def _as_entry(x):
 
 def _entry_is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, MultiPoly) else x == 0
-
-
-def _entry_add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return a + b
-
-
-def _entry_neg(a):
-    return -a
 
 
 # -- exterior differentials ---------------------------------------------------
@@ -249,10 +247,6 @@ def _form_from_coords(n: int, pairs: Sequence[tuple[int, int]], coords: Sequence
     return TwoForm.from_pairs(n, {p: c for p, c in zip(pairs, coords) if c != 0})
 
 
-def _coords_from_form(w: TwoForm, pairs: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    return tuple(w.entries[i][j] for (i, j) in pairs)
-
-
 @dataclass(frozen=True)
 class CocycleSpace:
     """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions."""
@@ -270,55 +264,51 @@ class CocycleSpace:
 
 def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     """Z^2 as the kernel of d on antisymmetric forms; B^2 as the image of d
-    on covectors, with a covector preimage recorded for each basis element."""
+    on covectors, with a covector preimage recorded for each basis element.
+
+    Both systems are assembled sparse from the bracket table and solved by
+    the elimination kernel of :mod:`liesymp.linalg`.
+    """
     n = g.dim
     pairs = _pair_index(n)
     pair_pos = {p: idx for idx, p in enumerate(pairs)}
+    size = len(pairs)
 
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, n):
-                row = [Q(0)] * len(pairs)
-
-                def put(m: int, t: int, c: Fraction) -> None:
-                    if m == t:
-                        return
-                    if m < t:
-                        row[pair_pos[(m, t)]] += c
-                    else:
-                        row[pair_pos[(t, m)]] -= c
-
-                for m, c in bij.items():
-                    put(m, k, c)
-                for m, c in g.bracket_basis(j, k).items():
-                    put(m, i, c)
-                for m, c in g.bracket_basis(k, i).items():
-                    put(m, j, c)
-                if any(x != 0 for x in row):
-                    rows.append(row)
-
-    if rows:
-        kernel = RationalMatrix(rows).kernel_basis()
-    else:
-        kernel = [tuple(Q(1) if t == s else Q(0) for t in range(len(pairs))) for s in range(len(pairs))]
+    # dw = 0, one equation per triple i < j < k: each [e_a, e_b] = sum c e_m
+    # enters the triple {a, b, t} as c * w(e_m, e_t), with the sign of
+    # (a, b, t) as a cyclic order of that triple.
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (a, b), coeffs in g.table.items():
+        for t in range(n):
+            if t == a or t == b:
+                continue
+            sign = -1 if a < t < b else 1
+            row = rows.setdefault(tuple(sorted((a, b, t))), {})
+            for m, c in coeffs.items():
+                if m == t:
+                    continue
+                col, v = (pair_pos[(m, t)], sign * c) if m < t else (pair_pos[(t, m)], -sign * c)
+                x = row.get(col, 0) + v
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
+    kernel = sparse_kernel_basis(sparse_rref(rows.values()), size)
     z2 = tuple(_form_from_coords(n, pairs, v) for v in kernel)
 
-    image_rows = []
-    for i in range(n):
-        w = d_one_form(g, g.basis_vector(i))
-        image_rows.append(_coords_from_form(w, pairs) + g.basis_vector(i))
+    # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k in
+    # the columns after the pairs, so that reduction records the preimages.
+    image: list[dict[int, Fraction]] = [{size + k: Q(1)} for k in range(n)]
+    for (a, b), coeffs in g.table.items():
+        for k, c in coeffs.items():
+            image[k][pair_pos[(a, b)]] = -c
+    pivots = sparse_rref(image)
     b2_basis = []
     b2_pre = []
-    if image_rows:
-        red, _ = RationalMatrix(image_rows).rref()
-        for row in red.data:
-            left, right = row[: len(pairs)], row[len(pairs) :]
-            if is_zero_vector(left):
-                continue
-            b2_basis.append(_form_from_coords(n, pairs, left))
-            b2_pre.append(tuple(right))
+    for p in sorted(pivots):
+        if p < size:
+            b2_basis.append(_form_from_coords(n, pairs, dense_row(pivots[p], 0, size)))
+            b2_pre.append(dense_row(pivots[p], size, size + n))
     return CocycleSpace(g, z2, tuple(b2_basis), tuple(b2_pre))
 
 
@@ -530,7 +520,7 @@ def pullback(g: LieAlgebra, t: RationalMatrix, w: TwoForm) -> TwoForm:
             if isinstance(total, int):
                 total = Q(total)
             grid[i][j] = total
-            grid[j][i] = _entry_neg(total)
+            grid[j][i] = -total
     return TwoForm(n, grid, w.variables)
 
 
@@ -559,9 +549,10 @@ def is_lagrangian_ideal(g: LieAlgebra, w: TwoForm, sub: Subspace) -> bool:
         return False
     if not g.is_ideal(sub):
         return False
+    basis = sub.basis
     for a in range(sub.dim):
         for b in range(a + 1, sub.dim):
-            if w.value(sub.basis[a], sub.basis[b]) != 0:
+            if w.value(basis[a], basis[b]) != 0:
                 return False
     return True
 

@@ -56,6 +56,50 @@ def test_check_jacobi_violation_exits_2(tmp_path, capsys):
     assert "jacobi identity fails" in err and "e1" in err
 
 
+def _one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_symplectic_jacobi_violation_with_torus_block_exits_2(tmp_path, capsys):
+    # a torus block with no rules acts by zero, which passes the torus axioms;
+    # the semidirect product then inherits the Jacobi failure of the table
+    path = tmp_path / "bad_torus.lie"
+    path.write_text(JACOBI_BAD + "torus h\n", encoding="utf-8")
+    assert main(["symplectic", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "violates Jacobi" in _one_error_line(captured.err)
+
+
+# A nilpotent algebra whose generic closed form has Pfaffian
+# t11*t12*(t12^2 - t11^2): it vanishes at every point with coordinates in
+# {-1, 0, 1}, so a witness search bounded by 1 finds nothing.
+NO_WITNESS_IN_FIRST_SHELL = """\
+algebra shell2
+basis e1 e2 e3 e4 e5 e6 e7 e8
+[e1,e2] = -2*e5 + 2*e8
+[e1,e3] = 2*e4 - 2*e5 + e7
+[e1,e4] = -2*e8
+[e2,e3] = e6
+[e2,e6] = e8
+[e3,e4] = -e5 - 2*e8
+[e3,e6] = -2*e7
+"""
+
+
+def test_symplectic_exhausted_witness_search_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "shell2.lie"
+    path.write_text(NO_WITNESS_IN_FIRST_SHELL, encoding="utf-8")
+    monkeypatch.setenv("LIESYMP_WITNESS_BOUND", "1")
+    assert main(["symplectic", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "LIESYMP_WITNESS_BOUND" in _one_error_line(captured.err)
+
+
 def test_check_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.lie"
     path.write_text("algebra x\nbasis e1\n[e1,e2] = e1\n", encoding="utf-8")
