@@ -106,17 +106,20 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
     return pivots
 
 
-def sparse_kernel_basis(pivots: Mapping[int, SparseRow], cols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : row . x = 0 for every pivot row}, one vector per free
-    column in increasing order, with 1 at its free column."""
-    basis = {f: [Q(0)] * cols for f in range(cols) if f not in pivots}
-    for f, v in basis.items():
-        v[f] = Q(1)
+def sparse_kernel_rows(pivots: Mapping[int, SparseRow], cols: int) -> list[SparseRow]:
+    """Basis of {x : row . x = 0 for every pivot row} as sparse rows, one per
+    free column in increasing order, with 1 at its free column."""
+    basis = {f: {f: Q(1)} for f in range(cols) if f not in pivots}
     for p, row in pivots.items():
         for j, x in row.items():
             if j != p:
                 basis[j][p] = -x
-    return [tuple(v) for v in basis.values()]
+    return list(basis.values())
+
+
+def sparse_kernel_basis(pivots: Mapping[int, SparseRow], cols: int) -> list[tuple[Fraction, ...]]:
+    """The vectors of :func:`sparse_kernel_rows` as dense tuples."""
+    return [dense_row(v, 0, cols) for v in sparse_kernel_rows(pivots, cols)]
 
 
 def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fraction, ...]:

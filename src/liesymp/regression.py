@@ -140,7 +140,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
     )
 
     bound_n = rank_bound(entry.nilradical)
-    maximal = is_maximal_rank(entry.torus)
+    maximal = is_maximal_rank(entry.torus, bound_n)
     status = MATCH if maximal == entry.expected.maximal_rank else MISMATCH
     typo = None
     if status == MISMATCH and "maximal_rank" in entry.known_mismatches:

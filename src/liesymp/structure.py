@@ -15,6 +15,7 @@ independently, through the completeness check on the semidirect product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -110,23 +111,31 @@ def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    complete: bool
+    """Center and derivation dimensions of an algebra.
+
+    Der(g) is solved only when ``derivation_dim`` is read, and ``complete``
+    reads it only for a trivial center: otherwise the answer is already no.
+    """
+
+    algebra: LieAlgebra
     center_dim: int
-    derivation_dim: int
-    ad_dim: int
+
+    @cached_property
+    def derivation_dim(self) -> int:
+        return derivation_algebra(self.algebra).dim
+
+    @property
+    def ad_dim(self) -> int:
+        return self.algebra.dim - self.center_dim
+
+    @property
+    def complete(self) -> bool:
+        return self.center_dim == 0 and self.derivation_dim == self.algebra.dim
 
 
 def is_complete(g: LieAlgebra) -> CompletenessReport:
     """Trivial center plus dim Der(g) = dim g forces every derivation inner."""
-    center_dim = g.center().dim
-    der_dim = derivation_algebra(g).dim
-    ad_dim = g.dim - center_dim
-    return CompletenessReport(
-        complete=(center_dim == 0 and der_dim == g.dim),
-        center_dim=center_dim,
-        derivation_dim=der_dim,
-        ad_dim=ad_dim,
-    )
+    return CompletenessReport(g, g.center().dim)
 
 
 @dataclass(frozen=True)
@@ -233,9 +242,11 @@ def rank_bound(n: LieAlgebra) -> int:
     return n.dim - n.derived_subalgebra().dim
 
 
-def is_maximal_rank(t: TorusAction) -> bool:
-    """Whether the supplied torus exhausts the rank bound of its nilradical."""
-    bound = rank_bound(t.nilradical)
+def is_maximal_rank(t: TorusAction, bound: int | None = None) -> bool:
+    """Whether the supplied torus exhausts the rank bound of its nilradical
+    (``bound``, when the caller has already computed it)."""
+    if bound is None:
+        bound = rank_bound(t.nilradical)
     if t.rank > bound:
         raise ValueError(
             f"torus has {t.rank} generators but the rank bound is {bound}; "

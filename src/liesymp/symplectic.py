@@ -14,16 +14,18 @@ global sign.
 
 A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
-closed form is the zero polynomial, and witnesses are found by enumerating
-integer parameter points in growing max-norm shells (deterministic order).
+closed form is the zero polynomial, and a witness is the first integer
+parameter point in growing max-norm shells, lexicographic within a shell
+(deterministic order), found by a pruned depth-first walk of each shell.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
@@ -31,7 +33,7 @@ from .linalg import (
     RationalMatrix,
     as_fraction,
     dense_row,
-    sparse_kernel_basis,
+    sparse_kernel_rows,
     sparse_rref,
     vector,
 )
@@ -64,14 +66,16 @@ class TwoForm:
     __slots__ = ("dim", "entries", "variables")
 
     def __init__(self, dim: int, entries: Sequence[Sequence], variables: Sequence[str] = ()):
-        grid = tuple(tuple(_as_entry(x) for x in row) for row in entries)
+        grid = tuple(tuple(map(_as_entry, row)) for row in entries)
         if len(grid) != dim or any(len(r) != dim for r in grid):
             raise ValueError("entry grid does not match dimension")
-        for i in range(dim):
-            if not _entry_is_zero(grid[i][i]):
+        # entries are Fractions or MultiPolys, both false exactly when zero
+        for i, row in enumerate(grid):
+            if row[i]:
                 raise ValueError("two-form has a nonzero diagonal entry")
             for j in range(i + 1, dim):
-                if not _entry_is_zero(grid[i][j] + grid[j][i]):
+                a, b = row[j], grid[j][i]
+                if (a or b) and a + b:
                     raise ValueError("two-form entries are not antisymmetric")
         self.dim = dim
         self.entries = grid
@@ -174,7 +178,7 @@ class TwoForm:
 
 
 def _as_entry(x):
-    if isinstance(x, MultiPoly):
+    if isinstance(x, (Fraction, MultiPoly)):
         return x
     return as_fraction(x)
 
@@ -243,8 +247,14 @@ def _pair_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _form_from_coords(n: int, pairs: Sequence[tuple[int, int]], coords: Sequence[Fraction]) -> TwoForm:
-    return TwoForm.from_pairs(n, {p: c for p, c in zip(pairs, coords) if c != 0})
+def _form_from_coords(n: int, pairs: Sequence[tuple[int, int]], coords: Mapping[int, Fraction]) -> TwoForm:
+    """The two-form with coordinate ``coords[idx]`` on the pair ``pairs[idx]``."""
+    grid: list[list] = [[Q(0)] * n for _ in range(n)]
+    for idx, c in coords.items():
+        i, j = pairs[idx]
+        grid[i][j] = c
+        grid[j][i] = -c
+    return TwoForm(n, grid)
 
 
 @dataclass(frozen=True)
@@ -293,7 +303,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
                     row[col] = x
                 else:
                     del row[col]
-    kernel = sparse_kernel_basis(sparse_rref(rows.values()), size)
+    kernel = sparse_kernel_rows(sparse_rref(rows.values()), size)
     z2 = tuple(_form_from_coords(n, pairs, v) for v in kernel)
 
     # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k in
@@ -307,7 +317,9 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     b2_pre = []
     for p in sorted(pivots):
         if p < size:
-            b2_basis.append(_form_from_coords(n, pairs, dense_row(pivots[p], 0, size)))
+            b2_basis.append(
+                _form_from_coords(n, pairs, {j: c for j, c in pivots[p].items() if j < size})
+            )
             b2_pre.append(dense_row(pivots[p], size, size + n))
     return CocycleSpace(g, z2, tuple(b2_basis), tuple(b2_pre))
 
@@ -318,42 +330,28 @@ def generic_cocycle(cs: CocycleSpace) -> TwoForm:
 
 
 def _generic_combination(n: int, forms: Sequence[TwoForm]) -> TwoForm:
+    """sum_k t_k * forms[k], built entry by entry: each upper entry is one
+    polynomial with a term c * t_k per form, and its mirror the negation."""
     m = len(forms)
-    names = tuple(f"t{i + 1}" for i in range(m))
-    params = MultiPoly.variables(names)
-    grid: list[list] = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
-    for t, w in zip(params, forms):
+    names = tuple(f"t{k + 1}" for k in range(m))
+    upper: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    for k, w in enumerate(forms):
+        unit = tuple(1 if j == k else 0 for j in range(m))
         for i in range(n):
-            for j in range(n):
-                c = w.entries[i][j]
-                if c != 0:
-                    grid[i][j] = grid[i][j] + c * t
+            row = w.entries[i]
+            for j in range(i + 1, n):
+                if row[j]:
+                    upper.setdefault((i, j), {})[unit] = row[j]
+    zero = MultiPoly.zero()
+    grid: list[list] = [[zero] * n for _ in range(n)]
+    for (i, j), terms in upper.items():
+        entry = MultiPoly(names, terms)
+        grid[i][j] = entry
+        grid[j][i] = -entry
     return TwoForm(n, grid, names)
 
 
 # -- witness search -----------------------------------------------------------
-
-
-def _shell_points(m: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """Integer points of max-norm exactly ``radius``, lexicographically.
-
-    Coordinates range over -radius..radius in increasing order; points whose
-    maximum absolute coordinate falls short of the shell are pruned.
-    """
-    point = [0] * m
-
-    def rec(pos: int, touched: bool) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            if touched:
-                yield tuple(point)
-            return
-        for v in range(-radius, radius + 1):
-            if not touched and pos == m - 1 and abs(v) != radius:
-                continue
-            point[pos] = v
-            yield from rec(pos + 1, touched or abs(v) == radius)
-
-    yield from rec(0, False)
 
 
 def find_nonvanishing_point(
@@ -362,7 +360,10 @@ def find_nonvanishing_point(
     """First integer point (by max-norm shell, then lex) where p is nonzero.
 
     A nonzero polynomial over Q always has one; the search box is capped at
-    ``bound`` shells (default from LIESYMP_WITNESS_BOUND).
+    ``bound`` shells (default from LIESYMP_WITNESS_BOUND).  Each shell is
+    walked depth first in lex order (see ``_first_in_shell``), so the walk
+    never visits the points of a subtree on which p vanishes identically;
+    the point it returns is re-checked with ``MultiPoly.evaluate``.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -371,15 +372,80 @@ def find_nonvanishing_point(
     names = tuple(names)
     if not names:
         return {}
+    terms = _integer_terms(p, names)
     for radius in range(1, bound + 1):
-        for point in _shell_points(len(names), radius):
+        point = _first_in_shell(terms, len(names), radius)
+        if point is not None:
             assignment = {nm: Q(v) for nm, v in zip(names, point)}
-            if p.evaluate(assignment) != 0:
-                return assignment
+            if p.evaluate(assignment) == 0:
+                raise AssertionError(f"witness walk returned a zero of the polynomial: {point}")
+            return assignment
     raise WitnessSearchExhausted(
         f"no witness inside the +-{bound} integer box; the polynomial is nonzero, "
         f"so raising {WITNESS_BOUND_ENV} (default {DEFAULT_WITNESS_BOUND}) will find one"
     )
+
+
+def _integer_terms(p: MultiPoly, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """p scaled to integer coefficients (which keeps its zero set), with
+    exponents listed in the order of ``names``."""
+    pos = {nm: i for i, nm in enumerate(names)}
+    missing = [v for v in p.used_vars() if v not in pos]
+    if missing:
+        raise ValueError(f"no value for variable(s) {', '.join(missing)}")
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in p.terms.items():
+        key = [0] * len(names)
+        for name, e in zip(p.vars, exps):
+            if e:
+                key[pos[name]] = e
+        out[tuple(key)] = c.numerator * (den // c.denominator)
+    return out
+
+
+def _fix_first(terms: dict[tuple[int, ...], int], v: int) -> dict[tuple[int, ...], int]:
+    """Substitute v for the first variable; zero terms are dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in terms.items():
+        key = exps[1:]
+        x = out.get(key, 0) + (c * v ** exps[0] if exps[0] else c)
+        if x:
+            out[key] = x
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _first_in_shell(terms: dict[tuple[int, ...], int], m: int, radius: int) -> tuple[int, ...] | None:
+    """The lex-first integer point of max-norm exactly ``radius`` at which
+    the polynomial ``terms`` is nonzero, or None.
+
+    Coordinates are fixed one at a time from -radius to radius, each
+    substituted into the polynomial.  A subtree whose partial polynomial is
+    identically zero is pruned.  A coordinate that no longer occurs is set
+    to -radius without branching: that value comes first, puts the point on
+    the shell, and so admits every completion any other value admits.
+    """
+    point = [0] * m
+
+    def walk(pos: int, rest: dict[tuple[int, ...], int], touched: bool) -> bool:
+        if pos == m:
+            return True  # the last coordinate takes only values that reach the shell
+        if all(exps[0] == 0 for exps in rest):
+            point[pos] = -radius
+            return walk(pos + 1, {exps[1:]: c for exps, c in rest.items()}, True)
+        for v in range(-radius, radius + 1):
+            reached = touched or abs(v) == radius
+            if not reached and pos == m - 1:
+                continue
+            point[pos] = v
+            fixed = _fix_first(rest, v)
+            if fixed and walk(pos + 1, fixed, reached):
+                return True
+        return False
+
+    return tuple(point) if walk(0, terms, False) else None
 
 
 # -- the decision -------------------------------------------------------------

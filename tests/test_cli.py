@@ -74,9 +74,12 @@ def test_symplectic_jacobi_violation_with_torus_block_exits_2(tmp_path, capsys):
     assert "violates Jacobi" in _one_error_line(captured.err)
 
 
-# A nilpotent algebra whose generic closed form has Pfaffian
-# t11*t12*(t12^2 - t11^2): it vanishes at every point with coordinates in
-# {-1, 0, 1}, so a witness search bounded by 1 finds nothing.
+# A nilpotent algebra whose generic closed form has 12 parameters and
+# Pfaffian t11*t12*(t12^2 - t11^2): it vanishes at every point with
+# coordinates in {-1, 0, 1}, so a witness search bounded by 1 finds nothing.
+# The pruned walk fixes t1..t10 at -1 without branching (they do not occur)
+# and tries a handful of values for t11 and t12, so exhausting the box takes
+# milliseconds, not a visit to each of its 3**12 points.
 NO_WITNESS_IN_FIRST_SHELL = """\
 algebra shell2
 basis e1 e2 e3 e4 e5 e6 e7 e8

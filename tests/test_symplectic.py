@@ -333,6 +333,13 @@ def test_two_form_validation():
         TwoForm(2, [[1, 0], [0, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         TwoForm(2, [[0, 1], [1, 0]])  # not antisymmetric
+    # one nonzero side of a pair: the antisymmetry check must still see it
+    for grid in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            TwoForm(2, grid)
+    x = MultiPoly.variable("x")
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        TwoForm(2, [[0, x], [MultiPoly.zero(), 0]])
     w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2
     assert w.value((0, 1, 0), (1, 0, 0)) == -2

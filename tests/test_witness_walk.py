@@ -1,0 +1,181 @@
+"""The witness walk against a brute-force enumeration of the same shells.
+
+``find_nonvanishing_point`` walks each max-norm shell depth first and
+prunes subtrees; the reference here enumerates every point of every shell
+in lexicographic order, evaluates the polynomial on it with integer
+arithmetic of its own, and returns the first nonzero point.  The two must
+agree exactly, including on exhaustion.
+"""
+
+import itertools
+import time
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liesymp.fileformat import build, parse
+from liesymp.poly import MultiPoly
+from liesymp.symplectic import (
+    WitnessSearchExhausted,
+    decide_symplectic,
+    find_nonvanishing_point,
+)
+
+VARS = ("x1", "x2", "x3", "x4", "x5")
+
+
+def _value(terms, names, point):
+    """p at point, from the (variable, exponent) pairs of each term."""
+    at = dict(zip(names, point))
+    total = Q(0)
+    for monomial, c in terms:
+        val = c
+        for name, e in monomial:
+            val *= at[name] ** e
+        total += val
+    return total
+
+
+def brute_force_point(p: MultiPoly, names, bound):
+    """First point (by shell, then lex) where p is nonzero, or None."""
+    terms = [
+        (tuple((v, e) for v, e in zip(p.vars, exps) if e), c)
+        for exps, c in p.terms.items()
+    ]
+    for radius in range(1, bound + 1):
+        for point in itertools.product(range(-radius, radius + 1), repeat=len(names)):
+            if max(abs(v) for v in point) != radius:
+                continue
+            if _value(terms, names, point) != 0:
+                return {nm: Q(v) for nm, v in zip(names, point)}
+    return None
+
+
+@st.composite
+def sparse_polys(draw):
+    """A product of a few random sparse factors and of factors that vanish
+    on whole shells, so exhaustion at small bounds happens often."""
+    k = draw(st.integers(1, len(VARS)))
+    xs = MultiPoly.variables(VARS[:k])
+    p = MultiPoly.constant(1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("sparse", "sparse", "shell", "diagonal")))
+        if kind == "sparse":
+            factor = MultiPoly.zero()
+            for _ in range(draw(st.integers(1, 3))):
+                term = MultiPoly.constant(
+                    Q(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+                )
+                for x in xs:
+                    term = term * x ** draw(st.integers(0, 2))
+                factor = factor + term
+        elif kind == "shell":
+            # zero whenever the coordinate lies in -r..r
+            x = draw(st.sampled_from(xs))
+            factor = x
+            for r in range(1, draw(st.integers(1, 2)) + 1):
+                factor = factor * (x - r) * (x + r)
+        else:
+            x, y = draw(st.sampled_from(xs)), draw(st.sampled_from(xs))
+            factor = x - y if x is not y else x + 1
+        p = p * factor
+    names = draw(st.permutations(VARS[:k]))
+    return p, tuple(names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sparse_polys(), bound=st.integers(1, 3))
+def test_walk_matches_brute_force_enumeration(case, bound):
+    p, names = case
+    if p.is_zero():
+        return
+    expected = brute_force_point(p, names, bound)
+    if expected is None:
+        with pytest.raises(WitnessSearchExhausted):
+            find_nonvanishing_point(p, names, bound)
+    else:
+        assert find_nonvanishing_point(p, names, bound) == expected
+
+
+def test_walk_matches_brute_force_on_hand_picked_cases():
+    x, y, z = MultiPoly.variables(["x", "y", "z"])
+    cases = [
+        (x * y, ("x", "y")),
+        ((x - 1) * (x + 1) * x, ("x",)),
+        (MultiPoly.constant(3), ("x", "y", "z")),  # no variable occurs
+        (z, ("x", "y", "z")),  # x and y do not occur
+        (x * (y - 1) * (y + 1) * y + z, ("x", "y", "z")),
+        ((x - y) * (y - z) * (x - z), ("x", "y", "z")),
+        (x * x - y * y, ("y", "x")),
+    ]
+    for p, names in cases:
+        for bound in (1, 2, 3):
+            expected = brute_force_point(p, names, bound)
+            if expected is None:
+                with pytest.raises(WitnessSearchExhausted):
+                    find_nonvanishing_point(p, names, bound)
+            else:
+                assert find_nonvanishing_point(p, names, bound) == expected
+
+
+def test_walk_rejects_unnamed_variables():
+    x, y = MultiPoly.variables(["x", "y"])
+    with pytest.raises(ValueError, match="no value for variable"):
+        find_nonvanishing_point(x * y, ("x",))
+
+
+def test_deep_witness_among_many_parameters_is_found_fast():
+    # 24 parameters; the product vanishes whenever an even-indexed one is -1,
+    # so the lex-first point of shell 1 sits past more than 3**23 points of
+    # the shell that an enumeration would visit first.
+    m = 24
+    names = tuple(f"t{i + 1}" for i in range(m))
+    ts = MultiPoly.variables(names)
+    p = MultiPoly.constant(1)
+    for t in ts[1::2]:
+        p = p * (t + 1)
+    start = time.perf_counter()
+    point = find_nonvanishing_point(p, names, bound=1)
+    elapsed = time.perf_counter() - start
+    assert point == {nm: Q(-1 if i % 2 == 0 else 0) for i, nm in enumerate(names)}
+    assert elapsed < 5
+
+
+# A generated nilpotent algebra with 33 closed-form parameters and a
+# 90-term Pfaffian in 30 of them; its witness is the 6,562nd point of shell 1
+# in lex order.  The frozen matrix is what the exhaustive enumeration returned.
+DEEP_WITNESS = """\
+algebra core_008
+basis e1 e2 e3 e4 e5 e6 e7 e8 e9 e10
+[e1,e5] = 2*e10
+[e4,e5] = 2*e8
+"""
+
+DEEP_WITNESS_MATRIX = (
+    (0, -1, -1, -1, -1, -1, -1, 0, -1, -1),
+    (1, 0, -1, -1, -1, -1, -1, 0, -1, 0),
+    (1, 1, 0, -1, -1, -1, -1, 0, -1, 0),
+    (1, 1, 1, 0, -1, -1, -1, -1, -1, 0),
+    (1, 1, 1, 1, 0, -1, -1, -1, -1, -1),
+    (1, 1, 1, 1, 1, 0, -1, 0, -1, 0),
+    (1, 1, 1, 1, 1, 1, 0, 0, -1, 0),
+    (0, 0, 0, 1, 1, 0, 0, 0, 0, 0),
+    (1, 1, 1, 1, 1, 1, 1, 0, 0, 0),
+    (1, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+)
+
+
+def test_deep_witness_of_a_generated_algebra_is_frozen():
+    g = build(parse(DEEP_WITNESS)).algebra
+    start = time.perf_counter()
+    verdict = decide_symplectic(g)
+    elapsed = time.perf_counter() - start
+    assert verdict.cocycle_dims[0] == 33
+    assert len(verdict.pfaffian.terms) == 90
+    assert len(verdict.pfaffian.used_vars()) == 30
+    assert verdict.witness.entries == tuple(
+        tuple(Q(x) for x in row) for row in DEEP_WITNESS_MATRIX
+    )
+    assert elapsed < 5
