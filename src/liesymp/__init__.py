@@ -7,6 +7,7 @@ closed non-degenerate 2-form, decided exactly through the Pfaffian of the
 generic closed form, with integer witnesses when one exists.
 """
 
+from .analysis import Analysis
 from .catalog import CatalogEntry, TYPOS, build_entry, entry_names
 from .fileformat import AlgebraFile, ParseError, build, parse, print_file
 from .liealg import LieAlgebra, Subspace
@@ -36,7 +37,6 @@ from .symplectic import (
     cocycle_space,
     d_one_form,
     d_two_form,
-    decide_exact_symplectic,
     decide_symplectic,
     find_nonvanishing_point,
     generic_cocycle,
@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraFile",
+    "Analysis",
     "CatalogEntry",
     "CocycleSpace",
     "CompletenessReport",
@@ -73,7 +74,6 @@ __all__ = [
     "cocycle_space",
     "d_one_form",
     "d_two_form",
-    "decide_exact_symplectic",
     "decide_symplectic",
     "derivation_algebra",
     "entry_names",

@@ -25,6 +25,7 @@ PROPS_REPORT_SCHEMA.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,8 +39,7 @@ from .regression import (
     reproduce_propositions,
     run_regression,
 )
-from .structure import is_complete, is_maximal_rank
-from .symplectic import SymplecticVerdict, TwoForm, WitnessSearchExhausted, decide_symplectic
+from .symplectic import SymplecticVerdict, TwoForm, WitnessSearchExhausted
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -298,13 +298,13 @@ def _cmd_props(args) -> int:
     def run(built: BuiltAlgebra) -> int:
         g = built.algebra
         print(f"algebra {built.source.name}: dimension {g.dim}")
-        print(f"center dimension: {g.center().dim}")
-        lcs = [s.dim for s in g.lower_central_series()]
-        ds = [s.dim for s in g.derived_series()]
-        print(f"lower central series dims: {lcs}")
-        print(f"derived series dims: {ds}")
-        print(f"nilpotent: {g.is_nilpotent()}")
-        print(f"solvable: {g.is_solvable()}")
+        print(f"center dimension: {built.analysis.center.dim}")
+        lcs = g.lower_central_series()
+        ds = g.derived_series()
+        print(f"lower central series dims: {[s.dim for s in lcs]}")
+        print(f"derived series dims: {[s.dim for s in ds]}")
+        print(f"nilpotent: {lcs[-1].is_zero()}")
+        print(f"solvable: {ds[-1].is_zero()}")
         return EXIT_OK
 
     return _with_built(args, run)
@@ -312,8 +312,7 @@ def _cmd_props(args) -> int:
 
 def _cmd_der(args) -> int:
     def run(built: BuiltAlgebra) -> int:
-        g = built.algebra
-        report = is_complete(g)
+        report = built.analysis.completeness
         print(f"algebra {built.source.name}: dim Der = {report.derivation_dim}")
         if args.complete:
             print(f"center dimension: {report.center_dim}")
@@ -328,15 +327,11 @@ def _symplectic_payload(name: str, built: BuiltAlgebra, verdict: SymplecticVerdi
     diagnostics = []
     if verdict.degenerate:
         diagnostics.append("dimension 0: vacuously symplectic (degenerate case)")
-    complete = is_complete(built.algebra).complete
-    maximal = None
-    if built.torus is not None:
-        maximal = is_maximal_rank(built.torus)
     return {
         "algebra": name,
         "verdicts": {
-            "complete": complete,
-            "maximal_rank": maximal,
+            "complete": built.analysis.completeness.complete,
+            "maximal_rank": built.analysis.maximal_rank,
             "symplectic": {
                 "exists": verdict.exists,
                 "pfaffian": str(verdict.pfaffian),
@@ -354,7 +349,7 @@ def _symplectic_payload(name: str, built: BuiltAlgebra, verdict: SymplecticVerdi
 
 def _cmd_symplectic(args) -> int:
     def run(built: BuiltAlgebra) -> int:
-        verdict = decide_symplectic(built.algebra)
+        verdict = built.analysis.verdict
         if args.json:
             _emit(_symplectic_payload(built.source.name, built, verdict))
             return EXIT_OK
@@ -556,7 +551,9 @@ def _cmd_repro(args) -> int:
     return EXIT_OK if report.green else EXIT_MISMATCH
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="liesymp",
         description="Exact decisions about symplectic structures on solvable Lie algebras.",

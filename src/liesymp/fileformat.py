@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import Analysis
 from .liealg import LieAlgebra
 from .linalg import Q, RationalMatrix
-from .structure import TorusAction, semidirect, verify_torus
+from .structure import TorusAction
 
 KEYWORDS = ("algebra", "basis", "torus")
 
@@ -317,16 +318,28 @@ def print_file(f: AlgebraFile) -> str:
 @dataclass(frozen=True)
 class BuiltAlgebra:
     """The algebras a file denotes: the bracket part, the optional torus,
-    and the combined algebra (semidirect product when a torus is present)."""
+    and the combined algebra (semidirect product when a torus is present),
+    with the analysis that built them and computes everything else once."""
 
     source: AlgebraFile
-    nilradical: LieAlgebra
-    torus: TorusAction | None
-    algebra: LieAlgebra
+    analysis: Analysis
+
+    @property
+    def nilradical(self) -> LieAlgebra:
+        return self.analysis.nilradical
+
+    @property
+    def torus(self) -> TorusAction | None:
+        return self.analysis.torus
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.analysis.algebra
 
 
 def build(f: AlgebraFile) -> BuiltAlgebra:
-    """Turn a parsed file into algebra objects.
+    """Turn a parsed file into algebra objects, through the analysis the
+    result carries (so the torus is verified once, here).
 
     Raises ValueError when the torus block fails the torus axioms; Jacobi on
     the bracket part is *not* checked here (``check`` reports it separately).
@@ -341,7 +354,7 @@ def build(f: AlgebraFile) -> BuiltAlgebra:
         table[(i, j)] = {index[lbl]: c for lbl, c in _combine(terms).items()}
     nil = LieAlgebra(n, table, f.basis)
     if not f.torus_labels:
-        return BuiltAlgebra(f, nil, None, nil)
+        return BuiltAlgebra(f, Analysis(nil))
     gens = []
     for t_idx, t_label in enumerate(f.torus_labels):
         m = [[Q(0)] * n for _ in range(n)]
@@ -352,11 +365,12 @@ def build(f: AlgebraFile) -> BuiltAlgebra:
             for lbl, c in _combine(terms).items():
                 m[index[lbl]][j] += c
         gens.append(RationalMatrix(m))
-    torus = TorusAction(nil, tuple(gens), f.torus_labels)
-    check = verify_torus(torus)
+    analysis = Analysis(TorusAction(nil, tuple(gens), f.torus_labels))
+    check = analysis.torus_check
     if not check.ok:
         raise ValueError(f"torus block is not a torus action: {check.violation}")
-    return BuiltAlgebra(f, nil, torus, semidirect(torus))
+    analysis.algebra  # the product is built here, so a Jacobi failure raises here
+    return BuiltAlgebra(f, analysis)
 
 
 def _combine(terms: tuple[Term, ...]) -> dict[str, Fraction]:

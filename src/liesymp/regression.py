@@ -10,6 +10,9 @@ A comparison that disagrees with the reference value is a mismatch; if the
 entry pre-registers the disagreement against the typo registry it is counted
 as documented.  The report is green exactly when no undocumented mismatch or
 condition failure remains.
+
+Each entry has one :class:`~liesymp.analysis.Analysis`, so each artifact
+(the torus check, the product, the cocycle space, ...) is computed once.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import Analysis
 from .catalog import DEFAULT_SELECTION, CatalogEntry, build_entry
 from .liealg import Subspace
 from .linalg import Q, RationalMatrix
 from .poly import MultiPoly, poly_divides
-from .structure import (
-    is_complete,
-    is_maximal_rank,
-    rank_bound,
-    semidirect,
-    verify_torus,
-)
+from .structure import semidirect
 from .symplectic import (
     TwoForm,
-    cocycle_space,
     d_one_form,
     d_two_form,
-    decide_symplectic,
-    generic_cocycle,
     is_lagrangian_ideal,
     pullback,
     top_power,
@@ -118,18 +113,19 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
     """Recompute all verdicts for one entry and compare with the reference."""
     comparisons: list[Comparison] = []
     conditions: list[ConditionResult] = []
+    analysis = Analysis(entry.torus, bound)
 
     jac = entry.nilradical.jacobi_holds()
     comparisons.append(
         Comparison("nilradical-jacobi", str(jac), "True", MATCH if jac else MISMATCH)
     )
-    torus_ok = verify_torus(entry.torus).ok
+    torus_ok = analysis.torus_check.ok
     comparisons.append(
         Comparison("torus-axioms", str(torus_ok), "True", MATCH if torus_ok else MISMATCH)
     )
-    g = semidirect(entry.torus)
+    g = analysis.algebra
 
-    completeness = is_complete(g)
+    completeness = analysis.completeness
     comparisons.append(
         Comparison(
             "complete",
@@ -139,8 +135,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         )
     )
 
-    bound_n = rank_bound(entry.nilradical)
-    maximal = is_maximal_rank(entry.torus, bound_n)
+    maximal = analysis.maximal_rank
     status = MATCH if maximal == entry.expected.maximal_rank else MISMATCH
     typo = None
     if status == MISMATCH and "maximal_rank" in entry.known_mismatches:
@@ -150,7 +145,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         Comparison("maximal-rank", str(maximal), str(entry.expected.maximal_rank), status, typo)
     )
 
-    verdict = decide_symplectic(g, bound)
+    verdict = analysis.verdict
     computed_word = _verdict_word(verdict.exists)
     expected_word = {"yes": "yes", "never": "never", "odd": "odd"}[entry.expected.symplectic]
     status = MATCH if computed_word == expected_word else MISMATCH
@@ -189,7 +184,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         )
 
     if entry.expected.conditions:
-        generic = generic_cocycle(cocycle_space(g))
+        generic = analysis.generic_cocycle
         pf = verdict.pfaffian
         pf_sq = pf * pf if not pf.is_zero() else pf
         for cond in entry.expected.conditions:
@@ -217,7 +212,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         exact=verdict.exact_exists,
         pfaffian=verdict.pfaffian,
         cocycle_dims=verdict.cocycle_dims,
-        rank_bound=bound_n,
+        rank_bound=analysis.rank_bound,
         torus_rank=entry.torus.rank,
         complete=completeness.complete,
         witness_verified=witness_verified,
@@ -264,9 +259,9 @@ class PropositionsReport:
 
 def _reproduce_commutative(n: int) -> list[PropItem]:
     """Abelian nilradical of dimension n: shape of Z^2, normal form, exactness."""
-    entry = build_entry("abelian", n=n)
-    g = semidirect(entry.torus)
-    cs = cocycle_space(g)
+    analysis = Analysis(build_entry("abelian", n=n).torus)
+    g = analysis.algebra
+    cs = analysis.cocycles
     items: list[PropItem] = []
 
     expected_basis = set()
@@ -354,11 +349,11 @@ def _reproduce_chain(ns=(4, 5, 6, 7, 8)) -> list[PropItem]:
     """Chain filiform nilradicals: symplectic only in the 6-dimensional case."""
     items: list[PropItem] = []
     for n in ns:
-        entry = build_entry("L", n=n)
-        g = semidirect(entry.torus)
-        verdict = decide_symplectic(g)
+        analysis = Analysis(build_entry("L", n=n).torus)
+        g = analysis.algebra
+        verdict = analysis.verdict
         if n == 4:
-            generic = generic_cocycle(cocycle_space(g))
+            generic = analysis.generic_cocycle
             det = verdict.pfaffian * verdict.pfaffian
             # documented renaming: u, t are the negated (1,2), (1,3) entries;
             # v is the (2,6) entry (the printed matrix layout carries the

@@ -86,16 +86,41 @@ def _leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fractio
     return rows
 
 
-def _satisfies(rows: dict[tuple[int, int, int], dict[int, Fraction]], d: RationalMatrix) -> bool:
-    flat = d.flatten()
-    return all(sum(c * flat[col] for col, c in row.items()) == 0 for row in rows.values())
+def _leibniz_holds(g: LieAlgebra, d: RationalMatrix) -> bool:
+    """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] on every
+    basis pair, evaluated on the nonzero entries of D only.
+
+    A diagonal D = diag(l) satisfies it iff l_a + l_b = l_k for every nonzero
+    structure constant c_ab^k, which is read straight from the bracket table.
+    """
+    n = g.dim
+    rows = d.data
+    if d.is_diagonal():
+        return all(
+            rows[a][a] + rows[b][b] == rows[k][k]
+            for (a, b), coeffs in g.table.items()
+            for k in coeffs
+        )
+    cols = [{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # [D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j]
+            acc = g._bracket_rows(cols[i], {j: 1})
+            for k, c in g._bracket_rows({i: 1}, cols[j]).items():
+                acc[k] = acc.get(k, 0) + c
+            for m, c in g.table.get((i, j), {}).items():
+                for k, x in cols[m].items():
+                    acc[k] = acc.get(k, 0) - c * x
+            if any(acc.values()):
+                return False
+    return True
 
 
 def is_derivation(g: LieAlgebra, d: RationalMatrix) -> bool:
     """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
     if d.rows != g.dim or d.cols != g.dim:
         return False
-    return _satisfies(_leibniz_rows(g), d)
+    return _leibniz_holds(g, d)
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
@@ -177,23 +202,20 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     Semisimplicity is tested as squarefreeness of the minimal polynomial,
     which characterises semisimple action over any field of characteristic
     zero (rational diagonalisability is strictly stronger and not required).
-    A diagonal generator is semisimple outright, and diagonal generators
-    commute, so neither test runs for them.
+    A diagonal generator is semisimple outright and is checked against the
+    bracket table directly; diag(l) commutes with A iff A_ij = 0 wherever
+    l_i != l_j, and two non-diagonal generators are multiplied sparsely.
     """
     n = t.nilradical.dim
-    rows = _leibniz_rows(t.nilradical)
     for a, d in enumerate(t.generators):
         if d.rows != n or d.cols != n:
             return TorusCheck(False, f"generator {t.labels[a]} has the wrong shape")
-        if not _satisfies(rows, d):
+        if not _leibniz_holds(t.nilradical, d):
             return TorusCheck(False, f"generator {t.labels[a]} is not a derivation")
     diagonal = [d.is_diagonal() for d in t.generators]
     for a in range(len(t.generators)):
         for b in range(a + 1, len(t.generators)):
-            if diagonal[a] and diagonal[b]:
-                continue
-            da, db = t.generators[a], t.generators[b]
-            if not (da @ db - db @ da).is_zero():
+            if not _commute(t.generators[a], t.generators[b], diagonal[a], diagonal[b]):
                 return TorusCheck(
                     False, f"generators {t.labels[a]} and {t.labels[b]} do not commute"
                 )
@@ -207,13 +229,51 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     return TorusCheck(True)
 
 
+def _commute(x: RationalMatrix, y: RationalMatrix, x_diagonal: bool, y_diagonal: bool) -> bool:
+    """Whether xy = yx for square matrices of one size, given which are diagonal."""
+    if x_diagonal and y_diagonal:
+        return True
+    if x_diagonal or y_diagonal:
+        lam, m = (x, y) if x_diagonal else (y, x)
+        # [diag(l), A]_ij = (l_i - l_j) A_ij
+        return all(
+            not a or lam.data[i][i] == lam.data[j][j]
+            for i, row in enumerate(m.data)
+            for j, a in enumerate(row)
+        )
+    xs, ys = _sparse_rows(x), _sparse_rows(y)
+    return _product_rows(xs, ys) == _product_rows(ys, xs)
+
+
+def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
+
+
+def _product_rows(
+    xs: list[dict[int, Fraction]], ys: list[dict[int, Fraction]]
+) -> list[dict[int, Fraction]]:
+    """The rows of xy, as sparse rows without zero entries."""
+    out = []
+    for row in xs:
+        acc: dict[int, Fraction] = {}
+        for k, a in row.items():
+            for j, b in ys[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: c for j, c in acc.items() if c})
+    return out
+
+
 def semidirect(t: TorusAction) -> LieAlgebra:
     """The solvable algebra on h + n with torus generators adjoined last.
 
     Raises ValueError when the torus axioms fail or the product violates
     the Jacobi identity (as it does when the nilradical table does).
     """
-    check = verify_torus(t)
+    return _semidirect_product(t, verify_torus(t))
+
+
+def _semidirect_product(t: TorusAction, check: TorusCheck) -> LieAlgebra:
+    """``semidirect(t)``, given ``check = verify_torus(t)``."""
     if not check.ok:
         raise ValueError(f"invalid torus action: {check.violation}")
     n = t.nilradical.dim
@@ -237,9 +297,16 @@ def semidirect(t: TorusAction) -> LieAlgebra:
 
 def rank_bound(n: LieAlgebra) -> int:
     """dim n - dim [n, n]; an upper bound for the dimension of any torus."""
-    if not n.is_nilpotent():
+    return _rank_bound(n.lower_central_series())
+
+
+def _rank_bound(series: list[Subspace]) -> int:
+    """``rank_bound`` read off a lower central series n, [n, n], ..., which
+    ends in 0 exactly when n is nilpotent."""
+    if not series[-1].is_zero():
         raise ValueError("rank bound is defined for nilpotent algebras")
-    return n.dim - n.derived_subalgebra().dim
+    derived = series[1] if len(series) > 1 else series[0]  # dim 0: the series is [0]
+    return series[0].dim - derived.dim
 
 
 def is_maximal_rank(t: TorusAction, bound: int | None = None) -> bool:

@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
@@ -247,11 +248,10 @@ def _pair_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _form_from_coords(n: int, pairs: Sequence[tuple[int, int]], coords: Mapping[int, Fraction]) -> TwoForm:
-    """The two-form with coordinate ``coords[idx]`` on the pair ``pairs[idx]``."""
+def _form_from_coords(n: int, coords: Mapping[tuple[int, int], Fraction]) -> TwoForm:
+    """The two-form with coordinate ``coords[(i, j)]`` on each pair i < j."""
     grid: list[list] = [[Q(0)] * n for _ in range(n)]
-    for idx, c in coords.items():
-        i, j = pairs[idx]
+    for (i, j), c in coords.items():
         grid[i][j] = c
         grid[j][i] = -c
     return TwoForm(n, grid)
@@ -259,17 +259,30 @@ def _form_from_coords(n: int, pairs: Sequence[tuple[int, int]], coords: Mapping[
 
 @dataclass(frozen=True)
 class CocycleSpace:
-    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions."""
+    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions.
+
+    Each basis form is kept as its nonzero coordinates ``{(i, j): c}`` on
+    the pairs i < j; ``z2_basis`` and ``b2_basis`` build the ``TwoForm``
+    objects on first read.
+    """
 
     algebra: LieAlgebra
-    z2_basis: tuple[TwoForm, ...]
-    b2_basis: tuple[TwoForm, ...]
+    z2_coords: tuple[dict[tuple[int, int], Fraction], ...]
+    b2_coords: tuple[dict[tuple[int, int], Fraction], ...]
     b2_preimages: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        z, b = len(self.z2_basis), len(self.b2_basis)
+        z, b = len(self.z2_coords), len(self.b2_coords)
         return (z, b, z - b)
+
+    @cached_property
+    def z2_basis(self) -> tuple[TwoForm, ...]:
+        return tuple(_form_from_coords(self.algebra.dim, v) for v in self.z2_coords)
+
+    @cached_property
+    def b2_basis(self) -> tuple[TwoForm, ...]:
+        return tuple(_form_from_coords(self.algebra.dim, v) for v in self.b2_coords)
 
 
 def cocycle_space(g: LieAlgebra) -> CocycleSpace:
@@ -303,8 +316,10 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
                     row[col] = x
                 else:
                     del row[col]
-    kernel = sparse_kernel_rows(sparse_rref(rows.values()), size)
-    z2 = tuple(_form_from_coords(n, pairs, v) for v in kernel)
+    z2 = tuple(
+        {pairs[j]: c for j, c in v.items()}
+        for v in sparse_kernel_rows(sparse_rref(rows.values()), size)
+    )
 
     # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k in
     # the columns after the pairs, so that reduction records the preimages.
@@ -313,35 +328,31 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
         for k, c in coeffs.items():
             image[k][pair_pos[(a, b)]] = -c
     pivots = sparse_rref(image)
-    b2_basis = []
+    b2 = []
     b2_pre = []
     for p in sorted(pivots):
         if p < size:
-            b2_basis.append(
-                _form_from_coords(n, pairs, {j: c for j, c in pivots[p].items() if j < size})
-            )
+            b2.append({pairs[j]: c for j, c in pivots[p].items() if j < size})
             b2_pre.append(dense_row(pivots[p], size, size + n))
-    return CocycleSpace(g, z2, tuple(b2_basis), tuple(b2_pre))
+    return CocycleSpace(g, z2, tuple(b2), tuple(b2_pre))
 
 
 def generic_cocycle(cs: CocycleSpace) -> TwoForm:
     """sum_i t_i * (i-th Z^2 basis element) with fresh parameters t1..tm."""
-    return _generic_combination(cs.algebra.dim, cs.z2_basis)
+    return _generic_combination(cs.algebra.dim, cs.z2_coords)
 
 
-def _generic_combination(n: int, forms: Sequence[TwoForm]) -> TwoForm:
-    """sum_k t_k * forms[k], built entry by entry: each upper entry is one
-    polynomial with a term c * t_k per form, and its mirror the negation."""
-    m = len(forms)
+def _generic_combination(n: int, coords: Sequence[Mapping[tuple[int, int], Fraction]]) -> TwoForm:
+    """sum_k t_k * (the form with upper coordinates coords[k]), built entry
+    by entry: each upper entry is one polynomial with a term c * t_k per
+    form, and its mirror the negation."""
+    m = len(coords)
     names = tuple(f"t{k + 1}" for k in range(m))
     upper: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    for k, w in enumerate(forms):
+    for k, v in enumerate(coords):
         unit = tuple(1 if j == k else 0 for j in range(m))
-        for i in range(n):
-            row = w.entries[i]
-            for j in range(i + 1, n):
-                if row[j]:
-                    upper.setdefault((i, j), {})[unit] = row[j]
+        for pair, c in v.items():
+            upper.setdefault(pair, {})[unit] = c
     zero = MultiPoly.zero()
     grid: list[list] = [[zero] * n for _ in range(n)]
     for (i, j), terms in upper.items():
@@ -423,15 +434,37 @@ def _first_in_shell(terms: dict[tuple[int, ...], int], m: int, radius: int) -> t
 
     Coordinates are fixed one at a time from -radius to radius, each
     substituted into the polynomial.  A subtree whose partial polynomial is
-    identically zero is pruned.  A coordinate that no longer occurs is set
-    to -radius without branching: that value comes first, puts the point on
-    the shell, and so admits every completion any other value admits.
+    identically zero is pruned, and so is one where some later variable
+    makes it vanish for each of its 2 radius + 1 values.  A coordinate that
+    no longer occurs is set to -radius without branching: that value comes
+    first, puts the point on the shell, and so admits every completion any
+    other value admits.
     """
     point = [0] * m
+    # A polynomial of degree <= 2 radius in x that vanishes for each of the
+    # 2 radius + 1 values of x is zero, so only variables of higher degree
+    # can prune; substitution never raises a degree, so this list holds all
+    # the variables that ever can.
+    high = [j for j, d in enumerate(map(max, zip(*terms))) if d > 2 * radius]
+
+    def vanishes_on_line(rest: dict[tuple[int, ...], int], k: int) -> bool:
+        """Whether rest is zero for each value of its k-th variable."""
+        if any(exps[k] == 0 for exps in rest):
+            return False  # nonzero at x = 0
+        by_rest: dict[tuple[int, ...], dict[int, int]] = {}
+        for exps, c in rest.items():
+            by_rest.setdefault(exps[:k] + exps[k + 1:], {})[exps[k]] = c
+        return all(
+            not sum(c * v**e for e, c in line.items())
+            for line in by_rest.values()
+            for v in range(-radius, radius + 1)
+        )
 
     def walk(pos: int, rest: dict[tuple[int, ...], int], touched: bool) -> bool:
         if pos == m:
             return True  # the last coordinate takes only values that reach the shell
+        if any(vanishes_on_line(rest, j - pos) for j in high if j >= pos):
+            return False
         if all(exps[0] == 0 for exps in rest):
             point[pos] = -radius
             return walk(pos + 1, {exps[1:]: c for exps, c in rest.items()}, True)
@@ -480,7 +513,14 @@ def decide_symplectic(g: LieAlgebra, bound: int | None = None) -> SymplecticVerd
     antisymmetric matrix is always singular).  Dimension zero is vacuously
     symplectic and flagged as degenerate.
     """
-    n = g.dim
+    cs = cocycle_space(g)
+    return _decide(cs, generic_cocycle(cs) if g.dim % 2 == 0 else None, bound)
+
+
+def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> SymplecticVerdict:
+    """``decide_symplectic`` on ``cs.algebra``, given its cocycle space and,
+    in even dimension, ``generic = generic_cocycle(cs)``."""
+    n = cs.algebra.dim
     if n == 0:
         empty = TwoForm.zero(0)
         one = MultiPoly.constant(1)
@@ -496,7 +536,6 @@ def decide_symplectic(g: LieAlgebra, bound: int | None = None) -> SymplecticVerd
             cocycle_dims=(0, 0, 0),
             degenerate=True,
         )
-    cs = cocycle_space(g)
     if n % 2 != 0:
         zero = MultiPoly.zero()
         return SymplecticVerdict(
@@ -511,14 +550,13 @@ def decide_symplectic(g: LieAlgebra, bound: int | None = None) -> SymplecticVerd
             cocycle_dims=cs.dims,
         )
 
-    generic = generic_cocycle(cs)
     pf = generic.poly_matrix().pfaffian()
     witness = None
     if not pf.is_zero():
         point = find_nonvanishing_point(pf, generic.variables, bound)
         witness = generic.specialize(point)
 
-    exact_generic = _generic_combination(n, cs.b2_basis)
+    exact_generic = _generic_combination(n, cs.b2_coords)
     exact_pf = exact_generic.poly_matrix().pfaffian()
     exact_witness = None
     exact_one_form = None
@@ -543,19 +581,6 @@ def decide_symplectic(g: LieAlgebra, bound: int | None = None) -> SymplecticVerd
         exact_one_form=exact_one_form,
         cocycle_dims=cs.dims,
     )
-
-
-@dataclass(frozen=True)
-class ExactSymplecticResult:
-    exists: str
-    one_form: tuple[Fraction, ...] | None
-    two_form: TwoForm | None
-
-
-def decide_exact_symplectic(g: LieAlgebra, bound: int | None = None) -> ExactSymplecticResult:
-    """Frobenius detection: the Pfaffian procedure restricted to span(B^2)."""
-    verdict = decide_symplectic(g, bound)
-    return ExactSymplecticResult(verdict.exact_exists, verdict.exact_one_form, verdict.exact_witness)
 
 
 # -- geometry helpers -----------------------------------------------------------

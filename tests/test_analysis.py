@@ -1,0 +1,269 @@
+"""The per-algebra analysis: torus checks against a dense oracle, and each
+artifact computed once per algebra.
+
+The oracle for ``verify_torus`` evaluates the Leibniz identity on dense
+vectors with a bracket written in this file, commutes generators with the
+dense product ``(da @ db - db @ da).is_zero()`` and tests every generator,
+diagonal or not, for a squarefree minimal polynomial.
+"""
+
+import sys
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liesymp import cli
+from liesymp.analysis import Analysis
+from liesymp.catalog import DEFAULT_SELECTION, build_entry
+from liesymp.fileformat import build, parse
+from liesymp.liealg import LieAlgebra
+from liesymp.linalg import RationalMatrix, upoly_is_squarefree
+from liesymp.regression import run_regression
+from liesymp.structure import (
+    TorusAction,
+    derivation_algebra,
+    is_derivation,
+    semidirect,
+    verify_torus,
+)
+
+# -- the dense oracle ---------------------------------------------------------
+
+
+def _dense_bracket(table, n, x, y):
+    out = [Q(0)] * n
+    for (i, j), coeffs in table.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        if f:
+            for k, c in coeffs.items():
+                out[k] += f * c
+    return out
+
+
+def _dense_leibniz(g, d):
+    n = g.dim
+    cols = [d.column(j) for j in range(n)]
+    units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = d.apply(_dense_bracket(g.table, n, units[i], units[j]))
+            a = _dense_bracket(g.table, n, cols[i], units[j])
+            b = _dense_bracket(g.table, n, units[i], cols[j])
+            if any(l != p + q for l, p, q in zip(lhs, a, b)):
+                return False
+    return True
+
+
+def reference_torus_check(t):
+    n = t.nilradical.dim
+    gens, labels = t.generators, t.labels
+    for a, d in enumerate(gens):
+        if d.rows != n or d.cols != n:
+            return False, f"generator {labels[a]} has the wrong shape"
+        if not _dense_leibniz(t.nilradical, d):
+            return False, f"generator {labels[a]} is not a derivation"
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            da, db = gens[a], gens[b]
+            if not (da @ db - db @ da).is_zero():
+                return False, f"generators {labels[a]} and {labels[b]} do not commute"
+    for a, d in enumerate(gens):
+        if not upoly_is_squarefree(d.minimal_polynomial()):
+            return False, (
+                f"generator {labels[a]} is not semisimple "
+                "(minimal polynomial has a repeated factor)"
+            )
+    return True, None
+
+
+# -- random graded nilpotent algebras and candidate generators ----------------
+
+
+LIKELY = st.sampled_from((True, True, False))
+
+
+@st.composite
+def torus_candidates(draw):
+    """A nilpotent table graded by a weight (p_i, q_i) with p_i >= 1, so that
+    diag(p) and diag(q) are commuting derivations, and one to three
+    candidate generators: weight diagonals, random diagonals, random
+    derivations (rarely commuting or semisimple) and perturbed ones.
+
+    A basis vector's weight is either fresh or the sum of two earlier ones,
+    so that brackets can land on it; terms are kept only while the Jacobi
+    identity holds."""
+    n = draw(st.integers(3, 6))
+    weights = []
+    for i in range(n):
+        if i >= 2 and draw(LIKELY):
+            a, b = draw(st.lists(st.integers(0, i - 1), min_size=2, max_size=2, unique=True))
+            weights.append((weights[a][0] + weights[b][0], weights[a][1] + weights[b][1]))
+        else:
+            weights.append((1, draw(st.integers(-1, 1))))
+    p, q = [w[0] for w in weights], [w[1] for w in weights]
+    g = LieAlgebra(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if weights[k] != (p[i] + p[j], q[i] + q[j]) or not draw(LIKELY):
+                    continue
+                table = {pair: dict(c) for pair, c in g.table.items()}
+                table.setdefault((i, j), {})[k] = Q(draw(st.sampled_from((-2, -1, 1, 2))))
+                trial = LieAlgebra(n, table)
+                if trial.jacobi_holds():
+                    g = trial
+    der = derivation_algebra(g).basis
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ("p", "q", "diagonal", "derivation", "derivation", "perturbed", "perturbed", "shape")
+        ))
+        if kind in ("p", "q"):
+            gens.append(RationalMatrix.diagonal(p if kind == "p" else q))
+        elif kind == "diagonal":
+            gens.append(RationalMatrix.diagonal([draw(st.integers(-2, 2)) for _ in range(n)]))
+        elif kind == "shape":
+            gens.append(RationalMatrix.zeros(n + 1, n + 1))
+        else:
+            m = RationalMatrix.zeros(n, n)
+            for d in der:
+                c = draw(st.integers(-1, 1))
+                if c:
+                    m = m + d.scale(c)
+            if kind == "perturbed":
+                r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                rows = [list(row) for row in m.data]
+                rows[r][c] += draw(st.sampled_from((-1, 1)))
+                m = RationalMatrix(rows)
+            gens.append(m)
+    return TorusAction(g, tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=torus_candidates())
+def test_verify_torus_matches_the_dense_oracle(t):
+    check = verify_torus(t)
+    assert (check.ok, check.violation) == reference_torus_check(t)
+    n = t.nilradical.dim
+    for d in t.generators:
+        if d.rows == n:
+            assert is_derivation(t.nilradical, d) == _dense_leibniz(t.nilradical, d)
+
+
+# -- each artifact once per algebra --------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the first argument of every call of ``owner.name``, through
+    each binding of it in a liesymp module (or on its class)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "liesymp" or mod_name.startswith("liesymp."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def _counters(monkeypatch):
+    from liesymp import structure, symplectic
+
+    return {
+        "verify_torus": _count_calls(monkeypatch, structure, "verify_torus"),
+        "cocycle_space": _count_calls(monkeypatch, symplectic, "cocycle_space"),
+        "rank_bound": _count_calls(monkeypatch, structure, "rank_bound"),
+        "lower_central_series": _count_calls(monkeypatch, LieAlgebra, "lower_central_series"),
+        "minimal_polynomial": _count_calls(monkeypatch, RationalMatrix, "minimal_polynomial"),
+    }
+
+
+def _at_most_once_each(calls):
+    ids = [id(x) for x in calls]
+    return len(ids) == len(set(ids))
+
+
+def test_regression_computes_each_artifact_once_per_entry(monkeypatch):
+    counts = _counters(monkeypatch)
+    report = run_regression(DEFAULT_SELECTION)
+    entries = len(DEFAULT_SELECTION)
+    assert len(report.entries) == entries and report.green
+    assert len(counts["verify_torus"]) == entries
+    assert _at_most_once_each(counts["verify_torus"])
+    assert len(counts["cocycle_space"]) <= entries
+    assert _at_most_once_each(counts["cocycle_space"])
+    assert len(counts["rank_bound"]) <= entries
+    # the rank bound reads [n, n] off the one lower central series of n
+    assert len(counts["lower_central_series"]) == entries
+    assert _at_most_once_each(counts["lower_central_series"])
+    # one minimal polynomial per non-diagonal torus generator, none for diagonal ones
+    non_diagonal = [
+        d
+        for name, params in DEFAULT_SELECTION
+        for d in build_entry(name, **params).torus.generators
+        if not d.is_diagonal()
+    ]
+    assert len(counts["minimal_polynomial"]) == len(non_diagonal) > 0
+
+
+TORUS_FILE = """\
+algebra n4_1
+basis e1 e2 e3 e4
+[e2,e4] = e1
+[e3,e4] = e2
+torus e5 e6
+[e5,e1] = e1
+[e5,e3] = -e3
+[e5,e4] = e4
+[e6,e2] = e2
+[e6,e3] = 2*e3
+[e6,e4] = -e4
+"""
+
+
+def test_build_verifies_the_torus_once(monkeypatch):
+    counts = _counters(monkeypatch)
+    built = build(parse(TORUS_FILE))
+    assert len(counts["verify_torus"]) == 1
+    assert built.algebra == semidirect(built.torus)
+
+
+def test_symplectic_command_computes_each_artifact_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "n4_1.lie"
+    path.write_text(TORUS_FILE, encoding="utf-8")
+    counts = _counters(monkeypatch)
+    assert cli.main(["symplectic", str(path), "--json"]) == 0
+    assert '"maximal_rank": true' in capsys.readouterr().out
+    assert len(counts["verify_torus"]) == 1
+    assert len(counts["cocycle_space"]) == 1
+    assert len(counts["rank_bound"]) <= 1
+    assert len(counts["lower_central_series"]) == 1
+
+
+def test_analysis_without_a_torus_studies_the_algebra_itself():
+    g = build_entry("n4_1").nilradical
+    analysis = Analysis(g)
+    assert analysis.algebra is g and analysis.maximal_rank is None
+    assert analysis.rank_bound == 2
+    assert analysis.verdict.cocycle_dims == analysis.cocycles.dims
+
+
+def test_analysis_reports_an_invalid_torus_like_semidirect():
+    jordan = RationalMatrix([[0, 1], [0, 0]])
+    analysis = Analysis(TorusAction(LieAlgebra(2), (jordan,)))
+    assert not analysis.torus_check.ok
+    try:
+        analysis.algebra
+    except ValueError as exc:
+        assert str(exc) == f"invalid torus action: {analysis.torus_check.violation}"
+    else:
+        raise AssertionError("an invalid torus built a semidirect product")

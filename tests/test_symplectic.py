@@ -23,7 +23,6 @@ from liesymp.symplectic import (
     cocycle_space,
     d_one_form,
     d_two_form,
-    decide_exact_symplectic,
     decide_symplectic,
     find_nonvanishing_point,
     generic_cocycle,
@@ -222,15 +221,15 @@ def test_decide_symplectic_zero_dimension_is_degenerate():
 def test_decide_exact_symplectic():
     # diagonal torus over the commutative nilradical: exact symplectic exists
     g = _g("abelian", n=2)
-    result = decide_exact_symplectic(g)
-    assert result.exists == "yes"
-    rebuilt = d_one_form(g, result.one_form)
-    assert rebuilt == result.two_form
+    verdict = decide_symplectic(g)
+    assert verdict.exact_exists == "yes"
+    rebuilt = d_one_form(g, verdict.exact_one_form)
+    assert rebuilt == verdict.exact_witness
     assert rebuilt.matrix().pfaffian() != 0
     # bare abelian algebra: B^2 = 0, nothing exact
-    assert decide_exact_symplectic(LieAlgebra(2)).exists == "no"
+    assert decide_symplectic(LieAlgebra(2)).exact_exists == "no"
     # pairing filiform: exact symplectic per the reference statement
-    assert decide_exact_symplectic(_g("Q", n=5)).exists == "yes"
+    assert decide_symplectic(_g("Q", n=5)).exact_exists == "yes"
 
 
 def test_witness_search_order_is_deterministic():

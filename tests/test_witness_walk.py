@@ -61,7 +61,7 @@ def sparse_polys(draw):
     xs = MultiPoly.variables(VARS[:k])
     p = MultiPoly.constant(1)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("sparse", "sparse", "shell", "diagonal")))
+        kind = draw(st.sampled_from(("sparse", "sparse", "shell", "diagonal", "vanishing")))
         if kind == "sparse":
             factor = MultiPoly.zero()
             for _ in range(draw(st.integers(1, 3))):
@@ -77,6 +77,14 @@ def sparse_polys(draw):
             factor = x
             for r in range(1, draw(st.integers(1, 2)) + 1):
                 factor = factor * (x - r) * (x + r)
+        elif kind == "vanishing":
+            # x (x^2 - 1) times the sum of the other variables: zero on the
+            # whole unit box, which the walk must see without visiting it
+            x = draw(st.sampled_from(xs))
+            factor = x * (x - 1) * (x + 1)
+            rest = [y for y in xs if y is not x]
+            if rest:
+                factor = factor * sum(rest[1:], rest[0])
         else:
             x, y = draw(st.sampled_from(xs)), draw(st.sampled_from(xs))
             factor = x - y if x is not y else x + 1
@@ -141,6 +149,21 @@ def test_deep_witness_among_many_parameters_is_found_fast():
     elapsed = time.perf_counter() - start
     assert point == {nm: Q(-1 if i % 2 == 0 else 0) for i, nm in enumerate(names)}
     assert elapsed < 5
+
+
+def test_factor_vanishing_on_the_box_in_a_late_variable_is_pruned():
+    # x_k (x_k^2 - 1) (x_1 + ... + x_{k-1}) is zero on all of shell 1, and
+    # only its last variable shows it: without looking ahead the walk would
+    # visit every prefix of shell 1 (about 3^k nodes) before reaching shell 2.
+    k = 20
+    names = tuple(f"x{i + 1}" for i in range(k))
+    xs = MultiPoly.variables(names)
+    p = xs[-1] * (xs[-1] - 1) * (xs[-1] + 1) * sum(xs[1:-1], xs[0])
+    start = time.perf_counter()
+    point = find_nonvanishing_point(p, names, bound=2)
+    elapsed = time.perf_counter() - start
+    assert point == {nm: Q(-2) for nm in names}
+    assert elapsed < 1
 
 
 # A generated nilpotent algebra with 33 closed-form parameters and a
