@@ -24,6 +24,7 @@ from .structure import (
     TorusCheck,
     _rank_bound,
     _semidirect_product,
+    _torus_weights,
     is_maximal_rank,
     verify_torus,
 )
@@ -70,7 +71,10 @@ class Analysis:
 
     @cached_property
     def completeness(self) -> CompletenessReport:
-        return CompletenessReport(self.algebra, self.center.dim)
+        """Graded by the diagonal torus generators, if any (see
+        :class:`liesymp.structure.CompletenessReport`)."""
+        weights = None if self.torus is None else _torus_weights(self.torus)
+        return CompletenessReport(self.algebra, self.center.dim, weights)
 
     @cached_property
     def lower_central_series(self) -> list[Subspace]:

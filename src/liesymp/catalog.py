@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, check_dim
 from .linalg import Q, RationalMatrix, as_fraction
 from .poly import MultiPoly
 from .structure import TorusAction
@@ -771,6 +771,7 @@ def _build_abelian(n=2) -> CatalogEntry:
     n = int(n)
     if n < 1:
         raise ValueError("abelian family requires n >= 1")
+    check_dim(2 * n)
     nil = LieAlgebra(n)
     gens = tuple(
         RationalMatrix([[1 if (r == c == i) else 0 for c in range(n)] for r in range(n)])
@@ -791,6 +792,7 @@ def _build_L(n=4) -> CatalogEntry:
     n = int(n)
     if n < 3:
         raise ValueError("L family requires n >= 3")
+    check_dim(n + 2)
     nil = _nil(n, {(1, i): {i + 1: 1} for i in range(2, n)})
     h1 = RationalMatrix.diagonal([1] + [i - 2 for i in range(2, n + 1)])
     h2 = RationalMatrix.diagonal([0] + [1] * (n - 1))
@@ -813,6 +815,7 @@ def _build_Q(n=5) -> CatalogEntry:
     n = int(n)
     if n < 5 or n % 2 == 0:
         raise ValueError("Q family requires odd n >= 5")
+    check_dim(n + 3)
     k = (n - 1) // 2
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(1, n - 1):  # chain stops at n-2, see TYPOS (Q-chain-range)

@@ -13,6 +13,8 @@ Subcommands::
 
 Exit codes are the machine contract: 0 success (or green report), 1 a
 computed-vs-expected mismatch in a verification run, 2 invalid input.
+Invalid input includes an algebra above ``liesymp.liealg.MAX_DIM``, from a
+file or a ``--set n=`` family parameter, which is rejected before it is built.
 Errors are reported as one ``error:`` line on stderr, never a traceback.
 Exit code 2 also covers a witness search that exhausts its integer box
 (``WitnessSearchExhausted``): the Pfaffian is nonzero, so a witness exists,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import Analysis
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, check_dim
 from .linalg import Q, RationalMatrix
 from .structure import TorusAction
 
@@ -216,13 +216,12 @@ def parse(source: str) -> AlgebraFile:
     p.expect_keyword("algebra")
     name = p.ident("an algebra name").text
     p.expect_keyword("basis")
-    basis_tokens = p.label_list("basis label")
-    basis: list[str] = []
-    for tok in basis_tokens:
-        if tok.text in basis:
+    basis_index: dict[str, int] = {}
+    for tok in p.label_list("basis label"):
+        if tok.text in basis_index:
             p.fail(f"duplicate basis label {tok.text!r}", tok)
-        basis.append(tok.text)
-    basis_index = {lbl: i for i, lbl in enumerate(basis)}
+        basis_index[tok.text] = len(basis_index)
+    basis = list(basis_index)
 
     brackets: list[Rule] = []
     seen_pairs: set[tuple[str, str]] = set()
@@ -234,11 +233,12 @@ def parse(source: str) -> AlgebraFile:
     tok = p.peek()
     if tok is not None and tok.kind == "ident" and tok.text == "torus":
         p.next()
+        torus_index: dict[str, int] = {}
         for t in p.label_list("torus label"):
-            if t.text in basis_index or t.text in torus_labels:
+            if t.text in basis_index or t.text in torus_index:
                 p.fail(f"duplicate label {t.text!r}", t)
-            torus_labels.append(t.text)
-        torus_index = {lbl: i for i, lbl in enumerate(torus_labels)}
+            torus_index[t.text] = len(torus_index)
+        torus_labels = list(torus_index)
         seen_torus: set[tuple[str, str]] = set()
         while p.peek() is not None and p.peek().kind == "[":
             torus_rules.append(_torus_rule(p, basis_index, torus_index, seen_torus))
@@ -341,10 +341,13 @@ def build(f: AlgebraFile) -> BuiltAlgebra:
     """Turn a parsed file into algebra objects, through the analysis the
     result carries (so the torus is verified once, here).
 
-    Raises ValueError when the torus block fails the torus axioms; Jacobi on
-    the bracket part is *not* checked here (``check`` reports it separately).
+    Raises ValueError when the algebra is larger than
+    :data:`liesymp.liealg.MAX_DIM` or the torus block fails the torus
+    axioms; Jacobi on the bracket part is *not* checked here (``check``
+    reports it separately).
     """
     n = len(f.basis)
+    check_dim(n + len(f.torus_labels))
     index = {lbl: i for i, lbl in enumerate(f.basis)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for left, right, terms in f.brackets:

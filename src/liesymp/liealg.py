@@ -27,6 +27,20 @@ from .linalg import (
 )
 
 
+MAX_DIM = 64
+"""The largest algebra dimension accepted from outside input: a ``.lie``
+file (basis plus torus labels) or a catalog family parameter.  It is well
+above the dimensions studied (up to about 20) and bounds the size of every
+exact linear system built from the input."""
+
+
+def check_dim(dim: int) -> None:
+    """Raise ValueError, before anything is built, for an algebra of
+    dimension ``dim`` above :data:`MAX_DIM`."""
+    if dim > MAX_DIM:
+        raise ValueError(f"algebra dimension {dim} exceeds the maximum of {MAX_DIM}")
+
+
 class Subspace:
     """A linear subspace of Q^n with a canonical (reduced echelon) basis.
 

@@ -128,6 +128,36 @@ def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fract
     return tuple(row.get(j, zero) for j in range(start, stop))
 
 
+def first_row_pfaffian(data: Sequence[Sequence], zero, one):
+    """Pfaffian of the antisymmetric matrix ``data`` of even size, by
+    recursive expansion along the first row, memoised over index subsets so
+    that shared minors are expanded once.
+
+    Generic over the entry ring: entries need ``+``, ``-`` and ``*`` and are
+    zero exactly when falsy, as Fractions and polynomials are; ``zero`` and
+    ``one`` are the ring's identities.  The caller checks the shape.
+    """
+    memo: dict[tuple[int, ...], object] = {}
+
+    def pf(active: tuple[int, ...]):
+        if not active:
+            return one
+        cached = memo.get(active)
+        if cached is not None:
+            return cached
+        row, rest = data[active[0]], active[1:]
+        total = zero
+        for pos, j in enumerate(rest):
+            a = row[j]
+            if a:
+                term = a * pf(rest[:pos] + rest[pos + 1 :])
+                total = total + term if pos % 2 == 0 else total - term
+        memo[active] = total
+        return total
+
+    return pf(tuple(range(len(data))))
+
+
 class RationalMatrix:
     """Immutable dense matrix with exact rational entries."""
 
@@ -306,8 +336,7 @@ class RationalMatrix:
     def pfaffian(self) -> Fraction:
         """Pfaffian of an antisymmetric matrix of even size.
 
-        Recursive first-row expansion with memoisation over index subsets;
-        satisfies pfaffian()**2 == determinant().
+        By :func:`first_row_pfaffian`; satisfies pfaffian()**2 == determinant().
         """
         if self.rows != self.cols:
             raise ValueError("pfaffian of a non-square matrix")
@@ -315,28 +344,7 @@ class RationalMatrix:
             raise ValueError("pfaffian requires even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        data = self.data
-        memo: dict[tuple[int, ...], Fraction] = {}
-
-        def pf(active: tuple[int, ...]) -> Fraction:
-            if not active:
-                return Q(1)
-            cached = memo.get(active)
-            if cached is not None:
-                return cached
-            i0, rest = active[0], active[1:]
-            total = Q(0)
-            sign = 1
-            for pos, j in enumerate(rest):
-                a = data[i0][j]
-                if a != 0:
-                    sub = tuple(x for x in rest if x != j)
-                    term = a * pf(sub)
-                    total += term if (pos % 2 == 0) else -term
-            memo[active] = total
-            return total
-
-        return pf(tuple(range(self.rows)))
+        return first_row_pfaffian(self.data, Q(0), Q(1))
 
     # -- matrix analysis -----------------------------------------------------
 

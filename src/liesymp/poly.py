@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, RationalMatrix, as_fraction
+from .linalg import Q, RationalMatrix, as_fraction, first_row_pfaffian
 
 Exponents = tuple[int, ...]
 
@@ -123,7 +123,7 @@ class MultiPoly:
         return hash(self._signature())
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.terms)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -350,37 +350,13 @@ class PolyMatrix:
         )
 
     def pfaffian(self) -> MultiPoly:
-        """Pfaffian by recursive first-row expansion.
-
-        Requires an antisymmetric matrix of even size; memoised over index
-        subsets so shared minors are expanded once.
-        """
+        """Pfaffian by :func:`liesymp.linalg.first_row_pfaffian`; requires an
+        antisymmetric matrix of even size."""
         if self.rows != self.cols or self.rows % 2 != 0:
             raise ValueError("pfaffian requires an antisymmetric matrix of even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        data = self.data
-        memo: dict[tuple[int, ...], MultiPoly] = {}
-
-        def pf(active: tuple[int, ...]) -> MultiPoly:
-            if not active:
-                return MultiPoly.constant(1)
-            cached = memo.get(active)
-            if cached is not None:
-                return cached
-            i0, rest = active[0], active[1:]
-            total = MultiPoly.zero()
-            for pos, j in enumerate(rest):
-                a = data[i0][j]
-                if a.is_zero():
-                    continue
-                sub = tuple(x for x in rest if x != j)
-                term = a * pf(sub)
-                total = total + term if pos % 2 == 0 else total - term
-            memo[active] = total
-            return total
-
-        return pf(tuple(range(self.rows)))
+        return first_row_pfaffian(self.data, MultiPoly.zero(), MultiPoly.constant(1))
 
     def determinant(self) -> MultiPoly:
         """Pfaffian squared for antisymmetric matrices, cofactor expansion otherwise."""

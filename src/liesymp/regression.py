@@ -225,11 +225,10 @@ def run_regression(selection=None, bound: int | None = None) -> RegressionReport
     """Check a selection of (name, params) pairs; defaults to the whole catalog."""
     if selection is None:
         selection = DEFAULT_SELECTION
-    results = []
-    for name, params in selection:
-        entry = build_entry(name, **params)
-        results.append(check_entry(entry, bound))
-    return RegressionReport(tuple(results))
+    # every entry is built first, so that invalid parameters are rejected
+    # before any entry is checked
+    entries = [build_entry(name, **params) for name, params in selection]
+    return RegressionReport(tuple(check_entry(entry, bound) for entry in entries))
 
 
 # -- reproduction of the three families' statements ---------------------------

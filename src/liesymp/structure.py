@@ -10,6 +10,17 @@ Tori are supplied (from reference data or the user) and verified here; no
 attempt is made to construct a maximal torus from scratch.  Maximality is
 instead certified numerically through the rank bound dim(n / [n, n]) and,
 independently, through the completeness check on the semidirect product.
+
+The completeness check solves Der(g) by weight: for a diagonal torus
+generator diag(l) with torus vector h, ad h is diagonal on g, with l_i on
+e_i and 0 on the torus, so Der(g) splits by the weight w_r - w_c of an entry
+D[r][c], and a derivation of weight mu != 0 is inner.  Only the Leibniz
+rows of the weight-0 block are solved, and
+
+    dim Der(g) = dim Der_0(g) + (dim g - dim g_0)
+
+(see :class:`CompletenessReport`).  ``derivation_algebra`` solves the full
+system, for a basis.
 """
 
 from __future__ import annotations
@@ -48,15 +59,31 @@ class DerivationBasis:
         return system.solve(m.flatten()) is not None
 
 
-def _leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+def _weight_classes(weights: Sequence) -> list[list[int]]:
+    """For each basis index, the increasing indices of the same weight."""
+    classes: dict = {}
+    for i, w in enumerate(weights):
+        classes.setdefault(w, []).append(i)
+    return [classes[w] for w in weights]
+
+
+def _leibniz_rows(
+    g: LieAlgebra, weights: Sequence | None = None
+) -> dict[tuple[int, int, int], dict[int, Fraction]]:
     """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] as
     linear equations in the entries of D.
 
     D is flattened row-major (D[r][c] at index r*n + c, so column c holds
     D e_c); there is one sparse row per basis pair i < j and component k,
     assembled from the bracket table.  Equations with no terms are absent.
+
+    With ``weights`` (one per basis vector, grading the bracket), only the
+    weight-0 unknowns D[r][c] with weights[r] == weights[c] are kept: the
+    rows are the Leibniz system of the weight-0 derivations.  Without, every
+    basis vector has the same weight and the system is the full one.
     """
     n = g.dim
+    classes = _weight_classes(weights or ((),) * n)
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def add(key: tuple[int, int, int], col: int, c: Fraction) -> None:
@@ -70,19 +97,21 @@ def _leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fractio
     for (a, b), coeffs in g.table.items():
         for m, c in coeffs.items():
             # D applied to [e_a, e_b] = sum_m c e_m, in every component k
-            for k in range(n):
+            for k in classes[m]:
                 add((a, b, k), k * n + m, c)
         for k, c in coeffs.items():
-            # minus [D e_i, e_j]: the e_a- and e_b-components of D e_i
-            for i in range(b):
-                add((i, b, k), a * n + i, -c)
-            for i in range(a):
-                add((i, a, k), b * n + i, c)
-            # minus [e_i, D e_j]: the e_b- and e_a-components of D e_j
-            for j in range(a + 1, n):
-                add((a, j, k), b * n + j, -c)
-            for j in range(b + 1, n):
-                add((b, j, k), a * n + j, c)
+            # minus [D e_i, e_j] and [e_i, D e_j]: the e_a-component D[a][i]
+            # of D e_i meets e_b, and the e_b-component D[b][j] meets e_a
+            for i in classes[a]:
+                if i < b:
+                    add((i, b, k), a * n + i, -c)
+                elif i > b:
+                    add((b, i, k), a * n + i, c)
+            for j in classes[b]:
+                if j < a:
+                    add((j, a, k), b * n + j, c)
+                elif j > a:
+                    add((a, j, k), b * n + j, -c)
     return rows
 
 
@@ -140,14 +169,30 @@ class CompletenessReport:
 
     Der(g) is solved only when ``derivation_dim`` is read, and ``complete``
     reads it only for a trivial center: otherwise the answer is already no.
+
+    ``weights`` (optional, one per basis vector) are the eigenvalues of
+    commuting diagonal inner derivations ad h, such as those of the diagonal
+    torus generators of t ⋉ n.  Der(g) then splits by weight, and a
+    derivation D of weight mu != 0 is inner: for h with mu(h) != 0,
+    mu(h) D = [ad h, D] = -ad(D h).  The center lies in weight 0, as
+    [h, x] = mu(h) x vanishes for central x, so ad is injective on each
+    g_mu with mu != 0, and only the weight-0 block is solved:
+
+        dim Der(g) = dim Der_0(g) + (dim g - dim g_0).
     """
 
     algebra: LieAlgebra
     center_dim: int
+    weights: tuple | None = None
 
     @cached_property
     def derivation_dim(self) -> int:
-        return derivation_algebra(self.algebra).dim
+        g = self.algebra
+        weights = self.weights or ((),) * g.dim
+        # summed over indices, class sizes give the sum of squared class sizes
+        unknowns = sum(len(c) for c in _weight_classes(weights))
+        rank = len(sparse_rref(_leibniz_rows(g, weights).values()))
+        return unknowns - rank + sum(1 for w in weights if any(w))
 
     @property
     def ad_dim(self) -> int:
@@ -161,6 +206,17 @@ class CompletenessReport:
 def is_complete(g: LieAlgebra) -> CompletenessReport:
     """Trivial center plus dim Der(g) = dim g forces every derivation inner."""
     return CompletenessReport(g, g.center().dim)
+
+
+def _torus_weights(t: TorusAction) -> tuple[tuple[Fraction, ...], ...]:
+    """The weights of the basis of t ⋉ n under its diagonal torus generators:
+    diag(l) contributes l_i on the nilradical vector e_i and 0 on every torus
+    vector, the eigenvalues of ad h for the torus vector h of diag(l)."""
+    diagonal = [d for d in t.generators if d.is_diagonal()]
+    zero = tuple(Fraction(0) for _ in diagonal)
+    return tuple(
+        tuple(d.data[i][i] for d in diagonal) for i in range(t.nilradical.dim)
+    ) + (zero,) * t.rank
 
 
 @dataclass(frozen=True)

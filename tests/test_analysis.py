@@ -4,16 +4,20 @@ artifact computed once per algebra.
 The oracle for ``verify_torus`` evaluates the Leibniz identity on dense
 vectors with a bracket written in this file, commutes generators with the
 dense product ``(da @ db - db @ da).is_zero()`` and tests every generator,
-diagonal or not, for a squarefree minimal polynomial.
+diagonal or not, for a squarefree minimal polynomial.  The dimension of
+Der(g) that the analysis reads off the weight-0 block is compared with the
+full, ungraded Leibniz solve of ``derivation_algebra``.
 """
 
+import itertools
 import sys
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from liesymp import cli
+from liesymp import cli, structure
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
@@ -149,6 +153,90 @@ def test_verify_torus_matches_the_dense_oracle(t):
     for d in t.generators:
         if d.rows == n:
             assert is_derivation(t.nilradical, d) == _dense_leibniz(t.nilradical, d)
+
+
+# -- dim Der(g) from the weight-0 block against the full solve ---------------
+
+
+def _graded_matches_full(t):
+    analysis = Analysis(t)
+    full = derivation_algebra(semidirect(t)).dim
+    assert analysis.completeness.derivation_dim == full
+    # the count needs no center term: the center lies in weight 0
+    weights = analysis.completeness.weights
+    assert all(not any(weights[i]) for v in analysis.center.basis for i, x in enumerate(v) if x)
+    return analysis
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(t=torus_candidates())
+def test_graded_derivation_dim_matches_the_full_solve(t):
+    assume(verify_torus(t).ok)
+    _graded_matches_full(t)
+
+
+def _sub_tori(entry):
+    gens, labels = entry.torus.generators, entry.torus.labels
+    for r in range(len(gens) + 1):
+        for idx in itertools.combinations(range(len(gens)), r):
+            yield TorusAction(
+                entry.nilradical, tuple(gens[i] for i in idx), tuple(labels[i] for i in idx)
+            )
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(n, p) for n, p in DEFAULT_SELECTION
+     if any(d.is_diagonal() for d in build_entry(n, **p).torus.generators)],
+)
+def test_graded_derivation_dim_on_every_sub_torus(name, params):
+    """Every valid sub-torus, rank 0 included; many leave a nonzero center,
+    which must lie in weight 0."""
+    for t in _sub_tori(build_entry(name, **params)):
+        if verify_torus(t).ok:
+            _graded_matches_full(t)
+
+
+MIXED_TORI = ("n6_5", "n6_10", "n6_14", "n6_18")
+
+
+@pytest.mark.parametrize("name", MIXED_TORI)
+def test_graded_derivation_dim_on_mixed_tori(name):
+    """Tori with a non-diagonal generator are graded by their diagonal
+    generators only."""
+    t = build_entry(name).torus
+    assert not all(d.is_diagonal() for d in t.generators)
+    analysis = _graded_matches_full(t)
+    assert analysis.completeness.complete
+    diagonal = sum(d.is_diagonal() for d in t.generators)
+    assert {len(w) for w in analysis.completeness.weights} == {diagonal}
+
+
+def test_the_catalog_solves_only_weight_0_blocks(monkeypatch):
+    """No full Der(g) solve on the catalog path, and every Leibniz system it
+    assembles has only the sum of squared weight-class sizes as unknowns."""
+    full = _count_calls(monkeypatch, structure, "derivation_algebra")
+    original = structure._leibniz_rows
+    systems = []
+
+    def leibniz_rows(g, weights=None):
+        rows = original(g, weights)
+        systems.append((g, weights, rows))
+        return rows
+
+    monkeypatch.setattr(structure, "_leibniz_rows", leibniz_rows)
+    report = run_regression(DEFAULT_SELECTION)
+    assert report.green and full == []
+    assert len(systems) == len(DEFAULT_SELECTION)  # every center is trivial
+    for g, weights, rows in systems:
+        n = g.dim
+        assert weights is not None and len(weights) == n
+        # the weight-0 block: sum (class size)^2 unknowns, fewer than n^2
+        block = {r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]}
+        assert len(block) < n * n
+        assert {c for row in rows.values() for c in row} <= block
 
 
 # -- each artifact once per algebra --------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON schemas, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from liesymp.cli import (
     SYMPLECTIC_REPORT_SCHEMA,
     main,
 )
+from liesymp.liealg import MAX_DIM
 
 GOOD = """\
 algebra n4_1
@@ -101,6 +103,65 @@ def test_symplectic_exhausted_witness_search_exits_2(tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "LIESYMP_WITNESS_BOUND" in _one_error_line(captured.err)
+
+
+
+# Far over the bound: without the check, each of these would start a build
+# (and eliminations) of that size; with it, only the rejection path runs.
+HUGE = 10**9
+
+
+def _labels_file(tmp_path, count: int, torus: int = 0) -> str:
+    basis = " ".join(f"e{i}" for i in range(1, count + 1))
+    source = f"algebra wide\nbasis {basis}\n"
+    if torus:
+        source += "torus " + " ".join(f"h{i}" for i in range(1, torus + 1)) + "\n"
+    path = tmp_path / "wide.lie"
+    path.write_text(source, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["catalog", "show", "L", "--set", f"n={HUGE}"], HUGE + 2),
+        (["catalog", "show", "Q", "--set", f"n={HUGE + 1}"], HUGE + 4),
+        (["catalog", "show", "abelian", "--set", f"n={MAX_DIM // 2 + 1}"], MAX_DIM + 2),
+        (["catalog", "verify", "--set", f"n={HUGE}"], 2 * HUGE),
+    ],
+)
+def test_catalog_parameter_over_the_size_bound_exits_2(argv, dim, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == (
+        f"error: algebra dimension {dim} exceeds the maximum of {MAX_DIM}"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "props", "der", "symplectic"])
+def test_file_over_the_size_bound_exits_2(command, tmp_path, capsys):
+    path = _labels_file(tmp_path, 10 * MAX_DIM, torus=2)
+    assert main([command, path]) == 2
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: algebra dimension {10 * MAX_DIM + 2} exceeds the maximum of {MAX_DIM}"
+    )
+
+
+def test_many_labels_are_rejected_in_linear_time(tmp_path, capsys):
+    # reading the labels takes about 0.1 s; a quadratic duplicate check
+    # took 4 s for this file
+    path = _labels_file(tmp_path, 20_000)
+    start = time.perf_counter()
+    assert main(["symplectic", path]) == 2
+    assert time.perf_counter() - start < 2
+    assert "exceeds the maximum" in _one_error_line(capsys.readouterr().err)
+
+
+def test_the_size_bound_admits_its_maximum(tmp_path, capsys):
+    assert main(["catalog", "show", "abelian", "--set", f"n={MAX_DIM // 2}"]) == 0
+    assert main(["check", _labels_file(tmp_path, MAX_DIM - 1, torus=1)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_parse_error_exits_2(tmp_path, capsys):
