@@ -193,13 +193,6 @@ TYPOS: tuple[Typo, ...] = (
 TYPO_IDS = tuple(t.ident for t in TYPOS)
 
 
-def _typo(ident: str) -> Typo:
-    for t in TYPOS:
-        if t.ident == ident:
-            return t
-    raise KeyError(ident)
-
-
 # -- construction helpers ------------------------------------------------------
 
 

@@ -178,15 +178,6 @@ class LieAlgebra:
             return dict(self.table.get((i, j), {}))
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i < j:
-            return self.table.get((i, j), _NO_TERMS).get(k, Q(0))
-        if i > j:
-            c = self.table.get((j, i), _NO_TERMS).get(k)
-            if c is not None:
-                return -c
-        return Q(0)
-
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Bilinear antisymmetric extension of the structure constants."""
         x, y = vector(x), vector(y)
@@ -265,9 +256,6 @@ class LieAlgebra:
 
     def jacobi_holds(self) -> bool:
         return self.jacobi_failure() is None
-
-    def is_abelian(self) -> bool:
-        return not self.table
 
     # -- classical subspaces ----------------------------------------------------
 

@@ -10,17 +10,21 @@ The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
 
 :class:`PolyMatrix` adds the antisymmetric-matrix operations this package
-lives on: the Pfaffian by recursive first-row expansion (memoised over index
-subsets) and determinants, with ``pfaffian()**2 == determinant()`` for
-antisymmetric matrices of even size.
+lives on: the Pfaffian by recursive expansion along the sparsest row of each
+minor (memoised over index subsets), and the determinant of an antisymmetric
+matrix as the Pfaffian squared.
+
+Only the public constructor validates; arithmetic, whose operands already
+hold the invariants, builds its results through a trusted one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, RationalMatrix, as_fraction, first_row_pfaffian
+from .linalg import Q, RationalMatrix, as_fraction, sparsest_row_pfaffian
 
 Exponents = tuple[int, ...]
 
@@ -75,14 +79,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Q(0))
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -127,9 +123,23 @@ class MultiPoly:
 
     # -- arithmetic -----------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """A polynomial from parts that already hold the invariants; no copy
+        and no check."""
+        p = cls.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
+
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
+        # a constant over no variables has at most the one term (): widen it
+        if not other.vars:
+            return self.vars, self.terms, {(0,) * len(self.vars): c for c in other.terms.values()}
+        if not self.vars:
+            return other.vars, {(0,) * len(other.vars): c for c in self.terms.values()}, other.terms
         merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
         return tuple(merged), _remap(self, merged), _remap(other, merged)
 
@@ -140,13 +150,21 @@ class MultiPoly:
         variables, a, b = self._aligned(other)
         out = dict(a)
         for exps, c in b.items():
-            out[exps] = out.get(exps, Q(0)) + c
-        return MultiPoly(variables, out)
+            x = out.get(exps)
+            if x is None:
+                out[exps] = c
+            else:
+                x += c
+                if x:
+                    out[exps] = x
+                else:
+                    del out[exps]
+        return MultiPoly._trusted(variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = _coerce(other)
@@ -168,13 +186,14 @@ class MultiPoly:
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                c = out.get(key, Q(0)) + c1 * c2
-                if c == 0:
-                    out.pop(key, None)
-                else:
+                key = tuple(map(add, e1, e2))
+                c = out.get(key)
+                c = c1 * c2 if c is None else c + c1 * c2
+                if c:
                     out[key] = c
-        return MultiPoly(variables, out)
+                else:
+                    del out[key]
+        return MultiPoly._trusted(variables, out)
 
     __rmul__ = __mul__
 
@@ -350,41 +369,20 @@ class PolyMatrix:
         )
 
     def pfaffian(self) -> MultiPoly:
-        """Pfaffian by :func:`liesymp.linalg.first_row_pfaffian`; requires an
-        antisymmetric matrix of even size."""
+        """Pfaffian by :func:`liesymp.linalg.sparsest_row_pfaffian`; requires
+        an antisymmetric matrix of even size."""
         if self.rows != self.cols or self.rows % 2 != 0:
             raise ValueError("pfaffian requires an antisymmetric matrix of even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        return first_row_pfaffian(self.data, MultiPoly.zero(), MultiPoly.constant(1))
+        return sparsest_row_pfaffian(self.data, MultiPoly.zero(), MultiPoly.constant(1))
 
     def determinant(self) -> MultiPoly:
-        """Pfaffian squared for antisymmetric matrices, cofactor expansion otherwise."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.is_antisymmetric():
-            if self.rows % 2 != 0:
-                return MultiPoly.zero()
-            p = self.pfaffian()
-            return p * p
-        data = self.data
-        memo: dict[tuple[int, ...], MultiPoly] = {}
-
-        def det(cols: tuple[int, ...]) -> MultiPoly:
-            if not cols:
-                return MultiPoly.constant(1)
-            cached = memo.get(cols)
-            if cached is not None:
-                return cached
-            r = self.rows - len(cols)
-            total = MultiPoly.zero()
-            for pos, c in enumerate(cols):
-                a = data[r][c]
-                if a.is_zero():
-                    continue
-                term = a * det(tuple(x for x in cols if x != c))
-                total = total + term if pos % 2 == 0 else total - term
-            memo[cols] = total
-            return total
-
-        return det(tuple(range(self.cols)))
+        """Determinant of an antisymmetric matrix: the Pfaffian squared, and
+        zero in odd size."""
+        if not self.is_antisymmetric():
+            raise ValueError("determinant requires an antisymmetric matrix")
+        if self.rows % 2 != 0:
+            return MultiPoly.zero()
+        p = self.pfaffian()
+        return p * p

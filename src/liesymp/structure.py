@@ -387,12 +387,6 @@ class RootDecomposition:
     roots: tuple[tuple[Fraction, ...], ...]
     spaces: tuple[Subspace, ...]
 
-    def root_of(self, v: Sequence) -> tuple[Fraction, ...] | None:
-        for beta, space in zip(self.roots, self.spaces):
-            if space.contains(v):
-                return beta
-        return None
-
 
 def root_decomposition(t: TorusAction) -> RootDecomposition:
     """Simultaneous eigenspace decomposition of the nilradical.

@@ -1,8 +1,9 @@
 """The elimination kernel and the systems built on it, against sympy.
 
 Each oracle here shares no code with liesymp's elimination: reduced echelon
-forms, kernels and ranks come from sympy, and the Leibniz matrix is built
-densely in this file from the bracket table alone.
+forms, kernels, ranks and determinants come from sympy, which also checks
+the Pfaffian through Pf^2 = det, and the Leibniz matrix is built densely in
+this file from the bracket table alone.
 """
 
 from fractions import Fraction as Q
@@ -14,6 +15,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
+
+from test_pfaffian import FRACTIONS, skew_grids
 
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra
@@ -106,6 +109,14 @@ def test_determinant_and_inverse_match_sympy():
     assert m.determinant() == Q(int(s.det().p), int(s.det().q))
     inverse = s.inv()
     assert m.inverse().data == tuple(_as_fractions(inverse.row(r)) for r in range(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=skew_grids(FRACTIONS, Q(0), max_size=10))
+def test_pfaffian_squared_is_the_sympy_determinant(grid):
+    n = len(grid)
+    det = _sympy(n, n, grid).det()
+    assert RationalMatrix(grid).pfaffian() ** 2 == Q(int(det.p), int(det.q))
 
 
 # -- (b) Der(g) against a dense Leibniz matrix built here ---------------------

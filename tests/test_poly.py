@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesymp.linalg import RationalMatrix
 from liesymp.poly import MultiPoly, PolyMatrix, poly_divides, poly_divmod
@@ -162,10 +164,90 @@ def test_pfaffian_squared_is_determinant_symbolic():
 
 
 def test_determinant_cofactor_general():
+    # a general matrix has no polynomial determinant here: only the
+    # antisymmetric ones, as the Pfaffian squared
     x = MultiPoly.variable("x")
     m = PolyMatrix([[x, 1], [1, x]])
-    assert m.determinant() == x * x - 1
-    # agrees with rational elimination after substitution
+    with pytest.raises(ValueError, match="antisymmetric"):
+        m.determinant()
+    with pytest.raises(ValueError, match="antisymmetric"):
+        PolyMatrix([[0, x, 1]]).determinant()
+    # its value after substitution comes from rational elimination
     concrete = m.substitute({"x": Q(5)})
     assert isinstance(concrete, RationalMatrix)
     assert concrete.determinant() == 24
+    assert _cofactor_determinant(m) == x * x - 1
+
+
+# -- the arithmetic keeps the invariants the validating constructor enforces --
+
+MIXED_VARS = (("x", "y", "z"), ("y", "x"), ("z",), ())
+
+
+@st.composite
+def mixed_polys(draw):
+    """A polynomial over one of MIXED_VARS, with terms drawn to cancel
+    against those of other draws (few exponents, few coefficients)."""
+    names = draw(st.sampled_from(MIXED_VARS))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2) for _ in names]),
+            st.sampled_from((Q(1), Q(-1), Q(2), Q(-1, 2))),
+            max_size=4,
+        )
+    )
+    return MultiPoly(names, terms)
+
+
+def _rebuilt(p: MultiPoly) -> MultiPoly:
+    return MultiPoly(p.vars, dict(p.terms))
+
+
+def _reference(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p op q the long way: both sides moved onto the merged variable tuple
+    (p's variables, then q's new ones), combined term by term, and passed
+    through the validating constructor, which drops zero coefficients."""
+    merged = p.vars + tuple(v for v in q.vars if v not in p.vars)
+
+    def moved(r):
+        return {
+            tuple(dict(zip(r.vars, exps)).get(v, 0) for v in merged): c
+            for exps, c in r.terms.items()
+        }
+
+    a, b = moved(p), moved(q)
+    out = {}
+    if op == "+":
+        for terms in (a, b):
+            for exps, c in terms.items():
+                out[exps] = out.get(exps, 0) + c
+    else:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exps = tuple(x + y for x, y in zip(e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+    return MultiPoly(merged, out)
+
+
+def _holds_invariants(p: MultiPoly) -> bool:
+    return all(
+        isinstance(c, Q) and c != 0 and len(exps) == len(p.vars)
+        for exps, c in p.terms.items()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=mixed_polys(), q=mixed_polys(), k=st.integers(0, 3))
+def test_arithmetic_results_hold_the_constructor_invariants(p, q, k):
+    results = [p + q, p - q, p - p, -p, p * q, q * p, p ** k, p + 1, 2 * q, p * 0]
+    for r in results:
+        assert _holds_invariants(r)
+        rebuilt = _rebuilt(r)
+        assert rebuilt.vars == r.vars and rebuilt.terms == r.terms
+        assert r == rebuilt and str(r) == str(rebuilt) and hash(r) == hash(rebuilt)
+    for op, r in (("+", p + q), ("*", p * q)):
+        expected = _reference(op, p, q)
+        assert r.vars == expected.vars and r.terms == expected.terms
+        assert r == expected and str(r) == str(expected)
+    assert (p - p).is_zero() and str(p - p) == "0"
+    assert p + q == q + p and p * q == q * p

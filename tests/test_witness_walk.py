@@ -8,6 +8,7 @@ agree exactly, including on exhaustion.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction as Q
 
@@ -29,7 +30,7 @@ VARS = ("x1", "x2", "x3", "x4", "x5")
 def _value(terms, names, point):
     """p at point, from the (variable, exponent) pairs of each term."""
     at = dict(zip(names, point))
-    total = Q(0)
+    total = 0
     for monomial, c in terms:
         val = c
         for name, e in monomial:
@@ -39,9 +40,14 @@ def _value(terms, names, point):
 
 
 def brute_force_point(p: MultiPoly, names, bound):
-    """First point (by shell, then lex) where p is nonzero, or None."""
+    """First point (by shell, then lex) where p is nonzero, or None.
+
+    The coefficients are scaled to integers first: that keeps the zero set,
+    and integer arithmetic keeps the enumeration of up to 7^5 points fast.
+    """
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     terms = [
-        (tuple((v, e) for v, e in zip(p.vars, exps) if e), c)
+        (tuple((v, e) for v, e in zip(p.vars, exps) if e), int(c * den))
         for exps, c in p.terms.items()
     ]
     for radius in range(1, bound + 1):
