@@ -392,10 +392,10 @@ def _parse_sets(pairs) -> dict:
         key, _, value = item.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "n":
-            params[key] = int(value)
-        else:
-            params[key] = Fraction(value)
+        try:
+            params[key] = int(value) if key == "n" else Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"--set {key}={value}: zero denominator") from None
     return params
 
 

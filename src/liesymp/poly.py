@@ -20,6 +20,7 @@ hold the invariants, builds its results through a trusted one.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -212,19 +213,42 @@ class MultiPoly:
     # -- evaluation and division ----------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a point; every occurring variable must be assigned."""
-        needed = self.used_vars()
-        missing = [v for v in needed if v not in assignment]
+        """Exact value at a point; every occurring variable must be assigned.
+
+        The sum runs in integers: with the point written as a_i / b over one
+        denominator b, the coefficients as num / den over one denominator D,
+        and top the largest degree, a term of degree d adds
+        num * (D / den) * prod a_i^e_i * b^(top - d), and the value is the
+        total over D * b^top.
+        """
+        used = self.used_vars()
+        missing = [v for v in used if v not in assignment]
         if missing:
             raise ValueError(f"no value for variable(s) {', '.join(missing)}")
-        total = Q(0)
+        if not self.terms:
+            return Q(0)
+        point = {v: as_fraction(assignment[v]) for v in used}
+        b = math.lcm(*(x.denominator for x in point.values()))
+        # an unused variable has only zero exponents, so its 0 is never read
+        nums = [0] * len(self.vars)
+        for i, v in enumerate(self.vars):
+            x = point.get(v)
+            if x is not None:
+                nums[i] = x.numerator * (b // x.denominator)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        total = 0
         for exps, coeff in self.terms.items():
-            val = coeff
-            for name, e in zip(self.vars, exps):
+            val = coeff.numerator * (den // coeff.denominator)
+            degree = 0
+            for x, e in zip(nums, exps):
                 if e:
-                    val *= as_fraction(assignment[name]) ** e
+                    val *= x**e
+                    degree += e
+            if b != 1 and degree != top:
+                val *= b ** (top - degree)
             total += val
-        return total
+        return Fraction(total, den * b**top)
 
     def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
         """Replace variables by polynomials (or constants); others stay symbolic."""
@@ -277,6 +301,26 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def negates(a, b) -> bool:
+    """Whether a + b is zero, for polynomials or rationals.
+
+    Two polynomials over the same variable tuple are compared term by term,
+    without building the sum: their term maps hold no zero coefficient, and
+    their coefficients are Fractions in lowest terms, so c' = -c exactly when
+    the numerators are opposite and the denominators equal.
+    """
+    if isinstance(a, MultiPoly) and isinstance(b, MultiPoly) and a.vars == b.vars:
+        at, bt = a.terms, b.terms
+        if len(at) != len(bt):
+            return False
+        for exps, c in at.items():
+            x = bt.get(exps)
+            if x is None or x.numerator != -c.numerator or x.denominator != c.denominator:
+                return False
+        return True
+    return not (a + b)
 
 
 def _coerce(x) -> "MultiPoly":
@@ -357,9 +401,11 @@ class PolyMatrix:
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False
+        data = self.data
         for i in range(self.rows):
             for j in range(i, self.cols):
-                if not (self.data[i][j] + self.data[j][i]).is_zero():
+                a, b = data[i][j], data[j][i]
+                if (a.terms or b.terms) and not negates(a, b):
                     return False
         return True
 

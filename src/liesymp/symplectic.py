@@ -14,9 +14,11 @@ global sign.
 
 A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
-closed form is the zero polynomial, and a witness is the first integer
-parameter point in growing max-norm shells, lexicographic within a shell
-(deterministic order), found by a pruned depth-first walk of each shell.
+closed form is the zero polynomial.  The witness point is the first integer
+parameter point p in growing max-norm shells, lexicographic within a shell
+(deterministic order), found by a pruned depth-first walk of each shell; the
+witness form is sum_k p_k * z_k, summed straight from the sparse coordinates
+of the Z^2 basis forms z_k (and the exact witness likewise over B^2).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .linalg import (
     sparse_rref,
     vector,
 )
-from .poly import MultiPoly, PolyMatrix
+from .poly import MultiPoly, PolyMatrix, negates
 
 DEFAULT_WITNESS_BOUND = 16
 WITNESS_BOUND_ENV = "LIESYMP_WITNESS_BOUND"
@@ -76,7 +78,7 @@ class TwoForm:
                 raise ValueError("two-form has a nonzero diagonal entry")
             for j in range(i + 1, dim):
                 a, b = row[j], grid[j][i]
-                if (a or b) and a + b:
+                if (a or b) and not negates(a, b):
                     raise ValueError("two-form entries are not antisymmetric")
         self.dim = dim
         self.entries = grid
@@ -294,28 +296,44 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     """
     n = g.dim
     pairs = _pair_index(n)
-    pair_pos = {p: idx for idx, p in enumerate(pairs)}
     size = len(pairs)
+    # column[s][t] is the column of the pair {s, t}
+    column = [[0] * n for _ in range(n)]
+    for idx, (i, j) in enumerate(pairs):
+        column[i][j] = column[j][i] = idx
 
     # dw = 0, one equation per triple i < j < k: each [e_a, e_b] = sum c e_m
-    # enters the triple {a, b, t} as c * w(e_m, e_t), with the sign of
-    # (a, b, t) as a cyclic order of that triple.
+    # (a < b) enters the triple {a, b, t} as c * w(e_m, e_t), with the sign
+    # of (a, b, t) as a cyclic order of that triple: -1 when a < t < b.
+    # w(e_m, e_t) is the coordinate of (m, t) if m < t, else its negation.
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for (a, b), coeffs in g.table.items():
+        terms = [(m, c, -c) for m, c in coeffs.items()]
         for t in range(n):
-            if t == a or t == b:
+            if t < a:
+                key, flip = (t, a, b), False
+            elif a < t < b:
+                key, flip = (a, t, b), True
+            elif t > b:
+                key, flip = (a, b, t), False
+            else:
                 continue
-            sign = -1 if a < t < b else 1
-            row = rows.setdefault(tuple(sorted((a, b, t))), {})
-            for m, c in coeffs.items():
+            row = rows.setdefault(key, {})
+            at_t = column[t]
+            for m, c, neg in terms:
                 if m == t:
                     continue
-                col, v = (pair_pos[(m, t)], sign * c) if m < t else (pair_pos[(t, m)], -sign * c)
-                x = row.get(col, 0) + v
-                if x:
-                    row[col] = x
+                col = at_t[m]
+                v = neg if (m < t) == flip else c
+                x = row.get(col)
+                if x is None:
+                    row[col] = v
                 else:
-                    del row[col]
+                    x += v
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
     z2 = tuple(
         {pairs[j]: c for j, c in v.items()}
         for v in sparse_kernel_rows(sparse_rref(rows.values()), size)
@@ -326,7 +344,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     image: list[dict[int, Fraction]] = [{size + k: Q(1)} for k in range(n)]
     for (a, b), coeffs in g.table.items():
         for k, c in coeffs.items():
-            image[k][pair_pos[(a, b)]] = -c
+            image[k][column[a][b]] = -c
     pivots = sparse_rref(image)
     b2 = []
     b2_pre = []
@@ -356,10 +374,30 @@ def _generic_combination(n: int, coords: Sequence[Mapping[tuple[int, int], Fract
     zero = MultiPoly.zero()
     grid: list[list] = [[zero] * n for _ in range(n)]
     for (i, j), terms in upper.items():
-        entry = MultiPoly(names, terms)
+        # one unit-exponent term per form, with a nonzero coefficient
+        entry = MultiPoly._trusted(names, terms)
         grid[i][j] = entry
         grid[j][i] = -entry
     return TwoForm(n, grid, names)
+
+
+def _specialized_combination(
+    n: int,
+    coords: Sequence[Mapping[tuple[int, int], Fraction]],
+    names: Sequence[str],
+    point: Mapping[str, Fraction],
+) -> TwoForm:
+    """``_generic_combination(n, coords)`` specialized at ``point``: the form
+    sum_k point[names[k]] * (the form with upper coordinates coords[k])."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for name, v in zip(names, coords):
+        p = point[name]
+        if not p:
+            continue
+        for pair, c in v.items():
+            x = total.get(pair)
+            total[pair] = p * c if x is None else x + p * c
+    return _form_from_coords(n, total)
 
 
 # -- witness search -----------------------------------------------------------
@@ -554,7 +592,7 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
     witness = None
     if not pf.is_zero():
         point = find_nonvanishing_point(pf, generic.variables, bound)
-        witness = generic.specialize(point)
+        witness = _specialized_combination(n, cs.z2_coords, generic.variables, point)
 
     exact_generic = _generic_combination(n, cs.b2_coords)
     exact_pf = exact_generic.poly_matrix().pfaffian()
@@ -562,7 +600,7 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
     exact_one_form = None
     if not exact_pf.is_zero():
         point = find_nonvanishing_point(exact_pf, exact_generic.variables, bound)
-        exact_witness = exact_generic.specialize(point)
+        exact_witness = _specialized_combination(n, cs.b2_coords, exact_generic.variables, point)
         alpha = [Q(0)] * n
         for name, pre in zip(exact_generic.variables, cs.b2_preimages):
             c = point[name]

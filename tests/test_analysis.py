@@ -21,7 +21,7 @@ from liesymp import cli, structure
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
-from liesymp.liealg import LieAlgebra
+from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.linalg import RationalMatrix, upoly_is_squarefree
 from liesymp.regression import run_regression
 from liesymp.structure import (
@@ -31,6 +31,8 @@ from liesymp.structure import (
     semidirect,
     verify_torus,
 )
+from liesymp.symplectic import cocycle_space, d_one_form
+from test_symplectic import _coords, _pairs, naive_cocycle_subspace
 
 # -- the dense oracle ---------------------------------------------------------
 
@@ -355,3 +357,26 @@ def test_analysis_reports_an_invalid_torus_like_semidirect():
         assert str(exc) == f"invalid torus action: {analysis.torus_check.violation}"
     else:
         raise AssertionError("an invalid torus built a semidirect product")
+
+
+# -- Z^2 and B^2 against the naive enumerator ----------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=torus_candidates())
+def test_cocycle_space_matches_the_naive_enumerator(t):
+    """On n, and on t x n when the torus is valid: Z^2 is the kernel the
+    naive enumerator finds, B^2 lies in it and is spanned by the d e^k, and
+    each recorded preimage maps onto its basis form."""
+    algebras = [t.nilradical] + ([semidirect(t)] if verify_torus(t).ok else [])
+    for g in algebras:
+        cs = cocycle_space(g)
+        size = len(_pairs(g.dim))
+        z2 = Subspace(size, [_coords(w) for w in cs.z2_basis])
+        assert z2 == naive_cocycle_subspace(g) and z2.dim == cs.dims[0]
+        b2 = Subspace(size, [_coords(b) for b in cs.b2_basis])
+        image = Subspace(size, [_coords(d_one_form(g, g.basis_vector(k))) for k in range(g.dim)])
+        assert b2 == image and b2.dim == cs.dims[1]
+        for b, alpha in zip(cs.b2_basis, cs.b2_preimages):
+            assert z2.contains(_coords(b))
+            assert d_one_form(g, alpha) == b

@@ -238,6 +238,21 @@ def test_catalog_show_with_param(capsys):
     assert main(["catalog", "show", "n6_5", "--set", "a=0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "show", "Q", "--set", "alpha=1/0"],
+        ["catalog", "verify", "--set", "alpha=1/0"],
+        ["catalog", "verify", "--json", "--set", "alpha=1/0"],
+    ],
+)
+def test_catalog_zero_denominator_in_set_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --set alpha=1/0: zero denominator\n"
+
+
 def test_catalog_verify_dim_filter(capsys):
     assert main(["catalog", "verify", "--dim", "4"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesymp.linalg import RationalMatrix
-from liesymp.poly import MultiPoly, PolyMatrix, poly_divides, poly_divmod
+from liesymp.poly import MultiPoly, PolyMatrix, negates, poly_divides, poly_divmod
 
 
 def _random_poly(rng, names=("x", "y", "z"), terms=4, degree=3):
@@ -251,3 +251,80 @@ def test_arithmetic_results_hold_the_constructor_invariants(p, q, k):
         assert r == expected and str(r) == str(expected)
     assert (p - p).is_zero() and str(p - p) == "0"
     assert p + q == q + p and p * q == q * p
+
+
+# -- evaluation in integers, and the antisymmetry test -------------------------
+
+
+def _fraction_evaluate(p: MultiPoly, assignment) -> Q:
+    """The value term by term in Fraction arithmetic."""
+    total = Q(0)
+    for exps, c in p.terms.items():
+        val = c
+        for name, e in zip(p.vars, exps):
+            val *= Q(assignment[name]) ** e
+        total += val
+    return total
+
+
+POINT_VALUES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(max_denominator=6).map(str),
+    st.integers(-4, 4).map(str),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=mixed_polys(), k=st.integers(0, 3), values=st.lists(POINT_VALUES, min_size=3, max_size=3))
+def test_evaluate_matches_a_fraction_reference(p, k, values):
+    p = p**k
+    point = dict(zip(("x", "y", "z"), values))
+    value = p.evaluate(point)
+    assert isinstance(value, Q) and value == _fraction_evaluate(p, point)
+    # a variable without occurrence needs no value
+    used = {v: point[v] for v in p.used_vars()}
+    assert p.evaluate(used) == value
+    # rescaling the coefficients rescales the value
+    assert (p * Q(3, 7)).evaluate(point) == value * Q(3, 7)
+
+
+def test_evaluate_edge_cases():
+    assert MultiPoly.zero().evaluate({}) == 0
+    assert isinstance(MultiPoly.zero().evaluate({}), Q)
+    assert MultiPoly.constant(Q(-5, 3)).evaluate({"x": Q(1, 2)}) == Q(-5, 3)
+    widened = MultiPoly(("x", "y", "z"), {(0, 2, 0): Q(1, 2), (0, 0, 0): Q(-3)})
+    assert widened.evaluate({"y": "2/3"}) == Q(1, 2) * Q(4, 9) - 3
+    assert widened.evaluate({"y": 5, "x": "junk is never read"}) == Q(25, 2) - 3
+    with pytest.raises(ValueError, match=r"^no value for variable\(s\) y$"):
+        widened.evaluate({"x": 1, "z": 1})
+    x, y = MultiPoly.variables(["x", "y"])
+    with pytest.raises(ValueError, match=r"^no value for variable\(s\) x, y$"):
+        (x * y).evaluate({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=mixed_polys(), q=mixed_polys())
+def test_negates_matches_the_sum(p, q):
+    for a, b in ((p, q), (p, -p), (-q, q), (p, -_rebuilt(p)), (p, p)):
+        assert negates(a, b) == (a + b).is_zero()
+    widened = MultiPoly(("w",) + p.vars, {(0,) + e: c for e, c in p.terms.items()})
+    assert negates(widened, -p) and negates(-p, widened)
+    for c in (Q(0), Q(2), Q(-1, 2)):
+        assert negates(p, c) == negates(c, p) == (p + c).is_zero()
+        assert negates(c, -c)
+    assert not negates(Q(2), Q(2))
+
+
+def test_poly_matrix_rejects_a_non_antisymmetric_grid():
+    x, y = MultiPoly.variables(["x", "y"])
+    bad = PolyMatrix([[0, x], [-y, 0]])
+    assert not bad.is_antisymmetric()
+    with pytest.raises(ValueError, match=r"^pfaffian requires an antisymmetric matrix$"):
+        bad.pfaffian()
+    with pytest.raises(ValueError, match=r"^determinant requires an antisymmetric matrix$"):
+        bad.determinant()
+    assert not PolyMatrix([[x, 0], [0, -x]]).is_antisymmetric()
+    # the mirror over another variable tuple still negates
+    widened = MultiPoly(("y", "x"), {(0, 1): Q(-1)})
+    assert PolyMatrix([[0, x], [widened, 0]]).is_antisymmetric()

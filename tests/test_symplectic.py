@@ -12,7 +12,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liesymp.catalog import build_entry
+from liesymp.analysis import Analysis
+from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.linalg import RationalMatrix
 from liesymp.poly import MultiPoly, poly_divides
@@ -20,6 +21,7 @@ from liesymp.structure import semidirect
 from liesymp.symplectic import (
     TwoForm,
     WitnessSearchExhausted,
+    _generic_combination,
     cocycle_space,
     d_one_form,
     d_two_form,
@@ -174,8 +176,6 @@ def test_generic_cocycle_pfaffian_squared_is_determinant():
 
 
 def test_generic_combination_of_nothing_is_the_zero_form():
-    from liesymp.symplectic import _generic_combination
-
     w = _generic_combination(4, ())
     assert w.variables == ()
     assert w.poly_matrix().pfaffian().is_zero()
@@ -342,3 +342,48 @@ def test_two_form_validation():
     w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2
     assert w.value((0, 1, 0), (1, 0, 0)) == -2
+
+
+def test_two_form_rejects_non_antisymmetric_polynomial_grids():
+    x, y = MultiPoly.variables(["x", "y"])
+    for grid in (
+        [[0, x], [x, 0]],
+        [[0, x], [-y, 0]],
+        [[0, x], [Q(1), 0]],
+        [[0, x + y], [-x, 0]],
+        [[0, MultiPoly.constant(3)], [Q(3), 0]],
+    ):
+        with pytest.raises(ValueError, match=r"^two-form entries are not antisymmetric$"):
+            TwoForm(2, grid)
+    with pytest.raises(ValueError, match=r"^two-form has a nonzero diagonal entry$"):
+        TwoForm(2, [[x, 0], [0, 0]])
+    # a mirror over another variable tuple, or a constant against a rational
+    TwoForm(2, [[0, x], [MultiPoly(("y", "x"), {(0, 1): Q(-1)}), 0]])
+    TwoForm(2, [[0, MultiPoly.constant(3)], [Q(-3), 0]])
+
+
+# the family members of the benchmark's scale tier
+SCALE_ENTRIES = (("L", {"n": 10}), ("L", {"n": 12}), ("Q", {"n": 11}), ("Q", {"n": 13}),
+                 ("abelian", {"n": 6}), ("abelian", {"n": 7}))
+
+
+@pytest.mark.parametrize("name, params", list(DEFAULT_SELECTION) + list(SCALE_ENTRIES))
+def test_witnesses_are_the_generic_forms_specialized(name, params):
+    """The verdict sums the Z^2 (and B^2) coordinates at the witness point;
+    specializing the generic form entry by entry gives the same form."""
+    analysis = Analysis(build_entry(name, **params).torus)
+    verdict, cs = analysis.verdict, analysis.cocycles
+    if verdict.exists == "odd":
+        assert verdict.witness is None and verdict.exact_witness is None
+        return
+    for coords, pf, witness in (
+        (cs.z2_coords, verdict.pfaffian, verdict.witness),
+        (cs.b2_coords, verdict.exact_pfaffian, verdict.exact_witness),
+    ):
+        if pf.is_zero():
+            assert witness is None
+            continue
+        generic = _generic_combination(verdict.dim, coords)
+        expected = generic.specialize(find_nonvanishing_point(pf, generic.variables))
+        assert witness == expected and witness.entries == expected.entries
+        assert witness.variables == () and witness.matrix().pfaffian() != 0
