@@ -106,9 +106,16 @@ def test_substitute():
 
 
 def test_pfaffian_structure_errors():
-    a = MultiPoly.variable("a")
-    with pytest.raises(ValueError):
-        PolyMatrix([[0, a], [a, 0]]).pfaffian()  # not antisymmetric
+    a, b = MultiPoly.variables(["a", "b"])
+    for grid in ([[0, a], [a, 0]], [[0, a], [-b, 0]], [[a, 0], [0, -a]]):
+        bad = PolyMatrix(grid)
+        assert not bad.is_antisymmetric()
+        with pytest.raises(ValueError, match=r"^pfaffian requires an antisymmetric matrix$"):
+            bad.pfaffian()
+        with pytest.raises(ValueError, match=r"^determinant requires an antisymmetric matrix$"):
+            bad.determinant()
+    # a mirror over another variable tuple still negates
+    assert PolyMatrix([[0, a], [MultiPoly(("b", "a"), {(0, 1): Q(-1)}), 0]]).is_antisymmetric()
     with pytest.raises(ValueError):
         PolyMatrix([[0]]).pfaffian()  # odd size
 
@@ -315,16 +322,3 @@ def test_negates_matches_the_sum(p, q):
         assert negates(c, -c)
     assert not negates(Q(2), Q(2))
 
-
-def test_poly_matrix_rejects_a_non_antisymmetric_grid():
-    x, y = MultiPoly.variables(["x", "y"])
-    bad = PolyMatrix([[0, x], [-y, 0]])
-    assert not bad.is_antisymmetric()
-    with pytest.raises(ValueError, match=r"^pfaffian requires an antisymmetric matrix$"):
-        bad.pfaffian()
-    with pytest.raises(ValueError, match=r"^determinant requires an antisymmetric matrix$"):
-        bad.determinant()
-    assert not PolyMatrix([[x, 0], [0, -x]]).is_antisymmetric()
-    # the mirror over another variable tuple still negates
-    widened = MultiPoly(("y", "x"), {(0, 1): Q(-1)})
-    assert PolyMatrix([[0, x], [widened, 0]]).is_antisymmetric()
