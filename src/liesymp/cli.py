@@ -15,7 +15,9 @@ Exit codes are the machine contract: 0 success (or green report), 1 a
 computed-vs-expected mismatch in a verification run, 2 invalid input.
 Invalid input includes an algebra above ``liesymp.liealg.MAX_DIM``, from a
 file or a ``--set n=`` family parameter, which is rejected before it is built.
-Errors are reported as one ``error:`` line on stderr, never a traceback.
+Errors are reported as one ``error:`` line on stderr, never a traceback:
+every input error is a ``ValueError`` (``ParseError`` is one) raised to
+:func:`main`, which maps it to exit code 2.
 Exit code 2 also covers a witness search that exhausts its integer box
 (``WitnessSearchExhausted``): the Pfaffian is nonzero, so a witness exists,
 and the message says to raise ``LIESYMP_WITNESS_BOUND`` to find it.
@@ -33,7 +35,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from .fileformat import AlgebraFile, BuiltAlgebra, ParseError, build, parse, print_file
+from .fileformat import AlgebraFile, BuiltAlgebra, build, parse, print_file
 from .regression import (
     DOCUMENTED,
     MATCH,
@@ -244,38 +246,29 @@ def _one_form_json(alpha):
     return [str(x) for x in alpha]
 
 
-def _load(path: str) -> BuiltAlgebra:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return build(parse(source))
+
+
+def _load(path: str) -> BuiltAlgebra:
+    return build(parse(_read(path)))
 
 
 def _cmd_check(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        parsed = parse(source)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    parsed = parse(_read(args.file))
     print(f"algebra {parsed.name}: {len(parsed.basis)} basis labels, "
           f"{len(parsed.brackets)} bracket rules"
           + (f", torus of rank {len(parsed.torus_labels)}" if parsed.torus_labels else ""))
     print("antisymmetry: structural (each unordered pair stored once, zero diagonal)")
-    try:
-        built = build(parsed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    built = build(parsed)
     failure = built.nilradical.jacobi_failure()
     if failure is not None:
-        i, j, k = failure
-        lbl = built.nilradical.labels
-        print(f"jacobi identity fails on ({lbl[i]}, {lbl[j]}, {lbl[k]})", file=sys.stderr)
-        return EXIT_INPUT
+        a, b, c = (built.nilradical.labels[i] for i in failure)
+        raise ValueError(f"jacobi identity fails on ({a}, {b}, {c})")
     print("jacobi identity: holds on all basis triples")
     if built.torus is not None:
         print(f"torus action: verified; combined algebra has dimension {built.algebra.dim}")
@@ -283,16 +276,10 @@ def _cmd_check(args) -> int:
 
 
 def _with_built(args, fn) -> int:
-    try:
-        built = _load(args.file)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    built = _load(args.file)
     failure = built.nilradical.jacobi_failure()
     if failure is not None:
-        print(f"error: the bracket table violates the Jacobi identity at triple {failure}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"the bracket table violates the Jacobi identity at triple {failure}")
     return fn(built)
 
 
@@ -433,12 +420,7 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
 
     if args.catalog_cmd == "show":
-        try:
-            params = _parse_sets(args.set)
-            entry = cat.build_entry(args.name, **params)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        entry = cat.build_entry(args.name, **_parse_sets(args.set))
         print(print_file(_entry_to_file(entry)), end="")
         print(f"# expected symplectic: {entry.expected.symplectic}")
         print(f"# expected maximal rank: {entry.expected.maximal_rank}")
@@ -449,11 +431,7 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
 
     # verify
-    try:
-        params = _parse_sets(args.set)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    params = _parse_sets(args.set)
     selection = list(cat.DEFAULT_SELECTION)
     if args.dim is not None:
         # the table section for one nilradical dimension (families are

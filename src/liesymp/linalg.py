@@ -18,7 +18,9 @@ bracket table.
 ``minimal_polynomial`` are thin adapters over the same kernel.
 
 :func:`sparsest_row_pfaffian` is the one Pfaffian recursion, for rational
-and polynomial entries alike.
+and polynomial entries alike.  It reads a matrix by its nonzero entries
+above the diagonal, the format in which a two-form is stored
+(:class:`liesymp.symplectic.TwoForm`).
 """
 
 from __future__ import annotations
@@ -131,53 +133,63 @@ def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fract
     return tuple(row.get(j, zero) for j in range(start, stop))
 
 
-def sparsest_row_pfaffian(data: Sequence[Sequence], zero, one):
-    """Pfaffian of the antisymmetric matrix ``data`` of even size, by
+def upper_entries(data: Sequence[Sequence]) -> dict[tuple[int, int], object]:
+    """The nonzero entries above the diagonal of a square grid, keyed (i, j)."""
+    n = len(data)
+    return {(i, j): row[j] for i, row in enumerate(data) for j in range(i + 1, n) if row[j]}
+
+
+def sparsest_row_pfaffian(n: int, upper: Mapping[tuple[int, int], object], zero, one):
+    """Pfaffian of the antisymmetric n x n matrix, n even, whose entry at
+    (i, j) is ``upper[(i, j)]`` for i < j (missing pairs are zero), by
     recursive expansion along the sparsest row, memoised over index subsets
     so that shared minors are expanded once.
 
     Each minor is expanded along its row with the fewest nonzero entries
     among its own columns (the lowest such row on a tie); a row with none
     makes the minor's Pfaffian zero.  With the row at position p and the
-    column at position q of the minor, the term a_pq * Pf(minor without p, q)
-    has sign (-1)^(p+q+1) if q > p and (-1)^(p+q) if q < p.  The choice of
-    row changes only the cost: the chain nilradicals, whose last rows hold
-    one or two entries, no longer expand exponentially.  A minor's row
-    counts are its parent's less the two removed columns, read off a nonzero
-    grid built once.
+    column at position q of the minor, the term for that pair is
+    (-1)^(p+q+1) times the pair's upper entry times Pf(minor without p, q),
+    whichever of p and q is smaller.  The choice of row changes only the
+    cost: the chain nilradicals, whose last rows hold one or two entries,
+    no longer expand exponentially.  A minor's row counts are its parent's
+    less the two removed indices, read off per-row neighbour maps.
 
     Generic over the entry ring: entries need ``+``, ``-`` and ``*`` and are
     zero exactly when falsy, as Fractions and polynomials are; ``zero`` and
-    ``one`` are the ring's identities.  The caller checks the shape.
+    ``one`` are the ring's identities.  The caller checks the shape and
+    passes nonzero entries only.
     """
-    nonzero = [[bool(x) for x in row] for row in data]
+    # neighbours[r][c] is the upper entry of the pair {r, c}
+    neighbours: list[dict[int, object]] = [{} for _ in range(n)]
+    for (i, j), a in upper.items():
+        neighbours[i][j] = neighbours[j][i] = a
     memo: dict[tuple[int, ...], object] = {(): one}
 
     def pf(active: tuple[int, ...], counts: tuple[int, ...]):
         p = counts.index(min(counts))  # an empty row leaves total zero
-        r = active[p]
-        row, row_nz = data[r], nonzero[r]
+        row = neighbours[active[p]]
         total = zero
         for q, c in enumerate(active):
-            a = row[c]
-            if not a:
+            a = row.get(c)
+            if a is None:
                 continue
             lo, hi = (p, q) if p < q else (q, p)
             minor = active[:lo] + active[lo + 1 : hi] + active[hi + 1 :]
             sub = memo.get(minor)
             if sub is None:
-                col_nz = nonzero[c]
+                col = neighbours[c]
                 rest = counts[:lo] + counts[lo + 1 : hi] + counts[hi + 1 :]
-                sub = pf(minor, tuple(k - row_nz[i] - col_nz[i] for i, k in zip(minor, rest)))
+                sub = pf(minor, tuple(k - (i in row) - (i in col) for i, k in zip(minor, rest)))
             if sub:
                 term = a * sub
-                total = total + term if (p + q) % 2 == (q > p) else total - term
+                total = total + term if (p + q) % 2 else total - term
         memo[active] = total
         return total
 
-    if not data:
+    if not n:
         return one
-    return pf(tuple(range(len(data))), tuple(sum(row) for row in nonzero))
+    return pf(tuple(range(n)), tuple(map(len, neighbours)))
 
 
 class RationalMatrix:
@@ -366,7 +378,7 @@ class RationalMatrix:
             raise ValueError("pfaffian requires even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        return sparsest_row_pfaffian(self.data, Q(0), Q(1))
+        return sparsest_row_pfaffian(self.rows, upper_entries(self.data), Q(0), Q(1))
 
     # -- matrix analysis -----------------------------------------------------
 

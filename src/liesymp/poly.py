@@ -9,10 +9,12 @@ equal no matter how they were built.
 The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
 
-:class:`PolyMatrix` adds the antisymmetric-matrix operations this package
-lives on: the Pfaffian by recursive expansion along the sparsest row of each
-minor (memoised over index subsets), and the determinant of an antisymmetric
-matrix as the Pfaffian squared.
+:class:`PolyMatrix` is a dense adapter for antisymmetric matrices of
+polynomials: it checks the shape and antisymmetry, passes its entries above
+the diagonal to :func:`liesymp.linalg.sparsest_row_pfaffian` (the recursion
+that the symplectic decision calls directly on a two-form's coordinates),
+and gives the determinant of an antisymmetric matrix as the Pfaffian
+squared.
 
 Only the public constructor validates; arithmetic, whose operands already
 hold the invariants, builds its results through a trusted one.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, RationalMatrix, as_fraction, sparsest_row_pfaffian
+from .linalg import Q, RationalMatrix, as_fraction, sparsest_row_pfaffian, upper_entries
 
 Exponents = tuple[int, ...]
 
@@ -421,7 +423,8 @@ class PolyMatrix:
             raise ValueError("pfaffian requires an antisymmetric matrix of even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        return sparsest_row_pfaffian(self.data, MultiPoly.zero(), MultiPoly.constant(1))
+        upper = upper_entries(self.data)
+        return sparsest_row_pfaffian(self.rows, upper, MultiPoly.zero(), MultiPoly.constant(1))
 
     def determinant(self) -> MultiPoly:
         """Determinant of an antisymmetric matrix: the Pfaffian squared, and

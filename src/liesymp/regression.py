@@ -272,14 +272,8 @@ def _reproduce_commutative(n: int) -> list[PropItem]:
     got_basis = set()
     shape_ok = len(cs.z2_basis) == n + n * (n - 1) // 2
     for w in cs.z2_basis:
-        support = [
-            (i, j)
-            for i in range(2 * n)
-            for j in range(i + 1, 2 * n)
-            if w.entries[i][j] != 0
-        ]
-        if len(support) == 1 and w.entries[support[0][0]][support[0][1]] == 1:
-            got_basis.add(support[0])
+        if list(w.coords.values()) == [1]:
+            got_basis.update(w.coords)
         else:
             shape_ok = False
     shape_ok = shape_ok and got_basis == expected_basis
@@ -313,16 +307,15 @@ def _reproduce_commutative(n: int) -> list[PropItem]:
     )
 
     # exactness holds exactly when the torus block vanishes
-    b2_span = RationalMatrix(
-        [
-            tuple(b.entries[i][j] for i in range(2 * n) for j in range(i + 1, 2 * n))
-            for b in cs.b2_basis
-        ]
-    )
-    sub = Subspace(b2_span.cols, b2_span.data)
-    coords_w = tuple(w.entries[i][j] for i in range(2 * n) for j in range(i + 1, 2 * n))
+    pair_list = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
+
+    def flat(form: TwoForm) -> tuple[Fraction, ...]:
+        return tuple(form.entry(i, j) for i, j in pair_list)
+
+    sub = Subspace(len(pair_list), [flat(b) for b in cs.b2_basis])
+    coords_w = flat(w)
     w0 = TwoForm.from_pairs(2 * n, {(i, n + i): coeffs[i] for i in range(n)})
-    coords_w0 = tuple(w0.entries[i][j] for i in range(2 * n) for j in range(i + 1, 2 * n))
+    coords_w0 = flat(w0)
     exact_ok = (len(cs.b2_basis) == n) and sub.contains(coords_w0)
     if n >= 2:
         exact_ok = exact_ok and not sub.contains(coords_w)

@@ -12,13 +12,20 @@ global sign.
 * matrices:   w = sum_{i<j} M[i][j] e^i ^ e^j with (e^i ^ e^j)(e_i, e_j) = 1,
   so the literal top wedge power satisfies w^m = m! * Pf(M) * vol.
 
+A :class:`TwoForm` is stored once, as its nonzero coordinates M[i][j] on the
+pairs i < j, so antisymmetry holds by construction.  The Z^2 and B^2 bases,
+the generic closed form, witnesses, sums and pullbacks are all built in that
+format, and the Pfaffian reads it directly
+(:func:`liesymp.linalg.sparsest_row_pfaffian`); ``TwoForm.entries`` is a
+dense view for printing.
+
 A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
 closed form is the zero polynomial.  The witness point is the first integer
 parameter point p in growing max-norm shells, lexicographic within a shell
 (deterministic order), found by a pruned depth-first walk of each shell; the
-witness form is sum_k p_k * z_k, summed straight from the sparse coordinates
-of the Z^2 basis forms z_k (and the exact witness likewise over B^2).
+witness form is sum_k p_k * z_k, summed from the coordinates of the Z^2
+basis forms z_k (and the exact witness likewise over B^2).
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
@@ -38,6 +45,7 @@ from .linalg import (
     dense_row,
     sparse_kernel_rows,
     sparse_rref,
+    sparsest_row_pfaffian,
     vector,
 )
 from .poly import MultiPoly, PolyMatrix, negates
@@ -63,66 +71,97 @@ def witness_bound() -> int:
     return value
 
 
-class TwoForm:
-    """Antisymmetric bilinear form; entries are Fractions or MultiPoly."""
+# the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
+Coords = dict[tuple[int, int], object]
 
-    __slots__ = ("dim", "entries", "variables")
+
+class TwoForm:
+    """Antisymmetric bilinear form, held as its upper coordinates.
+
+    ``coords[(i, j)]`` for i < j is w(e_i, e_j), a Fraction or a MultiPoly,
+    and only nonzero coordinates are stored; w(e_j, e_i) = -w(e_i, e_j) and
+    the zero diagonal hold by construction.  A form is parametric when it
+    has variables or a polynomial coordinate, and concrete otherwise.
+    """
+
+    __slots__ = ("dim", "coords", "variables", "_zero")
 
     def __init__(self, dim: int, entries: Sequence[Sequence], variables: Sequence[str] = ()):
         grid = tuple(tuple(map(_as_entry, row)) for row in entries)
         if len(grid) != dim or any(len(r) != dim for r in grid):
             raise ValueError("entry grid does not match dimension")
+        coords: Coords = {}
         # entries are Fractions or MultiPolys, both false exactly when zero
         for i, row in enumerate(grid):
             if row[i]:
                 raise ValueError("two-form has a nonzero diagonal entry")
             for j in range(i + 1, dim):
                 a, b = row[j], grid[j][i]
-                if (a or b) and not negates(a, b):
-                    raise ValueError("two-form entries are not antisymmetric")
+                if a or b:
+                    if not negates(a, b):
+                        raise ValueError("two-form entries are not antisymmetric")
+                    coords[(i, j)] = a
+        self._hold(dim, coords, variables)
+
+    @classmethod
+    def _of(cls, dim: int, coords: Coords, variables: Sequence[str] = ()) -> "TwoForm":
+        """A form from coordinates that already hold the invariants (pairs
+        i < j < dim, no zero value); no copy and no check."""
+        w = cls.__new__(cls)
+        w._hold(dim, coords, variables)
+        return w
+
+    def _hold(self, dim: int, coords: Coords, variables: Sequence[str]) -> None:
         self.dim = dim
-        self.entries = grid
+        self.coords = coords
         self.variables = tuple(variables)
+        parametric = self.variables or any(isinstance(x, MultiPoly) for x in coords.values())
+        self._zero = MultiPoly.zero() if parametric else Q(0)
 
     @classmethod
     def from_pairs(cls, dim: int, pairs: Mapping[tuple[int, int], object], variables: Sequence[str] = ()) -> "TwoForm":
-        grid: list[list] = [[Q(0)] * dim for _ in range(dim)]
+        """sum of value * e^i ^ e^j over the pairs; (j, i) counts as -(i, j)."""
+        items = []
         for (i, j), value in pairs.items():
             if i == j:
                 raise ValueError("diagonal coefficient in a two-form")
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError("two-form index out of range")
             v = _as_entry(value)
-            if i < j:
-                grid[i][j] = grid[i][j] + v
-                grid[j][i] = grid[j][i] - v
-            else:
-                grid[j][i] = grid[j][i] - v
-                grid[i][j] = grid[i][j] + v
-        return cls(dim, grid, variables)
+            items.append(((i, j), v) if i < j else ((j, i), -v))
+        return _form_sum(dim, items, variables)
 
     @classmethod
     def zero(cls, dim: int) -> "TwoForm":
-        return cls(dim, [[Q(0)] * dim for _ in range(dim)])
+        return cls._of(dim, {})
 
     def is_concrete(self) -> bool:
-        return all(isinstance(x, Fraction) for row in self.entries for x in row)
+        return isinstance(self._zero, Fraction)
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        """w(e_i, e_j)."""
+        if i < j:
+            return self.coords.get((i, j), self._zero)
+        x = self.coords.get((j, i))
+        return self._zero if x is None else -x
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """The dense matrix (w(e_i, e_j)), built from the coordinates on each read."""
+        grid = [[self._zero] * self.dim for _ in range(self.dim)]
+        for (i, j), x in self.coords.items():
+            grid[i][j], grid[j][i] = x, -x
+        return tuple(map(tuple, grid))
 
     def value(self, x: Sequence, y: Sequence):
         """w(x, y) for coordinate vectors; exact whatever the entry type."""
         x, y = vector(x), vector(y)
         total = 0
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                e = self.entries[i][j]
-                if not _entry_is_zero(e):
-                    total = total + (x[i] * y[j]) * e
-        return total if total != 0 else (Q(0) if self.is_concrete() else MultiPoly.zero())
+        for (i, j), c in self.coords.items():
+            f = x[i] * y[j] - x[j] * y[i]
+            if f:
+                total = total + f * c
+        return total if total != 0 else self._zero
 
     def matrix(self) -> RationalMatrix:
         if not self.is_concrete():
@@ -136,44 +175,31 @@ class TwoForm:
         """Pfaffian of the form's matrix (Fraction if concrete, else MultiPoly)."""
         if self.dim % 2 != 0:
             raise ValueError("pfaffian requires even dimension")
-        if self.is_concrete():
-            return self.matrix().pfaffian()
-        return self.poly_matrix().pfaffian()
+        one = Q(1) if self.is_concrete() else MultiPoly.constant(1)
+        return sparsest_row_pfaffian(self.dim, self.coords, self._zero, one)
 
     def specialize(self, assignment: Mapping[str, Fraction]) -> "TwoForm":
-        grid = [
-            [
-                x.evaluate(assignment) if isinstance(x, MultiPoly) else x
-                for x in row
-            ]
-            for row in self.entries
-        ]
-        return TwoForm(self.dim, grid)
+        return _form_sum(
+            self.dim,
+            ((pair, x.evaluate(assignment) if isinstance(x, MultiPoly) else x)
+             for pair, x in self.coords.items()),
+        )
 
     def add(self, other: "TwoForm") -> "TwoForm":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        grid = [
-            [a + b for a, b in zip(r, s)]
-            for r, s in zip(self.entries, other.entries)
-        ]
-        variables = self.variables or other.variables
-        return TwoForm(self.dim, grid, variables)
+        items = chain(self.coords.items(), other.coords.items())
+        return _form_sum(self.dim, items, self.variables or other.variables)
 
     def scale(self, c) -> "TwoForm":
-        grid = [[c * x if not _entry_is_zero(x) else x for x in row] for row in self.entries]
-        return TwoForm(self.dim, grid, self.variables)
+        items = ((pair, c * x) for pair, x in self.coords.items())
+        return _form_sum(self.dim, items, self.variables)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwoForm):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(
-            _entry_is_zero(a - b)
-            for r, s in zip(self.entries, other.entries)
-            for a, b in zip(r, s)
-        )
+        # no zero is stored, so equal forms have the same pairs
+        return self.dim == other.dim and self.coords == other.coords
 
     def __repr__(self) -> str:
         kind = "concrete" if self.is_concrete() else f"parametric({len(self.variables)})"
@@ -186,8 +212,21 @@ def _as_entry(x):
     return as_fraction(x)
 
 
-def _entry_is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, MultiPoly) else x == 0
+def _form_sum(
+    dim: int, items: Iterable[tuple[tuple[int, int], object]], variables: Sequence[str] = ()
+) -> TwoForm:
+    """The form sum of value * e^i ^ e^j over the (pair, value) items, pairs
+    i < j; coordinates that sum to zero are dropped."""
+    coords: Coords = {}
+    for pair, v in items:
+        x = coords.get(pair)
+        if x is not None:
+            v = x + v
+        if v:
+            coords[pair] = v
+        elif x is not None:
+            del coords[pair]
+    return TwoForm._of(dim, coords, variables)
 
 
 # -- exterior differentials ---------------------------------------------------
@@ -198,13 +237,8 @@ def d_one_form(g: LieAlgebra, alpha: Sequence) -> TwoForm:
     a = vector(alpha)
     if len(a) != g.dim:
         raise ValueError("covector length does not match algebra dimension")
-    grid = [[Q(0)] * g.dim for _ in range(g.dim)]
-    for (i, j), coeffs in g.table.items():
-        v = -sum(c * a[k] for k, c in coeffs.items())
-        if v != 0:
-            grid[i][j] = v
-            grid[j][i] = -v
-    return TwoForm(g.dim, grid)
+    items = ((pair, -sum(c * a[k] for k, c in coeffs.items())) for pair, coeffs in g.table.items())
+    return _form_sum(g.dim, items)
 
 
 def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
@@ -223,18 +257,18 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
             for k in range(j + 1, n):
                 total = 0
                 for m, c in bij.items():
-                    e = w.entries[m][k]
-                    if not _entry_is_zero(e):
+                    e = w.entry(m, k)
+                    if e:
                         total = total + c * e
                 for m, c in g.bracket_basis(j, k).items():
-                    e = w.entries[m][i]
-                    if not _entry_is_zero(e):
+                    e = w.entry(m, i)
+                    if e:
                         total = total + c * e
                 for m, c in g.bracket_basis(k, i).items():
-                    e = w.entries[m][j]
-                    if not _entry_is_zero(e):
+                    e = w.entry(m, j)
+                    if e:
                         total = total + c * e
-                if not _entry_is_zero(_as_entry(total) if isinstance(total, int) else total):
+                if total:
                     out[(i, j, k)] = -total
     return out
 
@@ -250,41 +284,19 @@ def _pair_index(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _form_from_coords(n: int, coords: Mapping[tuple[int, int], Fraction]) -> TwoForm:
-    """The two-form with coordinate ``coords[(i, j)]`` on each pair i < j."""
-    grid: list[list] = [[Q(0)] * n for _ in range(n)]
-    for (i, j), c in coords.items():
-        grid[i][j] = c
-        grid[j][i] = -c
-    return TwoForm(n, grid)
-
-
 @dataclass(frozen=True)
 class CocycleSpace:
-    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions.
-
-    Each basis form is kept as its nonzero coordinates ``{(i, j): c}`` on
-    the pairs i < j; ``z2_basis`` and ``b2_basis`` build the ``TwoForm``
-    objects on first read.
-    """
+    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions."""
 
     algebra: LieAlgebra
-    z2_coords: tuple[dict[tuple[int, int], Fraction], ...]
-    b2_coords: tuple[dict[tuple[int, int], Fraction], ...]
+    z2_basis: tuple[TwoForm, ...]
+    b2_basis: tuple[TwoForm, ...]
     b2_preimages: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        z, b = len(self.z2_coords), len(self.b2_coords)
+        z, b = len(self.z2_basis), len(self.b2_basis)
         return (z, b, z - b)
-
-    @cached_property
-    def z2_basis(self) -> tuple[TwoForm, ...]:
-        return tuple(_form_from_coords(self.algebra.dim, v) for v in self.z2_coords)
-
-    @cached_property
-    def b2_basis(self) -> tuple[TwoForm, ...]:
-        return tuple(_form_from_coords(self.algebra.dim, v) for v in self.b2_coords)
 
 
 def cocycle_space(g: LieAlgebra) -> CocycleSpace:
@@ -335,7 +347,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
                     else:
                         del row[col]
     z2 = tuple(
-        {pairs[j]: c for j, c in v.items()}
+        TwoForm._of(n, {pairs[j]: c for j, c in v.items()})
         for v in sparse_kernel_rows(sparse_rref(rows.values()), size)
     )
 
@@ -350,54 +362,42 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     b2_pre = []
     for p in sorted(pivots):
         if p < size:
-            b2.append({pairs[j]: c for j, c in pivots[p].items() if j < size})
+            b2.append(TwoForm._of(n, {pairs[j]: c for j, c in pivots[p].items() if j < size}))
             b2_pre.append(dense_row(pivots[p], size, size + n))
     return CocycleSpace(g, z2, tuple(b2), tuple(b2_pre))
 
 
 def generic_cocycle(cs: CocycleSpace) -> TwoForm:
     """sum_i t_i * (i-th Z^2 basis element) with fresh parameters t1..tm."""
-    return _generic_combination(cs.algebra.dim, cs.z2_coords)
+    return _generic_combination(cs.algebra.dim, cs.z2_basis)
 
 
-def _generic_combination(n: int, coords: Sequence[Mapping[tuple[int, int], Fraction]]) -> TwoForm:
-    """sum_k t_k * (the form with upper coordinates coords[k]), built entry
-    by entry: each upper entry is one polynomial with a term c * t_k per
-    form, and its mirror the negation."""
-    m = len(coords)
+def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
+    """sum_k t_k * basis[k], built coordinate by coordinate: each is one
+    polynomial with a term c * t_k per form."""
+    m = len(basis)
     names = tuple(f"t{k + 1}" for k in range(m))
     upper: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    for k, v in enumerate(coords):
+    for k, z in enumerate(basis):
         unit = tuple(1 if j == k else 0 for j in range(m))
-        for pair, c in v.items():
+        for pair, c in z.coords.items():
             upper.setdefault(pair, {})[unit] = c
-    zero = MultiPoly.zero()
-    grid: list[list] = [[zero] * n for _ in range(n)]
-    for (i, j), terms in upper.items():
-        # one unit-exponent term per form, with a nonzero coefficient
-        entry = MultiPoly._trusted(names, terms)
-        grid[i][j] = entry
-        grid[j][i] = -entry
-    return TwoForm(n, grid, names)
+    # one unit-exponent term per form, with a nonzero coefficient
+    coords = {pair: MultiPoly._trusted(names, terms) for pair, terms in upper.items()}
+    return TwoForm._of(n, coords, names)
 
 
 def _specialized_combination(
-    n: int,
-    coords: Sequence[Mapping[tuple[int, int], Fraction]],
-    names: Sequence[str],
-    point: Mapping[str, Fraction],
+    n: int, basis: Sequence[TwoForm], names: Sequence[str], point: Mapping[str, Fraction]
 ) -> TwoForm:
-    """``_generic_combination(n, coords)`` specialized at ``point``: the form
-    sum_k point[names[k]] * (the form with upper coordinates coords[k])."""
-    total: dict[tuple[int, int], Fraction] = {}
-    for name, v in zip(names, coords):
+    """``_generic_combination(n, basis)`` specialized at ``point``: the form
+    sum_k point[names[k]] * basis[k]."""
+    items = []
+    for name, z in zip(names, basis):
         p = point[name]
-        if not p:
-            continue
-        for pair, c in v.items():
-            x = total.get(pair)
-            total[pair] = p * c if x is None else x + p * c
-    return _form_from_coords(n, total)
+        if p:
+            items.extend((pair, p * c) for pair, c in z.coords.items())
+    return _form_sum(n, items)
 
 
 # -- witness search -----------------------------------------------------------
@@ -588,19 +588,11 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
             cocycle_dims=cs.dims,
         )
 
-    pf = generic.poly_matrix().pfaffian()
-    witness = None
-    if not pf.is_zero():
-        point = find_nonvanishing_point(pf, generic.variables, bound)
-        witness = _specialized_combination(n, cs.z2_coords, generic.variables, point)
-
-    exact_generic = _generic_combination(n, cs.b2_coords)
-    exact_pf = exact_generic.poly_matrix().pfaffian()
-    exact_witness = None
+    pf, witness, _ = _pfaffian_and_witness(generic, cs.z2_basis, bound)
+    exact_generic = _generic_combination(n, cs.b2_basis)
+    exact_pf, exact_witness, point = _pfaffian_and_witness(exact_generic, cs.b2_basis, bound)
     exact_one_form = None
-    if not exact_pf.is_zero():
-        point = find_nonvanishing_point(exact_pf, exact_generic.variables, bound)
-        exact_witness = _specialized_combination(n, cs.b2_coords, exact_generic.variables, point)
+    if point is not None:
         alpha = [Q(0)] * n
         for name, pre in zip(exact_generic.variables, cs.b2_preimages):
             c = point[name]
@@ -621,6 +613,19 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
     )
 
 
+def _pfaffian_and_witness(
+    generic: TwoForm, basis: Sequence[TwoForm], bound: int | None
+) -> tuple[MultiPoly, TwoForm | None, dict[str, Fraction] | None]:
+    """The Pfaffian of ``generic = _generic_combination(n, basis)`` and, when
+    it is nonzero, the witness form at its first nonvanishing point, and that
+    point; otherwise None for both."""
+    pf = sparsest_row_pfaffian(generic.dim, generic.coords, MultiPoly.zero(), MultiPoly.constant(1))
+    if pf.is_zero():
+        return pf, None, None
+    point = find_nonvanishing_point(pf, generic.variables, bound)
+    return pf, _specialized_combination(generic.dim, basis, generic.variables, point), point
+
+
 # -- geometry helpers -----------------------------------------------------------
 
 
@@ -630,27 +635,17 @@ def pullback(g: LieAlgebra, t: RationalMatrix, w: TwoForm) -> TwoForm:
         raise ValueError("dimension mismatch")
     if not t.is_invertible():
         raise ValueError("pullback requires an invertible map")
+    # w(Te_i, Te_j) = sum over the pairs a < b of w_ab (T_ai T_bj - T_bi T_aj)
     n = g.dim
-    grid: list[list] = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = 0
-            for a in range(n):
-                ta = t[a, i]
-                if ta == 0:
-                    continue
-                for b in range(n):
-                    tb = t[b, j]
-                    if tb == 0:
-                        continue
-                    e = w.entries[a][b]
-                    if not _entry_is_zero(e):
-                        total = total + (ta * tb) * e
-            if isinstance(total, int):
-                total = Q(total)
-            grid[i][j] = total
-            grid[j][i] = -total
-    return TwoForm(n, grid, w.variables)
+    items = []
+    for (a, b), c in w.coords.items():
+        ra, rb = t.row(a), t.row(b)
+        for i in range(n):
+            for j in range(i + 1, n):
+                f = ra[i] * rb[j] - rb[i] * ra[j]
+                if f:
+                    items.append(((i, j), f * c))
+    return _form_sum(n, items, w.variables)
 
 
 def is_automorphism(g: LieAlgebra, t: RationalMatrix) -> bool:
@@ -700,12 +695,7 @@ def top_power(w: TwoForm) -> Fraction:
     m = n // 2
     if n == 0:
         return Q(1)
-    pair_terms = [
-        ((i, j), w.entries[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w.entries[i][j] != 0
-    ]
+    pair_terms = list(w.coords.items())
     acc: dict[tuple[int, ...], Fraction] = {(): Q(1)}
     for _ in range(m):
         nxt: dict[tuple[int, ...], Fraction] = {}

@@ -55,7 +55,7 @@ def test_check_jacobi_violation_exits_2(tmp_path, capsys):
     path.write_text(JACOBI_BAD, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "jacobi identity fails" in err and "e1" in err
+    assert _one_error_line(err) == "error: jacobi identity fails on (e1, e2, e3)"
 
 
 def _one_error_line(err: str) -> str:
@@ -172,7 +172,12 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
 
 
 def test_missing_file_exits_2(capsys):
-    assert main(["check", "/nonexistent/path.lie"]) == 2
+    # every file command reports an unreadable file in the same one line
+    for argv in (["check"], ["props"], ["der", "--complete"], ["symplectic", "--json"]):
+        assert main([argv[0], "/nonexistent/path.lie", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_error_line(captured.err).startswith("error: cannot read /nonexistent/path.lie: ")
 
 
 def test_props(good_file, capsys):

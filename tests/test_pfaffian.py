@@ -1,8 +1,10 @@
 """The one Pfaffian recursion against oracles that share no code with it.
 
-``sparsest_row_pfaffian`` expands each minor along its sparsest row.  The
-reference here is the textbook expansion along the first row, with no memo
-and no choice of row.  ``tests/test_kernel_oracle.py`` checks Pf^2 = det
+``sparsest_row_pfaffian`` expands each minor along its sparsest row, reading
+the nonzero entries above the diagonal.  The reference here is the textbook
+expansion of the full grid along the first row, with no memo and no choice
+of row.  A ``TwoForm`` built from the same grid must agree with both and
+give the grid back as its dense view.  ``tests/test_kernel_oracle.py`` checks Pf^2 = det
 against sympy.
 """
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from liesymp.cli import main
 from liesymp.linalg import RationalMatrix
 from liesymp.poly import MultiPoly, PolyMatrix
+from liesymp.symplectic import TwoForm
 
 
 def first_row_pfaffian(data, zero, one):
@@ -59,7 +62,7 @@ def skew_grids(draw, entry, zero, max_size=8):
             if keep:
                 x = draw(entry)
                 grid[i][j], grid[j][i] = x, -x
-    return grid
+    return tuple(map(tuple, grid))
 
 
 FRACTIONS = st.builds(Q, st.integers(-5, 5), st.integers(1, 3))
@@ -87,7 +90,11 @@ def polys(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid=skew_grids(FRACTIONS, Q(0), max_size=10))
 def test_rational_pfaffian_matches_first_row_expansion(grid):
-    assert RationalMatrix(grid).pfaffian() == first_row_pfaffian(grid, Q(0), Q(1))
+    expected = first_row_pfaffian(grid, Q(0), Q(1))
+    assert RationalMatrix(grid).pfaffian() == expected
+    form = TwoForm(len(grid), grid)
+    assert form.pfaffian() == expected
+    assert form.entries == grid
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,6 +104,9 @@ def test_polynomial_pfaffian_matches_first_row_expansion(grid):
     pf = PolyMatrix(grid).pfaffian()
     assert pf == expected
     assert PolyMatrix(grid).determinant() == expected * expected
+    form = TwoForm(len(grid), grid)
+    assert form.pfaffian() == expected
+    assert form.entries == grid
 
 
 def test_pfaffian_of_edge_shapes():

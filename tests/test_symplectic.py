@@ -355,6 +355,11 @@ def test_two_form_validation():
     w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2
     assert w.value((0, 1, 0), (1, 0, 0)) == -2
+    # (1, 0) counts as -(0, 1), so the pair cancels to the zero form
+    cancelled = TwoForm.from_pairs(3, {(0, 1): 1, (1, 0): 1})
+    assert cancelled == TwoForm.zero(3) and cancelled.coords == {}
+    with pytest.raises(ValueError, match=r"^two-form index out of range$"):
+        TwoForm.from_pairs(3, {(0, 3): 1})
 
 
 # the family members of the benchmark's scale tier
@@ -371,14 +376,14 @@ def test_witnesses_are_the_generic_forms_specialized(name, params):
     if verdict.exists == "odd":
         assert verdict.witness is None and verdict.exact_witness is None
         return
-    for coords, pf, witness in (
-        (cs.z2_coords, verdict.pfaffian, verdict.witness),
-        (cs.b2_coords, verdict.exact_pfaffian, verdict.exact_witness),
+    for basis, pf, witness in (
+        (cs.z2_basis, verdict.pfaffian, verdict.witness),
+        (cs.b2_basis, verdict.exact_pfaffian, verdict.exact_witness),
     ):
         if pf.is_zero():
             assert witness is None
             continue
-        generic = _generic_combination(verdict.dim, coords)
+        generic = _generic_combination(verdict.dim, basis)
         expected = generic.specialize(find_nonvanishing_point(pf, generic.variables))
         assert witness == expected and witness.entries == expected.entries
         assert witness.variables == () and witness.matrix().pfaffian() != 0
