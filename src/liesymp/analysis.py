@@ -5,9 +5,10 @@ the semidirect product t ⋉ n of a torus t acting on its nilradical n.  Every
 artifact is a cached property, computed on first read from the artifacts it
 needs: the torus check feeds the semidirect product, the center feeds the
 completeness report (which solves Der(g) only when its dimension is read),
-the lower central series of the nilradical gives the rank bound, and the
-cocycle space gives the generic cocycle, which feeds both the symplectic
-verdict and any condition checked against it.
+the rank bound is dim n - dim [n, n] of the nilradical (see
+:func:`liesymp.structure.rank_bound`), and the cocycle space gives the
+generic cocycle, which feeds both the symplectic verdict and any condition
+checked against it.
 
 An analysis holds no state beyond its caches and is built afresh for each
 catalog entry, file or command; nothing is shared between analyses.
@@ -22,10 +23,10 @@ from .structure import (
     CompletenessReport,
     TorusAction,
     TorusCheck,
-    _rank_bound,
     _semidirect_product,
     _torus_weights,
     is_maximal_rank,
+    rank_bound,
     verify_torus,
 )
 from .symplectic import (
@@ -77,14 +78,9 @@ class Analysis:
         return CompletenessReport(self.algebra, self.center.dim, weights)
 
     @cached_property
-    def lower_central_series(self) -> list[Subspace]:
-        """n, [n, n], [n, [n, n]], ... of the nilradical."""
-        return self.nilradical.lower_central_series()
-
-    @cached_property
     def rank_bound(self) -> int:
-        """dim n - dim [n, n], read off the lower central series."""
-        return _rank_bound(self.lower_central_series)
+        """dim n - dim [n, n] (see :func:`liesymp.structure.rank_bound`)."""
+        return rank_bound(self.nilradical)
 
     @property
     def maximal_rank(self) -> bool | None:

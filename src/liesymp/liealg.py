@@ -12,6 +12,7 @@ equality, membership and dimension exact and canonical.
 from __future__ import annotations
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -112,9 +113,6 @@ class Subspace:
     @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
-
-
-_NO_TERMS: Mapping[int, Fraction] = {}
 
 
 class LieAlgebra:
@@ -236,23 +234,39 @@ class LieAlgebra:
     # -- axioms ----------------------------------------------------------------
 
     def jacobi_failure(self) -> tuple[int, int, int] | None:
-        """First basis triple (i < j < k) violating the Jacobi identity, if any."""
-        n = self.dim
-        brackets: dict[tuple[int, int], Mapping[int, Fraction]] = {}
-        for (i, j), coeffs in self.table.items():
-            brackets[(i, j)] = coeffs
-            brackets[(j, i)] = {k: -c for k, c in coeffs.items()}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: dict[int, Fraction] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, x in brackets.get((a, b), _NO_TERMS).items():
-                            for t, y in brackets.get((m, c), _NO_TERMS).items():
-                                acc[t] = acc.get(t, 0) + x * y
-                    if any(acc.values()):
-                        return (i, j, k)
-        return None
+        """First basis triple (i < j < k) violating the Jacobi identity, if any.
+
+        The Jacobi sum of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+        - [[e_i, e_k], e_j].  Only nonzero compositions are formed: for each
+        table pair a < b, each e_m in [e_a, e_b] and each t with
+        [e_m, e_t] != 0, the term c_ab^m [e_m, e_t] goes into the sum of the
+        triple {a, b, t}, negated when a < t < b.
+        """
+        # ad e_m as (t, [e_m, e_t] up to sign, negated) for each neighbour t
+        neighbours: list[list[tuple[int, Mapping[int, Fraction], bool]]] = [
+            [] for _ in range(self.dim)
+        ]
+        for (a, b), coeffs in self.table.items():
+            neighbours[a].append((b, coeffs, False))
+            neighbours[b].append((a, coeffs, True))
+        sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for (a, b), coeffs in self.table.items():
+            for m, x in coeffs.items():
+                for t, terms, negated in neighbours[m]:
+                    if t > b:
+                        key, sign = (a, b, t), negated
+                    elif t < a:
+                        key, sign = (t, a, b), negated
+                    elif a < t < b:
+                        key, sign = (a, t, b), not negated
+                    else:
+                        continue
+                    f = -x if sign else x
+                    acc = sums.setdefault(key, {})
+                    for u, y in terms.items():
+                        acc[u] = acc.get(u, 0) + f * y
+        failing = [key for key, acc in sums.items() if any(acc.values())]
+        return min(failing) if failing else None
 
     def jacobi_holds(self) -> bool:
         return self.jacobi_failure() is None
@@ -281,8 +295,8 @@ class LieAlgebra:
         )
 
     def derived_subalgebra(self) -> Subspace:
-        full = Subspace.full(self.dim)
-        return self.subalgebra_product(full, full)
+        """[g, g], the span of the bracket table's values."""
+        return Subspace(self.dim, self.table.values())
 
     def lower_central_series(self) -> list[Subspace]:
         """g, [g, g], [g, [g, g]], ... until the chain stabilises."""
@@ -309,8 +323,27 @@ class LieAlgebra:
                 break
         return series
 
+    def has_acyclic_bracket_graph(self) -> bool:
+        """Whether the graph with an edge a -> k and b -> k for every nonzero
+        c_ab^k has no cycle (a self-loop is one).
+
+        This certifies nilpotency: in a topological order of the graph, every
+        ad e_a sends each e_b to later basis vectors, so every ad x lowers the
+        flag of that order.  A nilpotent algebra in a basis adapted to no such
+        flag has a cycle too, so a cycle alone proves nothing.
+        """
+        graph = TopologicalSorter()
+        for (a, b), coeffs in self.table.items():
+            for k in coeffs:
+                graph.add(k, a, b)
+        try:
+            graph.prepare()
+        except CycleError:
+            return False
+        return True
+
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].is_zero()
+        return self.has_acyclic_bracket_graph() or self.lower_central_series()[-1].is_zero()
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_zero()

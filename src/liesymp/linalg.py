@@ -291,13 +291,19 @@ class RationalMatrix:
         return all(a == 0 for row in self.data for a in row)
 
     def is_antisymmetric(self) -> bool:
+        """Zero diagonal and a_ji = -a_ij, compared by numerator and
+        denominator (Fractions are in lowest terms) without building -a_ij."""
         if self.rows != self.cols:
             return False
-        return all(
-            self.data[i][j] == -self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
+        data = self.data
+        for i, row in enumerate(data):
+            if row[i]:
+                return False
+            for j in range(i + 1, self.cols):
+                a, b = row[j], data[j][i]
+                if a.numerator != -b.numerator or a.denominator != b.denominator:
+                    return False
+        return True
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

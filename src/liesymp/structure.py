@@ -10,6 +10,9 @@ Tori are supplied (from reference data or the user) and verified here; no
 attempt is made to construct a maximal torus from scratch.  Maximality is
 instead certified numerically through the rank bound dim(n / [n, n]) and,
 independently, through the completeness check on the semidirect product.
+The rank bound needs n nilpotent, which an acyclic bracket graph certifies
+from the table alone; only a table with a cycle computes the lower central
+series.
 
 The completeness check solves Der(g) by weight: for a diagonal torus
 generator diag(l) with torus vector h, ad h is diagonal on g, with l_i on
@@ -352,17 +355,16 @@ def _semidirect_product(t: TorusAction, check: TorusCheck) -> LieAlgebra:
 
 
 def rank_bound(n: LieAlgebra) -> int:
-    """dim n - dim [n, n]; an upper bound for the dimension of any torus."""
-    return _rank_bound(n.lower_central_series())
+    """dim n - dim [n, n]; an upper bound for the dimension of any torus.
 
-
-def _rank_bound(series: list[Subspace]) -> int:
-    """``rank_bound`` read off a lower central series n, [n, n], ..., which
-    ends in 0 exactly when n is nilpotent."""
-    if not series[-1].is_zero():
+    Defined for nilpotent n.  An acyclic bracket graph certifies nilpotency
+    from the table alone (see :meth:`LieAlgebra.has_acyclic_bracket_graph`);
+    otherwise the lower central series decides, and a series that does not
+    end in 0 raises ValueError.
+    """
+    if not n.has_acyclic_bracket_graph() and not n.lower_central_series()[-1].is_zero():
         raise ValueError("rank bound is defined for nilpotent algebras")
-    derived = series[1] if len(series) > 1 else series[0]  # dim 0: the series is [0]
-    return series[0].dim - derived.dim
+    return n.dim - n.derived_subalgebra().dim
 
 
 def is_maximal_rank(t: TorusAction, bound: int | None = None) -> bool:

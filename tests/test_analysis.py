@@ -292,8 +292,9 @@ def test_regression_computes_each_artifact_once_per_entry(monkeypatch):
     assert len(counts["cocycle_space"]) <= entries
     assert _at_most_once_each(counts["cocycle_space"])
     assert len(counts["rank_bound"]) <= entries
-    # the rank bound reads [n, n] off the one lower central series of n
-    assert len(counts["lower_central_series"]) == entries
+    # every catalog nilradical has an acyclic bracket graph, which certifies
+    # nilpotency, so the rank bound reads [n, n] without the series
+    assert len(counts["lower_central_series"]) == 0
     assert _at_most_once_each(counts["lower_central_series"])
     # one minimal polynomial per non-diagonal torus generator, none for diagonal ones
     non_diagonal = [
@@ -336,7 +337,8 @@ def test_symplectic_command_computes_each_artifact_once(monkeypatch, tmp_path, c
     assert len(counts["verify_torus"]) == 1
     assert len(counts["cocycle_space"]) == 1
     assert len(counts["rank_bound"]) <= 1
-    assert len(counts["lower_central_series"]) == 1
+    assert len(counts["lower_central_series"]) == 0
+    assert _at_most_once_each(counts["lower_central_series"])
 
 
 def test_analysis_without_a_torus_studies_the_algebra_itself():

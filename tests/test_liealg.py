@@ -5,10 +5,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.catalog import build_entry
 from liesymp.structure import semidirect
+from liesymp.symplectic import cocycle_space
 
 
 def n4_1() -> LieAlgebra:
@@ -69,6 +72,71 @@ def test_jacobi_perturbation_detected():
     assert failure is not None
     assert failure == _naive_first_jacobi_failure(bad)
     assert not bad.jacobi_holds()
+
+
+COEFFS = st.sampled_from((-2, -1, 1, 2, Q(1, 2)))
+
+
+@st.composite
+def central_extensions(draw) -> LieAlgebra:
+    """An iterated central extension of an abelian algebra by closed 2-forms:
+    each step adds a basis vector z and [x, y] += w(x, y) z for a random w in
+    Z^2.  Such an algebra is nilpotent in index order."""
+    g = LieAlgebra(draw(st.integers(2, 4)))
+    for _ in range(draw(st.integers(1, 3))):
+        table = {pair: dict(coeffs) for pair, coeffs in g.table.items()}
+        for w in cocycle_space(g).z2_basis:
+            c = draw(st.sampled_from((0, 0, 1, -1, 2)))
+            for pair, x in w.coords.items():
+                slot = table.setdefault(pair, {})
+                slot[g.dim] = slot.get(g.dim, 0) + c * x
+        g = LieAlgebra(g.dim + 1, table)
+    return g
+
+
+SEMIDIRECT_ENTRIES = (("n3_1", {}), ("n4_1", {}), ("n5_4", {}), ("n6_8", {}),
+                      ("L", {"n": 4}), ("Q", {"n": 5}), ("abelian", {"n": 2}))
+
+
+@st.composite
+def sparse_tables(draw) -> LieAlgebra:
+    """A Lie algebra (a central extension or a catalog t ⋉ n) with its basis
+    permuted and rescaled, so that the index order is no longer adapted to
+    the bracket, and perturbed by up to four random terms, which usually
+    leaves several triples failing."""
+    if draw(st.booleans()):
+        g = draw(central_extensions())
+    else:
+        name, params = draw(st.sampled_from(SEMIDIRECT_ENTRIES))
+        g = semidirect(build_entry(name, **params).torus)
+    n = g.dim
+    # f_perm[i] = scale[i] * e_i, so c_ab^k becomes c * scale[a] scale[b] / scale[k]
+    perm = draw(st.permutations(range(n)))
+    scale = [Q(draw(st.sampled_from((1, -1, 2, Q(1, 3))))) for _ in range(n)]
+    table: dict[tuple[int, int], dict[int, Q]] = {}
+    for (a, b), coeffs in g.table.items():
+        table[(perm[a], perm[b])] = {
+            perm[k]: c * scale[a] * scale[b] / scale[k] for k, c in coeffs.items()
+        }
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        slot = table.setdefault((i, j), {})
+        k = draw(st.integers(0, n - 1))
+        slot[k] = slot.get(k, 0) + draw(COEFFS)
+    return LieAlgebra(n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=sparse_tables())
+def test_jacobi_failure_matches_brute_force(g):
+    assert g.jacobi_failure() == _naive_first_jacobi_failure(g)
+
+
+def test_jacobi_failure_reports_the_first_of_several_triples():
+    # n4_1 plus [e1, e3] = e4 fails on (0, 1, 2) and (1, 2, 3); the table's
+    # first pair (1, 3) reaches the sum of (1, 2, 3) first
+    bad = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}, (0, 2): {3: 1}})
+    assert bad.jacobi_failure() == _naive_first_jacobi_failure(bad) == (0, 1, 2)
 
 
 def test_jacobi_property_on_random_vectors():

@@ -1,10 +1,14 @@
 """Derivations, torus verification, semidirect products, roots, completeness."""
 
+import importlib.util
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from liesymp.catalog import build_entry
+from liesymp.catalog import DEFAULT_SELECTION, build_entry
+from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra
 from liesymp.linalg import RationalMatrix
 from liesymp.structure import (
@@ -171,8 +175,73 @@ def test_rank_bound_examples():
     assert rank_bound(build_entry("n4_1").nilradical) == 2
     assert rank_bound(build_entry("n5_4").nilradical) == 4
     assert rank_bound(LieAlgebra(3)) == 3
-    with pytest.raises(ValueError):
-        rank_bound(semidirect(build_entry("n4_1").torus))  # solvable, not nilpotent
+    assert rank_bound(LieAlgebra(0)) == 0
+
+
+def _series_rank_bound(n: LieAlgebra) -> int:
+    """dim n - dim [n, n] read off the full lower central series."""
+    series = n.lower_central_series()
+    assert series[-1].is_zero()
+    return series[0].dim - (series[1] if len(series) > 1 else series[0]).dim
+
+
+def _files_core_nilradicals() -> list[LieAlgebra]:
+    """The valid core sources of the benchmark's ``files`` workload, drawn by
+    ``bench/gen.py`` as ``bench/run.py`` does (CORE_SEED, CORE_BLOCKS)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(gen)
+    sources = gen.generate(1_000_003, 7 * gen.BLOCK, prefix="core")
+    return [build(parse(src.text)).nilradical for src in sources if src.kind == "valid"]
+
+
+# the family members of the benchmark's scale tier
+SCALE_ENTRIES = (("L", {"n": 10}), ("L", {"n": 12}), ("Q", {"n": 11}), ("Q", {"n": 13}),
+                 ("abelian", {"n": 6}), ("abelian", {"n": 7}))
+
+
+def test_certified_rank_bound_matches_the_series():
+    nilradicals = [build_entry(name, **params).nilradical
+                   for name, params in list(DEFAULT_SELECTION) + list(SCALE_ENTRIES)]
+    nilradicals += _files_core_nilradicals()
+    assert len(nilradicals) == len(DEFAULT_SELECTION) + len(SCALE_ENTRIES) + 105
+    for n in nilradicals:
+        assert n.has_acyclic_bracket_graph()
+        assert rank_bound(n) == _series_rank_bound(n)
+
+
+def test_rank_bound_falls_back_to_the_series(monkeypatch):
+    # n4_1 in the basis f1 = e1 + e4, f2 = e2, f3 = e3, f4 = e4: nilpotent,
+    # but [f2, f4] = f1 - f4 and [f1, f2] = -f1 + f4 give f4 and f1 self-loops
+    n = LieAlgebra(4, {(0, 1): {0: -1, 3: 1}, (0, 2): {1: -1},
+                       (1, 3): {0: 1, 3: -1}, (2, 3): {1: 1}})
+    assert n.jacobi_holds() and not n.has_acyclic_bracket_graph()
+    series_calls = []
+    original = LieAlgebra.lower_central_series
+
+    def counted(self):
+        series_calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "lower_central_series", counted)
+    assert rank_bound(n) == 2 and series_calls == [n]
+    assert _series_rank_bound(n) == 2
+
+
+def _sl2_times_line() -> LieAlgebra:
+    # h, e, f, z: [h, e] = 2e, [h, f] = -2f, [e, f] = h, z central
+    return LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
+
+@pytest.mark.parametrize("g", [
+    _sl2_times_line(),
+    semidirect(build_entry("n4_1").torus),  # solvable, not nilpotent
+], ids=["sl2 x R", "t x n4_1"])
+def test_rank_bound_rejects_a_non_nilpotent_algebra(g):
+    assert not g.has_acyclic_bracket_graph()
+    with pytest.raises(ValueError, match=r"^rank bound is defined for nilpotent algebras$"):
+        rank_bound(g)
 
 
 def test_is_maximal_rank():
