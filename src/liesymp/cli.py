@@ -20,7 +20,10 @@ every input error is a ``ValueError`` (``ParseError`` is one) raised to
 :func:`main`, which maps it to exit code 2.
 Exit code 2 also covers a witness search that exhausts its integer box
 (``WitnessSearchExhausted``): the Pfaffian is nonzero, so a witness exists,
-and the message says to raise ``LIESYMP_WITNESS_BOUND`` to find it.
+and the message says to raise ``LIESYMP_WITNESS_BOUND`` to find it, and a
+stdout closed before the output is written (``liesymp ... | head -1``),
+which ends quietly: stdout is pointed at the null device, so the
+interpreter's last flush cannot fail again.
 JSON output is deterministic (sorted keys, no timestamps) and follows the
 schemas exported as SYMPLECTIC_REPORT_SCHEMA / CATALOG_REPORT_SCHEMA /
 PROPS_REPORT_SCHEMA.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -588,9 +592,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValueError, WitnessSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

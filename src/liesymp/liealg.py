@@ -147,19 +147,23 @@ class LieAlgebra:
                     if any(as_fraction(c) != 0 for c in coeffs.values()):
                         raise ValueError(f"[e_{i}, e_{i}] must be zero")
                     continue
-                sign = 1
-                if i > j:
-                    i, j, sign = j, i, -1
+                flip = i > j
+                if flip:
+                    i, j = j, i
                 slot = table.setdefault((i, j), {})
                 for k, c in coeffs.items():
                     if not 0 <= k < dim:
                         raise ValueError(f"component index {k} out of range")
-                    c = sign * as_fraction(c)
-                    c += slot.get(k, Q(0))
-                    if c == 0:
-                        slot.pop(k, None)
-                    else:
+                    c = as_fraction(c)
+                    if flip:
+                        c = -c
+                    x = slot.get(k)
+                    if x is not None:
+                        c += x
+                    if c:
                         slot[k] = c
+                    elif x is not None:
+                        del slot[k]
                 if not slot:
                     del table[(i, j)]
         self.dim = dim

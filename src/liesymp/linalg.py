@@ -16,6 +16,8 @@ bracket table.
 :class:`RationalMatrix` is an immutable dense matrix; its ``rref``,
 ``kernel_basis``, ``solve``, ``inverse``, ``determinant`` and
 ``minimal_polynomial`` are thin adapters over the same kernel.
+``minimal_polynomial`` forms the powers of the matrix as sparse row
+products (:func:`sparse_product`) of its nonzero entries.
 
 :func:`sparsest_row_pfaffian` is the one Pfaffian recursion, for rational
 and polynomial entries alike.  It reads a matrix by its nonzero entries
@@ -125,6 +127,20 @@ def sparse_kernel_rows(pivots: Mapping[int, SparseRow], cols: int) -> list[Spars
 def sparse_kernel_basis(pivots: Mapping[int, SparseRow], cols: int) -> list[tuple[Fraction, ...]]:
     """The vectors of :func:`sparse_kernel_rows` as dense tuples."""
     return [dense_row(v, 0, cols) for v in sparse_kernel_rows(pivots, cols)]
+
+
+def sparse_product(xs: Sequence[SparseRow], ys: Sequence[SparseRow]) -> list[SparseRow]:
+    """The rows of xy, for matrices x and y given by their sparse rows; the
+    result holds no zero entries."""
+    out = []
+    for row in xs:
+        acc: SparseRow = {}
+        for k, a in row.items():
+            for j, b in ys[k].items():
+                x = acc.get(j)
+                acc[j] = a * b if x is None else x + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fraction, ...]:
@@ -402,7 +418,9 @@ class RationalMatrix:
         Found as the first linear dependency among I, A, A**2, ...: each
         flattened power, tagged with its degree in an extra column, is reduced
         against the earlier ones in one incremental elimination, and the first
-        residual with no matrix part is the polynomial itself.
+        residual with no matrix part is the polynomial itself.  Each power is
+        held as sparse rows, the last one times A by :func:`sparse_product`,
+        so only products of nonzero entries are formed.
         """
         if self.rows != self.cols:
             raise ValueError("minimal polynomial of a non-square matrix")
@@ -410,16 +428,17 @@ class RationalMatrix:
         if n == 0:
             return (Q(0), Q(1))  # x, by convention
         size = n * n
+        rows = [sparse_row(r) for r in self.data]
         pivots: dict[int, SparseRow] = {}
-        power = RationalMatrix.identity(n)
+        power = [{i: Q(1)} for i in range(n)]
         for k in range(n + 1):
-            row = sparse_row(power.flatten())
-            row[size + k] = Q(1)
-            residual = reduce_row(row, pivots)
+            flat = {i * n + j: x for i, row in enumerate(power) for j, x in row.items()}
+            flat[size + k] = Q(1)
+            residual = reduce_row(flat, pivots)
             if min(residual) >= size:
                 return dense_row(residual, size, size + k) + (Q(1),)
             _add_row(pivots, residual)
-            power = power @ self
+            power = sparse_product(power, rows)
         raise AssertionError("no minimal polynomial of degree <= n found")
 
 

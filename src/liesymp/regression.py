@@ -159,7 +159,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
     if verdict.exists == "yes" and not verdict.degenerate:
         w = verdict.witness
         witness_verified = (
-            w is not None and not d_two_form(g, w) and w.matrix().pfaffian() != 0
+            w is not None and not d_two_form(g, w) and w.pfaffian() != 0
         )
         comparisons.append(
             Comparison(
@@ -178,7 +178,7 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         )
     if verdict.exact_exists == "yes" and verdict.exact_one_form is not None:
         rebuilt = d_one_form(g, verdict.exact_one_form)
-        ok = rebuilt == verdict.exact_witness and rebuilt.matrix().pfaffian() != 0
+        ok = rebuilt == verdict.exact_witness and rebuilt.pfaffian() != 0
         comparisons.append(
             Comparison("exact-witness-is-d-of-one-form", str(ok), "True", MATCH if ok else MISMATCH)
         )
@@ -386,7 +386,7 @@ def _reproduce_pairing(ns=(5, 7, 9)) -> list[PropItem]:
         en = g.basis_vector(n)
         w = d_one_form(g, e0).add(d_one_form(g, en))
         closed = not d_two_form(g, w)
-        pf = w.matrix().pfaffian()
+        pf = w.pfaffian()
         literal = top_power(w)
         fact = 1
         for i in range(2, m + 1):

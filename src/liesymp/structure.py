@@ -31,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
     RationalMatrix,
     sparse_kernel_basis,
+    sparse_product,
+    sparse_row,
     sparse_rref,
     upoly_is_squarefree,
     upoly_rational_roots,
@@ -300,26 +302,8 @@ def _commute(x: RationalMatrix, y: RationalMatrix, x_diagonal: bool, y_diagonal:
             for i, row in enumerate(m.data)
             for j, a in enumerate(row)
         )
-    xs, ys = _sparse_rows(x), _sparse_rows(y)
-    return _product_rows(xs, ys) == _product_rows(ys, xs)
-
-
-def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
-    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
-
-
-def _product_rows(
-    xs: list[dict[int, Fraction]], ys: list[dict[int, Fraction]]
-) -> list[dict[int, Fraction]]:
-    """The rows of xy, as sparse rows without zero entries."""
-    out = []
-    for row in xs:
-        acc: dict[int, Fraction] = {}
-        for k, a in row.items():
-            for j, b in ys[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        out.append({j: c for j, c in acc.items() if c})
-    return out
+    xs, ys = [sparse_row(r) for r in x.data], [sparse_row(r) for r in y.data]
+    return sparse_product(xs, ys) == sparse_product(ys, xs)
 
 
 def semidirect(t: TorusAction) -> LieAlgebra:
@@ -337,15 +321,19 @@ def _semidirect_product(t: TorusAction, check: TorusCheck) -> LieAlgebra:
         raise ValueError(f"invalid torus action: {check.violation}")
     n = t.nilradical.dim
     r = t.rank
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {
-        pair: dict(coeffs) for pair, coeffs in t.nilradical.table.items()
-    }
+    # LieAlgebra copies the coefficient maps, so the nilradical's are shared
+    brackets: dict[tuple[int, int], Mapping[int, Fraction]] = dict(t.nilradical.table)
     for a, d in enumerate(t.generators):
+        # [e_i, h] = -h(e_i): column i of the generator, negated
+        cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for k, row in enumerate(d.data):
+            for i, x in enumerate(row):
+                if x:
+                    cols[i][k] = -x
         h = n + a
-        for i in range(n):
-            col = {k: -d[k, i] for k in range(n) if d[k, i] != 0}
+        for i, col in enumerate(cols):
             if col:
-                brackets[(i, h)] = col  # [e_i, h] = -h(e_i)
+                brackets[(i, h)] = col
     labels = t.nilradical.labels + t.labels
     g = LieAlgebra(n + r, brackets, labels)
     failure = g.jacobi_failure()

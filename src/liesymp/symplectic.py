@@ -242,35 +242,38 @@ def d_one_form(g: LieAlgebra, alpha: Sequence) -> TwoForm:
 
 
 def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
-    """Values of dw on basis triples i < j < k (zero triples omitted).
+    """Values of dw on basis triples i < j < k, in increasing order of the
+    triples (zero triples omitted).
 
     dw(x,y,z) = -( w([x,y],z) + w([y,z],x) + w([z,x],y) ); the sign makes
-    d_two_form(d_one_form(a)) vanish identically.
+    d_two_form(d_one_form(a)) vanish identically.  Only nonzero compositions
+    are summed: for each table pair a < b, each e_m in [e_a, e_b] and each t
+    with w(e_m, e_t) != 0, the term c_ab^m w(e_m, e_t) goes into the triple
+    {a, b, t}, negated when a < t < b (the sign of (a, b, t) as a cyclic
+    order of the triple).
     """
     if w.dim != g.dim:
         raise ValueError("form dimension does not match algebra dimension")
-    n = g.dim
-    out: dict[tuple[int, int, int], object] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, n):
-                total = 0
-                for m, c in bij.items():
-                    e = w.entry(m, k)
-                    if e:
-                        total = total + c * e
-                for m, c in g.bracket_basis(j, k).items():
-                    e = w.entry(m, i)
-                    if e:
-                        total = total + c * e
-                for m, c in g.bracket_basis(k, i).items():
-                    e = w.entry(m, j)
-                    if e:
-                        total = total + c * e
-                if total:
-                    out[(i, j, k)] = -total
-    return out
+    # partners[m] holds (t, w(e_m, e_t)) for every nonzero coordinate at m
+    partners: list[list[tuple[int, object]]] = [[] for _ in range(g.dim)]
+    for (i, j), x in w.coords.items():
+        partners[i].append((j, x))
+        partners[j].append((i, -x))
+    sums: dict[tuple[int, int, int], object] = {}
+    for (a, b), coeffs in g.table.items():
+        for m, c in coeffs.items():
+            for t, x in partners[m]:
+                if t > b:
+                    key, f = (a, b, t), c
+                elif t < a:
+                    key, f = (t, a, b), c
+                elif a < t < b:
+                    key, f = (a, t, b), -c
+                else:
+                    continue
+                total = sums.get(key)
+                sums[key] = f * x if total is None else total + f * x
+    return {key: -sums[key] for key in sorted(sums) if sums[key]}
 
 
 def is_closed(g: LieAlgebra, w: TwoForm) -> bool:
@@ -597,7 +600,9 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
         for name, pre in zip(exact_generic.variables, cs.b2_preimages):
             c = point[name]
             if c:
-                alpha = [a + c * x for a, x in zip(alpha, pre)]
+                for k, x in enumerate(pre):
+                    if x:
+                        alpha[k] += c * x
         exact_one_form = tuple(alpha)
 
     return SymplecticVerdict(

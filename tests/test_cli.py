@@ -1,12 +1,17 @@
 """CLI contract: exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import liesymp
 from liesymp.cli import (
     CATALOG_REPORT_SCHEMA,
     PROPS_REPORT_SCHEMA,
@@ -307,3 +312,25 @@ def test_repro_props_json(capsys):
     data = json.loads(capsys.readouterr().out)
     jsonschema.validate(data, PROPS_REPORT_SCHEMA)
     assert data["green"] is True
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """``liesymp catalog verify --json | head -1``: the reader closes the pipe
+    after the first line.  The pipe is shrunk to one page, so the report
+    (about 60 kB) cannot fit in it before the close and the write must fail."""
+    fcntl = pytest.importorskip("fcntl")
+    read_fd, write_fd = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(liesymp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liesymp.cli", "catalog", "verify", "--json"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode in (0, 1, 2)
+    assert b"Traceback" not in err

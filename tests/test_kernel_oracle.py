@@ -186,6 +186,96 @@ def _is_minimal_polynomial(d: RationalMatrix, coeffs) -> bool:
     return coeffs[-1] == 1 and value.is_zero_matrix and powers.rank() == degree
 
 
+def _dense_power_minimal_polynomial(d: RationalMatrix) -> tuple:
+    """The first k with D^k in the span of I, D, ..., D^(k-1), powers formed
+    densely by sympy, and the coefficients of that dependency, monic."""
+    n = d.rows
+    if n == 0:
+        return (Q(0), Q(1))  # the package's convention for the empty matrix
+    s = _sympy(n, n, d.data)
+    powers = [sympy.eye(n)]
+    while True:
+        span = sympy.Matrix.hstack(*(p.reshape(n * n, 1) for p in powers))
+        target = (powers[-1] * s).reshape(n * n, 1)
+        if span.hstack(span, target).rank() == span.rank():
+            solution, free = span.gauss_jordan_solve(-target)
+            assert free.shape[0] == 0  # the lower powers are independent
+            return _as_fractions(solution) + (Q(1),)
+        powers.append(powers[-1] * s)
+
+
+def _block_diagonal(*blocks) -> RationalMatrix:
+    n = sum(len(b) for b in blocks)
+    grid = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            grid[at + i][at: at + len(row)] = row
+        at += len(b)
+    return RationalMatrix(grid)
+
+
+def _jordan(lam, size):
+    return [[lam if i == j else 1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
+
+
+ROTATION = [[0, -1], [1, 0]]
+
+MINIMAL_POLYNOMIAL_CASES = {
+    "empty": RationalMatrix([]),
+    "one-zero": RationalMatrix([[0]]),
+    "one": RationalMatrix([[Q(-3, 2)]]),
+    **{f"nilpotent-jordan-{k}": RationalMatrix(_jordan(0, k)) for k in (2, 3, 5)},
+    "jordan-and-scalar": _block_diagonal(_jordan(2, 3), [[2]], [[Q(1, 3)]]),
+    "rotation": RationalMatrix(ROTATION),
+    "two-rotations": _block_diagonal(ROTATION, ROTATION),
+    "rotation-jordan": _block_diagonal(ROTATION, _jordan(1, 2), ROTATION),
+    "scaled-rotation-and-nilpotent": _block_diagonal([[0, -4], [1, 0]], _jordan(0, 2)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MINIMAL_POLYNOMIAL_CASES))
+def test_minimal_polynomial_on_fixed_shapes(label):
+    d = MINIMAL_POLYNOMIAL_CASES[label]
+    minpoly = d.minimal_polynomial()
+    assert minpoly == _dense_power_minimal_polynomial(d)
+    if d.rows:
+        assert _is_minimal_polynomial(d, minpoly)
+
+
+def test_minimal_polynomial_of_the_catalog_non_diagonal_generators():
+    """The mixed-torus entries n6_5, n6_10, n6_14 and n6_18 carry generators
+    that are not diagonal in the printed basis."""
+    gens = [
+        d
+        for name, params in DEFAULT_SELECTION
+        for d in build_entry(name, **params).torus.generators
+        if not d.is_diagonal()
+    ]
+    assert gens
+    for d in gens:
+        minpoly = d.minimal_polynomial()
+        assert minpoly == _dense_power_minimal_polynomial(d)
+        assert _is_minimal_polynomial(d, minpoly)
+
+
+@st.composite
+def sparse_square_matrices(draw, max_size=6):
+    n = draw(st.integers(0, max_size))
+    return RationalMatrix([[draw(ENTRIES) if draw(st.integers(0, 2)) == 0 else 0
+                            for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=sparse_square_matrices())
+def test_minimal_polynomial_matches_dense_powers_on_random_sparse_matrices(d):
+    minpoly = d.minimal_polynomial()
+    assert minpoly == _dense_power_minimal_polynomial(d)
+    assert all(isinstance(c, Q) for c in minpoly)
+    if d.rows:
+        assert _is_minimal_polynomial(d, minpoly)
+
+
 def _conjugate(m: RationalMatrix, p: RationalMatrix) -> RationalMatrix:
     return p @ m @ p.inverse()
 

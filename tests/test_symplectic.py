@@ -11,6 +11,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_liealg import sparse_tables
 
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
@@ -123,6 +127,56 @@ def test_d_two_form_detects_non_cocycles():
     # abelian brackets: everything is closed
     flat = LieAlgebra(4)
     assert not d_two_form(flat, TwoForm.from_pairs(4, {(0, 1): Q(1), (2, 3): Q(5)}))
+
+
+def _dense_d_two_form(g: LieAlgebra, w: TwoForm) -> dict:
+    """dw by the dense walk over every basis triple i < j < k, reading the
+    bracket and the form through ``bracket_basis`` and ``entry``."""
+    out = {}
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        total = 0
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in g.bracket_basis(x, y).items():
+                e = w.entry(m, z)
+                if e:
+                    total = total + c * e
+        if total:
+            out[(i, j, k)] = -total
+    return out
+
+
+FORM_VALUES = st.sampled_from((1, -1, 2, Q(1, 2), Q(-3, 2)))
+
+
+@st.composite
+def forms_on(draw, n: int) -> TwoForm:
+    """A sparse two-form on Q^n: concrete, or parametric with coordinates
+    linear in t1, t2 plus a constant."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    if draw(st.booleans()):
+        return TwoForm.from_pairs(n, {p: draw(FORM_VALUES) for p in pairs})
+    names = ("t1", "t2")
+    coords = {}
+    for p in pairs:
+        terms = {e: draw(FORM_VALUES) for e in draw(st.lists(
+            st.sampled_from(((0, 0), (1, 0), (0, 1))), min_size=1, max_size=3, unique=True))}
+        coords[p] = MultiPoly(names, terms)
+    return TwoForm.from_pairs(n, coords, names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=sparse_tables())
+def test_d_two_form_matches_the_dense_triple_walk(data, g):
+    """Catalog t ⋉ n and central extensions, permuted, rescaled and perturbed
+    (see ``test_liealg.sparse_tables``), against concrete and parametric forms:
+    the same triples, in the same order, with the same values."""
+    w = data.draw(forms_on(g.dim))
+    got, expected = d_two_form(g, w), _dense_d_two_form(g, w)
+    assert list(got) == list(expected)
+    assert all(got[key] == value for key, value in expected.items())
+    if w.is_concrete():
+        assert all(isinstance(value, Q) for value in got.values())
 
 
 def test_cocycle_space_dimensions():
