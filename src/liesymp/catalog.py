@@ -16,6 +16,7 @@ Expected verdicts are never computed, only transcribed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -869,6 +870,11 @@ FAMILY_NAMES = ("abelian", "L", "Q")
 
 def entry_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
+
+
+def entry_parameters(name: str) -> tuple[str, ...]:
+    """The parameter names that ``build_entry(name, ...)`` accepts."""
+    return tuple(inspect.signature(_BUILDERS[name]).parameters)
 
 
 def build_entry(name: str, **params) -> CatalogEntry:

@@ -445,7 +445,7 @@ def _cmd_catalog(args) -> int:
         ]
     if params:
         selection = [
-            (name, {**ps, **{k: v for k, v in params.items() if k in _accepts(name)}})
+            (name, {**ps, **{k: v for k, v in params.items() if k in cat.entry_parameters(name)}})
             for name, ps in selection
         ]
     report = run_regression(selection)
@@ -504,14 +504,6 @@ def _cmd_catalog(args) -> int:
               f"{counts[DOCUMENTED]} documented mismatches, {counts[MISMATCH]} unexplained")
         print("report: " + ("green" if report.green else "RED"))
     return EXIT_OK if report.green else EXIT_MISMATCH
-
-
-def _accepts(name: str) -> tuple[str, ...]:
-    if name in ("n6_5", "n6_10", "n6_14", "n6_18"):
-        return ("a",)
-    if name in ("abelian", "L", "Q"):
-        return ("n",)
-    return ()
 
 
 def _cmd_repro(args) -> int:

@@ -90,9 +90,6 @@ class Subspace:
             raise ValueError("vector length does not match ambient dimension")
         return not reduce_row(sparse_row(v), self._rows)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -218,12 +215,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown basis label {label!r}") from None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LieAlgebra)
@@ -237,38 +228,46 @@ class LieAlgebra:
 
     # -- axioms ----------------------------------------------------------------
 
+    def compositions(self, partners: Sequence[Sequence[tuple[int, object]]]):
+        """The nonzero compositions of the bracket table with the partners of
+        each basis vector, each signed by the orientation of its triple.
+
+        For each table pair a < b, each e_m in [e_a, e_b] = sum_m c e_m and
+        each (t, x) in ``partners[m]`` with t not in {a, b}, yields
+        (triple, f, -f, x): the triple {a, b, t} sorted, and f = c times the
+        sign of (a, b, t) as a cyclic order of it, -1 when a < t < b; f and
+        -f are computed once per (pair, m).  The Jacobi check, ``dw`` and the
+        Z^2 system of ``cocycle_space`` sum f x over it.
+        """
+        for (a, b), coeffs in self.table.items():
+            for m, c in coeffs.items():
+                neg = -c
+                for t, x in partners[m]:
+                    if t > b:
+                        yield (a, b, t), c, neg, x
+                    elif t < a:
+                        yield (t, a, b), c, neg, x
+                    elif a < t < b:
+                        yield (a, t, b), neg, c, x
+
     def jacobi_failure(self) -> tuple[int, int, int] | None:
         """First basis triple (i < j < k) violating the Jacobi identity, if any.
 
         The Jacobi sum of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
-        - [[e_i, e_k], e_j].  Only nonzero compositions are formed: for each
-        table pair a < b, each e_m in [e_a, e_b] and each t with
-        [e_m, e_t] != 0, the term c_ab^m [e_m, e_t] goes into the sum of the
-        triple {a, b, t}, negated when a < t < b.
+        - [[e_i, e_k], e_j]: the walk of :meth:`compositions` with the
+        partners (t, [e_m, e_t]) of each e_m, summed per triple.
         """
-        # ad e_m as (t, [e_m, e_t] up to sign, negated) for each neighbour t
-        neighbours: list[list[tuple[int, Mapping[int, Fraction], bool]]] = [
+        partners: list[list[tuple[int, Mapping[int, Fraction]]]] = [
             [] for _ in range(self.dim)
         ]
         for (a, b), coeffs in self.table.items():
-            neighbours[a].append((b, coeffs, False))
-            neighbours[b].append((a, coeffs, True))
+            partners[a].append((b, coeffs))
+            partners[b].append((a, {k: -c for k, c in coeffs.items()}))
         sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for (a, b), coeffs in self.table.items():
-            for m, x in coeffs.items():
-                for t, terms, negated in neighbours[m]:
-                    if t > b:
-                        key, sign = (a, b, t), negated
-                    elif t < a:
-                        key, sign = (t, a, b), negated
-                    elif a < t < b:
-                        key, sign = (a, t, b), not negated
-                    else:
-                        continue
-                    f = -x if sign else x
-                    acc = sums.setdefault(key, {})
-                    for u, y in terms.items():
-                        acc[u] = acc.get(u, 0) + f * y
+        for key, f, _, terms in self.compositions(partners):
+            acc = sums.setdefault(key, {})
+            for u, y in terms.items():
+                acc[u] = acc.get(u, 0) + f * y
         failing = [key for key, acc in sums.items() if any(acc.values())]
         return min(failing) if failing else None
 

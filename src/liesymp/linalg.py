@@ -222,10 +222,6 @@ class RationalMatrix:
         self.cols = len(grid[0]) if grid else 0
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

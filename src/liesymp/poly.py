@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, RationalMatrix, as_fraction, sparsest_row_pfaffian, upper_entries
+from .linalg import Q, as_fraction, sparsest_row_pfaffian, upper_entries
 
 Exponents = tuple[int, ...]
 
@@ -252,21 +252,6 @@ class MultiPoly:
             total += val
         return Fraction(total, den * b**top)
 
-    def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
-        """Replace variables by polynomials (or constants); others stay symbolic."""
-        result = MultiPoly.zero()
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff)
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                repl = assignment.get(name)
-                if repl is None:
-                    repl = MultiPoly.variable(name)
-                term = term * (_coerce(repl) ** e)
-            result = result + term
-        return result
-
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading term under graded-lex over this polynomial's variables."""
         if not self.terms:
@@ -410,11 +395,6 @@ class PolyMatrix:
                 if (a.terms or b.terms) and not negates(a, b):
                     return False
         return True
-
-    def substitute(self, assignment: Mapping[str, Fraction]) -> RationalMatrix:
-        return RationalMatrix(
-            [[entry.evaluate(assignment) for entry in row] for row in self.data]
-        )
 
     def pfaffian(self) -> MultiPoly:
         """Pfaffian by :func:`liesymp.linalg.sparsest_row_pfaffian`; requires

@@ -120,16 +120,16 @@ def _leibniz_rows(
     return rows
 
 
-def _leibniz_holds(g: LieAlgebra, d: RationalMatrix) -> bool:
+def _leibniz_holds(g: LieAlgebra, d: RationalMatrix, diagonal: bool) -> bool:
     """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] on every
     basis pair, evaluated on the nonzero entries of D only.
 
-    A diagonal D = diag(l) satisfies it iff l_a + l_b = l_k for every nonzero
-    structure constant c_ab^k, which is read straight from the bracket table.
+    A ``diagonal`` D = diag(l) satisfies it iff l_a + l_b = l_k for every
+    nonzero structure constant c_ab^k, read straight from the bracket table.
     """
     n = g.dim
     rows = d.data
-    if d.is_diagonal():
+    if diagonal:
         return all(
             rows[a][a] + rows[b][b] == rows[k][k]
             for (a, b), coeffs in g.table.items()
@@ -154,7 +154,7 @@ def is_derivation(g: LieAlgebra, d: RationalMatrix) -> bool:
     """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
     if d.rows != g.dim or d.cols != g.dim:
         return False
-    return _leibniz_holds(g, d)
+    return _leibniz_holds(g, d, d.is_diagonal())
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
@@ -217,7 +217,7 @@ def _torus_weights(t: TorusAction) -> tuple[tuple[Fraction, ...], ...]:
     """The weights of the basis of t ⋉ n under its diagonal torus generators:
     diag(l) contributes l_i on the nilradical vector e_i and 0 on every torus
     vector, the eigenvalues of ad h for the torus vector h of diag(l)."""
-    diagonal = [d for d in t.generators if d.is_diagonal()]
+    diagonal = [d for d, diag in zip(t.generators, t.diagonal) if diag]
     zero = tuple(Fraction(0) for _ in diagonal)
     return tuple(
         tuple(d.data[i][i] for d in diagonal) for i in range(t.nilradical.dim)
@@ -247,6 +247,11 @@ class TorusAction:
     def rank(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def diagonal(self) -> tuple[bool, ...]:
+        """Which generators are diagonal matrices, computed once."""
+        return tuple(d.is_diagonal() for d in self.generators)
+
 
 @dataclass(frozen=True)
 class TorusCheck:
@@ -268,12 +273,12 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     l_i != l_j, and two non-diagonal generators are multiplied sparsely.
     """
     n = t.nilradical.dim
+    diagonal = t.diagonal
     for a, d in enumerate(t.generators):
         if d.rows != n or d.cols != n:
             return TorusCheck(False, f"generator {t.labels[a]} has the wrong shape")
-        if not _leibniz_holds(t.nilradical, d):
+        if not _leibniz_holds(t.nilradical, d, diagonal[a]):
             return TorusCheck(False, f"generator {t.labels[a]} is not a derivation")
-    diagonal = [d.is_diagonal() for d in t.generators]
     for a in range(len(t.generators)):
         for b in range(a + 1, len(t.generators)):
             if not _commute(t.generators[a], t.generators[b], diagonal[a], diagonal[b]):
@@ -381,13 +386,15 @@ class RootDecomposition:
 def root_decomposition(t: TorusAction) -> RootDecomposition:
     """Simultaneous eigenspace decomposition of the nilradical.
 
-    Requires every generator to act diagonalizably over Q; otherwise raises
-    NotRationallyDiagonalizable (the decomposition is skipped, not falsified).
+    Each joint eigenspace is the kernel of the stacked sparse rows of
+    d_a - l_a I, one block per generator.  A piece is split only when its
+    eigenspaces fill it: every generator must act diagonalizably over Q, and
+    the generators must commute, or NotRationallyDiagonalizable is raised
+    (the decomposition is skipped, not falsified).
     """
     n = t.nilradical.dim
-    pieces: list[tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]] = [
-        ((), Subspace.full(n).basis)
-    ]
+    # (roots so far, their stacked rows, a basis of the joint eigenspace)
+    pieces: list[tuple[tuple[Fraction, ...], list, Sequence]] = [((), [], Subspace.full(n).basis)]
     for a, d in enumerate(t.generators):
         minpoly = d.minimal_polynomial()
         if not upoly_splits_over_q(minpoly):
@@ -395,44 +402,25 @@ def root_decomposition(t: TorusAction) -> RootDecomposition:
                 f"generator {t.labels[a]} is not diagonalizable over Q "
                 "(its minimal polynomial has irrational roots)"
             )
-        eigenvalues = upoly_rational_roots(minpoly)
+        blocks = {
+            lam: [sparse_row(r) for r in (d - RationalMatrix.diagonal([lam] * n)).data]
+            for lam in upoly_rational_roots(minpoly)
+        }
         refined = []
-        for beta, basis in pieces:
-            if not basis:
-                continue
-            # restrict the generator to the invariant piece
-            piece = RationalMatrix(basis)
-            images = RationalMatrix([d.apply(v) for v in basis])
-            restricted_rows = []
-            for img in images.data:
-                sol = piece.transpose().solve(img)
-                if sol is None:
-                    raise AssertionError("torus generator does not preserve the piece")
-                restricted_rows.append(sol)
-            restricted = RationalMatrix(restricted_rows).transpose()
+        for beta, rows, basis in pieces:
             covered = 0
-            for lam in eigenvalues:
-                shifted = restricted - RationalMatrix.identity(len(basis)).scale(lam)
-                kernel = shifted.kernel_basis()
-                if not kernel:
-                    continue
-                lifted = tuple(
-                    tuple(
-                        sum(c * basis[m][j] for m, c in enumerate(coeffs))
-                        for j in range(n)
-                    )
-                    for coeffs in kernel
-                )
-                refined.append((beta + (lam,), lifted))
-                covered += len(kernel)
+            for lam, block in blocks.items():
+                stacked = rows + block
+                kernel = sparse_kernel_basis(sparse_rref(stacked), n)
+                if kernel:
+                    refined.append((beta + (lam,), stacked, kernel))
+                    covered += len(kernel)
             if covered != len(basis):
                 raise NotRationallyDiagonalizable(
                     f"generator {t.labels[a]} does not split the nilradical over Q"
                 )
         pieces = refined
     pieces.sort(key=lambda item: item[0])
-    roots = tuple(beta for beta, _ in pieces)
-    spaces = tuple(Subspace(n, basis) for _, basis in pieces)
-    if sum(s.dim for s in spaces) != n:
-        raise AssertionError("root spaces do not fill the nilradical")
+    roots = tuple(beta for beta, _, _ in pieces)
+    spaces = tuple(Subspace(n, basis) for _, _, basis in pieces)
     return RootDecomposition(roots, spaces)

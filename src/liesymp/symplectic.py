@@ -178,13 +178,6 @@ class TwoForm:
         one = Q(1) if self.is_concrete() else MultiPoly.constant(1)
         return sparsest_row_pfaffian(self.dim, self.coords, self._zero, one)
 
-    def specialize(self, assignment: Mapping[str, Fraction]) -> "TwoForm":
-        return _form_sum(
-            self.dim,
-            ((pair, x.evaluate(assignment) if isinstance(x, MultiPoly) else x)
-             for pair, x in self.coords.items()),
-        )
-
     def add(self, other: "TwoForm") -> "TwoForm":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -246,33 +239,20 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
     triples (zero triples omitted).
 
     dw(x,y,z) = -( w([x,y],z) + w([y,z],x) + w([z,x],y) ); the sign makes
-    d_two_form(d_one_form(a)) vanish identically.  Only nonzero compositions
-    are summed: for each table pair a < b, each e_m in [e_a, e_b] and each t
-    with w(e_m, e_t) != 0, the term c_ab^m w(e_m, e_t) goes into the triple
-    {a, b, t}, negated when a < t < b (the sign of (a, b, t) as a cyclic
-    order of the triple).
+    d_two_form(d_one_form(a)) vanish identically.  The sums are those of
+    :meth:`LieAlgebra.compositions` with the partners (t, w(e_m, e_t)) of
+    each e_m, over the form's nonzero coordinates.
     """
     if w.dim != g.dim:
         raise ValueError("form dimension does not match algebra dimension")
-    # partners[m] holds (t, w(e_m, e_t)) for every nonzero coordinate at m
     partners: list[list[tuple[int, object]]] = [[] for _ in range(g.dim)]
     for (i, j), x in w.coords.items():
         partners[i].append((j, x))
         partners[j].append((i, -x))
     sums: dict[tuple[int, int, int], object] = {}
-    for (a, b), coeffs in g.table.items():
-        for m, c in coeffs.items():
-            for t, x in partners[m]:
-                if t > b:
-                    key, f = (a, b, t), c
-                elif t < a:
-                    key, f = (t, a, b), c
-                elif a < t < b:
-                    key, f = (a, t, b), -c
-                else:
-                    continue
-                total = sums.get(key)
-                sums[key] = f * x if total is None else total + f * x
+    for key, f, _, x in g.compositions(partners):
+        total = sums.get(key)
+        sums[key] = f * x if total is None else total + f * x
     return {key: -sums[key] for key in sorted(sums) if sums[key]}
 
 
@@ -307,7 +287,8 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     on covectors, with a covector preimage recorded for each basis element.
 
     Both systems are assembled sparse from the bracket table and solved by
-    the elimination kernel of :mod:`liesymp.linalg`.
+    the elimination kernel of :mod:`liesymp.linalg`; the rows of dw = 0 are
+    the sums of :meth:`LieAlgebra.compositions` over every pair {m, t}.
     """
     n = g.dim
     pairs = _pair_index(n)
@@ -317,38 +298,22 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     for idx, (i, j) in enumerate(pairs):
         column[i][j] = column[j][i] = idx
 
-    # dw = 0, one equation per triple i < j < k: each [e_a, e_b] = sum c e_m
-    # (a < b) enters the triple {a, b, t} as c * w(e_m, e_t), with the sign
-    # of (a, b, t) as a cyclic order of that triple: -1 when a < t < b.
-    # w(e_m, e_t) is the coordinate of (m, t) if m < t, else its negation.
+    # dw = 0, one row per triple; w(e_m, e_t) is the coordinate of the
+    # pair's column if m < t, else its negation
+    partners = [[(t, (column[m][t], m < t)) for t in range(n) if t != m] for m in range(n)]
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for (a, b), coeffs in g.table.items():
-        terms = [(m, c, -c) for m, c in coeffs.items()]
-        for t in range(n):
-            if t < a:
-                key, flip = (t, a, b), False
-            elif a < t < b:
-                key, flip = (a, t, b), True
-            elif t > b:
-                key, flip = (a, b, t), False
+    for key, f, neg, (col, up) in g.compositions(partners):
+        row = rows.setdefault(key, {})
+        v = f if up else neg
+        x = row.get(col)
+        if x is None:
+            row[col] = v
+        else:
+            x += v
+            if x:
+                row[col] = x
             else:
-                continue
-            row = rows.setdefault(key, {})
-            at_t = column[t]
-            for m, c, neg in terms:
-                if m == t:
-                    continue
-                col = at_t[m]
-                v = neg if (m < t) == flip else c
-                x = row.get(col)
-                if x is None:
-                    row[col] = v
-                else:
-                    x += v
-                    if x:
-                        row[col] = x
-                    else:
-                        del row[col]
+                del row[col]
     z2 = tuple(
         TwoForm._of(n, {pairs[j]: c for j, c in v.items()})
         for v in sparse_kernel_rows(sparse_rref(rows.values()), size)

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction as Q
 
+from test_catalog import documented_typos
+
 from liesymp.catalog import DEFAULT_SELECTION, TYPO_IDS, build_entry
 from liesymp.liealg import Subspace
 from liesymp.linalg import RationalMatrix
@@ -185,7 +187,7 @@ def test_acceptance_4_table_regression():
     ok &= rank_ok and len(rank_comparisons) == report.counts["entries"]
     details.append(f"maximal-rank column matches (or documented): {rank_ok}")
 
-    documented = report.documented_mismatches()
+    documented = documented_typos(report)
     doc_ok = set(documented) <= set(TYPO_IDS) and len(documented) <= len(TYPO_IDS)
     ok &= doc_ok
     details.append(

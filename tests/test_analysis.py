@@ -130,9 +130,9 @@ def torus_candidates(draw):
         elif kind == "diagonal":
             gens.append(RationalMatrix.diagonal([draw(st.integers(-2, 2)) for _ in range(n)]))
         elif kind == "shape":
-            gens.append(RationalMatrix.zeros(n + 1, n + 1))
+            gens.append(RationalMatrix.diagonal([0] * (n + 1)))
         else:
-            m = RationalMatrix.zeros(n, n)
+            m = RationalMatrix.diagonal([0] * n)
             for d in der:
                 c = draw(st.integers(-1, 1))
                 if c:

@@ -285,7 +285,7 @@ MIXING = RationalMatrix([[1, 1, 0, 2], [0, 1, -1, 0], [1, 0, 1, 0], [0, 2, 0, 1]
 SEMISIMPLICITY_CASES = {
     "diagonal": RationalMatrix.diagonal([1, -1, 2, 0]),
     "diagonal-repeated": RationalMatrix.diagonal([3, 3, Q(1, 2), 3]),
-    "zero": RationalMatrix.zeros(4, 4),
+    "zero": RationalMatrix.diagonal([0] * 4),
     "diagonalisable": _conjugate(RationalMatrix.diagonal([1, 2, 2, -1]), MIXING),
     "rotation": RationalMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
     "jordan": RationalMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]),

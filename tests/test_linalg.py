@@ -22,7 +22,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = RationalMatrix.zeros(2, 4)
+    m = RationalMatrix([[0] * 4] * 2)
     red, pivots = m.rref()
     assert red == m
     assert pivots == ()
@@ -41,7 +41,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_row():
-    basis = RationalMatrix.zeros(1, 3).kernel_basis()
+    basis = RationalMatrix([[0] * 3]).kernel_basis()
     assert len(basis) == 3
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesymp.linalg import RationalMatrix
 from liesymp.poly import MultiPoly, PolyMatrix, negates, poly_divides, poly_divmod
 
 
@@ -98,13 +97,6 @@ def test_string_form_is_graded_lex():
     assert str(MultiPoly.constant(Q(-3, 2))) == "-3/2"
 
 
-def test_substitute():
-    x, y = MultiPoly.variables(["x", "y"])
-    p = x * x + y
-    assert p.substitute({"x": y}) == y * y + y
-    assert p.substitute({"y": Q(2)}) == x * x + 2
-
-
 def test_pfaffian_structure_errors():
     a, b = MultiPoly.variables(["a", "b"])
     for grid in ([[0, a], [a, 0]], [[0, a], [-b, 0]], [[a, 0], [0, -a]]):
@@ -179,10 +171,6 @@ def test_determinant_cofactor_general():
         m.determinant()
     with pytest.raises(ValueError, match="antisymmetric"):
         PolyMatrix([[0, x, 1]]).determinant()
-    # its value after substitution comes from rational elimination
-    concrete = m.substitute({"x": Q(5)})
-    assert isinstance(concrete, RationalMatrix)
-    assert concrete.determinant() == 24
     assert _cofactor_determinant(m) == x * x - 1
 
 

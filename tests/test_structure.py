@@ -299,3 +299,14 @@ def test_root_decomposition_irrational_eigenvalues():
     assert sum(s.dim for s in decomp.spaces) == 6
     with pytest.raises(NotRationallyDiagonalizable):
         root_decomposition(build_entry("n6_5", a=2).torus)
+
+
+@pytest.mark.parametrize("gens", [
+    # diag(1, 0) and the swap do not commute: no joint eigenbasis
+    (RationalMatrix.diagonal([1, 0]), RationalMatrix([[0, 1], [1, 0]])),
+    # a Jordan block: its minimal polynomial splits, its eigenvectors span a line
+    (RationalMatrix([[1, 1], [0, 1]]),),
+])
+def test_root_decomposition_rejects_a_split_that_does_not_fill(gens):
+    with pytest.raises(NotRationallyDiagonalizable, match="does not split"):
+        root_decomposition(TorusAction(LieAlgebra(2), gens))
