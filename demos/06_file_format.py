@@ -7,7 +7,7 @@ The same files drive the `liesymp` CLI.
 
 import pathlib
 
-from liesymp import build, decide_symplectic, parse, print_file
+from liesymp import build, parse, print_file
 from liesymp.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -20,9 +20,9 @@ parsed = parse(SOURCE)
 print(f"parsed: algebra {parsed.name}, basis {parsed.basis}, "
       f"torus {parsed.torus_labels}")
 
-built = build(parsed)
-print(f"combined algebra dimension: {built.algebra.dim}")
-print(f"symplectic: {decide_symplectic(built.algebra).exists}")
+analysis = build(parsed)  # the analysis of the algebra the file denotes
+print(f"combined algebra dimension: {analysis.algebra.dim}")
+print(f"symplectic: {analysis.verdict.exists}")
 
 print()
 print("== canonical printer round-trip ==")

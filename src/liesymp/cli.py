@@ -39,7 +39,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from .fileformat import AlgebraFile, BuiltAlgebra, build, parse, print_file
+from .analysis import Analysis
+from .fileformat import AlgebraFile, build, parse, print_file
 from .regression import (
     DOCUMENTED,
     MATCH,
@@ -258,40 +259,39 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _load(path: str) -> BuiltAlgebra:
-    return build(parse(_read(path)))
-
-
 def _cmd_check(args) -> int:
     parsed = parse(_read(args.file))
     print(f"algebra {parsed.name}: {len(parsed.basis)} basis labels, "
           f"{len(parsed.brackets)} bracket rules"
           + (f", torus of rank {len(parsed.torus_labels)}" if parsed.torus_labels else ""))
     print("antisymmetry: structural (each unordered pair stored once, zero diagonal)")
-    built = build(parsed)
-    failure = built.nilradical.jacobi_failure()
+    analysis = build(parsed)
+    failure = analysis.nilradical.jacobi_failure()
     if failure is not None:
-        a, b, c = (built.nilradical.labels[i] for i in failure)
+        a, b, c = (analysis.nilradical.labels[i] for i in failure)
         raise ValueError(f"jacobi identity fails on ({a}, {b}, {c})")
     print("jacobi identity: holds on all basis triples")
-    if built.torus is not None:
-        print(f"torus action: verified; combined algebra has dimension {built.algebra.dim}")
+    if analysis.torus is not None:
+        print(f"torus action: verified; combined algebra has dimension {analysis.algebra.dim}")
     return EXIT_OK
 
 
-def _with_built(args, fn) -> int:
-    built = _load(args.file)
-    failure = built.nilradical.jacobi_failure()
+def _with_analysis(args, fn) -> int:
+    """``fn(name, analysis)`` for the file's algebra, once its bracket table
+    passes the Jacobi identity."""
+    parsed = parse(_read(args.file))
+    analysis = build(parsed)
+    failure = analysis.nilradical.jacobi_failure()
     if failure is not None:
         raise ValueError(f"the bracket table violates the Jacobi identity at triple {failure}")
-    return fn(built)
+    return fn(parsed.name, analysis)
 
 
 def _cmd_props(args) -> int:
-    def run(built: BuiltAlgebra) -> int:
-        g = built.algebra
-        print(f"algebra {built.source.name}: dimension {g.dim}")
-        print(f"center dimension: {built.analysis.center.dim}")
+    def run(name: str, analysis: Analysis) -> int:
+        g = analysis.algebra
+        print(f"algebra {name}: dimension {g.dim}")
+        print(f"center dimension: {analysis.completeness.center_dim}")
         lcs = g.lower_central_series()
         ds = g.derived_series()
         print(f"lower central series dims: {[s.dim for s in lcs]}")
@@ -300,31 +300,31 @@ def _cmd_props(args) -> int:
         print(f"solvable: {ds[-1].is_zero()}")
         return EXIT_OK
 
-    return _with_built(args, run)
+    return _with_analysis(args, run)
 
 
 def _cmd_der(args) -> int:
-    def run(built: BuiltAlgebra) -> int:
-        report = built.analysis.completeness
-        print(f"algebra {built.source.name}: dim Der = {report.derivation_dim}")
+    def run(name: str, analysis: Analysis) -> int:
+        report = analysis.completeness
+        print(f"algebra {name}: dim Der = {report.derivation_dim}")
         if args.complete:
             print(f"center dimension: {report.center_dim}")
             print(f"inner derivations (ad image): {report.ad_dim}")
             print(f"complete: {report.complete}")
         return EXIT_OK
 
-    return _with_built(args, run)
+    return _with_analysis(args, run)
 
 
-def _symplectic_payload(name: str, built: BuiltAlgebra, verdict: SymplecticVerdict) -> dict:
+def _symplectic_payload(name: str, analysis: Analysis, verdict: SymplecticVerdict) -> dict:
     diagnostics = []
     if verdict.degenerate:
         diagnostics.append("dimension 0: vacuously symplectic (degenerate case)")
     return {
         "algebra": name,
         "verdicts": {
-            "complete": built.analysis.completeness.complete,
-            "maximal_rank": built.analysis.maximal_rank,
+            "complete": analysis.completeness.complete,
+            "maximal_rank": analysis.maximal_rank,
             "symplectic": {
                 "exists": verdict.exists,
                 "pfaffian": str(verdict.pfaffian),
@@ -341,14 +341,14 @@ def _symplectic_payload(name: str, built: BuiltAlgebra, verdict: SymplecticVerdi
 
 
 def _cmd_symplectic(args) -> int:
-    def run(built: BuiltAlgebra) -> int:
-        verdict = built.analysis.verdict
+    def run(name: str, analysis: Analysis) -> int:
+        verdict = analysis.verdict
         if args.json:
-            _emit(_symplectic_payload(built.source.name, built, verdict))
+            _emit(_symplectic_payload(name, analysis, verdict))
             return EXIT_OK
-        g = built.algebra
+        g = analysis.algebra
         if not args.exact_only:
-            print(f"algebra {built.source.name}: dimension {g.dim}")
+            print(f"algebra {name}: dimension {g.dim}")
             print(f"closed 2-forms: dim Z^2 = {verdict.cocycle_dims[0]}, "
                   f"dim B^2 = {verdict.cocycle_dims[1]}, dim H^2 = {verdict.cocycle_dims[2]}")
             print(f"symplectic: exists = {verdict.exists}")
@@ -372,7 +372,7 @@ def _cmd_symplectic(args) -> int:
             print("exact witness one-form: " + (" ".join(parts) if parts else "0"))
         return EXIT_OK
 
-    return _with_built(args, run)
+    return _with_analysis(args, run)
 
 
 def _parse_sets(pairs) -> dict:

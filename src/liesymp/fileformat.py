@@ -16,7 +16,9 @@ Bracket rules in the main section relate declared basis labels; rules after
 parser is total in the sense that every failure is reported as a positioned
 :class:`ParseError` (line and column, 1-based).
 
-``parse(print_file(f)) == f`` for every :class:`AlgebraFile`.
+``parse(print_file(f)) == f`` for every :class:`AlgebraFile`, and
+``build(f)`` is the :class:`~liesymp.analysis.Analysis` of the algebra
+``f`` denotes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import Q, RationalMatrix
 from .structure import TorusAction
 
 KEYWORDS = ("algebra", "basis", "torus")
+DIGITS = "0123456789"  # INT is ASCII; str.isdigit also accepts "²" and "١"
 
 Term = tuple[Fraction, str]
 Rule = tuple[str, str, tuple[Term, ...]]
@@ -89,9 +92,9 @@ def _tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
             tokens.append(Token("number", source[i:j], line, start_col))
             col += j - i
@@ -315,36 +318,15 @@ def print_file(f: AlgebraFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BuiltAlgebra:
-    """The algebras a file denotes: the bracket part, the optional torus,
-    and the combined algebra (semidirect product when a torus is present),
-    with the analysis that built them and computes everything else once."""
-
-    source: AlgebraFile
-    analysis: Analysis
-
-    @property
-    def nilradical(self) -> LieAlgebra:
-        return self.analysis.nilradical
-
-    @property
-    def torus(self) -> TorusAction | None:
-        return self.analysis.torus
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        return self.analysis.algebra
-
-
-def build(f: AlgebraFile) -> BuiltAlgebra:
-    """Turn a parsed file into algebra objects, through the analysis the
-    result carries (so the torus is verified once, here).
+def build(f: AlgebraFile) -> Analysis:
+    """The analysis of the algebra a parsed file denotes: its ``nilradical``
+    is the bracket part, ``torus`` the optional torus, and ``algebra`` the
+    semidirect product when a torus is present, else the bracket part.
 
     Raises ValueError when the algebra is larger than
-    :data:`liesymp.liealg.MAX_DIM` or the torus block fails the torus
-    axioms; Jacobi on the bracket part is *not* checked here (``check``
-    reports it separately).
+    :data:`liesymp.liealg.MAX_DIM`, the torus block fails the torus axioms
+    or the product violates the Jacobi identity; Jacobi on the bracket part
+    alone is *not* checked here (``check`` reports it separately).
     """
     n = len(f.basis)
     check_dim(n + len(f.torus_labels))
@@ -357,7 +339,7 @@ def build(f: AlgebraFile) -> BuiltAlgebra:
         table[(i, j)] = {index[lbl]: c for lbl, c in _combine(terms).items()}
     nil = LieAlgebra(n, table, f.basis)
     if not f.torus_labels:
-        return BuiltAlgebra(f, Analysis(nil))
+        return Analysis(nil)
     gens = []
     for t_idx, t_label in enumerate(f.torus_labels):
         m = [[Q(0)] * n for _ in range(n)]
@@ -368,12 +350,13 @@ def build(f: AlgebraFile) -> BuiltAlgebra:
             for lbl, c in _combine(terms).items():
                 m[index[lbl]][j] += c
         gens.append(RationalMatrix(m))
-    analysis = Analysis(TorusAction(nil, tuple(gens), f.torus_labels))
-    check = analysis.torus_check
+    torus = TorusAction(nil, tuple(gens), f.torus_labels)
+    check = torus.check
     if not check.ok:
         raise ValueError(f"torus block is not a torus action: {check.violation}")
+    analysis = Analysis(torus)
     analysis.algebra  # the product is built here, so a Jacobi failure raises here
-    return BuiltAlgebra(f, analysis)
+    return analysis
 
 
 def _combine(terms: tuple[Term, ...]) -> dict[str, Fraction]:

@@ -12,7 +12,8 @@ as documented.  The report is green exactly when no undocumented mismatch or
 condition failure remains.
 
 Each entry has one :class:`~liesymp.analysis.Analysis`, so each artifact
-(the torus check, the product, the cocycle space, ...) is computed once.
+(the torus check, the product, the completeness report, the verdict and
+its generic closed form, ...) is computed once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .poly import MultiPoly, poly_divides
 from .structure import semidirect
 from .symplectic import (
     TwoForm,
+    cocycle_space,
     d_one_form,
     d_two_form,
     is_lagrangian_ideal,
@@ -101,17 +103,17 @@ def _verdict_word(v: str) -> str:
     return {"yes": "yes", "no": "never", "odd": "odd"}[v]
 
 
-def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
+def check_entry(entry: CatalogEntry) -> EntryResult:
     """Recompute all verdicts for one entry and compare with the reference."""
     comparisons: list[Comparison] = []
     conditions: list[ConditionResult] = []
-    analysis = Analysis(entry.torus, bound)
+    analysis = Analysis(entry.torus)
 
     jac = entry.nilradical.jacobi_holds()
     comparisons.append(
         Comparison("nilradical-jacobi", str(jac), "True", MATCH if jac else MISMATCH)
     )
-    torus_ok = analysis.torus_check.ok
+    torus_ok = entry.torus.check.ok
     comparisons.append(
         Comparison("torus-axioms", str(torus_ok), "True", MATCH if torus_ok else MISMATCH)
     )
@@ -176,16 +178,16 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
         )
 
     if entry.expected.conditions:
-        generic = analysis.generic_cocycle
+        # a zero Pfaffian (odd dimension included) divides no condition
         pf = verdict.pfaffian
-        pf_sq = pf * pf if not pf.is_zero() else pf
+        pf_sq = pf * pf
         for cond in entry.expected.conditions:
-            p = cond.polynomial(generic)
-            if p.is_zero():
+            p = None if pf.is_zero() else cond.polynomial(verdict.generic)
+            if p is None or p.is_zero():
                 divides = "no"
-            elif not pf.is_zero() and poly_divides(p, pf):
+            elif poly_divides(p, pf):
                 divides = "pf"
-            elif not pf.is_zero() and poly_divides(p, pf_sq):
+            elif poly_divides(p, pf_sq):
                 divides = "pf^2"
             else:
                 divides = "no"
@@ -213,14 +215,14 @@ def check_entry(entry: CatalogEntry, bound: int | None = None) -> EntryResult:
     )
 
 
-def run_regression(selection=None, bound: int | None = None) -> RegressionReport:
+def run_regression(selection=None) -> RegressionReport:
     """Check a selection of (name, params) pairs; defaults to the whole catalog."""
     if selection is None:
         selection = DEFAULT_SELECTION
     # every entry is built first, so that invalid parameters are rejected
     # before any entry is checked
     entries = [build_entry(name, **params) for name, params in selection]
-    return RegressionReport(tuple(check_entry(entry, bound) for entry in entries))
+    return RegressionReport(tuple(check_entry(entry) for entry in entries))
 
 
 # -- reproduction of the three families' statements ---------------------------
@@ -250,9 +252,8 @@ class PropositionsReport:
 
 def _reproduce_commutative(n: int) -> list[PropItem]:
     """Abelian nilradical of dimension n: shape of Z^2, normal form, exactness."""
-    analysis = Analysis(build_entry("abelian", n=n).torus)
-    g = analysis.algebra
-    cs = analysis.cocycles
+    g = semidirect(build_entry("abelian", n=n).torus)
+    cs = cocycle_space(g)
     items: list[PropItem] = []
 
     expected_basis = set()
@@ -337,7 +338,7 @@ def _reproduce_chain(ns=(4, 5, 6, 7, 8)) -> list[PropItem]:
         g = analysis.algebra
         verdict = analysis.verdict
         if n == 4:
-            generic = analysis.generic_cocycle
+            generic = verdict.generic
             det = verdict.pfaffian * verdict.pfaffian
             # documented renaming: u, t are the negated (1,2), (1,3) entries;
             # v is the (2,6) entry (the printed matrix layout carries the

@@ -14,11 +14,12 @@ The rank bound needs n nilpotent, which an acyclic bracket graph certifies
 from the table alone; only a table with a cycle computes the lower central
 series.
 
-The completeness check solves Der(g) by weight: for a diagonal torus
-generator diag(l) with torus vector h, ad h is diagonal on g, with l_i on
-e_i and 0 on the torus, so Der(g) splits by the weight w_r - w_c of an entry
-D[r][c], and a derivation of weight mu != 0 is inner.  Only the Leibniz
-rows of the weight-0 block are solved, and
+The completeness check solves Der(g) by weight: every basis vector h whose
+ad h is diagonal (each [e_h, e_i] a multiple of e_i, read off the bracket
+table) grades g, as the torus vector of a diagonal generator diag(l) does
+on t ⋉ n, with l_i on e_i and 0 on the torus.  Der(g) splits by the weight
+w_r - w_c of an entry D[r][c], and a derivation of weight mu != 0 is inner.
+Only the Leibniz rows of the weight-0 block are solved, and
 
     dim Der(g) = dim Der_0(g) + (dim g - dim g_0)
 
@@ -172,13 +173,13 @@ def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
 class CompletenessReport:
     """Center and derivation dimensions of an algebra.
 
-    Der(g) is solved only when ``derivation_dim`` is read, and ``complete``
-    reads it only for a trivial center: otherwise the answer is already no.
+    The center and Der(g) are solved only when read, and ``complete`` reads
+    Der(g) only for a trivial center: otherwise the answer is already no.
 
-    ``weights`` (optional, one per basis vector) are the eigenvalues of
-    commuting diagonal inner derivations ad h, such as those of the diagonal
-    torus generators of t ⋉ n.  Der(g) then splits by weight, and a
-    derivation D of weight mu != 0 is inner: for h with mu(h) != 0,
+    ``weights`` (one per basis vector) are the eigenvalues of the diagonal
+    inner derivations ad h, such as those of the diagonal torus generators
+    of t ⋉ n.  They commute, so Der(g) splits by weight, and a derivation D
+    of weight mu != 0 is inner: for h with mu(h) != 0,
     mu(h) D = [ad h, D] = -ad(D h).  The center lies in weight 0, as
     [h, x] = mu(h) x vanishes for central x, so ad is injective on each
     g_mu with mu != 0, and only the weight-0 block is solved:
@@ -187,16 +188,34 @@ class CompletenessReport:
     """
 
     algebra: LieAlgebra
-    center_dim: int
-    weights: tuple | None = None
+
+    @cached_property
+    def center_dim(self) -> int:
+        return self.algebra.center().dim
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The eigenvalues of each basis vector under the basis vectors h
+        whose ad h is diagonal and nonzero, read off the bracket table."""
+        g = self.algebra
+        ad: dict[int, dict[int, Fraction]] = {}  # ad[h][i] = c where [e_h, e_i] = c e_i
+        off: set[int] = set()  # the h with some [e_h, e_i] not a multiple of e_i
+        for (a, b), coeffs in g.table.items():
+            for h, i, sign in ((a, b, 1), (b, a, -1)):
+                if len(coeffs) == 1 and i in coeffs:
+                    ad.setdefault(h, {})[i] = sign * coeffs[i]
+                else:
+                    off.add(h)
+        diagonal = [ad[h] for h in sorted(ad) if h not in off]
+        zero = Fraction(0)
+        return tuple(tuple(col.get(i, zero) for col in diagonal) for i in range(g.dim))
 
     @cached_property
     def derivation_dim(self) -> int:
-        g = self.algebra
-        weights = self.weights or ((),) * g.dim
+        weights = self.weights
         # summed over indices, class sizes give the sum of squared class sizes
         unknowns = sum(len(c) for c in _weight_classes(weights))
-        rank = len(sparse_rref(_leibniz_rows(g, weights).values()))
+        rank = len(sparse_rref(_leibniz_rows(self.algebra, weights).values()))
         return unknowns - rank + sum(1 for w in weights if any(w))
 
     @property
@@ -210,18 +229,7 @@ class CompletenessReport:
 
 def is_complete(g: LieAlgebra) -> CompletenessReport:
     """Trivial center plus dim Der(g) = dim g forces every derivation inner."""
-    return CompletenessReport(g, g.center().dim)
-
-
-def _torus_weights(t: TorusAction) -> tuple[tuple[Fraction, ...], ...]:
-    """The weights of the basis of t ⋉ n under its diagonal torus generators:
-    diag(l) contributes l_i on the nilradical vector e_i and 0 on every torus
-    vector, the eigenvalues of ad h for the torus vector h of diag(l)."""
-    diagonal = [d for d, diag in zip(t.generators, t.diagonal) if diag]
-    zero = tuple(Fraction(0) for _ in diagonal)
-    return tuple(
-        tuple(d.data[i][i] for d in diagonal) for i in range(t.nilradical.dim)
-    ) + (zero,) * t.rank
+    return CompletenessReport(g)
 
 
 @dataclass(frozen=True)
@@ -251,6 +259,11 @@ class TorusAction:
     def diagonal(self) -> tuple[bool, ...]:
         """Which generators are diagonal matrices, computed once."""
         return tuple(d.is_diagonal() for d in self.generators)
+
+    @cached_property
+    def check(self) -> TorusCheck:
+        """``verify_torus(self)``, computed once."""
+        return verify_torus(self)
 
 
 @dataclass(frozen=True)
@@ -314,14 +327,11 @@ def _commute(x: RationalMatrix, y: RationalMatrix, x_diagonal: bool, y_diagonal:
 def semidirect(t: TorusAction) -> LieAlgebra:
     """The solvable algebra on h + n with torus generators adjoined last.
 
-    Raises ValueError when the torus axioms fail or the product violates
-    the Jacobi identity (as it does when the nilradical table does).
+    Raises ValueError when the torus axioms fail (``t.check``) or the
+    product violates the Jacobi identity (as it does when the nilradical
+    table does).
     """
-    return _semidirect_product(t, verify_torus(t))
-
-
-def _semidirect_product(t: TorusAction, check: TorusCheck) -> LieAlgebra:
-    """``semidirect(t)``, given ``check = verify_torus(t)``."""
+    check = t.check
     if not check.ok:
         raise ValueError(f"invalid torus action: {check.violation}")
     n = t.nilradical.dim

@@ -495,13 +495,16 @@ class SymplecticVerdict:
     """Outcome of the symplectic / exact-symplectic decision for one algebra.
 
     ``exists`` and ``exact_exists`` are "yes", "no" or "odd" (odd dimension,
-    not applicable).  When "yes", the matching witness fields hold a concrete
-    closed two-form with nonzero Pfaffian; ``exact_witness`` is d of the
-    recorded ``exact_one_form``.
+    not applicable).  ``generic`` is the generic closed form whose Pfaffian
+    is ``pfaffian`` (None in odd dimension, where none is taken).  When
+    "yes", the matching witness fields hold a concrete closed two-form with
+    nonzero Pfaffian; ``exact_witness`` is d of the recorded
+    ``exact_one_form``.
     """
 
     dim: int
     exists: str
+    generic: TwoForm | None
     pfaffian: MultiPoly
     witness: TwoForm | None
     exact_exists: str
@@ -512,27 +515,25 @@ class SymplecticVerdict:
     degenerate: bool = False
 
 
-def decide_symplectic(g: LieAlgebra, bound: int | None = None) -> SymplecticVerdict:
-    """Decide symplectic existence through the generic-cocycle Pfaffian.
+def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
+    """Decide symplectic existence through the Pfaffian of the generic closed
+    form ``generic_cocycle(cocycle_space(g))``, and exact existence through
+    that of the generic exact form.
 
     Odd dimension short-circuits to "odd" with a zero Pfaffian (an odd
     antisymmetric matrix is always singular).  Dimension zero is vacuously
-    symplectic and flagged as degenerate.
+    symplectic and flagged as degenerate.  The witness search is capped by
+    LIESYMP_WITNESS_BOUND (see :func:`find_nonvanishing_point`).
     """
     cs = cocycle_space(g)
-    return _decide(cs, generic_cocycle(cs) if g.dim % 2 == 0 else None, bound)
-
-
-def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> SymplecticVerdict:
-    """``decide_symplectic`` on ``cs.algebra``, given its cocycle space and,
-    in even dimension, ``generic = generic_cocycle(cs)``."""
-    n = cs.algebra.dim
+    n = g.dim
     if n == 0:
         empty = TwoForm.zero(0)
         one = MultiPoly.constant(1)
         return SymplecticVerdict(
             dim=0,
             exists="yes",
+            generic=empty,
             pfaffian=one,
             witness=empty,
             exact_exists="yes",
@@ -547,6 +548,7 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
         return SymplecticVerdict(
             dim=n,
             exists="odd",
+            generic=None,
             pfaffian=zero,
             witness=None,
             exact_exists="odd",
@@ -556,9 +558,10 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
             cocycle_dims=cs.dims,
         )
 
-    pf, witness, _ = _pfaffian_and_witness(generic, cs.z2_basis, bound)
+    generic = generic_cocycle(cs)
+    pf, witness, _ = _pfaffian_and_witness(generic, cs.z2_basis)
     exact_generic = _generic_combination(n, cs.b2_basis)
-    exact_pf, exact_witness, point = _pfaffian_and_witness(exact_generic, cs.b2_basis, bound)
+    exact_pf, exact_witness, point = _pfaffian_and_witness(exact_generic, cs.b2_basis)
     exact_one_form = None
     if point is not None:
         alpha = [Q(0)] * n
@@ -573,6 +576,7 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
     return SymplecticVerdict(
         dim=n,
         exists="yes" if not pf.is_zero() else "no",
+        generic=generic,
         pfaffian=pf,
         witness=witness,
         exact_exists="yes" if not exact_pf.is_zero() else "no",
@@ -584,7 +588,7 @@ def _decide(cs: CocycleSpace, generic: TwoForm | None, bound: int | None) -> Sym
 
 
 def _pfaffian_and_witness(
-    generic: TwoForm, basis: Sequence[TwoForm], bound: int | None
+    generic: TwoForm, basis: Sequence[TwoForm]
 ) -> tuple[MultiPoly, TwoForm | None, dict[str, Fraction] | None]:
     """The Pfaffian of ``generic = _generic_combination(n, basis)`` and, when
     it is nonzero, the witness form at its first nonvanishing point, and that
@@ -592,7 +596,7 @@ def _pfaffian_and_witness(
     pf = sparsest_row_pfaffian(generic.dim, generic.coords, MultiPoly.zero(), MultiPoly.constant(1))
     if pf.is_zero():
         return pf, None, None
-    point = find_nonvanishing_point(pf, generic.variables, bound)
+    point = find_nonvanishing_point(pf, generic.variables)
     return pf, _specialized_combination(generic.dim, basis, generic.variables, point), point
 
 

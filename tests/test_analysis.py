@@ -27,11 +27,13 @@ from liesymp.regression import run_regression
 from liesymp.structure import (
     TorusAction,
     derivation_algebra,
+    is_complete,
     is_derivation,
     semidirect,
     verify_torus,
 )
 from liesymp.symplectic import cocycle_space, d_one_form
+from test_liealg import unchecked_product
 from test_symplectic import _coords, _pairs, naive_cocycle_subspace
 
 # -- the dense oracle ---------------------------------------------------------
@@ -166,7 +168,8 @@ def _graded_matches_full(t):
     assert analysis.completeness.derivation_dim == full
     # the count needs no center term: the center lies in weight 0
     weights = analysis.completeness.weights
-    assert all(not any(weights[i]) for v in analysis.center.basis for i, x in enumerate(v) if x)
+    center = analysis.algebra.center()
+    assert all(not any(weights[i]) for v in center.basis for i, x in enumerate(v) if x)
     return analysis
 
 
@@ -239,6 +242,45 @@ def test_the_catalog_solves_only_weight_0_blocks(monkeypatch):
         block = {r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]}
         assert len(block) < n * n
         assert {c for row in rows.values() for c in row} <= block
+
+
+# -- the grading read off the bracket table ------------------------------------
+
+
+def torus_weights(t):
+    """The weights of t ⋉ n from its diagonal torus generators: diag(l)
+    contributes l_i on e_i and 0 on every torus vector."""
+    diagonal = [d for d in t.generators if d.is_diagonal()]
+    zero = tuple(Q(0) for _ in diagonal)
+    return tuple(
+        tuple(d.data[i][i] for d in diagonal) for i in range(t.nilradical.dim)
+    ) + (zero,) * t.rank
+
+
+def test_table_weights_grade_algebras_given_without_a_torus():
+    # [x, y] = y, where ad x is diagonal
+    affine = LieAlgebra(2, {(0, 1): {1: Q(1)}}, ("x", "y"))
+    # sl2 with [x, y] = x, [x, z] = y, [y, z] = z, where ad y is diagonal
+    sl2 = LieAlgebra(3, {(0, 1): {0: Q(1)}, (0, 2): {1: Q(1)}, (1, 2): {2: Q(1)}}, ("x", "y", "z"))
+    assert sl2.jacobi_holds()
+    for g, weights, der in ((affine, ((0,), (1,)), 2), (sl2, ((-1,), (0,), (1,)), 3)):
+        report = is_complete(g)
+        assert report.weights == weights
+        assert report.derivation_dim == derivation_algebra(g).dim == der
+        assert report.complete
+
+
+@pytest.mark.parametrize("name, params", DEFAULT_SELECTION)
+def test_table_weights_are_the_diagonal_torus_weights(name, params):
+    """On every catalog t ⋉ n, rebuilt as a bare table, the table-read
+    grading is the one of the diagonal torus generators and gives the
+    dimension of the full Der(g) solve."""
+    t = build_entry(name, **params).torus
+    product = semidirect(t)
+    g = LieAlgebra(product.dim, product.table)
+    report = is_complete(g)
+    assert report.weights == torus_weights(t)
+    assert report.derivation_dim == derivation_algebra(g).dim
 
 
 # -- each artifact once per algebra --------------------------------------------
@@ -325,6 +367,7 @@ def test_build_verifies_the_torus_once(monkeypatch):
     counts = _counters(monkeypatch)
     built = build(parse(TORUS_FILE))
     assert len(counts["verify_torus"]) == 1
+    assert isinstance(built, Analysis)
     assert built.algebra == semidirect(built.torus)
 
 
@@ -346,17 +389,18 @@ def test_analysis_without_a_torus_studies_the_algebra_itself():
     analysis = Analysis(g)
     assert analysis.algebra is g and analysis.maximal_rank is None
     assert analysis.rank_bound == 2
-    assert analysis.verdict.cocycle_dims == analysis.cocycles.dims
+    assert analysis.verdict.cocycle_dims == cocycle_space(g).dims
 
 
 def test_analysis_reports_an_invalid_torus_like_semidirect():
     jordan = RationalMatrix([[0, 1], [0, 0]])
-    analysis = Analysis(TorusAction(LieAlgebra(2), (jordan,)))
-    assert not analysis.torus_check.ok
+    t = TorusAction(LieAlgebra(2), (jordan,))
+    analysis = Analysis(t)
+    assert not verify_torus(t).ok
     try:
         analysis.algebra
     except ValueError as exc:
-        assert str(exc) == f"invalid torus action: {analysis.torus_check.violation}"
+        assert str(exc) == f"invalid torus action: {verify_torus(t).violation}"
     else:
         raise AssertionError("an invalid torus built a semidirect product")
 
@@ -369,8 +413,9 @@ def test_analysis_reports_an_invalid_torus_like_semidirect():
 def test_cocycle_space_matches_the_naive_enumerator(t):
     """On n, and on t x n when the torus is valid: Z^2 is the kernel the
     naive enumerator finds, B^2 lies in it and is spanned by the d e^k, and
-    each recorded preimage maps onto its basis form."""
-    algebras = [t.nilradical] + ([semidirect(t)] if verify_torus(t).ok else [])
+    each recorded preimage maps onto its basis form.  The product is built
+    without the Jacobi check (see ``test_liealg.unchecked_product``)."""
+    algebras = [t.nilradical] + ([unchecked_product(t)] if verify_torus(t).ok else [])
     for g in algebras:
         cs = cocycle_space(g)
         size = len(_pairs(g.dim))

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from liesymp.analysis import Analysis
 from liesymp.catalog import build_entry
 from liesymp.fileformat import ParseError, build, parse, print_file
 from liesymp.structure import semidirect
@@ -91,6 +92,17 @@ def test_positioned_diagnostics():
     assert "unexpected" in info.value.message
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one
+def test_numbers_are_ascii_digits(digit):
+    """Only ASCII digits start a number; any other character that
+    ``str.isdigit`` accepts is a positioned error, not a number."""
+    with pytest.raises(ParseError) as info:
+        parse(f"algebra a\nbasis x y z\n[x,y] = {digit}*z\n")
+    err = info.value
+    assert (err.line, err.col) == (3, 9)
+    assert err.message == f"unexpected character {digit!r}"
+
+
 def test_torus_rules_are_validated():
     with pytest.raises(ParseError) as info:
         parse("algebra t\nbasis e1 e2\n[e1,e2]=0\ntorus h\n[e1,e2] = e1\n")
@@ -122,7 +134,8 @@ def test_round_trip_catalog_shapes():
 
 def test_build_without_torus():
     built = build(parse("algebra heis\nbasis x y z\n[x,y] = z\n"))
-    assert built.torus is None
+    assert isinstance(built, Analysis)
+    assert built.torus is None and built.nilradical is built.algebra
     assert built.algebra.dim == 3
     assert built.algebra.bracket_basis(0, 1) == {2: Q(1)}
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_liealg import sparse_tables
+from test_liealg import sparse_tables, unchecked_product
 
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
@@ -197,7 +197,8 @@ def test_cocycle_space_matches_naive_enumerator():
     cases = [("n3_1", {}), ("n4_1", {}), ("n5_6", {}), ("abelian", {"n": 2}),
              ("L", {"n": 4})]
     for name, params in cases:
-        g = _g(name, **params)
+        # built without the Jacobi check, which walks the same compositions
+        g = unchecked_product(build_entry(name, **params).torus)
         cs = cocycle_space(g)
         mine = Subspace(len(_pairs(g.dim)), [_coords(w) for w in cs.z2_basis])
         assert mine == naive_cocycle_subspace(g)
@@ -432,10 +433,14 @@ def test_witnesses_are_the_generic_forms_specialized(name, params):
     """The verdict sums the Z^2 (and B^2) coordinates at the witness point;
     specializing the generic form entry by entry gives the same form."""
     analysis = Analysis(build_entry(name, **params).torus)
-    verdict, cs = analysis.verdict, analysis.cocycles
+    verdict, cs = analysis.verdict, cocycle_space(analysis.algebra)
     if verdict.exists == "odd":
         assert verdict.witness is None and verdict.exact_witness is None
+        assert verdict.generic is None
         return
+    # the closed form whose Pfaffian the verdict took
+    assert verdict.generic == _generic_combination(verdict.dim, cs.z2_basis)
+    assert verdict.generic.variables == tuple(f"t{k + 1}" for k in range(len(cs.z2_basis)))
     for basis, pf, witness in (
         (cs.z2_basis, verdict.pfaffian, verdict.witness),
         (cs.b2_basis, verdict.exact_pfaffian, verdict.exact_witness),
