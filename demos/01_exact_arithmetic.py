@@ -13,7 +13,7 @@ m = RationalMatrix([[1, 2, 1], [2, 4, 0], [0, 0, 3]])
 red, pivots = m.rref()
 print(f"rref pivots: {pivots}")
 kernel = RationalMatrix([[1, -1, 0]]).kernel_basis()
-print(f"kernel of (1 -1 0): {kernel}")
+print("kernel of (1 -1 0):", ", ".join("(" + " ".join(map(str, v)) + ")" for v in kernel))
 for v in kernel:
     assert all(x == 0 for x in RationalMatrix([[1, -1, 0]]).apply(v))
 

@@ -2,8 +2,11 @@
 
 A :class:`LieAlgebra` stores, for each basis pair i < j, the expansion of
 [e_i, e_j] in the basis; pairs that never appear bracket to zero and the
-(j, i) orientation is implied by antisymmetry.  All vectors are plain tuples
-of Fractions in the algebra's basis coordinates.
+(j, i) orientation is implied by antisymmetry.  A structure constant is an
+int when it is integral and a Fraction otherwise, so the systems assembled
+from the table (Jacobi sums, dw, Z^2/B^2, the center, the Leibniz rows) run
+on ints wherever no denominator appears.  All vectors are plain tuples of
+exact values (see :mod:`liesymp.linalg`) in the algebra's basis coordinates.
 
 :class:`Subspace` keeps its basis in reduced echelon form, which makes
 equality, membership and dimension exact and canonical.
@@ -18,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .linalg import (
     Q,
     RationalMatrix,
+    as_exact,
     as_fraction,
     dense_row,
     reduce_row,
@@ -116,8 +120,10 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra over Q, defined by structure constants.
 
     ``table`` maps basis pairs (i, j) with i < j to sparse coefficient maps
-    {k: c} meaning [e_i, e_j] = sum_k c * e_k.  Construction accepts either
-    orientation and normalises; a pair bracketing to zero is simply omitted.
+    {k: c} meaning [e_i, e_j] = sum_k c * e_k, each c nonzero, an int when
+    integral and a Fraction otherwise.  Construction accepts ints, strings
+    and Fractions in either orientation and normalises; a pair bracketing to
+    zero is simply omitted.
     """
 
     __slots__ = ("dim", "labels", "table")
@@ -135,7 +141,7 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         if len(set(labels)) != dim:
             raise ValueError("duplicate basis labels")
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         if brackets:
             for (i, j), coeffs in brackets.items():
                 if not (0 <= i < dim and 0 <= j < dim):
@@ -151,12 +157,12 @@ class LieAlgebra:
                 for k, c in coeffs.items():
                     if not 0 <= k < dim:
                         raise ValueError(f"component index {k} out of range")
-                    c = as_fraction(c)
+                    c = as_exact(c)
                     if flip:
                         c = -c
                     x = slot.get(k)
                     if x is not None:
-                        c += x
+                        c = as_exact(c + x)
                     if c:
                         slot[k] = c
                     elif x is not None:

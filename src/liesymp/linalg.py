@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals: one sparse elimination kernel.
 
-All entries are ``fractions.Fraction``, so every result is exact: a kernel
-vector really multiplies to zero, a rank really is the rank, and an inverse
-really inverts.
+Every value in the package is exact: an ``int`` or a ``fractions.Fraction``,
+never a float.  An integral value may be an int (structure constants are,
+see :class:`liesymp.liealg.LieAlgebra`), since ``+``, ``-`` and ``*`` keep
+ints exact; the one operation that would round, ``int / int``, is never
+written: a division whose operands may both be ints goes through
+:func:`exact_quotient`.  So every result is exact: a kernel vector really
+multiplies to zero, a rank really is the rank, and an inverse really
+inverts.
 
 Every linear system in the package goes through one Gauss-Jordan kernel,
-:func:`sparse_rref`.  A row is a sparse map ``{column: Fraction}``; the
+:func:`sparse_rref`.  A row is a sparse map ``{column: value}``; the
 kernel returns the reduced row-echelon form as pivot rows keyed by pivot
 column, and :func:`sparse_kernel_basis` reads a kernel basis off it.  The
 reduced echelon form of a row space is canonical, so the result does not
@@ -42,17 +47,35 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def as_exact(x) -> int | Fraction:
+    """Coerce like :func:`as_fraction`, but give an integral value as an int."""
+    if type(x) is int:
+        return x
+    x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_quotient(x, y):
+    """x / y without rounding.  ``int / int`` would give a float, so two ints
+    divide to an int when y divides x and to a Fraction otherwise; any other
+    pair already divides exactly."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return x / y
+
+
 def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_fraction(x) for x in entries)
 
 
 # -- the elimination kernel ----------------------------------------------------
 #
-# A sparse row maps column indices to nonzero Fractions.  Pivot rows are kept
-# reduced: each has entry 1 at its pivot, which is its leading column, and no
-# entry in any other pivot column.
+# A sparse row maps column indices to nonzero exact values.  Pivot rows are
+# kept reduced: each has entry 1 at its pivot, which is its leading column, and
+# no entry in any other pivot column.
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int | Fraction]
 
 
 def sparse_row(entries: Iterable) -> SparseRow:
@@ -85,7 +108,7 @@ def _add_row(pivots: dict[int, SparseRow], residual: SparseRow) -> None:
         return
     c = min(residual)
     lead = residual[c]
-    row = residual if lead == 1 else {j: x / lead for j, x in residual.items()}
+    row = residual if lead == 1 else {j: exact_quotient(x, lead) for j, x in residual.items()}
     for other in pivots.values():
         f = other.pop(c, None)
         if f is not None:
@@ -116,7 +139,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
 def sparse_kernel_rows(pivots: Mapping[int, SparseRow], cols: int) -> list[SparseRow]:
     """Basis of {x : row . x = 0 for every pivot row} as sparse rows, one per
     free column in increasing order, with 1 at its free column."""
-    basis = {f: {f: Q(1)} for f in range(cols) if f not in pivots}
+    basis = {f: {f: 1} for f in range(cols) if f not in pivots}
     for p, row in pivots.items():
         for j, x in row.items():
             if j != p:

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over the rationals, and matrices of them.
 
 A :class:`MultiPoly` stores an ordered variable tuple plus a map from exponent
-tuples to nonzero Fraction coefficients.  The zero polynomial has an empty
-term map.  Arithmetic never rounds; equality compares canonical forms
-(variables with no occurrence are ignored), so two equal polynomials compare
-equal no matter how they were built.
+tuples to nonzero exact coefficients, each an int or a Fraction (the
+validating constructor stores an integral coefficient as an int; see
+:mod:`liesymp.linalg`).  The zero polynomial has an empty term map.
+Arithmetic never rounds; equality compares canonical forms (variables with
+no occurrence are ignored), so two equal polynomials compare equal no matter
+how they were built.
 
 The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, as_fraction, sparsest_row_pfaffian, upper_entries
+from .linalg import Q, as_exact, as_fraction, exact_quotient, sparsest_row_pfaffian, upper_entries
 
 Exponents = tuple[int, ...]
 
@@ -47,8 +49,10 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != width:
                     raise ValueError("exponent tuple width does not match variable count")
-                clean[exps] = clean.get(exps, Q(0)) + coeff
-                if clean[exps] == 0:
+                coeff += clean.get(exps, 0)
+                if coeff:
+                    clean[exps] = as_exact(coeff)
+                else:
                     del clean[exps]
         self.terms = clean
 
@@ -60,12 +64,12 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        value = as_fraction(value)
+        value = as_exact(value)
         return cls((), {(): value} if value != 0 else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Q(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def variables(cls, names: Sequence[str]) -> list["MultiPoly"]:
@@ -74,7 +78,7 @@ class MultiPoly:
         out = []
         for i in range(len(names)):
             exps = tuple(1 if j == i else 0 for j in range(len(names)))
-            out.append(cls(names, {exps: Q(1)}))
+            out.append(cls(names, {exps: 1}))
         return out
 
     # -- structure ------------------------------------------------------------
@@ -256,7 +260,7 @@ class MultiPoly:
         """Leading term under graded-lex over this polynomial's variables."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=lambda e: (sum(e), e))
+        exps = max(self.terms, key=_grlex)
         return exps, self.terms[exps]
 
     def __str__(self) -> str:
@@ -295,8 +299,9 @@ def negates(a, b) -> bool:
 
     Two polynomials over the same variable tuple are compared term by term,
     without building the sum: their term maps hold no zero coefficient, and
-    their coefficients are Fractions in lowest terms, so c' = -c exactly when
-    the numerators are opposite and the denominators equal.
+    their coefficients are ints or Fractions in lowest terms (an int has
+    denominator 1), so c' = -c exactly when the numerators are opposite and
+    the denominators equal.
     """
     if isinstance(a, MultiPoly) and isinstance(b, MultiPoly) and a.vars == b.vars:
         at, bt = a.terms, b.terms
@@ -333,24 +338,43 @@ def _remap(p: MultiPoly, merged: Sequence[str]) -> dict[Exponents, Fraction]:
 def poly_divmod(p: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Quotient and remainder of p by a single divisor d under graded-lex.
 
-    The remainder is zero exactly when d divides p.
+    While the leading term of the remainder is a multiple of that of d, the
+    multiple f * step of d that cancels it is taken off, in place, from one
+    remainder map; f * step is the next quotient term.  The remainder is
+    zero exactly when d divides p.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     variables, pt, dt = p._aligned(d)
-    rem = MultiPoly(variables, pt)
-    div = MultiPoly(variables, dt)
-    quot = MultiPoly.zero()
-    d_exps, d_coeff = div.leading()
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
+    rem = dict(pt)
+    quot: dict[Exponents, Fraction] = {}
+    d_exps = max(dt, key=_grlex)
+    d_coeff = dt[d_exps]
+    tail = [(exps, c) for exps, c in dt.items() if exps != d_exps]
+    while rem:
+        r_exps = max(rem, key=_grlex)
         step = tuple(a - b for a, b in zip(r_exps, d_exps))
         if any(e < 0 for e in step):
             break
-        factor = MultiPoly(variables, {step: r_coeff / d_coeff})
-        quot = quot + factor
-        rem = rem - factor * div
-    return quot, rem
+        f = exact_quotient(rem.pop(r_exps), d_coeff)
+        quot[step] = f
+        for exps, c in tail:
+            key = tuple(map(add, step, exps))
+            x = rem.get(key)
+            x = -f * c if x is None else x - f * c
+            if x:
+                rem[key] = x
+            else:
+                del rem[key]
+    return (
+        MultiPoly._trusted(variables if quot else (), quot),
+        MultiPoly._trusted(variables, rem),
+    )
+
+
+def _grlex(exps: Exponents) -> tuple[int, Exponents]:
+    """The graded-lex sort key of a monomial."""
+    return sum(exps), exps
 
 
 def poly_divides(d: MultiPoly, p: MultiPoly) -> bool:

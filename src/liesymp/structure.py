@@ -194,7 +194,7 @@ class CompletenessReport:
         return self.algebra.center().dim
 
     @cached_property
-    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+    def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """The eigenvalues of each basis vector under the basis vectors h
         whose ad h is diagonal and nonzero, read off the bracket table."""
         g = self.algebra
@@ -207,8 +207,7 @@ class CompletenessReport:
                 else:
                     off.add(h)
         diagonal = [ad[h] for h in sorted(ad) if h not in off]
-        zero = Fraction(0)
-        return tuple(tuple(col.get(i, zero) for col in diagonal) for i in range(g.dim))
+        return tuple(tuple(col.get(i, 0) for col in diagonal) for i in range(g.dim))
 
     @cached_property
     def derivation_dim(self) -> int:

@@ -78,10 +78,11 @@ Coords = dict[tuple[int, int], object]
 class TwoForm:
     """Antisymmetric bilinear form, held as its upper coordinates.
 
-    ``coords[(i, j)]`` for i < j is w(e_i, e_j), a Fraction or a MultiPoly,
-    and only nonzero coordinates are stored; w(e_j, e_i) = -w(e_i, e_j) and
-    the zero diagonal hold by construction.  A form is parametric when it
-    has variables or a polynomial coordinate, and concrete otherwise.
+    ``coords[(i, j)]`` for i < j is w(e_i, e_j), an exact rational (an int
+    or a Fraction) or a MultiPoly, and only nonzero coordinates are stored;
+    w(e_j, e_i) = -w(e_i, e_j) and the zero diagonal hold by construction.
+    A form is parametric when it has variables or a polynomial coordinate,
+    and concrete otherwise.
     """
 
     __slots__ = ("dim", "coords", "variables", "_zero")
@@ -321,7 +322,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
 
     # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k in
     # the columns after the pairs, so that reduction records the preimages.
-    image: list[dict[int, Fraction]] = [{size + k: Q(1)} for k in range(n)]
+    image: list[dict[int, int | Fraction]] = [{size + k: 1} for k in range(n)]
     for (a, b), coeffs in g.table.items():
         for k, c in coeffs.items():
             image[k][column[a][b]] = -c
@@ -356,7 +357,7 @@ def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
 
 
 def _specialized_combination(
-    n: int, basis: Sequence[TwoForm], names: Sequence[str], point: Mapping[str, Fraction]
+    n: int, basis: Sequence[TwoForm], names: Sequence[str], point: Mapping[str, int]
 ) -> TwoForm:
     """``_generic_combination(n, basis)`` specialized at ``point``: the form
     sum_k point[names[k]] * basis[k]."""
@@ -373,8 +374,9 @@ def _specialized_combination(
 
 def find_nonvanishing_point(
     p: MultiPoly, names: Sequence[str], bound: int | None = None
-) -> dict[str, Fraction]:
-    """First integer point (by max-norm shell, then lex) where p is nonzero.
+) -> dict[str, int]:
+    """First integer point (by max-norm shell, then lex) where p is nonzero,
+    its coordinates ints.
 
     A nonzero polynomial over Q always has one; the search box is capped at
     ``bound`` shells (default from LIESYMP_WITNESS_BOUND).  Each shell is
@@ -393,7 +395,7 @@ def find_nonvanishing_point(
     for radius in range(1, bound + 1):
         point = _first_in_shell(terms, len(names), radius)
         if point is not None:
-            assignment = {nm: Q(v) for nm, v in zip(names, point)}
+            assignment = dict(zip(names, point))
             if p.evaluate(assignment) == 0:
                 raise AssertionError(f"witness walk returned a zero of the polynomial: {point}")
             return assignment
@@ -589,7 +591,7 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
 
 def _pfaffian_and_witness(
     generic: TwoForm, basis: Sequence[TwoForm]
-) -> tuple[MultiPoly, TwoForm | None, dict[str, Fraction] | None]:
+) -> tuple[MultiPoly, TwoForm | None, dict[str, int] | None]:
     """The Pfaffian of ``generic = _generic_combination(n, basis)`` and, when
     it is nonzero, the witness form at its first nonvanishing point, and that
     point; otherwise None for both."""

@@ -4,6 +4,10 @@ Each oracle here shares no code with liesymp's elimination: reduced echelon
 forms, kernels, ranks and determinants come from sympy, which also checks
 the Pfaffian through Pf^2 = det, and the Leibniz matrix is built densely in
 this file from the bracket table alone.
+
+Rows are drawn with Fraction entries, plain int entries and a mix of both,
+and every value the kernel and its dense adapters return must be an int or
+a Fraction, never a float.
 """
 
 from fractions import Fraction as Q
@@ -23,6 +27,7 @@ from liesymp.liealg import LieAlgebra
 from liesymp.linalg import (
     RationalMatrix,
     sparse_kernel_basis,
+    sparse_kernel_rows,
     sparse_row,
     sparse_rref,
     upoly_is_squarefree,
@@ -42,13 +47,21 @@ ENTRIES = st.one_of(
     st.just(Q(0)),
     st.builds(Q, st.integers(-4, 4), st.integers(1, 3)),
 )
+INT_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+# Fractions and ints side by side in one row
+MIXED_ENTRIES = st.one_of(ENTRIES, INT_ENTRIES)
+
+
+def _exact(values) -> bool:
+    """Every value is an int or a Fraction: none is a float (nor a bool)."""
+    return all(type(x) in (int, Q) for x in values)
 
 
 @st.composite
-def matrices(draw, max_rows=7, max_cols=7):
+def matrices(draw, max_rows=7, max_cols=7, entries=ENTRIES):
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
-    return rows, cols, [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    return rows, cols, [[draw(entries) for _ in range(cols)] for _ in range(rows)]
 
 
 def _sympy(rows, cols, data):
@@ -66,14 +79,18 @@ def _check_against_sympy(rows, cols, data):
     assert tuple(sorted(pivot_rows)) == tuple(pivots)
     for r, p in enumerate(pivots):
         assert sparse_row(_as_fractions(reduced.row(r))) == pivot_rows[p]
+        assert _exact(pivot_rows[p].values())
     nullspace = [_as_fractions(v) for v in _sympy(rows, cols, data).nullspace()]
     assert sparse_kernel_basis(pivot_rows, cols) == nullspace
+    assert all(_exact(v.values()) for v in sparse_kernel_rows(pivot_rows, cols))
     if rows and cols:
         m = RationalMatrix(data)
         red, dense_pivots = m.rref()
         assert dense_pivots == tuple(pivots)
         assert red.data == tuple(_as_fractions(reduced.row(r)) for r in range(rows))
+        assert all(_exact(row) for row in red.data)
         assert m.kernel_basis() == nullspace
+        assert all(_exact(v) for v in m.kernel_basis())
         assert m.rank() == len(pivots)
 
 
@@ -81,6 +98,26 @@ def _check_against_sympy(rows, cols, data):
 @given(matrices())
 def test_kernel_matches_sympy_on_generated_matrices(shape_and_data):
     _check_against_sympy(*shape_and_data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(entries=INT_ENTRIES), matrices(entries=MIXED_ENTRIES)))
+def test_kernel_matches_sympy_on_int_and_mixed_rows(shape_and_data):
+    """Rows of plain ints divide exactly: a pivot row with a leading entry
+    that does not divide the others holds Fractions, never floats."""
+    _check_against_sympy(*shape_and_data)
+
+
+def test_int_rows_divide_exactly():
+    """2 x + y = 0 makes x = -y/2: int / int gives a float, so the pivot row
+    shows whether the division is exact."""
+    pivots = sparse_rref([{0: 2, 1: 1}])
+    assert pivots == {0: {0: 1, 1: Q(1, 2)}}
+    assert _exact(pivots[0].values()) and type(pivots[0][1]) is Q
+    # a leading entry that divides the whole row keeps the row in ints
+    whole = sparse_rref([{0: -2, 2: 4}])
+    assert whole == {0: {0: 1, 2: -2}} and all(type(x) is int for x in whole[0].values())
+    assert sparse_kernel_rows(pivots, 2) == [{1: 1, 0: Q(-1, 2)}]
 
 
 @pytest.mark.parametrize(
@@ -109,6 +146,23 @@ def test_determinant_and_inverse_match_sympy():
     assert m.determinant() == Q(int(s.det().p), int(s.det().q))
     inverse = s.inv()
     assert m.inverse().data == tuple(_as_fractions(inverse.row(r)) for r in range(4))
+
+
+@pytest.mark.parametrize("kind", ["ints", "mixed"])
+def test_determinant_inverse_and_solve_of_int_rows_match_sympy(kind):
+    if kind == "ints":
+        data = [[2, 0, 1, -1], [1, 3, 0, 0], [0, 3, 1, 2], [1, 1, 1, 1]]
+    else:
+        data = [[2, Q(1, 3), 1, -1], [Q(1, 2), 3, 0, 0], [0, 3, Q(-1, 4), 2], [1, 1, 1, 1]]
+    m, s = RationalMatrix(data), _sympy(4, 4, data)
+    det = m.determinant()
+    assert det == Q(int(s.det().p), int(s.det().q)) and _exact([det])
+    inverse = s.inv()
+    assert m.inverse().data == tuple(_as_fractions(inverse.row(r)) for r in range(4))
+    assert all(_exact(row) for row in m.inverse().data)
+    b = [1, -2, 0, 3]
+    x = m.solve(b)
+    assert x == _as_fractions(s.solve(sympy.Matrix(b))) and _exact(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,7 +316,8 @@ def test_minimal_polynomial_of_the_catalog_non_diagonal_generators():
 @st.composite
 def sparse_square_matrices(draw, max_size=6):
     n = draw(st.integers(0, max_size))
-    return RationalMatrix([[draw(ENTRIES) if draw(st.integers(0, 2)) == 0 else 0
+    entries = draw(st.sampled_from((ENTRIES, INT_ENTRIES, MIXED_ENTRIES)))
+    return RationalMatrix([[draw(entries) if draw(st.integers(0, 2)) == 0 else 0
                             for _ in range(n)] for _ in range(n)])
 
 

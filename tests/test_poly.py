@@ -89,6 +89,39 @@ def test_divides_reconstructs_product():
         assert poly_divides(d, p)
 
 
+def _from_sympy(expr, gens) -> MultiPoly:
+    import sympy
+
+    terms = sympy.Poly(expr, *gens).terms()
+    return MultiPoly([str(g) for g in gens], {e: Q(int(c.p), int(c.q)) for e, c in terms})
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    [
+        ("(2*x**2 - 3*y) * (x*y - 1)", "2*x**2 - 3*y"),  # divides: the quotient is x*y - 1
+        ("x**3 + y", "2*x**2 + y"),  # stops at x*y, with the quotient x/2
+        ("3*x**2*y + x*y**2 - 5", "x + y"),  # stops at 2*y**3 - 5 after two steps
+    ],
+    ids=["dividing", "half-quotient", "non-dividing"],
+)
+def test_divmod_matches_sympy_div(p, d):
+    """Quotient and remainder against sympy's ``div`` on int coefficients,
+    on cases where its recursive division in x agrees with graded-lex
+    division: a remainder whose leading term no leading term of d divides."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y")
+    env = dict(zip(("x", "y"), gens))
+    ps, ds = sympy.sympify(p, locals=env), sympy.sympify(d, locals=env)
+    q_expected, r_expected = sympy.div(ps, ds, *gens)
+    quot, rem = poly_divmod(_from_sympy(ps, gens), _from_sympy(ds, gens))
+    assert quot == _from_sympy(q_expected, gens) and rem == _from_sympy(r_expected, gens)
+    assert quot * _from_sympy(ds, gens) + rem == _from_sympy(ps, gens)
+    for r in (quot, rem):
+        assert all(type(c) in (int, Q) for c in r.terms.values())
+    assert poly_divides(_from_sympy(ds, gens), _from_sympy(ps, gens)) == (r_expected == 0)
+
+
 def test_string_form_is_graded_lex():
     x, y = MultiPoly.variables(["x", "y"])
     p = y + x * x * y - 2 * x
@@ -226,7 +259,7 @@ def _reference(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def _holds_invariants(p: MultiPoly) -> bool:
     return all(
-        isinstance(c, Q) and c != 0 and len(exps) == len(p.vars)
+        type(c) in (int, Q) and c != 0 and len(exps) == len(p.vars)
         for exps, c in p.terms.items()
     )
 
