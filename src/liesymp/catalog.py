@@ -199,9 +199,10 @@ TYPO_IDS = tuple(t.ident for t in TYPOS)
 
 def _nil(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]],
          labels: Sequence[str] | None = None) -> LieAlgebra:
-    """Nilradical from 1-based bracket data {(i, j): {k: c}}."""
+    """Nilradical from 1-based bracket data {(i, j): {k: c}}; ``LieAlgebra``
+    coerces each c."""
     table = {
-        (i - 1, j - 1): {k - 1: as_fraction(c) for k, c in comps.items()}
+        (i - 1, j - 1): {k - 1: c for k, c in comps.items()}
         for (i, j), comps in brackets.items()
     }
     return LieAlgebra(dim, table, labels)
