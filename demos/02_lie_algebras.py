@@ -9,7 +9,8 @@ from liesymp import LieAlgebra
 n4_1 = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}})
 print(f"algebra: {n4_1}")
 print(f"jacobi identity holds: {n4_1.jacobi_holds()}")
-print(f"[e2, e4] = {n4_1.bracket(n4_1.basis_vector(1), n4_1.basis_vector(3))}")
+bracket = n4_1.bracket(n4_1.basis_vector(1), n4_1.basis_vector(3))
+print(f"[e2, e4] = ({' '.join(map(str, bracket))})")
 
 center = n4_1.center()
 print(f"center dimension: {center.dim} (spanned by e1: {center.contains(n4_1.basis_vector(0))})")

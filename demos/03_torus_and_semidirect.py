@@ -34,7 +34,8 @@ print(f"rank bound dim(n/[n,n]) = {rank_bound(n4_1)}, torus rank = {torus.rank},
 
 g = semidirect(torus)
 print(f"semidirect product: {g} with labels {g.labels}")
-print(f"[e5, e1] = {g.bracket(g.basis_vector(4), g.basis_vector(0))}")
+bracket = g.bracket(g.basis_vector(4), g.basis_vector(0))
+print(f"[e5, e1] = ({' '.join(map(str, bracket))})")
 
 report = is_complete(g)
 print(f"completeness: center dim {report.center_dim}, dim Der {report.derivation_dim} "

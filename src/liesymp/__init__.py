@@ -1,7 +1,8 @@
 """liesymp: exact-arithmetic symplectic decisions for solvable Lie algebras.
 
-Everything computes over the rationals (``fractions.Fraction``): structure
-constants, cocycle spaces, Pfaffians, derivation algebras.  The central
+Everything computes over the rationals, each value an ``int`` where
+integral and a ``fractions.Fraction`` otherwise: structure constants,
+cocycle spaces, Pfaffians, derivation algebras.  The central
 question answered is whether a finite-dimensional Lie algebra carries a
 closed non-degenerate 2-form, decided exactly through the Pfaffian of the
 generic closed form, with integer witnesses when one exists.

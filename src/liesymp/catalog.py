@@ -209,11 +209,12 @@ def _nil(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]],
 
 
 def _action(dim: int, rules: Mapping[int, Mapping[int, object]]) -> RationalMatrix:
-    """Generator matrix from 1-based action data {j: {k: c}} (e_j -> sum c e_k)."""
-    m = [[Q(0)] * dim for _ in range(dim)]
+    """Generator matrix from 1-based action data {j: {k: c}} (e_j -> sum c e_k);
+    ``RationalMatrix`` coerces each c."""
+    m = [[0] * dim for _ in range(dim)]
     for j, comps in rules.items():
         for k, c in comps.items():
-            m[k - 1][j - 1] = as_fraction(c)
+            m[k - 1][j - 1] = c
     return RationalMatrix(m)
 
 

@@ -19,7 +19,6 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
-    Q,
     RationalMatrix,
     as_exact,
     as_fraction,
@@ -78,7 +77,7 @@ class Subspace:
         return tuple(sorted(self._rows))
 
     @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+    def basis(self) -> tuple[tuple[int | Fraction, ...], ...]:
         return tuple(dense_row(self._rows[p], 0, self.ambient_dim) for p in self.pivots)
 
     @property
@@ -109,7 +108,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, ({i: Q(1)} for i in range(n)))
+        return cls(n, ({i: 1} for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -183,7 +182,7 @@ class LieAlgebra:
             return dict(self.table.get((i, j), {}))
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
+    def bracket(self, x: Sequence, y: Sequence) -> tuple[int | Fraction, ...]:
         """Bilinear antisymmetric extension of the structure constants."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
@@ -218,8 +217,8 @@ class LieAlgebra:
         cols = [self.bracket(x, unit) for unit in RationalMatrix.identity(self.dim).data]
         return RationalMatrix.from_columns(cols)
 
-    def basis_vector(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
+    def basis_vector(self, i: int) -> tuple[int, ...]:
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def __eq__(self, other) -> bool:
         return (
@@ -362,7 +361,7 @@ class LieAlgebra:
         if w.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match")
         return all(
-            not reduce_row(self._bracket_rows({i: Q(1)}, v), w._rows)
+            not reduce_row(self._bracket_rows({i: 1}, v), w._rows)
             for i in range(self.dim)
             for v in w._rows.values()
         )

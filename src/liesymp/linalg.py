@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals: one sparse elimination kernel.
 
 Every value in the package is exact: an ``int`` or a ``fractions.Fraction``,
-never a float.  An integral value may be an int (structure constants are,
-see :class:`liesymp.liealg.LieAlgebra`), since ``+``, ``-`` and ``*`` keep
-ints exact; the one operation that would round, ``int / int``, is never
-written: a division whose operands may both be ints goes through
-:func:`exact_quotient`.  So every result is exact: a kernel vector really
-multiplies to zero, a rank really is the rank, and an inverse really
-inverts.
+never a float.  Values enter as an int where integral and a Fraction only
+where a denominator appears (:func:`as_exact`): structure constants (see
+:class:`liesymp.liealg.LieAlgebra`), the entries of a
+:class:`RationalMatrix` and of a vector, and the coordinates of a two-form.
+``+``, ``-`` and ``*`` keep ints exact; the one operation that would round,
+``int / int``, is never written: a division whose operands may both be ints
+goes through :func:`exact_quotient`.  So every result is exact: a kernel
+vector really multiplies to zero, a rank really is the rank, and an inverse
+really inverts.
 
 Every linear system in the package goes through one Gauss-Jordan kernel,
 :func:`sparse_rref`.  A row is a sparse map ``{column: value}``; the
@@ -51,7 +53,8 @@ def as_exact(x) -> int | Fraction:
     """Coerce like :func:`as_fraction`, but give an integral value as an int."""
     if type(x) is int:
         return x
-    x = as_fraction(x)
+    if type(x) is not Fraction:
+        x = as_fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -65,8 +68,9 @@ def exact_quotient(x, y):
     return x / y
 
 
-def vector(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x) for x in entries)
+def vector(entries: Iterable) -> tuple[int | Fraction, ...]:
+    """The entries as exact values, each an int or a Fraction (see :func:`as_exact`)."""
+    return tuple(map(as_exact, entries))
 
 
 # -- the elimination kernel ----------------------------------------------------
@@ -147,7 +151,9 @@ def sparse_kernel_rows(pivots: Mapping[int, SparseRow], cols: int) -> list[Spars
     return list(basis.values())
 
 
-def sparse_kernel_basis(pivots: Mapping[int, SparseRow], cols: int) -> list[tuple[Fraction, ...]]:
+def sparse_kernel_basis(
+    pivots: Mapping[int, SparseRow], cols: int
+) -> list[tuple[int | Fraction, ...]]:
     """The vectors of :func:`sparse_kernel_rows` as dense tuples."""
     return [dense_row(v, 0, cols) for v in sparse_kernel_rows(pivots, cols)]
 
@@ -166,10 +172,9 @@ def sparse_product(xs: Sequence[SparseRow], ys: Sequence[SparseRow]) -> list[Spa
     return out
 
 
-def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[Fraction, ...]:
+def dense_row(row: Mapping[int, Fraction], start: int, stop: int) -> tuple[int | Fraction, ...]:
     """Columns start..stop-1 of a sparse row as a dense tuple."""
-    zero = Q(0)
-    return tuple(row.get(j, zero) for j in range(start, stop))
+    return tuple(row.get(j, 0) for j in range(start, stop))
 
 
 def upper_entries(data: Sequence[Sequence]) -> dict[tuple[int, int], object]:
@@ -232,12 +237,13 @@ def sparsest_row_pfaffian(n: int, upper: Mapping[tuple[int, int], object], zero,
 
 
 class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix whose entries are exact rationals, each an int
+    or a Fraction (see :func:`as_exact`)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable]):
-        grid = tuple(tuple(as_fraction(x) for x in row) for row in data)
+        grid = tuple(tuple(map(as_exact, row)) for row in data)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
         self.data = grid
@@ -261,14 +267,14 @@ class RationalMatrix:
             return cls([])
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int | Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "RationalMatrix":
@@ -300,7 +306,7 @@ class RationalMatrix:
         return RationalMatrix([[-a for a in row] for row in self.data])
 
     def scale(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
+        c = as_exact(c)
         return RationalMatrix([[c * a for a in row] for row in self.data])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -311,7 +317,7 @@ class RationalMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
         )
 
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence) -> tuple[int | Fraction, ...]:
         v = vector(v)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -327,7 +333,8 @@ class RationalMatrix:
 
     def is_antisymmetric(self) -> bool:
         """Zero diagonal and a_ji = -a_ij, compared by numerator and
-        denominator (Fractions are in lowest terms) without building -a_ij."""
+        denominator without building -a_ij: each entry is an int or a
+        Fraction in lowest terms, and an int has denominator 1."""
         if self.rows != self.cols:
             return False
         data = self.data
@@ -354,17 +361,17 @@ class RationalMatrix:
         pivots = self._pivot_rows()
         order = tuple(sorted(pivots))
         reduced = [dense_row(pivots[p], 0, self.cols) for p in order]
-        reduced += [(Q(0),) * self.cols] * (self.rows - len(order))
+        reduced += [(0,) * self.cols] * (self.rows - len(order))
         return RationalMatrix(reduced), order
 
     def rank(self) -> int:
         return len(self._pivot_rows())
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+    def kernel_basis(self) -> list[tuple[int | Fraction, ...]]:
         """Basis of the right kernel {x : A @ x = 0}, one vector per free column."""
         return sparse_kernel_basis(self._pivot_rows(), self.cols)
 
-    def solve(self, b: Sequence) -> tuple[Fraction, ...] | None:
+    def solve(self, b: Sequence) -> tuple[int | Fraction, ...] | None:
         """One exact solution of A @ x = b, or None if inconsistent."""
         b = vector(b)
         if len(b) != self.rows:
@@ -372,9 +379,9 @@ class RationalMatrix:
         pivots = self.augment(RationalMatrix([[x] for x in b]))._pivot_rows()
         if self.cols in pivots:
             return None
-        x = [Q(0)] * self.cols
+        x = [0] * self.cols
         for p, row in pivots.items():
-            x[p] = row.get(self.cols, Q(0))
+            x[p] = row.get(self.cols, 0)
         return tuple(x)
 
     def is_invertible(self) -> bool:
@@ -389,18 +396,18 @@ class RationalMatrix:
             raise ValueError("matrix is singular")
         return RationalMatrix([dense_row(pivots[p], n, 2 * n) for p in range(n)])
 
-    def determinant(self) -> Fraction:
+    def determinant(self) -> int | Fraction:
         """Determinant from the elimination kernel: the product of the leading
         entries as rows are reduced, times the sign of the pivot order."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         pivots: dict[int, SparseRow] = {}
         order = []
-        det = Q(1)
+        det = 1
         for r in self.data:
             residual = reduce_row(sparse_row(r), pivots)
             if not residual:
-                return Q(0)
+                return 0
             c = min(residual)
             det *= residual[c]
             order.append(c)
@@ -408,7 +415,7 @@ class RationalMatrix:
         inversions = sum(1 for a in range(len(order)) for b in range(a) if order[b] > order[a])
         return -det if inversions % 2 else det
 
-    def pfaffian(self) -> Fraction:
+    def pfaffian(self) -> int | Fraction:
         """Pfaffian of an antisymmetric matrix of even size.
 
         By :func:`sparsest_row_pfaffian`; satisfies pfaffian()**2 == determinant().
@@ -419,11 +426,11 @@ class RationalMatrix:
             raise ValueError("pfaffian requires even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        return sparsest_row_pfaffian(self.rows, upper_entries(self.data), Q(0), Q(1))
+        return sparsest_row_pfaffian(self.rows, upper_entries(self.data), 0, 1)
 
     # -- matrix analysis -----------------------------------------------------
 
-    def flatten(self) -> tuple[Fraction, ...]:
+    def flatten(self) -> tuple[int | Fraction, ...]:
         return tuple(x for row in self.data for x in row)
 
     def is_diagonal(self) -> bool:
@@ -431,8 +438,9 @@ class RationalMatrix:
             x == 0 for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j
         )
 
-    def minimal_polynomial(self) -> tuple[Fraction, ...]:
-        """Monic minimal polynomial, coefficients in ascending degree order.
+    def minimal_polynomial(self) -> tuple[int | Fraction, ...]:
+        """Monic minimal polynomial, coefficients in ascending degree order,
+        each an int where integral and a Fraction otherwise.
 
         Found as the first linear dependency among I, A, A**2, ...: each
         flattened power, tagged with its degree in an extra column, is reduced
@@ -445,17 +453,17 @@ class RationalMatrix:
             raise ValueError("minimal polynomial of a non-square matrix")
         n = self.rows
         if n == 0:
-            return (Q(0), Q(1))  # x, by convention
+            return (0, 1)  # x, by convention
         size = n * n
         rows = [sparse_row(r) for r in self.data]
         pivots: dict[int, SparseRow] = {}
-        power = [{i: Q(1)} for i in range(n)]
+        power = [{i: 1} for i in range(n)]
         for k in range(n + 1):
             flat = {i * n + j: x for i, row in enumerate(power) for j, x in row.items()}
-            flat[size + k] = Q(1)
+            flat[size + k] = 1
             residual = reduce_row(flat, pivots)
             if min(residual) >= size:
-                return dense_row(residual, size, size + k) + (Q(1),)
+                return vector(dense_row(residual, size, size + k)) + (1,)
             _add_row(pivots, residual)
             power = sparse_product(power, rows)
         raise AssertionError("no minimal polynomial of degree <= n found")

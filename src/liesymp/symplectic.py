@@ -39,9 +39,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
-    Q,
     RationalMatrix,
-    as_fraction,
+    as_exact,
     dense_row,
     sparse_kernel_rows,
     sparse_rref,
@@ -79,8 +78,9 @@ class TwoForm:
     """Antisymmetric bilinear form, held as its upper coordinates.
 
     ``coords[(i, j)]`` for i < j is w(e_i, e_j), an exact rational (an int
-    or a Fraction) or a MultiPoly, and only nonzero coordinates are stored;
-    w(e_j, e_i) = -w(e_i, e_j) and the zero diagonal hold by construction.
+    where integral, else a Fraction) or a MultiPoly, and only nonzero
+    coordinates are stored; w(e_j, e_i) = -w(e_i, e_j) and the zero
+    diagonal hold by construction.
     A form is parametric when it has variables or a polynomial coordinate,
     and concrete otherwise.
     """
@@ -92,7 +92,7 @@ class TwoForm:
         if len(grid) != dim or any(len(r) != dim for r in grid):
             raise ValueError("entry grid does not match dimension")
         coords: Coords = {}
-        # entries are Fractions or MultiPolys, both false exactly when zero
+        # entries are ints, Fractions or MultiPolys, all false exactly when zero
         for i, row in enumerate(grid):
             if row[i]:
                 raise ValueError("two-form has a nonzero diagonal entry")
@@ -117,7 +117,7 @@ class TwoForm:
         self.coords = coords
         self.variables = tuple(variables)
         parametric = self.variables or any(isinstance(x, MultiPoly) for x in coords.values())
-        self._zero = MultiPoly.zero() if parametric else Q(0)
+        self._zero = MultiPoly.zero() if parametric else 0
 
     @classmethod
     def from_pairs(cls, dim: int, pairs: Mapping[tuple[int, int], object], variables: Sequence[str] = ()) -> "TwoForm":
@@ -137,7 +137,7 @@ class TwoForm:
         return cls._of(dim, {})
 
     def is_concrete(self) -> bool:
-        return isinstance(self._zero, Fraction)
+        return not isinstance(self._zero, MultiPoly)
 
     def entry(self, i: int, j: int):
         """w(e_i, e_j)."""
@@ -172,12 +172,13 @@ class TwoForm:
     def poly_matrix(self) -> PolyMatrix:
         return PolyMatrix(self.entries)
 
-    def pfaffian(self):
-        """Pfaffian of the form's matrix (Fraction if concrete, else MultiPoly)."""
+    def pfaffian(self) -> int | Fraction | MultiPoly:
+        """Pfaffian of the form's matrix: if concrete, an int where integral
+        and a Fraction otherwise; else a MultiPoly."""
         if self.dim % 2 != 0:
             raise ValueError("pfaffian requires even dimension")
-        one = Q(1) if self.is_concrete() else MultiPoly.constant(1)
-        return sparsest_row_pfaffian(self.dim, self.coords, self._zero, one)
+        one = 1 if self.is_concrete() else MultiPoly.constant(1)
+        return _as_entry(sparsest_row_pfaffian(self.dim, self.coords, self._zero, one))
 
     def add(self, other: "TwoForm") -> "TwoForm":
         if self.dim != other.dim:
@@ -201,16 +202,16 @@ class TwoForm:
 
 
 def _as_entry(x):
-    if isinstance(x, (Fraction, MultiPoly)):
-        return x
-    return as_fraction(x)
+    """A MultiPoly as it is, any other value as :func:`as_exact` gives it."""
+    return x if isinstance(x, MultiPoly) else as_exact(x)
 
 
 def _form_sum(
     dim: int, items: Iterable[tuple[tuple[int, int], object]], variables: Sequence[str] = ()
 ) -> TwoForm:
     """The form sum of value * e^i ^ e^j over the (pair, value) items, pairs
-    i < j; coordinates that sum to zero are dropped."""
+    i < j; coordinates that sum to zero are dropped, and an integral sum is
+    held as an int."""
     coords: Coords = {}
     for pair, v in items:
         x = coords.get(pair)
@@ -220,7 +221,7 @@ def _form_sum(
             coords[pair] = v
         elif x is not None:
             del coords[pair]
-    return TwoForm._of(dim, coords, variables)
+    return TwoForm._of(dim, {pair: _as_entry(v) for pair, v in coords.items()}, variables)
 
 
 # -- exterior differentials ---------------------------------------------------
@@ -254,7 +255,7 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
     for key, f, _, x in g.compositions(partners):
         total = sums.get(key)
         sums[key] = f * x if total is None else total + f * x
-    return {key: -sums[key] for key in sorted(sums) if sums[key]}
+    return {key: _as_entry(-sums[key]) for key in sorted(sums) if sums[key]}
 
 
 def is_closed(g: LieAlgebra, w: TwoForm) -> bool:
@@ -316,7 +317,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
             else:
                 del row[col]
     z2 = tuple(
-        TwoForm._of(n, {pairs[j]: c for j, c in v.items()})
+        TwoForm._of(n, {pairs[j]: as_exact(c) for j, c in v.items()})
         for v in sparse_kernel_rows(sparse_rref(rows.values()), size)
     )
 
@@ -331,8 +332,9 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     b2_pre = []
     for p in sorted(pivots):
         if p < size:
-            b2.append(TwoForm._of(n, {pairs[j]: c for j, c in pivots[p].items() if j < size}))
-            b2_pre.append(dense_row(pivots[p], size, size + n))
+            upper = {pairs[j]: as_exact(c) for j, c in pivots[p].items() if j < size}
+            b2.append(TwoForm._of(n, upper))
+            b2_pre.append(vector(dense_row(pivots[p], size, size + n)))
     return CocycleSpace(g, z2, tuple(b2), tuple(b2_pre))
 
 
@@ -566,7 +568,7 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     exact_pf, exact_witness, point = _pfaffian_and_witness(exact_generic, cs.b2_basis)
     exact_one_form = None
     if point is not None:
-        alpha = [Q(0)] * n
+        alpha = [0] * n
         for name, pre in zip(exact_generic.variables, cs.b2_preimages):
             c = point[name]
             if c:
@@ -657,8 +659,9 @@ def is_lagrangian_ideal(g: LieAlgebra, w: TwoForm, sub: Subspace) -> bool:
     return True
 
 
-def top_power(w: TwoForm) -> Fraction:
-    """Coefficient c of the basis volume form in the literal wedge power w^m.
+def top_power(w: TwoForm) -> int | Fraction:
+    """Coefficient c of the basis volume form in the literal wedge power w^m,
+    an int where integral and a Fraction otherwise.
 
     Computed by expanding the wedge product directly (independent of the
     Pfaffian recursion); equals m! * Pf(M) under this package's conventions.
@@ -670,11 +673,11 @@ def top_power(w: TwoForm) -> Fraction:
     n = w.dim
     m = n // 2
     if n == 0:
-        return Q(1)
+        return 1
     pair_terms = list(w.coords.items())
-    acc: dict[tuple[int, ...], Fraction] = {(): Q(1)}
+    acc: dict[tuple[int, ...], int | Fraction] = {(): 1}
     for _ in range(m):
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], int | Fraction] = {}
         for subset, coeff in acc.items():
             taken = set(subset)
             for (i, j), c in pair_terms:
@@ -686,10 +689,10 @@ def top_power(w: TwoForm) -> Fraction:
                 if (cnt_i + cnt_j) % 2:
                     sign = -1
                 key = tuple(sorted(subset + (i, j)))
-                val = nxt.get(key, Q(0)) + sign * coeff * c
+                val = nxt.get(key, 0) + sign * coeff * c
                 if val == 0:
                     nxt.pop(key, None)
                 else:
                     nxt[key] = val
         acc = nxt
-    return acc.get(tuple(range(n)), Q(0))
+    return as_exact(acc.get(tuple(range(n)), 0))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_integral_table import int_where_integral
 from test_liealg import sparse_tables, unchecked_product
 
 from liesymp.analysis import Analysis
@@ -176,7 +177,7 @@ def test_d_two_form_matches_the_dense_triple_walk(data, g):
     assert list(got) == list(expected)
     assert all(got[key] == value for key, value in expected.items())
     if w.is_concrete():
-        assert all(isinstance(value, Q) for value in got.values())
+        assert all(map(int_where_integral, got.values()))
 
 
 def test_cocycle_space_dimensions():
@@ -421,6 +422,28 @@ def test_two_form_validation():
     assert cancelled == TwoForm.zero(3) and cancelled.coords == {}
     with pytest.raises(ValueError, match=r"^two-form index out of range$"):
         TwoForm.from_pairs(3, {(0, 3): 1})
+
+
+def test_a_form_of_ints_is_concrete_and_a_parametric_one_is_not():
+    """A concrete form's zero is the int 0, so concreteness must not be read
+    off the zero's type being Fraction."""
+    w = TwoForm.from_pairs(4, {(0, 1): 1, (2, 3): 1})
+    assert all(type(x) is int for x in w.coords.values())
+    assert w.is_concrete() and TwoForm.zero(4).is_concrete()
+    assert w.matrix() == RationalMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert w.pfaffian() == 1 and type(w.pfaffian()) is int
+    assert top_power(w) == 2 and type(top_power(w)) is int
+    t = MultiPoly.variables(["t1"])[0]
+    for p in (
+        TwoForm.from_pairs(4, {(0, 1): t, (2, 3): 1}, ("t1",)),
+        TwoForm.from_pairs(4, {(0, 1): 1, (2, 3): 1}, ("t1",)),  # variables, no polynomial
+    ):
+        assert not p.is_concrete()
+        with pytest.raises(ValueError, match="parametric two-form has no rational matrix"):
+            p.matrix()
+        with pytest.raises(ValueError, match="top power requires a concrete form"):
+            top_power(p)
+    assert str(TwoForm.from_pairs(4, {(0, 1): t, (2, 3): 1}, ("t1",)).pfaffian()) == "t1"
 
 
 # the family members of the benchmark's scale tier
