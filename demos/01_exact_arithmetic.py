@@ -4,9 +4,13 @@ Everything in this package is computed over the rationals, so every identity
 shown below is an exact equality, not a numerical coincidence.
 """
 
+import signal
 from fractions import Fraction as Q
 
 from liesymp import MultiPoly, PolyMatrix, RationalMatrix, poly_divides
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 print("== exact linear algebra ==")
 m = RationalMatrix([[1, 2, 1], [2, 4, 0], [0, 0, 3]])

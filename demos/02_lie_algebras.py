@@ -4,7 +4,12 @@ The running example is the 4-dimensional nilpotent algebra with
 [e2, e4] = e1 and [e3, e4] = e2 (indices are 0-based in code).
 """
 
+import signal
+
 from liesymp import LieAlgebra
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 n4_1 = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}})
 print(f"algebra: {n4_1}")

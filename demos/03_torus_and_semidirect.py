@@ -6,6 +6,8 @@ the rank bound dim(n/[n,n]) the result is complete (trivial center, every
 derivation inner) -- and the package verifies both facts directly.
 """
 
+import signal
+
 from liesymp import (
     LieAlgebra,
     RationalMatrix,
@@ -18,6 +20,9 @@ from liesymp import (
     semidirect,
     verify_torus,
 )
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 n4_1 = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}})
 der = derivation_algebra(n4_1)

@@ -7,6 +7,8 @@ Pfaffian is the zero polynomial.  When it is not, an integer parameter point
 with nonzero Pfaffian is produced as a checkable witness.
 """
 
+import signal
+
 from liesymp import (
     build_entry,
     cocycle_space,
@@ -17,6 +19,9 @@ from liesymp import (
     semidirect,
     top_power,
 )
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 g = semidirect(build_entry("n4_1").torus)
 cs = cocycle_space(g)

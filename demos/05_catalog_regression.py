@@ -7,7 +7,12 @@ back to documented data errata (TYPOS.md) are reported but do not break the
 run.
 """
 
+import signal
+
 from liesymp import build_entry, entry_names, run_regression, reproduce_propositions
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 print(f"catalog entries: {', '.join(entry_names())}")
 print()

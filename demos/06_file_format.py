@@ -6,9 +6,13 @@ The same files drive the `liesymp` CLI.
 """
 
 import pathlib
+import signal
 
 from liesymp import build, parse, print_file
 from liesymp.cli import main
+
+# a reader that closes stdout early (| head) ends the demo quietly
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 HERE = pathlib.Path(__file__).resolve().parent
 SOURCE = (HERE / "algebras" / "n4_1.lie").read_text(encoding="utf-8")

@@ -34,7 +34,6 @@ from .symplectic import (
     CocycleSpace,
     SymplecticVerdict,
     TwoForm,
-    WitnessSearchExhausted,
     cocycle_space,
     d_one_form,
     d_two_form,
@@ -69,7 +68,6 @@ __all__ = [
     "TorusAction",
     "TwoForm",
     "TYPOS",
-    "WitnessSearchExhausted",
     "build",
     "build_entry",
     "cocycle_space",

@@ -18,12 +18,11 @@ file or a ``--set n=`` family parameter, which is rejected before it is built.
 Errors are reported as one ``error:`` line on stderr, never a traceback:
 every input error is a ``ValueError`` (``ParseError`` is one) raised to
 :func:`main`, which maps it to exit code 2.
-Exit code 2 also covers a witness search that exhausts its integer box
-(``WitnessSearchExhausted``): the Pfaffian is nonzero, so a witness exists,
-and the message says to raise ``LIESYMP_WITNESS_BOUND`` to find it, and a
-stdout closed before the output is written (``liesymp ... | head -1``),
-which ends quietly: stdout is pointed at the null device, so the
-interpreter's last flush cannot fail again.
+Exit code 2 also covers a stdout closed before the output is written
+(``liesymp ... | head -1``), which ends quietly: stdout is pointed at the
+null device, so the interpreter's last flush cannot fail again.  The
+witness search has no exit path of its own: it bounds itself by the
+Pfaffian's degree and always finds a witness when the Pfaffian is nonzero.
 JSON output is deterministic (sorted keys, no timestamps) and follows the
 schemas exported as SYMPLECTIC_REPORT_SCHEMA / CATALOG_REPORT_SCHEMA /
 PROPS_REPORT_SCHEMA.
@@ -48,7 +47,7 @@ from .regression import (
     reproduce_propositions,
     run_regression,
 )
-from .symplectic import SymplecticVerdict, TwoForm, WitnessSearchExhausted
+from .symplectic import SymplecticVerdict, TwoForm
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -587,7 +586,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except (ValueError, WitnessSearchExhausted) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

@@ -34,6 +34,7 @@ above the diagonal, the format in which a two-form is stored
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -557,9 +558,7 @@ def upoly_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
             coeffs.pop(0)
     if len(coeffs) <= 1:
         return sorted(roots)
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     for num in _divisors(ints[0]):
         for den in _divisors(ints[-1]):
@@ -567,33 +566,3 @@ def upoly_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
                 if cand not in roots and upoly_eval(coeffs, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def upoly_splits_over_q(p: Sequence[Fraction]) -> bool:
-    """True iff p factors into linear terms over the rationals."""
-    p = upoly_normalize(p)
-    if upoly_degree(p) <= 0:
-        return True
-    coeffs = list(p)
-    for r in upoly_rational_roots(p):
-        while len(coeffs) > 1 and upoly_eval(coeffs, r) == 0:
-            coeffs = _deflate(coeffs, r)
-    return upoly_degree(upoly_normalize(coeffs)) <= 0
-
-
-def _deflate(coeffs: Sequence[Fraction], r: Fraction) -> list[Fraction]:
-    """Divide by (x - r) via synthetic division, assuming r is a root."""
-    n = len(coeffs) - 1
-    quot = [Q(0)] * n
-    carry = coeffs[n]
-    quot[n - 1] = carry
-    for k in range(n - 1, 0, -1):
-        carry = coeffs[k] + carry * r
-        quot[k - 1] = carry
-    return quot
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -43,7 +43,6 @@ from .linalg import (
     sparse_rref,
     upoly_is_squarefree,
     upoly_rational_roots,
-    upoly_splits_over_q,
 )
 
 
@@ -383,7 +382,7 @@ def is_maximal_rank(t: TorusAction, bound: int | None = None) -> bool:
 
 
 class NotRationallyDiagonalizable(ValueError):
-    """A torus generator has irrational eigenvalues; no root split over Q."""
+    """The torus does not split the nilradical into joint eigenspaces over Q."""
 
 
 @dataclass(frozen=True)
@@ -405,15 +404,9 @@ def root_decomposition(t: TorusAction) -> RootDecomposition:
     # (roots so far, their stacked rows, a basis of the joint eigenspace)
     pieces: list[tuple[tuple[Fraction, ...], list, Sequence]] = [((), [], Subspace.full(n).basis)]
     for a, d in enumerate(t.generators):
-        minpoly = d.minimal_polynomial()
-        if not upoly_splits_over_q(minpoly):
-            raise NotRationallyDiagonalizable(
-                f"generator {t.labels[a]} is not diagonalizable over Q "
-                "(its minimal polynomial has irrational roots)"
-            )
         blocks = {
             lam: [sparse_row(r) for r in (d - RationalMatrix.diagonal([lam] * n)).data]
-            for lam in upoly_rational_roots(minpoly)
+            for lam in upoly_rational_roots(d.minimal_polynomial())
         }
         refined = []
         for beta, rows, basis in pieces:

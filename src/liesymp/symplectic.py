@@ -31,7 +31,6 @@ basis forms z_k (and the exact witness likewise over B^2).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -48,27 +47,6 @@ from .linalg import (
     vector,
 )
 from .poly import MultiPoly, PolyMatrix, negates
-
-DEFAULT_WITNESS_BOUND = 16
-WITNESS_BOUND_ENV = "LIESYMP_WITNESS_BOUND"
-
-
-class WitnessSearchExhausted(RuntimeError):
-    """No integer witness found inside the search box although one exists."""
-
-
-def witness_bound() -> int:
-    raw = os.environ.get(WITNESS_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_WITNESS_BOUND
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{WITNESS_BOUND_ENV} must be a positive integer, got {raw!r}")
-    return value
-
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
 Coords = dict[tuple[int, int], object]
@@ -374,36 +352,36 @@ def _specialized_combination(
 # -- witness search -----------------------------------------------------------
 
 
-def find_nonvanishing_point(
-    p: MultiPoly, names: Sequence[str], bound: int | None = None
-) -> dict[str, int]:
+def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int]:
     """First integer point (by max-norm shell, then lex) where p is nonzero,
     its coordinates ints.
 
-    A nonzero polynomial over Q always has one; the search box is capped at
-    ``bound`` shells (default from LIESYMP_WITNESS_BOUND).  Each shell is
-    walked depth first in lex order (see ``_first_in_shell``), so the walk
-    never visits the points of a subtree on which p vanishes identically;
-    the point it returns is re-checked with ``MultiPoly.evaluate``.
+    A nonzero polynomial whose degree in each variable is at most d is
+    nonzero somewhere on the grid {+-1, ..., +-r}^m once 2r > d (the grid
+    lemma of Schwartz and of the Combinatorial Nullstellensatz), so the
+    shells 1 .. d // 2 + 1 hold a witness and the search needs no cap.
+    Each shell is walked depth first in lex order (see ``_first_in_shell``),
+    so the walk never visits the points of a subtree on which p vanishes
+    identically; the point it returns is re-checked with
+    ``MultiPoly.evaluate``.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    if bound is None:
-        bound = witness_bound()
     names = tuple(names)
     if not names:
         return {}
     terms = _integer_terms(p, names)
-    for radius in range(1, bound + 1):
+    degree = max(map(max, terms))
+    for radius in range(1, degree // 2 + 2):
         point = _first_in_shell(terms, len(names), radius)
         if point is not None:
             assignment = dict(zip(names, point))
             if p.evaluate(assignment) == 0:
                 raise AssertionError(f"witness walk returned a zero of the polynomial: {point}")
             return assignment
-    raise WitnessSearchExhausted(
-        f"no witness inside the +-{bound} integer box; the polynomial is nonzero, "
-        f"so raising {WITNESS_BOUND_ENV} (default {DEFAULT_WITNESS_BOUND}) will find one"
+    raise AssertionError(
+        f"no witness in shells 1..{degree // 2 + 1}, although a nonzero polynomial "
+        f"of degree at most {degree} in each variable is nonzero on that grid"
     )
 
 
@@ -516,7 +494,11 @@ class SymplecticVerdict:
     exact_witness: TwoForm | None
     exact_one_form: tuple[Fraction, ...] | None
     cocycle_dims: tuple[int, int, int]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Dimension zero: the empty form is vacuously symplectic and exact."""
+        return self.dim == 0
 
 
 def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
@@ -525,28 +507,13 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     that of the generic exact form.
 
     Odd dimension short-circuits to "odd" with a zero Pfaffian (an odd
-    antisymmetric matrix is always singular).  Dimension zero is vacuously
-    symplectic and flagged as degenerate.  The witness search is capped by
-    LIESYMP_WITNESS_BOUND (see :func:`find_nonvanishing_point`).
+    antisymmetric matrix is always singular).  In dimension zero the empty
+    Pfaffian is 1, so the algebra is vacuously symplectic (and flagged as
+    ``degenerate``).  The witness search bounds itself
+    (see :func:`find_nonvanishing_point`).
     """
     cs = cocycle_space(g)
     n = g.dim
-    if n == 0:
-        empty = TwoForm.zero(0)
-        one = MultiPoly.constant(1)
-        return SymplecticVerdict(
-            dim=0,
-            exists="yes",
-            generic=empty,
-            pfaffian=one,
-            witness=empty,
-            exact_exists="yes",
-            exact_pfaffian=one,
-            exact_witness=empty,
-            exact_one_form=(),
-            cocycle_dims=(0, 0, 0),
-            degenerate=True,
-        )
     if n % 2 != 0:
         zero = MultiPoly.zero()
         return SymplecticVerdict(

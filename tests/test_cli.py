@@ -18,7 +18,9 @@ from liesymp.cli import (
     SYMPLECTIC_REPORT_SCHEMA,
     main,
 )
+from liesymp.fileformat import build, parse
 from liesymp.liealg import MAX_DIM
+from liesymp.symplectic import decide_symplectic, find_nonvanishing_point
 
 GOOD = """\
 algebra n4_1
@@ -100,14 +102,19 @@ basis e1 e2 e3 e4 e5 e6 e7 e8
 """
 
 
-def test_symplectic_exhausted_witness_search_exits_2(tmp_path, monkeypatch, capsys):
+def test_symplectic_witness_past_the_first_shell_exits_0(tmp_path, capsys):
+    # the Pfaffian t11 t12 (t12 - t11) (t12 + t11) vanishes on all of shell 1
     path = tmp_path / "shell2.lie"
     path.write_text(NO_WITNESS_IN_FIRST_SHELL, encoding="utf-8")
-    monkeypatch.setenv("LIESYMP_WITNESS_BOUND", "1")
-    assert main(["symplectic", str(path), "--json"]) == 2
+    assert main(["symplectic", str(path), "--json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "LIESYMP_WITNESS_BOUND" in _one_error_line(captured.err)
+    assert captured.err == ""
+    symplectic = json.loads(captured.out)["verdicts"]["symplectic"]
+    assert symplectic["exists"] == "yes"
+    verdict = decide_symplectic(build(parse(NO_WITNESS_IN_FIRST_SHELL)).algebra)
+    point = find_nonvanishing_point(verdict.pfaffian, verdict.generic.variables)
+    assert max(abs(v) for v in point.values()) == 2
+    assert symplectic["witness"]["matrix"] == [[str(x) for x in row] for row in verdict.witness.entries]
 
 
 

@@ -3,15 +3,12 @@
 Every run of ``cli.main`` ends in 0 (ok), 1 (mismatch) or 2 (bad input) and
 lets no exception escape, whatever the file or the ``--set`` values.  The
 sources are the demo algebras and ``catalog show`` files, mutated token by
-token (replace, insert, delete); the witness search is capped at
-LIESYMP_WITNESS_BOUND=2 so that no draw spends long in it.
+token (replace, insert, delete).
 """
 
 import glob
-import os
 import re
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +38,7 @@ CONTRACT = {0, 1, 2}
 
 
 def _run(argv) -> int:
-    with mock.patch.dict(os.environ, {"LIESYMP_WITNESS_BOUND": "2"}):
-        code = main(argv)
+    code = main(argv)
     assert code in CONTRACT, (argv, code)
     return code
 

@@ -10,7 +10,6 @@ from liesymp.linalg import (
     RationalMatrix,
     upoly_is_squarefree,
     upoly_rational_roots,
-    upoly_splits_over_q,
 )
 
 
@@ -137,6 +136,3 @@ def test_univariate_helpers():
     assert upoly_is_squarefree((-1, 0, 1))
     assert upoly_rational_roots((-1, 0, 1)) == [Q(-1), Q(1)]
     assert upoly_rational_roots((0, Q(-3, 2), 1)) == [Q(0), Q(3, 2)]
-    assert upoly_splits_over_q((-1, 0, 1))
-    assert not upoly_splits_over_q((1, 0, 1))  # x^2 + 1
-    assert not upoly_splits_over_q((-2, 0, 1))  # x^2 - 2

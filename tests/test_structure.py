@@ -297,7 +297,7 @@ def test_root_decomposition_irrational_eigenvalues():
     # the mixing generators of n6_5 split over Q at a = 1 but not at a = 2
     decomp = root_decomposition(build_entry("n6_5", a=1).torus)
     assert sum(s.dim for s in decomp.spaces) == 6
-    with pytest.raises(NotRationallyDiagonalizable):
+    with pytest.raises(NotRationallyDiagonalizable, match="does not split"):
         root_decomposition(build_entry("n6_5", a=2).torus)
 
 

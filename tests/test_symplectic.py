@@ -25,7 +25,6 @@ from liesymp.poly import MultiPoly, poly_divides
 from liesymp.structure import semidirect
 from liesymp.symplectic import (
     TwoForm,
-    WitnessSearchExhausted,
     _generic_combination,
     cocycle_space,
     d_one_form,
@@ -301,23 +300,8 @@ def test_witness_search_order_is_deterministic():
     # vanishes whenever x in {-1, 0, 1}: needs shell 2
     p = (x - 1) * (x + 1) * x
     assert find_nonvanishing_point(p, ("x",)) == {"x": Q(-2)}
-    with pytest.raises(WitnessSearchExhausted) as info:
-        find_nonvanishing_point(p, ("x",), bound=1)
-    assert "LIESYMP_WITNESS_BOUND" in str(info.value)
     with pytest.raises(ValueError):
         find_nonvanishing_point(MultiPoly.zero(), ("x",))
-
-
-def test_witness_bound_env(monkeypatch):
-    from liesymp.symplectic import witness_bound
-
-    monkeypatch.delenv("LIESYMP_WITNESS_BOUND", raising=False)
-    assert witness_bound() == 16
-    monkeypatch.setenv("LIESYMP_WITNESS_BOUND", "3")
-    assert witness_bound() == 3
-    monkeypatch.setenv("LIESYMP_WITNESS_BOUND", "zero")
-    with pytest.raises(ValueError):
-        witness_bound()
 
 
 def test_pullback_identity_and_normalization():

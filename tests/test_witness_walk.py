@@ -1,10 +1,12 @@
 """The witness walk against a brute-force enumeration of the same shells.
 
 ``find_nonvanishing_point`` walks each max-norm shell depth first and
-prunes subtrees; the reference here enumerates every point of every shell
-in lexicographic order, evaluates the polynomial on it with integer
+prunes subtrees; the reference here enumerates every point of a shell in
+lexicographic order, evaluates the polynomial on it with integer
 arithmetic of its own, and returns the first nonzero point.  The two must
-agree exactly, including on exhaustion.
+agree exactly shell by shell, including on a shell where the polynomial
+vanishes, and the search must end with a witness within the shells
+1 .. d // 2 + 1 for d the largest exponent of any variable.
 """
 
 import itertools
@@ -16,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesymp import symplectic
 from liesymp.fileformat import build, parse
 from liesymp.poly import MultiPoly
 from liesymp.symplectic import (
-    WitnessSearchExhausted,
+    _first_in_shell,
+    _integer_terms,
     decide_symplectic,
     find_nonvanishing_point,
 )
@@ -39,8 +43,9 @@ def _value(terms, names, point):
     return total
 
 
-def brute_force_point(p: MultiPoly, names, bound):
-    """First point (by shell, then lex) where p is nonzero, or None.
+def brute_force_shell(p: MultiPoly, names, radius):
+    """First point (in lex order) of max-norm ``radius`` where p is nonzero,
+    or None.
 
     The coefficients are scaled to integers first: that keeps the zero set,
     and integer arithmetic keeps the enumeration of up to 7^5 points fast.
@@ -50,19 +55,41 @@ def brute_force_point(p: MultiPoly, names, bound):
         (tuple((v, e) for v, e in zip(p.vars, exps) if e), int(c * den))
         for exps, c in p.terms.items()
     ]
-    for radius in range(1, bound + 1):
-        for point in itertools.product(range(-radius, radius + 1), repeat=len(names)):
-            if max(abs(v) for v in point) != radius:
-                continue
-            if _value(terms, names, point) != 0:
-                return {nm: Q(v) for nm, v in zip(names, point)}
+    for point in itertools.product(range(-radius, radius + 1), repeat=len(names)):
+        if max(abs(v) for v in point) != radius:
+            continue
+        if _value(terms, names, point) != 0:
+            return {nm: Q(v) for nm, v in zip(names, point)}
     return None
+
+
+def brute_force_point(p: MultiPoly, names, bound):
+    """First point (by shell, then lex) where p is nonzero, or None."""
+    for radius in range(1, bound + 1):
+        point = brute_force_shell(p, names, radius)
+        if point is not None:
+            return point
+    return None
+
+
+def _degree(p: MultiPoly) -> int:
+    """The largest exponent of any variable in p."""
+    return max((e for exps in p.terms for e in exps), default=0)
+
+
+def _shell_matches_brute_force(p, names, radius):
+    expected = brute_force_shell(p, names, radius)
+    got = _first_in_shell(_integer_terms(p, tuple(names)), len(names), radius)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == tuple(expected[nm] for nm in names)
 
 
 @st.composite
 def sparse_polys(draw):
     """A product of a few random sparse factors and of factors that vanish
-    on whole shells, so exhaustion at small bounds happens often."""
+    on whole shells, so shells without a witness happen often."""
     k = draw(st.integers(1, len(VARS)))
     xs = MultiPoly.variables(VARS[:k])
     p = MultiPoly.constant(1)
@@ -100,24 +127,29 @@ def sparse_polys(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=sparse_polys(), bound=st.integers(1, 3))
-def test_walk_matches_brute_force_enumeration(case, bound):
+@given(case=sparse_polys(), radius=st.integers(1, 3))
+def test_walk_matches_brute_force_enumeration(case, radius):
+    p, names = case
+    if not p.is_zero():
+        _shell_matches_brute_force(p, names, radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sparse_polys())
+def test_search_finds_a_witness_within_the_derived_radius(case):
     p, names = case
     if p.is_zero():
         return
-    expected = brute_force_point(p, names, bound)
-    if expected is None:
-        with pytest.raises(WitnessSearchExhausted):
-            find_nonvanishing_point(p, names, bound)
-    else:
-        assert find_nonvanishing_point(p, names, bound) == expected
+    expected = brute_force_point(p, names, _degree(p) // 2 + 1)
+    assert expected is not None
+    assert find_nonvanishing_point(p, names) == expected
 
 
 def test_walk_matches_brute_force_on_hand_picked_cases():
     x, y, z = MultiPoly.variables(["x", "y", "z"])
     cases = [
         (x * y, ("x", "y")),
-        ((x - 1) * (x + 1) * x, ("x",)),
+        ((x - 1) * (x + 1) * x, ("x",)),  # zero on all of shell 1
         (MultiPoly.constant(3), ("x", "y", "z")),  # no variable occurs
         (z, ("x", "y", "z")),  # x and y do not occur
         (x * (y - 1) * (y + 1) * y + z, ("x", "y", "z")),
@@ -125,13 +157,33 @@ def test_walk_matches_brute_force_on_hand_picked_cases():
         (x * x - y * y, ("y", "x")),
     ]
     for p, names in cases:
-        for bound in (1, 2, 3):
-            expected = brute_force_point(p, names, bound)
-            if expected is None:
-                with pytest.raises(WitnessSearchExhausted):
-                    find_nonvanishing_point(p, names, bound)
-            else:
-                assert find_nonvanishing_point(p, names, bound) == expected
+        for radius in (1, 2, 3):
+            _shell_matches_brute_force(p, names, radius)
+        expected = brute_force_point(p, names, _degree(p) // 2 + 1)
+        assert find_nonvanishing_point(p, names) == expected
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_derived_radius_is_tight(r):
+    # x (x - 1)(x + 1) ... (x - r)(x + r) has degree 2r + 1 and vanishes on
+    # every shell up to r, so its witness sits on the last shell searched
+    (x,) = MultiPoly.variables(["x"])
+    p = x
+    for v in range(1, r + 1):
+        p = p * (x - v) * (x + v)
+    terms = _integer_terms(p, ("x",))
+    assert all(_first_in_shell(terms, 1, radius) is None for radius in range(1, r + 1))
+    assert _degree(p) // 2 + 1 == r + 1
+    assert find_nonvanishing_point(p, ("x",)) == {"x": -(r + 1)}
+
+
+def test_search_past_the_derived_radius_is_an_internal_error(monkeypatch):
+    # a walk that missed every witness contradicts the grid lemma: it is a
+    # bug, never an input error
+    (x,) = MultiPoly.variables(["x"])
+    monkeypatch.setattr(symplectic, "_first_in_shell", lambda terms, m, radius: None)
+    with pytest.raises(AssertionError, match=r"shells 1\.\.2"):
+        find_nonvanishing_point(x * x * x, ("x",))
 
 
 def test_walk_rejects_unnamed_variables():
@@ -151,7 +203,7 @@ def test_deep_witness_among_many_parameters_is_found_fast():
     for t in ts[1::2]:
         p = p * (t + 1)
     start = time.perf_counter()
-    point = find_nonvanishing_point(p, names, bound=1)
+    point = find_nonvanishing_point(p, names)
     elapsed = time.perf_counter() - start
     assert point == {nm: Q(-1 if i % 2 == 0 else 0) for i, nm in enumerate(names)}
     assert elapsed < 5
@@ -166,7 +218,7 @@ def test_factor_vanishing_on_the_box_in_a_late_variable_is_pruned():
     xs = MultiPoly.variables(names)
     p = xs[-1] * (xs[-1] - 1) * (xs[-1] + 1) * sum(xs[1:-1], xs[0])
     start = time.perf_counter()
-    point = find_nonvanishing_point(p, names, bound=2)
+    point = find_nonvanishing_point(p, names)
     elapsed = time.perf_counter() - start
     assert point == {nm: Q(-2) for nm in names}
     assert elapsed < 1
