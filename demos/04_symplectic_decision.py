@@ -28,7 +28,7 @@ cs = cocycle_space(g)
 print(f"dim Z^2 = {cs.dims[0]}, dim B^2 = {cs.dims[1]}, dim H^2 = {cs.dims[2]}")
 
 generic = generic_cocycle(cs)
-pf = generic.poly_matrix().pfaffian()
+pf = generic.pfaffian()
 print(f"Pfaffian of the generic closed form: {pf}")
 
 verdict = decide_symplectic(g)
@@ -37,7 +37,7 @@ print("witness (closed, with nonzero Pfaffian):")
 for row in verdict.witness.entries:
     print("  [" + ", ".join(str(x) for x in row) + "]")
 print(f"witness re-check: closed={not d_two_form(g, verdict.witness)}, "
-      f"Pf={verdict.witness.matrix().pfaffian()}")
+      f"Pf={verdict.witness.pfaffian()}")
 
 print()
 print("exact (Frobenius) forms: restrict the same procedure to d of covectors")
@@ -53,5 +53,5 @@ print()
 print("the pairing filiform family carries the explicit exact form d(e^0)+d(e^n):")
 gq = semidirect(build_entry("Q", n=5).torus)
 w = d_one_form(gq, gq.basis_vector(0)).add(d_one_form(gq, gq.basis_vector(5)))
-print(f"  closed: {not d_two_form(gq, w)}, Pf = {w.matrix().pfaffian()}, "
+print(f"  closed: {not d_two_form(gq, w)}, Pf = {w.pfaffian()}, "
       f"literal top wedge coefficient = {top_power(w)}")

@@ -40,7 +40,6 @@ from .symplectic import (
     decide_symplectic,
     find_nonvanishing_point,
     generic_cocycle,
-    is_automorphism,
     is_closed,
     is_lagrangian_ideal,
     pullback,
@@ -78,7 +77,6 @@ __all__ = [
     "entry_names",
     "find_nonvanishing_point",
     "generic_cocycle",
-    "is_automorphism",
     "is_closed",
     "is_complete",
     "is_derivation",

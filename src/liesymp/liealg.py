@@ -19,7 +19,6 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
-    RationalMatrix,
     as_exact,
     as_fraction,
     dense_row,
@@ -174,14 +173,6 @@ class LieAlgebra:
 
     # -- bracket --------------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse coefficient map."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
     def bracket(self, x: Sequence, y: Sequence) -> tuple[int | Fraction, ...]:
         """Bilinear antisymmetric extension of the structure constants."""
         x, y = vector(x), vector(y)
@@ -210,12 +201,6 @@ class LieAlgebra:
                     for k, c in coeffs.items():
                         out[k] = out.get(k, 0) + f * c
         return out
-
-    def ad_matrix(self, x: Sequence) -> RationalMatrix:
-        """Matrix of ad_x = [x, .] in the basis (columns are images)."""
-        x = vector(x)
-        cols = [self.bracket(x, unit) for unit in RationalMatrix.identity(self.dim).data]
-        return RationalMatrix.from_columns(cols)
 
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(self.dim))

@@ -8,8 +8,7 @@ where a denominator appears (:func:`as_exact`): structure constants (see
 ``+``, ``-`` and ``*`` keep ints exact; the one operation that would round,
 ``int / int``, is never written: a division whose operands may both be ints
 goes through :func:`exact_quotient`.  So every result is exact: a kernel
-vector really multiplies to zero, a rank really is the rank, and an inverse
-really inverts.
+vector really multiplies to zero and a rank really is the rank.
 
 Every linear system in the package goes through one Gauss-Jordan kernel,
 :func:`sparse_rref`.  A row is a sparse map ``{column: value}``; the
@@ -20,9 +19,11 @@ depend on the order in which rows arrive, and callers assemble their
 systems (Leibniz, cocycle and center equations) sparse, straight from a
 bracket table.
 
-:class:`RationalMatrix` is an immutable dense matrix; its ``rref``,
-``kernel_basis``, ``solve``, ``inverse``, ``determinant`` and
-``minimal_polynomial`` are thin adapters over the same kernel.
+:class:`RationalMatrix` is an immutable dense matrix, the form in which a
+torus generator is given.  It keeps only what the torus path and the
+pullback read (``diagonal``, ``row``, ``is_diagonal``, ``rank``,
+``is_invertible`` and ``minimal_polynomial``) and three adapters over the
+same kernel: ``rref``, ``determinant`` and ``pfaffian``.
 ``minimal_polynomial`` forms the powers of the matrix as sparse row
 products (:func:`sparse_product`) of its nonzero entries.
 
@@ -252,21 +253,10 @@ class RationalMatrix:
         self.cols = len(grid[0]) if grid else 0
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries: Iterable) -> "RationalMatrix":
         d = vector(entries)
         n = len(d)
         return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns: Iterable[Iterable]) -> "RationalMatrix":
-        cols = [vector(c) for c in columns]
-        if not cols:
-            return cls([])
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
 
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
@@ -274,12 +264,6 @@ class RationalMatrix:
 
     def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.data[i]
-
-    def column(self, j: int) -> tuple[int | Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.data)) if self.rows else RationalMatrix([])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.data == other.data
@@ -290,47 +274,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)]
-        )
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in row] for row in self.data])
-
-    def scale(self, c) -> "RationalMatrix":
-        c = as_exact(c)
-        return RationalMatrix([[c * a for a in row] for row in self.data])
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().data
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
-        )
-
-    def apply(self, v: Sequence) -> tuple[int | Fraction, ...]:
-        v = vector(v)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
-
-    def augment(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return RationalMatrix([r + s for r, s in zip(self.data, other.data)])
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.data for a in row)
 
     def is_antisymmetric(self) -> bool:
         """Zero diagonal and a_ji = -a_ij, compared by numerator and
@@ -348,10 +291,6 @@ class RationalMatrix:
                     return False
         return True
 
-    def _same_shape(self, other: "RationalMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     # -- elimination: dense adapters over the sparse kernel -------------------
 
     def _pivot_rows(self) -> dict[int, SparseRow]:
@@ -368,34 +307,8 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(self._pivot_rows())
 
-    def kernel_basis(self) -> list[tuple[int | Fraction, ...]]:
-        """Basis of the right kernel {x : A @ x = 0}, one vector per free column."""
-        return sparse_kernel_basis(self._pivot_rows(), self.cols)
-
-    def solve(self, b: Sequence) -> tuple[int | Fraction, ...] | None:
-        """One exact solution of A @ x = b, or None if inconsistent."""
-        b = vector(b)
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        pivots = self.augment(RationalMatrix([[x] for x in b]))._pivot_rows()
-        if self.cols in pivots:
-            return None
-        x = [0] * self.cols
-        for p, row in pivots.items():
-            x[p] = row.get(self.cols, 0)
-        return tuple(x)
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def inverse(self) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        pivots = self.augment(RationalMatrix.identity(n))._pivot_rows()
-        if any(p not in pivots for p in range(n)):
-            raise ValueError("matrix is singular")
-        return RationalMatrix([dense_row(pivots[p], n, 2 * n) for p in range(n)])
 
     def determinant(self) -> int | Fraction:
         """Determinant from the elimination kernel: the product of the leading
@@ -430,9 +343,6 @@ class RationalMatrix:
         return sparsest_row_pfaffian(self.rows, upper_entries(self.data), 0, 1)
 
     # -- matrix analysis -----------------------------------------------------
-
-    def flatten(self) -> tuple[int | Fraction, ...]:
-        return tuple(x for row in self.data for x in row)
 
     def is_diagonal(self) -> bool:
         return all(

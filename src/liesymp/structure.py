@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
     RationalMatrix,
+    as_exact,
     sparse_kernel_basis,
     sparse_product,
     sparse_row,
@@ -56,12 +57,6 @@ class DerivationBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, m: RationalMatrix) -> bool:
-        if not self.basis:
-            return m.is_zero()
-        system = RationalMatrix.from_columns([d.flatten() for d in self.basis])
-        return system.solve(m.flatten()) is not None
 
 
 def _weight_classes(weights: Sequence) -> list[list[int]]:
@@ -282,6 +277,9 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     A diagonal generator is semisimple outright and is checked against the
     bracket table directly; diag(l) commutes with A iff A_ij = 0 wherever
     l_i != l_j, and two non-diagonal generators are multiplied sparsely.
+    Linear independence of the generators is checked last, as the rank of
+    their flattened entries, so that the torus rank is the number of
+    generators.
     """
     n = t.nilradical.dim
     diagonal = t.diagonal
@@ -303,6 +301,14 @@ def verify_torus(t: TorusAction) -> TorusCheck:
                 f"generator {t.labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)",
             )
+    flat = (
+        {i * n + j: x for i, row in enumerate(d.data) for j, x in enumerate(row) if x}
+        for d in t.generators
+    )
+    if len(sparse_rref(flat)) < t.rank:
+        if t.rank == 1:
+            return TorusCheck(False, f"generator {t.labels[0]} is zero")
+        return TorusCheck(False, f"generators {', '.join(t.labels)} are linearly dependent")
     return TorusCheck(True)
 
 
@@ -404,8 +410,12 @@ def root_decomposition(t: TorusAction) -> RootDecomposition:
     # (roots so far, their stacked rows, a basis of the joint eigenspace)
     pieces: list[tuple[tuple[Fraction, ...], list, Sequence]] = [((), [], Subspace.full(n).basis)]
     for a, d in enumerate(t.generators):
+        # the sparse rows of d - lam I
         blocks = {
-            lam: [sparse_row(r) for r in (d - RationalMatrix.diagonal([lam] * n)).data]
+            lam: [
+                sparse_row(as_exact(x - lam) if j == i else x for j, x in enumerate(row))
+                for i, row in enumerate(d.data)
+            ]
             for lam in upoly_rational_roots(d.minimal_polynomial())
         }
         refined = []

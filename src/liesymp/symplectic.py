@@ -46,7 +46,7 @@ from .linalg import (
     sparsest_row_pfaffian,
     vector,
 )
-from .poly import MultiPoly, PolyMatrix, negates
+from .poly import MultiPoly, negates
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
 Coords = dict[tuple[int, int], object]
@@ -141,14 +141,6 @@ class TwoForm:
             if f:
                 total = total + f * c
         return total if total != 0 else self._zero
-
-    def matrix(self) -> RationalMatrix:
-        if not self.is_concrete():
-            raise ValueError("parametric two-form has no rational matrix")
-        return RationalMatrix(self.entries)
-
-    def poly_matrix(self) -> PolyMatrix:
-        return PolyMatrix(self.entries)
 
     def pfaffian(self) -> int | Fraction | MultiPoly:
         """Pfaffian of the form's matrix: if concrete, an int where integral
@@ -591,19 +583,6 @@ def pullback(g: LieAlgebra, t: RationalMatrix, w: TwoForm) -> TwoForm:
                 if f:
                     items.append(((i, j), f * c))
     return _form_sum(n, items, w.variables)
-
-
-def is_automorphism(g: LieAlgebra, t: RationalMatrix) -> bool:
-    """T[x, y] = [Tx, Ty] on all basis pairs, with T invertible."""
-    if t.rows != g.dim or t.cols != g.dim or not t.is_invertible():
-        return False
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = t.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-            rhs = g.bracket(t.column(i), t.column(j))
-            if lhs != rhs:
-                return False
-    return True
 
 
 def is_lagrangian_ideal(g: LieAlgebra, w: TwoForm, sub: Subspace) -> bool:

@@ -3,8 +3,9 @@ artifact computed once per algebra.
 
 The oracle for ``verify_torus`` evaluates the Leibniz identity on dense
 vectors with a bracket written in this file, commutes generators with the
-dense product ``(da @ db - db @ da).is_zero()`` and tests every generator,
-diagonal or not, for a squarefree minimal polynomial.  The dimension of
+dense product of ``test_linalg`` (``da db == db da``), tests every
+generator, diagonal or not, for a squarefree minimal polynomial, and the
+generators for linear independence as flattened vectors.  The dimension of
 Der(g) that the analysis reads off the weight-0 block is compared with the
 full, ungraded Leibniz solve of ``derivation_algebra``.
 """
@@ -34,6 +35,7 @@ from liesymp.structure import (
 )
 from liesymp.symplectic import cocycle_space, d_one_form
 from test_liealg import unchecked_product
+from test_linalg import dense_apply, dense_column, dense_product, dense_scale, dense_sum, in_span
 from test_symplectic import _coords, _pairs, naive_cocycle_subspace
 
 # -- the dense oracle ---------------------------------------------------------
@@ -51,11 +53,11 @@ def _dense_bracket(table, n, x, y):
 
 def _dense_leibniz(g, d):
     n = g.dim
-    cols = [d.column(j) for j in range(n)]
+    cols = [dense_column(d, j) for j in range(n)]
     units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = d.apply(_dense_bracket(g.table, n, units[i], units[j]))
+            lhs = dense_apply(d, _dense_bracket(g.table, n, units[i], units[j]))
             a = _dense_bracket(g.table, n, cols[i], units[j])
             b = _dense_bracket(g.table, n, units[i], cols[j])
             if any(l != p + q for l, p, q in zip(lhs, a, b)):
@@ -74,7 +76,7 @@ def reference_torus_check(t):
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             da, db = gens[a], gens[b]
-            if not (da @ db - db @ da).is_zero():
+            if dense_product(da, db) != dense_product(db, da):
                 return False, f"generators {labels[a]} and {labels[b]} do not commute"
     for a, d in enumerate(gens):
         if not upoly_is_squarefree(d.minimal_polynomial()):
@@ -82,6 +84,11 @@ def reference_torus_check(t):
                 f"generator {labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)"
             )
+    for a, d in enumerate(gens):
+        if in_span(gens[:a], d):
+            if len(gens) == 1:
+                return False, f"generator {labels[0]} is zero"
+            return False, f"generators {', '.join(labels)} are linearly dependent"
     return True, None
 
 
@@ -138,7 +145,7 @@ def torus_candidates(draw):
             for d in der:
                 c = draw(st.integers(-1, 1))
                 if c:
-                    m = m + d.scale(c)
+                    m = dense_sum(m, dense_scale(c, d))
             if kind == "perturbed":
                 r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
                 rows = [list(row) for row in m.data]

@@ -73,14 +73,38 @@ def _one_error_line(err: str) -> str:
 
 
 def test_symplectic_jacobi_violation_with_torus_block_exits_2(tmp_path, capsys):
-    # a torus block with no rules acts by zero, which passes the torus axioms;
-    # the semidirect product then inherits the Jacobi failure of the table
+    # diag(1, -1, 0) satisfies l_a + l_b = l_k on every structure constant,
+    # so it passes the torus axioms; the semidirect product then inherits the
+    # Jacobi failure of the table
     path = tmp_path / "bad_torus.lie"
-    path.write_text(JACOBI_BAD + "torus h\n", encoding="utf-8")
+    path.write_text(JACOBI_BAD + "torus h\n[h,e1] = e1\n[h,e2] = -e2\n", encoding="utf-8")
     assert main(["symplectic", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "violates Jacobi" in _one_error_line(captured.err)
+
+
+DEPENDENT_TORI = {
+    # both generators scale e1: the torus spans rank 1, not the bound 2
+    "repeated": ("torus h k\n[h,e1] = e1\n[k,e1] = e1\n",
+                 "generators h, k are linearly dependent"),
+    # a torus label with no rules acts by zero
+    "zero": ("torus h\n", "generator h is zero"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEPENDENT_TORI))
+@pytest.mark.parametrize(
+    "argv", [["check"], ["props"], ["der", "--complete"], ["symplectic", "--json"]]
+)
+def test_linearly_dependent_torus_generators_exit_2(kind, argv, tmp_path, capsys):
+    block, violation = DEPENDENT_TORI[kind]
+    path = tmp_path / "dependent.lie"
+    path.write_text("algebra dep\nbasis e1 e2\n" + block, encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: torus block is not a torus action: {violation}"
+    )
 
 
 # A nilpotent algebra whose generic closed form has 12 parameters and
@@ -127,7 +151,9 @@ def _labels_file(tmp_path, count: int, torus: int = 0) -> str:
     basis = " ".join(f"e{i}" for i in range(1, count + 1))
     source = f"algebra wide\nbasis {basis}\n"
     if torus:
+        # h_i scales e_i: independent commuting derivations of the abelian table
         source += "torus " + " ".join(f"h{i}" for i in range(1, torus + 1)) + "\n"
+        source += "".join(f"[h{i},e{i}] = e{i}\n" for i in range(1, torus + 1))
     path = tmp_path / "wide.lie"
     path.write_text(source, encoding="utf-8")
     return str(path)

@@ -137,7 +137,7 @@ def test_build_without_torus():
     assert isinstance(built, Analysis)
     assert built.torus is None and built.nilradical is built.algebra
     assert built.algebra.dim == 3
-    assert built.algebra.bracket_basis(0, 1) == {2: Q(1)}
+    assert built.algebra.table == {(0, 1): {2: Q(1)}}
 
 
 def test_build_rejects_invalid_torus():

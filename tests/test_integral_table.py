@@ -155,16 +155,18 @@ def test_fractional_constants_stay_fractions():
     ids=[name + "".join(f"-{k}{v}" for k, v in p.items()) for name, p in DEFAULT_SELECTION],
 )
 def test_catalog_matrices_vectors_and_forms_hold_the_int_rule(name, params):
-    """Torus generators, ad matrices, basis vectors, witnesses, their
+    """Torus generators, brackets of basis vectors, witnesses, their
     Pfaffians and top powers, and a pullback by an integral diagonal map."""
     entry = build_entry(name, **params)
     analysis = Analysis(entry.torus)
     g = analysis.algebra
-    assert all(int_where_integral(x) for d in entry.torus.generators for x in d.flatten())
-    for i in range(g.dim):
-        e = g.basis_vector(i)
+    assert all(
+        int_where_integral(x) for d in entry.torus.generators for row in d.data for x in row
+    )
+    units = [g.basis_vector(i) for i in range(g.dim)]
+    for e in units:
         assert all(type(x) is int for x in e)
-        assert all(map(int_where_integral, g.ad_matrix(e).flatten()))
+        assert all(int_where_integral(x) for f in units for x in g.bracket(e, f))
     scaling = RationalMatrix.diagonal(range(1, g.dim + 1))
     verdict = analysis.verdict
     for w in (verdict.witness, verdict.exact_witness):

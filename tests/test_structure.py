@@ -11,6 +11,7 @@ from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra
 from liesymp.linalg import RationalMatrix
+from test_linalg import ad_matrix, dense_apply, in_span
 from liesymp.structure import (
     NotRationallyDiagonalizable,
     TorusAction,
@@ -60,7 +61,7 @@ def test_printed_derivations_span_check():
     for rules in PRINTED_DERIVATIONS:
         d = _matrix_from_action(4, rules)
         assert is_derivation(g, d)
-        assert der.contains(d)
+        assert in_span(der.basis, d)
 
 
 def test_derivations_of_abelian_are_all_matrices():
@@ -86,7 +87,7 @@ def test_ad_matrices_lie_in_derivation_algebra():
     g = semidirect(build_entry("n4_1").torus)
     der = derivation_algebra(g)
     for i in range(g.dim):
-        assert der.contains(g.ad_matrix(g.basis_vector(i)))
+        assert in_span(der.basis, ad_matrix(g, g.basis_vector(i)))
 
 
 def test_is_complete_examples():
@@ -98,8 +99,8 @@ def test_is_complete_examples():
 
 
 def test_verify_torus_accepts_catalog_tori():
-    for name in ("n3_1", "n4_1", "n6_14"):
-        assert verify_torus(build_entry(name).torus).ok
+    for name, params in DEFAULT_SELECTION:
+        assert verify_torus(build_entry(name, **params).torus).ok, name
 
 
 def test_verify_torus_rejects_nilpotent_generator():
@@ -125,6 +126,23 @@ def test_verify_torus_rejects_non_commuting():
     assert not check.ok and "commute" in check.violation
 
 
+def test_verify_torus_rejects_linearly_dependent_generators():
+    g = LieAlgebra(2)
+    h = RationalMatrix.diagonal([1, 0])
+    for gens, violation in (
+        ((h, h), "generators e3, e4 are linearly dependent"),
+        ((h, RationalMatrix.diagonal([0, 1]), RationalMatrix.diagonal([2, -3])),
+         "generators e3, e4, e5 are linearly dependent"),
+        ((RationalMatrix.diagonal([0, 0]),), "generator e3 is zero"),
+    ):
+        check = verify_torus(TorusAction(g, gens))
+        assert not check.ok and check.violation == violation
+    # a non-semisimple generator is reported as such, not as dependent
+    jordan = RationalMatrix([[0, 1], [0, 0]])
+    check = verify_torus(TorusAction(g, (jordan, jordan)))
+    assert "not semisimple" in check.violation
+
+
 def test_semidirect_abelian_brackets():
     # the adjoined diagonal torus acts by [e_{n+i}, e_i] = e_i
     n = 3
@@ -144,18 +162,19 @@ def test_semidirect_restricts_to_nilradical():
     g = semidirect(entry.torus)
     nil = entry.nilradical
     for (i, j), coeffs in nil.table.items():
-        assert g.bracket_basis(i, j) == coeffs
+        assert g.table[(i, j)] == coeffs
     # torus-torus brackets vanish
     r = entry.torus.rank
     for a in range(r):
         for b in range(a + 1, r):
-            assert g.bracket_basis(nil.dim + a, nil.dim + b) == {}
-    # torus-nilradical brackets reproduce the generator action
+            assert (nil.dim + a, nil.dim + b) not in g.table
+    # torus-nilradical brackets reproduce the generator action:
+    # [e_i, h] = -h(e_i) is stored on the pair (i, h)
     for a, gen in enumerate(entry.torus.generators):
         h = nil.dim + a
         for i in range(nil.dim):
-            expected = {k: gen[k, i] for k in range(nil.dim) if gen[k, i] != 0}
-            assert g.bracket_basis(h, i) == expected
+            expected = {k: -gen[k, i] for k in range(nil.dim) if gen[k, i] != 0}
+            assert g.table.get((i, h), {}) == expected
 
 
 def test_semidirect_empty_torus_returns_the_algebra():
@@ -253,7 +272,9 @@ def test_is_maximal_rank():
 def test_too_many_generators_is_an_error():
     g = LieAlgebra(1)
     t = TorusAction(g, (RationalMatrix([[1]]), RationalMatrix([[2]])))
-    assert verify_torus(t).ok  # commuting semisimple derivations, just too many
+    # commuting semisimple derivations, but two of them on a line
+    check = verify_torus(t)
+    assert not check.ok and check.violation == "generators e2, e3 are linearly dependent"
     with pytest.raises(ValueError):
         is_maximal_rank(t)
 
@@ -290,7 +311,7 @@ def test_root_decomposition_eigen_relation():
     for beta, space in zip(decomp.roots, decomp.spaces):
         for v in space.basis:
             for lam, gen in zip(beta, entry.torus.generators):
-                assert gen.apply(v) == tuple(lam * x for x in v)
+                assert dense_apply(gen, v) == tuple(lam * x for x in v)
 
 
 def test_root_decomposition_irrational_eigenvalues():
