@@ -14,7 +14,9 @@ Grammar (token-level, whitespace-insensitive, ``#`` comments to end of line)::
 Bracket rules in the main section relate declared basis labels; rules after
 ``torus`` must have a torus label on the left and act on basis labels.  The
 parser is total in the sense that every failure is reported as a positioned
-:class:`ParseError` (line and column, 1-based).
+:class:`ParseError` (line and column, 1-based; every character, a tab
+included, is one column).  A coefficient is parsed as an ``int`` where
+integral and as a ``Fraction`` otherwise.
 
 ``parse(print_file(f)) == f`` for every :class:`AlgebraFile`, and
 ``build(f)`` is the :class:`~liesymp.analysis.Analysis` of the algebra
@@ -23,19 +25,37 @@ parser is total in the sense that every failure is reported as a positioned
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import Analysis
 from .liealg import LieAlgebra, check_dim
-from .linalg import Q, RationalMatrix
+from .linalg import RationalMatrix, as_exact
 from .structure import TorusAction
 
 KEYWORDS = ("algebra", "basis", "torus")
-DIGITS = "0123456789"  # INT is ASCII; str.isdigit also accepts "²" and "١"
 
-Term = tuple[Fraction, str]
+Term = tuple[int | Fraction, str]  # (coefficient, label); an int where integral
 Rule = tuple[str, str, tuple[Term, ...]]
+# (kind, text, offset): kind is "ident", "number", one of "[],=+-*/", or "end"
+# for the sentinel after the last token
+Token = tuple[str, str, int]
+
+# One alternative per token kind; whitespace and comments match no group.
+# \w is exactly str.isalnum() plus "_".  An identifier starts with a letter
+# or "_": [^\W\d] also admits the non-decimal numerics ("²", "½"), so the
+# non-ASCII branch is checked with str.isalpha.  A number is ASCII digits
+# only (str.isdigit also accepts "²" and "١").  Every other character is
+# "bad", so the scan skips nothing.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|#[^\n]*"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<uident>[^\W\d]\w*)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<punct>[\[\],=+\-*/])"
+    r"|(?P<bad>.)"
+)
 
 
 class ParseError(ValueError):
@@ -44,6 +64,13 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.col = col
+
+
+def _error(source: str, message: str, offset: int) -> ParseError:
+    """A ParseError at ``offset``; every character, a tab or "\\r" too, is
+    one column."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 @dataclass(frozen=True)
@@ -55,241 +82,208 @@ class AlgebraFile:
     torus_rules: tuple[Rule, ...] = ()
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "number" | one of "[],=+-*/"
-    text: str
-    line: int
-    col: int
-
-
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    append = tokens.append
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in DIGITS:
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            tokens.append(Token("number", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "[],=+-*/":
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        text = m.group()
+        if kind == "punct":
+            kind = text
+        elif kind == "uident":
+            kind = "ident" if text[0].isalpha() else "bad"
+        if kind == "bad":
+            raise _error(source, f"unexpected character {text[0]!r}", m.start())
+        append((kind, text, m.start()))
+    append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source_len_line: int):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
-        self.end_line = source_len_line
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
             self.pos += 1
         return tok
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
 
     def fail(self, message: str, tok: Token | None = None):
         if tok is None:
             tok = self.peek()
-        if tok is None:
-            raise ParseError(message + " (at end of input)", self.end_line, 1)
-        raise ParseError(message, tok.line, tok.col)
+        if tok[0] == "end":
+            raise ParseError(message + " (at end of input)", self.source.count("\n") + 1, 1)
+        raise _error(self.source, message, tok[2])
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
-        if tok is None or tok.kind != kind:
+        if tok[0] != kind:
             self.fail(f"expected {what}", tok)
         return tok
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.next()
-        if tok is None or tok.kind != "ident" or tok.text != word:
+        if tok[0] != "ident" or tok[1] != word:
             self.fail(f"expected keyword {word!r}", tok)
         return tok
 
     def ident(self, what: str) -> Token:
         tok = self.expect("ident", what)
-        if tok.text in KEYWORDS:
-            self.fail(f"{tok.text!r} is a reserved word and cannot be {what}", tok)
+        if tok[1] in KEYWORDS:
+            self.fail(f"{tok[1]!r} is a reserved word and cannot be {what}", tok)
         return tok
 
     def label_list(self, what: str) -> list[Token]:
         out = []
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "ident" or tok.text in KEYWORDS:
+            if tok[0] != "ident" or tok[1] in KEYWORDS:
                 break
             out.append(self.next())
         if not out:
             self.fail(f"expected at least one {what}")
         return out
 
-    def rational(self) -> Fraction:
-        num = self.expect("number", "a number")
-        if self.peek() is not None and self.peek().kind == "/":
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than the interpreter's int-string limit
+            self.fail(f"number too long ({len(tok[1])} digits)", tok)
+
+    def rational(self) -> int | Fraction:
+        num = self.integer(self.expect("number", "a number"))
+        if self.at("/"):
             self.next()
-            den = self.expect("number", "a positive denominator")
-            if int(den.text) == 0:
-                self.fail("denominator must be positive", den)
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+            tok = self.expect("number", "a positive denominator")
+            den = self.integer(tok)
+            if den == 0:
+                self.fail("denominator must be positive", tok)
+            return as_exact(Fraction(num, den))
+        return num
 
     def linear(self, known: dict[str, int], what: str) -> tuple[Term, ...]:
         # "0" alone denotes the zero combination
         tok = self.peek()
-        if tok is not None and tok.kind == "number" and tok.text == "0":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is None or nxt.kind not in ("*", "/"):
-                self.next()
-                return ()
-        terms: list[Term] = []
-        sign = Q(1)
-        if tok is not None and tok.kind == "-":
+        if tok[1] == "0" and tok[0] == "number" and self.tokens[self.pos + 1][0] not in ("*", "/"):
             self.next()
-            sign = Q(-1)
+            return ()
+        terms: list[Term] = []
+        negative = tok[0] == "-"
+        if negative:
+            self.next()
         while True:
-            terms.append(self._term(sign, known, what))
-            tok = self.peek()
-            if tok is not None and tok.kind in ("+", "-"):
-                sign = Q(1) if tok.kind == "+" else Q(-1)
-                self.next()
-                continue
-            break
+            terms.append(self._term(negative, known, what))
+            kind = self.peek()[0]
+            if kind != "+" and kind != "-":
+                break
+            negative = kind == "-"
+            self.next()
         return tuple(terms)
 
-    def _term(self, sign: Fraction, known: dict[str, int], what: str) -> Term:
+    def _term(self, negative: bool, known: dict[str, int], what: str) -> Term:
         tok = self.peek()
-        if tok is None:
-            self.fail("expected a term")
-        if tok.kind == "number":
+        if tok[0] == "number":
             coeff = self.rational()
             self.expect("*", "'*' between coefficient and label")
-            label = self.ident("a basis label")
-        elif tok.kind == "ident":
-            coeff = Q(1)
-            label = self.ident("a basis label")
+        elif tok[0] == "ident":
+            coeff = 1
         else:
             self.fail("expected a term", tok)
-        if label.text not in known:
-            self.fail(f"undeclared {what} {label.text!r}", label)
-        return (sign * coeff, label.text)
+        label = self.ident("a basis label")
+        if label[1] not in known:
+            self.fail(f"undeclared {what} {label[1]!r}", label)
+        return (-coeff if negative else coeff, label[1])
 
 
 def parse(source: str) -> AlgebraFile:
     """Parse the text format; raises ParseError with line/column on failure."""
-    end_line = source.count("\n") + 1
-    p = _Parser(_tokenize(source), end_line)
+    p = _Parser(source)
 
     p.expect_keyword("algebra")
-    name = p.ident("an algebra name").text
+    name = p.ident("an algebra name")[1]
     p.expect_keyword("basis")
     basis_index: dict[str, int] = {}
     for tok in p.label_list("basis label"):
-        if tok.text in basis_index:
-            p.fail(f"duplicate basis label {tok.text!r}", tok)
-        basis_index[tok.text] = len(basis_index)
+        if tok[1] in basis_index:
+            p.fail(f"duplicate basis label {tok[1]!r}", tok)
+        basis_index[tok[1]] = len(basis_index)
     basis = list(basis_index)
 
     brackets: list[Rule] = []
     seen_pairs: set[tuple[str, str]] = set()
-    while p.peek() is not None and p.peek().kind == "[":
+    while p.at("["):
         brackets.append(_bracket_rule(p, basis_index, seen_pairs))
 
     torus_labels: list[str] = []
     torus_rules: list[Rule] = []
     tok = p.peek()
-    if tok is not None and tok.kind == "ident" and tok.text == "torus":
+    if tok[0] == "ident" and tok[1] == "torus":
         p.next()
         torus_index: dict[str, int] = {}
         for t in p.label_list("torus label"):
-            if t.text in basis_index or t.text in torus_index:
-                p.fail(f"duplicate label {t.text!r}", t)
-            torus_index[t.text] = len(torus_index)
+            if t[1] in basis_index or t[1] in torus_index:
+                p.fail(f"duplicate label {t[1]!r}", t)
+            torus_index[t[1]] = len(torus_index)
         torus_labels = list(torus_index)
         seen_torus: set[tuple[str, str]] = set()
-        while p.peek() is not None and p.peek().kind == "[":
+        while p.at("["):
             torus_rules.append(_torus_rule(p, basis_index, torus_index, seen_torus))
 
     tok = p.peek()
-    if tok is not None:
-        p.fail(f"unexpected {tok.text!r}", tok)
+    if tok[0] != "end":
+        p.fail(f"unexpected {tok[1]!r}", tok)
     return AlgebraFile(name, tuple(basis), tuple(brackets), tuple(torus_labels), tuple(torus_rules))
 
 
 def _bracket_rule(p: _Parser, basis_index: dict[str, int], seen: set) -> Rule:
     p.expect("[", "'['")
     left = p.ident("a basis label")
-    if left.text not in basis_index:
-        p.fail(f"undeclared basis label {left.text!r}", left)
+    if left[1] not in basis_index:
+        p.fail(f"undeclared basis label {left[1]!r}", left)
     p.expect(",", "','")
     right = p.ident("a basis label")
-    if right.text not in basis_index:
-        p.fail(f"undeclared basis label {right.text!r}", right)
+    if right[1] not in basis_index:
+        p.fail(f"undeclared basis label {right[1]!r}", right)
     p.expect("]", "']'")
     p.expect("=", "'='")
     terms = p.linear(basis_index, "basis label")
-    if left.text == right.text and terms:
+    if left[1] == right[1] and terms:
         p.fail("bracket of a label with itself must be 0", left)
-    key = (left.text, right.text)
-    if key in seen or (right.text, left.text) in seen:
-        p.fail(f"duplicate bracket rule for [{left.text},{right.text}]", left)
+    key = (left[1], right[1])
+    if key in seen or (right[1], left[1]) in seen:
+        p.fail(f"duplicate bracket rule for [{left[1]},{right[1]}]", left)
     seen.add(key)
-    return (left.text, right.text, terms)
+    return (left[1], right[1], terms)
 
 
 def _torus_rule(p: _Parser, basis_index, torus_index, seen: set) -> Rule:
     p.expect("[", "'['")
     left = p.ident("a torus label")
-    if left.text not in torus_index:
-        p.fail(f"torus rules must start with a torus label, got {left.text!r}", left)
+    if left[1] not in torus_index:
+        p.fail(f"torus rules must start with a torus label, got {left[1]!r}", left)
     p.expect(",", "','")
     right = p.ident("a basis label")
-    if right.text not in basis_index:
-        p.fail(f"torus rules must act on basis labels, got {right.text!r}", right)
+    if right[1] not in basis_index:
+        p.fail(f"torus rules must act on basis labels, got {right[1]!r}", right)
     p.expect("]", "']'")
     p.expect("=", "'='")
     terms = p.linear(basis_index, "basis label")
-    key = (left.text, right.text)
+    key = (left[1], right[1])
     if key in seen:
-        p.fail(f"duplicate torus rule for [{left.text},{right.text}]", left)
+        p.fail(f"duplicate torus rule for [{left[1]},{right[1]}]", left)
     seen.add(key)
-    return (left.text, right.text, terms)
+    return (left[1], right[1], terms)
 
 
 def _format_linear(terms: tuple[Term, ...]) -> str:
@@ -331,7 +325,7 @@ def build(f: AlgebraFile) -> Analysis:
     n = len(f.basis)
     check_dim(n + len(f.torus_labels))
     index = {lbl: i for i, lbl in enumerate(f.basis)}
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for left, right, terms in f.brackets:
         i, j = index[left], index[right]
         if i == j:
@@ -342,7 +336,7 @@ def build(f: AlgebraFile) -> Analysis:
         return Analysis(nil)
     gens = []
     for t_idx, t_label in enumerate(f.torus_labels):
-        m = [[Q(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for left, right, terms in f.torus_rules:
             if left != t_label:
                 continue
@@ -359,10 +353,10 @@ def build(f: AlgebraFile) -> Analysis:
     return analysis
 
 
-def _combine(terms: tuple[Term, ...]) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
+def _combine(terms: tuple[Term, ...]) -> dict[str, int | Fraction]:
+    out: dict[str, int | Fraction] = {}
     for coeff, label in terms:
-        out[label] = out.get(label, Q(0)) + coeff
+        out[label] = out.get(label, 0) + coeff
         if out[label] == 0:
             del out[label]
     return out

@@ -266,18 +266,20 @@ class LieAlgebra:
 
     # -- classical subspaces ----------------------------------------------------
 
-    def center(self) -> Subspace:
-        """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to zero.
-
-        One equation per (j, k), sum_i c_ij^k x_i = 0, assembled from the
-        bracket table.
-        """
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    def center_rows(self) -> list[dict[int, int | Fraction]]:
+        """The center's equations, one per (j, k): sum_i c_ij^k x_i = 0,
+        assembled from the bracket table as sparse rows in x."""
+        rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (a, b), coeffs in self.table.items():
             for k, c in coeffs.items():
                 rows.setdefault((b, k), {})[a] = c
                 rows.setdefault((a, k), {})[b] = -c
-        kernel = sparse_kernel_basis(sparse_rref(rows.values()), self.dim)
+        return list(rows.values())
+
+    def center(self) -> Subspace:
+        """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to
+        zero: the solutions of :meth:`center_rows`."""
+        kernel = sparse_kernel_basis(sparse_rref(self.center_rows()), self.dim)
         return Subspace(self.dim, kernel)
 
     def subalgebra_product(self, a: Subspace, b: Subspace) -> Subspace:

@@ -92,12 +92,9 @@ class MultiPoly:
         return max(sum(exps) for exps in self.terms)
 
     def used_vars(self) -> tuple[str, ...]:
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        """The declared variables that some term raises to a positive power,
+        in declared order: one scan down each exponent column."""
+        return tuple(v for v, column in zip(self.vars, zip(*self.terms)) if any(column))
 
     def canonical(self) -> tuple[tuple[str, ...], tuple[tuple[Exponents, Fraction], ...]]:
         """Display form: unused variables pruned (declared order kept), terms

@@ -169,6 +169,8 @@ class CompletenessReport:
 
     The center and Der(g) are solved only when read, and ``complete`` reads
     Der(g) only for a trivial center: otherwise the answer is already no.
+    Only the center's dimension is needed, so ``center_dim`` is dim g minus
+    the rank of :meth:`LieAlgebra.center_rows`, with no basis solved.
 
     ``weights`` (one per basis vector) are the eigenvalues of the diagonal
     inner derivations ad h, such as those of the diagonal torus generators
@@ -185,7 +187,8 @@ class CompletenessReport:
 
     @cached_property
     def center_dim(self) -> int:
-        return self.algebra.center().dim
+        g = self.algebra
+        return g.dim - len(sparse_rref(g.center_rows()))
 
     @cached_property
     def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:

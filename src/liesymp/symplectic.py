@@ -380,11 +380,13 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
 def _integer_terms(p: MultiPoly, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
     """p scaled to integer coefficients (which keeps its zero set), with
     exponents listed in the order of ``names``."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    if p.vars == names:  # the exponents are already in that order
+        return {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
     pos = {nm: i for i, nm in enumerate(names)}
     missing = [v for v in p.used_vars() if v not in pos]
     if missing:
         raise ValueError(f"no value for variable(s) {', '.join(missing)}")
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
     out: dict[tuple[int, ...], int] = {}
     for exps, c in p.terms.items():
         key = [0] * len(names)

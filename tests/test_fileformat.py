@@ -1,12 +1,17 @@
 """Parsing, diagnostics, canonical printing, and building algebras from text."""
 
+import string
+import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liesymp import cli
 from liesymp.analysis import Analysis
 from liesymp.catalog import build_entry
-from liesymp.fileformat import ParseError, build, parse, print_file
+from liesymp.fileformat import ParseError, _error, _tokenize, build, parse, print_file
 from liesymp.structure import semidirect
 
 N4_1_SOURCE = """\
@@ -103,6 +108,38 @@ def test_numbers_are_ascii_digits(digit):
     assert err.message == f"unexpected character {digit!r}"
 
 
+def test_coefficients_are_ints_where_integral():
+    f = parse("algebra t\nbasis a b c\n[a,b] = 4/2*c - 6/4*a + b\n[a,c] = -3*b\n")
+    coeffs = [c for _, _, terms in f.brackets for c, _ in terms]
+    assert coeffs == [2, Q(-3, 2), 1, -3]
+    assert [type(c) for c in coeffs] == [int, Q, int, int]
+    table = build(f).algebra.table
+    assert table == {(0, 1): {2: 2, 0: Q(-3, 2), 1: 1}, (0, 2): {1: -3}}
+
+
+@pytest.mark.parametrize("rule", ["[e1,e2] = {}*e3", "[e1,e2] = 1/{}*e3"])
+def test_an_overlong_number_is_a_positioned_error(rule, tmp_path, capsys):
+    """A number past the interpreter's int-string limit (4300 digits by
+    default) is reported at its token, through parse and through the CLI."""
+    digits = "7" * 5000
+    source = "algebra a\nbasis e1 e2 e3\n" + rule.format(digits) + "\n"
+    col = rule.index("{") + 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        path = tmp_path / "long.lie"
+        path.write_text(source)
+        code = cli.main(["symplectic", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = info.value
+    assert (err.message, err.line, err.col) == ("number too long (5000 digits)", 3, col)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: 3:{col}: number too long (5000 digits)\n"
+
+
 def test_torus_rules_are_validated():
     with pytest.raises(ParseError) as info:
         parse("algebra t\nbasis e1 e2\n[e1,e2]=0\ntorus h\n[e1,e2] = e1\n")
@@ -146,3 +183,121 @@ def test_build_rejects_invalid_torus():
     with pytest.raises(ValueError) as info:
         build(parse(src))
     assert "torus" in str(info.value)
+
+
+# -- the tokenizer against a character-by-character oracle ------------------
+
+
+def _oracle_tokens(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token, by a scan that walks the text
+    one character at a time and counts lines and columns as it goes (the
+    tokenizer the regular expression replaced)."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            kind = "ident"
+        elif ch in "0123456789":
+            j = i
+            while j < n and source[j] in "0123456789":
+                j += 1
+            kind = "number"
+        elif ch in "[],=+-*/":
+            j, kind = i + 1, ch
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, source[i:j], line, col))
+        col += j - i
+        i = j
+    return tokens
+
+
+def _outcome(scan, source):
+    try:
+        return scan(source)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+def _positioned(source: str) -> list[tuple[str, str, int, int]]:
+    tokens = _tokenize(source)
+    assert tokens[-1] == ("end", "", len(source))
+    out = []
+    for kind, text, offset in tokens[:-1]:
+        at = _error(source, "", offset)
+        out.append((kind, text, at.line, at.col))
+    return out
+
+
+# ASCII letters and digits, the punctuation, the skipped characters, and three
+# non-ASCII ones: a non-decimal digit that \w accepts, a decimal digit that is
+# not ASCII, and a letter
+TEXT_CHARS = string.ascii_letters + string.digits + "_[],=+-*/" + " \t\r\n#" + "\u00b2\u0661\u00e9"
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=st.text(alphabet=TEXT_CHARS, max_size=80))
+def test_tokenizer_matches_the_character_oracle(source):
+    assert _outcome(_positioned, source) == _outcome(_oracle_tokens, source)
+
+
+PIECES = ["algebra", "basis", "torus", "a", "e1", "e2", "h", "_x", "e\u00e9", "\u00e9",
+          "\u00b2", "\u0661", "e\u00b2", "0", "2", "10", "[", "]", ",", "=", "+", "-", "*",
+          "/", " ", "\t", "\n", "\r\n", "# c $\n", "$"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from(["", "algebra a\n", "algebra a\r\nbasis e1 e2\r\n",
+                            "algebra a\nbasis e1 e2\n[e1,e2] = e2\ntorus h\n"]),
+    pieces=st.lists(st.sampled_from(PIECES), max_size=25),
+)
+def test_every_parse_error_sits_where_the_oracle_puts_a_token(header, pieces):
+    """A bad character fails parse exactly as it fails the oracle; any other
+    ParseError is at the line and column the oracle gives some token, or at
+    the end of input."""
+    source = header + "".join(pieces)
+    try:
+        parse(source)
+    except ParseError as exc:
+        err = (exc.message, exc.line, exc.col)
+    else:
+        return
+    oracle = _outcome(_oracle_tokens, source)
+    if isinstance(oracle, tuple):
+        assert ("error",) + err == oracle
+    elif err[0].endswith(" (at end of input)"):
+        assert err[1:] == (source.count("\n") + 1, 1)
+    else:
+        assert err[1:] in {(line, col) for _, _, line, col in oracle}
+
+
+@pytest.mark.parametrize("source, at", [
+    ("algebra a\r\nbasis x y # a comment with $ in it\r\n\t[x,y] = 2*x $\r\n", (3, 14)),
+    ("\u00b2", (1, 1)),
+    ("algebra a\nbasis x\n\t\r\u0661", (3, 3)),
+    ("# only a comment $", None),
+])
+def test_bad_characters_are_positioned_by_characters(source, at):
+    if at is None:
+        assert _tokenize(source) == [("end", "", len(source))]
+        return
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.line, info.value.col) == at
+    assert info.value.message.startswith("unexpected character")

@@ -281,6 +281,28 @@ def test_arithmetic_results_hold_the_constructor_invariants(p, q, k):
     assert p + q == q + p and p * q == q * p
 
 
+def _naive_used_vars(p: MultiPoly) -> tuple[str, ...]:
+    return tuple(
+        v for i, v in enumerate(p.vars) if any(exps[i] for exps in p.terms)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=mixed_polys(), q=mixed_polys())
+def test_used_vars_matches_the_naive_scan(p, q):
+    for r in (p, q, p * q, p + q, p - p):
+        assert r.used_vars() == _naive_used_vars(r)
+
+
+def test_used_vars_edge_cases():
+    assert MultiPoly.zero().used_vars() == ()
+    assert MultiPoly(("x", "y"), {}).used_vars() == ()
+    assert MultiPoly.constant(Q(3, 2)).used_vars() == ()
+    # declared variables that no term uses are dropped; declared order is kept
+    widened = MultiPoly(("z", "x", "y"), {(0, 2, 0): 1, (1, 0, 0): -3, (0, 0, 0): 5})
+    assert widened.used_vars() == ("z", "x")
+
+
 # -- evaluation in integers, and the antisymmetry test -------------------------
 
 

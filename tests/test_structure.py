@@ -230,6 +230,19 @@ def test_certified_rank_bound_matches_the_series():
         assert rank_bound(n) == _series_rank_bound(n)
 
 
+def test_center_dim_is_the_dimension_of_the_center():
+    """The report counts the center by the rank of its equations; the
+    subspace that ``LieAlgebra.center`` solves has that dimension."""
+    algebras = []
+    for name, params in DEFAULT_SELECTION:
+        entry = build_entry(name, **params)
+        algebras += [semidirect(entry.torus), entry.nilradical]
+    algebras += _files_core_nilradicals()
+    dims = [is_complete(g).center_dim for g in algebras]
+    assert dims == [g.center().dim for g in algebras]
+    assert 0 in dims and max(dims) > 1
+
+
 def test_rank_bound_falls_back_to_the_series(monkeypatch):
     # n4_1 in the basis f1 = e1 + e4, f2 = e2, f3 = e3, f4 = e4: nilpotent,
     # but [f2, f4] = f1 - f4 and [f1, f2] = -f1 + f4 give f4 and f1 self-loops

@@ -192,6 +192,22 @@ def test_walk_rejects_unnamed_variables():
         find_nonvanishing_point(x * y, ("x",))
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_polys(), data=st.data())
+def test_integer_terms_in_declared_and_permuted_order(case, data):
+    """In the declared order the terms are kept as they are (scaled to
+    integers); a permutation of the variables permutes every exponent tuple."""
+    p = case[0]
+    names = tuple(data.draw(st.permutations(p.vars)))
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    declared = _integer_terms(p, p.vars)
+    assert declared == {exps: int(c * den) for exps, c in p.terms.items()}
+    assert all(type(c) is int for c in declared.values())
+    order = [p.vars.index(v) for v in names]
+    permuted = {tuple(exps[i] for i in order): c for exps, c in declared.items()}
+    assert _integer_terms(p, names) == permuted
+
+
 def test_deep_witness_among_many_parameters_is_found_fast():
     # 24 parameters; the product vanishes whenever an even-indexed one is -1,
     # so the lex-first point of shell 1 sits past more than 3**23 points of
