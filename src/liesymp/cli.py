@@ -34,6 +34,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -374,7 +375,15 @@ def _cmd_symplectic(args) -> int:
     return _with_analysis(args, run)
 
 
+# a --set value: the file format's number, an optional sign, ASCII digits and
+# an optional denominator (Fraction and int also take "1e3", "1.5", "1_0" and
+# non-ASCII digits, and an exponent can ask for an integer of any size)
+_SET_VALUE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_sets(pairs) -> dict:
+    """The ``--set k=v`` values by key: ``n`` an int, any other key a
+    Fraction."""
     params = {}
     for item in pairs or ():
         if "=" not in item:
@@ -382,11 +391,28 @@ def _parse_sets(pairs) -> dict:
         key, _, value = item.partition("=")
         key = key.strip()
         value = value.strip()
-        try:
-            params[key] = int(value) if key == "n" else Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"--set {key}={value}: zero denominator") from None
+        match = _SET_VALUE.fullmatch(value)
+        if match is None or (key == "n" and match[3] is not None):
+            want = "an integer" if key == "n" else "an integer or a fraction p/q"
+            raise ValueError(f"--set {key}={value}: expected {want} in ASCII digits")
+        sign, num, den = match.groups()
+        num = _set_integer(key, sign + num)
+        if key == "n":
+            params[key] = num
+            continue
+        den = 1 if den is None else _set_integer(key, den)
+        if den == 0:
+            raise ValueError(f"--set {key}={value}: zero denominator")
+        params[key] = Fraction(num, den)
     return params
+
+
+def _set_integer(key: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        count = len(digits.lstrip("+-"))
+        raise ValueError(f"--set {key}: number too long ({count} digits)") from None
 
 
 def _entry_to_file(entry: cat.CatalogEntry) -> AlgebraFile:

@@ -264,6 +264,33 @@ class LieAlgebra:
     def jacobi_holds(self) -> bool:
         return self.jacobi_failure() is None
 
+    # -- grading -----------------------------------------------------------------
+
+    def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The weight of each basis vector: its eigenvalues under the basis
+        vectors h whose ad h is diagonal and nonzero, in increasing order of
+        h, read off the bracket table.
+
+        Each such ad h is a derivation, so the weights grade the algebra:
+        [e_a, e_b] has weight w_a + w_b.  With no such h, as in a nilpotent
+        algebra, every weight is ().
+        """
+        ad: dict[int, dict[int, int | Fraction]] = {}  # ad[h][i] = c where [e_h, e_i] = c e_i
+        off: set[int] = set()  # the h with some [e_h, e_i] not a multiple of e_i
+        for (a, b), coeffs in self.table.items():
+            if len(coeffs) == 1 and b in coeffs:
+                ad.setdefault(a, {})[b] = coeffs[b]
+                off.add(b)
+            elif len(coeffs) == 1 and a in coeffs:
+                ad.setdefault(b, {})[a] = -coeffs[a]
+                off.add(a)
+            else:
+                off.update((a, b))
+        diagonal = [ad[h] for h in sorted(ad) if h not in off]
+        if not diagonal:
+            return ((),) * self.dim
+        return tuple(tuple([col.get(i, 0) for col in diagonal]) for i in range(self.dim))
+
     # -- classical subspaces ----------------------------------------------------
 
     def center_rows(self) -> list[dict[int, int | Fraction]]:

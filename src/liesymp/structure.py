@@ -16,10 +16,11 @@ series.
 
 The completeness check solves Der(g) by weight: every basis vector h whose
 ad h is diagonal (each [e_h, e_i] a multiple of e_i, read off the bracket
-table) grades g, as the torus vector of a diagonal generator diag(l) does
-on t ⋉ n, with l_i on e_i and 0 on the torus.  Der(g) splits by the weight
-w_r - w_c of an entry D[r][c], and a derivation of weight mu != 0 is inner.
-Only the Leibniz rows of the weight-0 block are solved, and
+table by :meth:`LieAlgebra.weights`) grades g, as the torus vector of a
+diagonal generator diag(l) does on t ⋉ n, with l_i on e_i and 0 on the
+torus.  Der(g) splits by the weight w_r - w_c of an entry D[r][c], and a
+derivation of weight mu != 0 is inner.  Only the Leibniz rows of the
+weight-0 block are solved, and
 
     dim Der(g) = dim Der_0(g) + (dim g - dim g_0)
 
@@ -172,11 +173,11 @@ class CompletenessReport:
     Only the center's dimension is needed, so ``center_dim`` is dim g minus
     the rank of :meth:`LieAlgebra.center_rows`, with no basis solved.
 
-    ``weights`` (one per basis vector) are the eigenvalues of the diagonal
-    inner derivations ad h, such as those of the diagonal torus generators
-    of t ⋉ n.  They commute, so Der(g) splits by weight, and a derivation D
-    of weight mu != 0 is inner: for h with mu(h) != 0,
-    mu(h) D = [ad h, D] = -ad(D h).  The center lies in weight 0, as
+    The weights of :meth:`LieAlgebra.weights` (one per basis vector) are the
+    eigenvalues of the diagonal inner derivations ad h, such as those of the
+    diagonal torus generators of t ⋉ n.  They commute, so Der(g) splits by
+    weight, and a derivation D of weight mu != 0 is inner: for h with
+    mu(h) != 0, mu(h) D = [ad h, D] = -ad(D h).  The center lies in weight 0, as
     [h, x] = mu(h) x vanishes for central x, so ad is injective on each
     g_mu with mu != 0, and only the weight-0 block is solved:
 
@@ -191,24 +192,8 @@ class CompletenessReport:
         return g.dim - len(sparse_rref(g.center_rows()))
 
     @cached_property
-    def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The eigenvalues of each basis vector under the basis vectors h
-        whose ad h is diagonal and nonzero, read off the bracket table."""
-        g = self.algebra
-        ad: dict[int, dict[int, Fraction]] = {}  # ad[h][i] = c where [e_h, e_i] = c e_i
-        off: set[int] = set()  # the h with some [e_h, e_i] not a multiple of e_i
-        for (a, b), coeffs in g.table.items():
-            for h, i, sign in ((a, b, 1), (b, a, -1)):
-                if len(coeffs) == 1 and i in coeffs:
-                    ad.setdefault(h, {})[i] = sign * coeffs[i]
-                else:
-                    off.add(h)
-        diagonal = [ad[h] for h in sorted(ad) if h not in off]
-        return tuple(tuple(col.get(i, 0) for col in diagonal) for i in range(g.dim))
-
-    @cached_property
     def derivation_dim(self) -> int:
-        weights = self.weights
+        weights = self.algebra.weights()
         # summed over indices, class sizes give the sum of squared class sizes
         unknowns = sum(len(c) for c in _weight_classes(weights))
         rank = len(sparse_rref(_leibniz_rows(self.algebra, weights).values()))

@@ -19,6 +19,12 @@ format, and the Pfaffian reads it directly
 (:func:`liesymp.linalg.sparsest_row_pfaffian`); ``TwoForm.entries`` is a
 dense view for printing.
 
+Z^2 is solved by the weights of :meth:`LieAlgebra.weights`, the grading
+that completeness uses too: only the weight-0 block of dw = 0 is
+eliminated, and every other block is exact (Cartan's formula) and read off
+the rows d(e^k), in a column order that keeps the basis the one the
+ungraded solve gives (see :func:`cocycle_space`).
+
 A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
 closed form is the zero polynomial.  The witness point is the first integer
@@ -257,22 +263,48 @@ class CocycleSpace:
 def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     """Z^2 as the kernel of d on antisymmetric forms; B^2 as the image of d
     on covectors, with a covector preimage recorded for each basis element.
+    ``g`` must satisfy the Jacobi identity, which makes the weights of
+    :meth:`LieAlgebra.weights` a grading.
 
-    Both systems are assembled sparse from the bracket table and solved by
-    the elimination kernel of :mod:`liesymp.linalg`; the rows of dw = 0 are
-    the sums of :meth:`LieAlgebra.compositions` over every pair {m, t}.
+    Z^2 is solved by weight: the pair {m, t} has weight w_m + w_t, and d
+    keeps weights.  A closed form of weight mu != 0 is exact, by Cartan's
+    formula theta(h) = d i_h + i_h d for a grading vector e_h with
+    mu(h) != 0, so Z^2 = Z^2_0 + B^2_{!=0}.  Only the rows of dw = 0 on the
+    weight-0 pairs are assembled (the sums of
+    :meth:`LieAlgebra.compositions` with the partners e_t of e_m,
+    w_t = -w_m) and solved by the elimination kernel of
+    :mod:`liesymp.linalg`; each vector of its kernel basis has 1 at its
+    free column, which is its last, and 0 at every other free column.  The
+    other blocks are the rows d(e^k) with w_k != 0, reduced with the pair
+    columns in reversed order, which gives each row the same shape: 1 at
+    its last pair and 0 at the last pair of every other row.  So the two
+    parts, merged by last pair, are the kernel basis of the ungraded solve,
+    form by form.  With one weight class, as in a nilpotent algebra, the
+    dw = 0 system is the whole one.
+
+    B^2 is the reduced echelon form of all the rows d(e^k), each tagged
+    with e^k in the columns after the pairs, so that reduction records the
+    preimages.
     """
     n = g.dim
-    pairs = _pair_index(n)
-    size = len(pairs)
-    # column[s][t] is the column of the pair {s, t}
+    weights = g.weights()
+    classes: dict[tuple, list[int]] = {}
+    for i, w in enumerate(weights):
+        classes.setdefault(w, []).append(i)
+    opposite = {w: classes.get(tuple(-x for x in w), ()) for w in classes}
+    # the weight-0 pairs {m, t}, w_t = -w_m, in their order among all pairs;
+    # column[s][t] is the column of the weight-0 pair {s, t}
+    zero_pairs = [(m, t) for m, w in enumerate(weights) for t in opposite[w] if t > m]
     column = [[0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(pairs):
+    for idx, (i, j) in enumerate(zero_pairs):
         column[i][j] = column[j][i] = idx
+    # w(e_m, e_t) is the coordinate of the pair's column if m < t, else its negation
+    partners = [
+        [(t, (column[m][t], m < t)) for t in opposite[w] if t != m]
+        for m, w in enumerate(weights)
+    ]
 
-    # dw = 0, one row per triple; w(e_m, e_t) is the coordinate of the
-    # pair's column if m < t, else its negation
-    partners = [[(t, (column[m][t], m < t)) for t in range(n) if t != m] for m in range(n)]
+    # dw = 0 on the weight-0 pairs, one row per triple
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for key, f, neg, (col, up) in g.compositions(partners):
         row = rows.setdefault(key, {})
@@ -286,17 +318,33 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
                 row[col] = x
             else:
                 del row[col]
-    z2 = tuple(
-        TwoForm._of(n, {pairs[j]: as_exact(c) for j, c in v.items()})
-        for v in sparse_kernel_rows(sparse_rref(rows.values()), size)
-    )
+    z2 = [
+        TwoForm._of(n, {zero_pairs[j]: as_exact(c) for j, c in v.items()})
+        for v in sparse_kernel_rows(sparse_rref(rows.values()), len(zero_pairs))
+    ]
 
-    # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k in
-    # the columns after the pairs, so that reduction records the preimages.
+    # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k
+    pairs = _pair_index(n)
+    size = len(pairs)
     image: list[dict[int, int | Fraction]] = [{size + k: 1} for k in range(n)]
     for (a, b), coeffs in g.table.items():
+        j = a * (2 * n - a - 1) // 2 + b - a - 1  # the column of the pair (a, b)
         for k, c in coeffs.items():
-            image[k][column[a][b]] = -c
+            image[k][j] = -c
+    # Z^2_{!=0} = B^2_{!=0}, with column j reversed to size - 1 - j
+    last = size - 1
+    graded = sparse_rref(
+        {last - j: x for j, x in image[k].items() if j < size}
+        for k in range(n)
+        if any(weights[k])
+    )
+    if graded:
+        z2.extend(
+            TwoForm._of(n, {pairs[last - j]: as_exact(c) for j, c in row.items()})
+            for row in graded.values()
+        )
+        z2.sort(key=lambda z: max(z.coords))
+
     pivots = sparse_rref(image)
     b2 = []
     b2_pre = []
@@ -305,7 +353,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
             upper = {pairs[j]: as_exact(c) for j, c in pivots[p].items() if j < size}
             b2.append(TwoForm._of(n, upper))
             b2_pre.append(vector(dense_row(pivots[p], size, size + n)))
-    return CocycleSpace(g, z2, tuple(b2), tuple(b2_pre))
+    return CocycleSpace(g, tuple(z2), tuple(b2), tuple(b2_pre))
 
 
 def generic_cocycle(cs: CocycleSpace) -> TwoForm:

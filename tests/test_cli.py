@@ -296,6 +296,39 @@ def test_catalog_zero_denominator_in_set_exits_2(argv, capsys):
     assert captured.err == "error: --set alpha=1/0: zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "item", ["a=1e3", "a=1.5", "a=1_0", "a=١", "a=1/-2", "a=1e99999999", "n=4/2", "n=1e3"]
+)
+@pytest.mark.parametrize("command", [["catalog", "show", "n6_5"], ["catalog", "verify"]])
+def test_set_takes_only_the_file_formats_numbers(command, item, capsys):
+    """A sign, ASCII digits and an optional positive denominator; an
+    exponent was read by Fraction, and 1e99999999 ran for minutes."""
+    start = time.perf_counter()
+    assert main(command + ["--set", item]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, _, value = item.partition("=")
+    want = "an integer" if key == "n" else "an integer or a fraction p/q"
+    assert _one_error_line(captured.err) == f"error: --set {item}: expected {want} in ASCII digits"
+
+
+@pytest.mark.parametrize("item", ["a=-{big}", "a=1/{big}", "n={big}"])
+def test_set_number_longer_than_the_int_string_limit_exits_2(item, capsys):
+    big = "7" * 5000
+    assert main(["catalog", "show", "n6_5", "--set", item.format(big=big)]) == 2
+    key = item.partition("=")[0]
+    assert _one_error_line(capsys.readouterr().err) == f"error: --set {key}: number too long (5000 digits)"
+
+
+def test_set_keeps_signed_integers_and_fractions(capsys):
+    assert main(["catalog", "show", "n6_5", "--set", " a = +7/2 "]) == 0
+    assert main(["catalog", "show", "Q", "--set", "n=+7"]) == 0
+    assert main(["catalog", "show", "Q", "--set", "n=7"]) == 0
+    shown = capsys.readouterr().out.split("algebra ")
+    assert shown[2] == shown[3]
+
+
 def test_catalog_verify_dim_filter(capsys):
     assert main(["catalog", "verify", "--dim", "4"]) == 0
     out = capsys.readouterr().out
