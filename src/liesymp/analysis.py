@@ -3,8 +3,9 @@
 An :class:`Analysis` studies one algebra, either a Lie algebra as given or
 the semidirect product t ⋉ n of a torus t acting on its nilradical n.  Every
 artifact is a cached property, one call of the public function for it:
-``semidirect(torus)`` (which reads the torus check cached on the torus,
-``TorusAction.check``), ``is_complete(algebra)`` (whose report solves the
+``semidirect(torus)`` (which returns the product that the torus check
+cached on the torus, ``TorusAction.check``, built and checked for the
+Jacobi identity), ``is_complete(algebra)`` (whose report solves the
 center and Der(g) only when read), ``rank_bound(nilradical)`` and
 ``decide_symplectic(algebra)`` (whose verdict carries the generic closed
 form that any condition is checked against).

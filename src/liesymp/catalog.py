@@ -237,13 +237,14 @@ def _table_entry(
     corrections: Sequence[str] = (),
     known_mismatches: Mapping[str, str] | None = None,
     known_condition_failures: Mapping[str, str] | None = None,
+    params: dict | None = None,
 ) -> CatalogEntry:
     nilradical = _nil(dim, nil)
     labels = tuple(torus.keys())
     gens = tuple(_action(dim, rules) for rules in torus.values())
     return CatalogEntry(
         name=name,
-        params={},
+        params=params or {},
         nilradical=nilradical,
         torus=TorusAction(nilradical, gens, labels),
         expected=Expected(symplectic, maximal, tuple(conditions)),
@@ -676,87 +677,81 @@ def _require_nonzero_a(a) -> Fraction:
 
 def _build_n6_5(a=Q(2)) -> CatalogEntry:
     a = _require_nonzero_a(a)
-    nil = _nil(6, {(1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}})
-    torus = {
-        "e7": {1: {1: 1}, 2: {2: 1}, 5: {5: 1}, 6: {6: 1}},
-        "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
-        "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-        "e10": {3: {4: a}, 4: {3: 1}, 5: {6: a}, 6: {5: 1}},
-    }
-    gens = tuple(_action(6, rules) for rules in torus.values())
-    conditions = (
-        _cond("a_{6,8}^2 != a_{6,9}^2  [as printed]",
-              (1, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
-        _cond("a a_{6,8}^2 != a_{6,9}^2  [corrected]",
-              (a, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
-        _cond("a (a_{7,8} + a_{8,9}) != a_{7,10} + a_{9,10}  [as printed]",
-              (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (-1, [(9, 10)])),
-        _cond("a (a_{7,8} + a_{8,9}) + a_{9,10} != a_{7,10}  [corrected]",
-              (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (1, [(9, 10)])),
-    )
-    return CatalogEntry(
-        name="n6_5", params={"a": a}, nilradical=nil,
-        torus=TorusAction(nil, gens, tuple(torus.keys())),
-        expected=Expected("yes", True, conditions),
+    return _table_entry(
+        "n6_5", 6,
+        nil={(1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 1}, 5: {5: 1}, 6: {6: 1}},
+            "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+            "e10": {3: {4: a}, 4: {3: 1}, 5: {6: a}, 6: {5: 1}},
+        },
+        symplectic="yes", maximal=True,
+        conditions=(
+            _cond("a_{6,8}^2 != a_{6,9}^2  [as printed]",
+                  (1, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
+            _cond("a a_{6,8}^2 != a_{6,9}^2  [corrected]",
+                  (a, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
+            _cond("a (a_{7,8} + a_{8,9}) != a_{7,10} + a_{9,10}  [as printed]",
+                  (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (-1, [(9, 10)])),
+            _cond("a (a_{7,8} + a_{8,9}) + a_{9,10} != a_{7,10}  [corrected]",
+                  (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (1, [(9, 10)])),
+        ),
         corrections=("n6_5-condition-1", "n6_5-condition-2"),
         known_condition_failures={
             "a_{6,8}^2 != a_{6,9}^2  [as printed]": "n6_5-condition-1",
             "a (a_{7,8} + a_{8,9}) != a_{7,10} + a_{9,10}  [as printed]": "n6_5-condition-2",
         },
+        params={"a": a},
     )
 
 
 def _build_n6_10(a=Q(2)) -> CatalogEntry:
     a = _require_nonzero_a(a)
-    nil = _nil(6, {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1},
-                   (2, 3): {6: a}, (2, 4): {5: 1}})
-    torus = {
-        # [e7,e3] = 2 e3 (printed 2 e2), see TYPOS
-        "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
-        "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
-    }
-    gens = tuple(_action(6, rules) for rules in torus.values())
-    conditions = (
-        _cond("a a_{6,8}^2 != a_{5,8}^2",
-              (a, [(6, 8), (6, 8)]), (-1, [(5, 8), (5, 8)])),
-    )
-    return CatalogEntry(
-        name="n6_10", params={"a": a}, nilradical=nil,
-        torus=TorusAction(nil, gens, tuple(torus.keys())),
-        expected=Expected("yes", False, conditions),
+    return _table_entry(
+        "n6_10", 6,
+        nil={(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
+        torus={
+            # [e7,e3] = 2 e3 (printed 2 e2), see TYPOS
+            "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
+            "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a a_{6,8}^2 != a_{5,8}^2",
+                  (a, [(6, 8), (6, 8)]), (-1, [(5, 8), (5, 8)])),
+        ),
         corrections=("n6_10-torus-action",),
+        params={"a": a},
     )
 
 
 def _build_n6_14(a=Q(1)) -> CatalogEntry:
     a = _require_nonzero_a(a)
-    nil = _nil(6, {(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}})
-    torus = {
-        "e7": {1: {1: 1}, 2: {2: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
-        "e8": {1: {2: -1 / a}, 2: {1: 1}, 4: {5: -1 / a}, 5: {4: 1}},
-        "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-    }
-    gens = tuple(_action(6, rules) for rules in torus.values())
-    return CatalogEntry(
-        name="n6_14", params={"a": a}, nilradical=nil,
-        torus=TorusAction(nil, gens, tuple(torus.keys())),
-        expected=Expected("odd", True),
+    return _table_entry(
+        "n6_14", 6,
+        nil={(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
+            "e8": {1: {2: -1 / a}, 2: {1: 1}, 4: {5: -1 / a}, 5: {4: 1}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="odd", maximal=True,
+        params={"a": a},
     )
 
 
 def _build_n6_18(a=Q(1)) -> CatalogEntry:
     a = _require_nonzero_a(a)
-    nil = _nil(6, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1},
-                   (2, 3): {5: 1}, (2, 5): {6: a}})
-    torus = {
-        "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: 3}, 6: {6: 4}},
-        "e8": {1: {2: -1 / a}, 2: {1: 1}, 4: {5: -1 / a}, 5: {4: 1}},
-    }
-    gens = tuple(_action(6, rules) for rules in torus.values())
-    return CatalogEntry(
-        name="n6_18", params={"a": a}, nilradical=nil,
-        torus=TorusAction(nil, gens, tuple(torus.keys())),
-        expected=Expected("never", True),
+    return _table_entry(
+        "n6_18", 6,
+        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: 3}, 6: {6: 4}},
+            "e8": {1: {2: -1 / a}, 2: {1: 1}, 4: {5: -1 / a}, 5: {4: 1}},
+        },
+        symplectic="never", maximal=True,
+        params={"a": a},
     )
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .analysis import Analysis
-from .fileformat import AlgebraFile, build, parse, print_file
+from .fileformat import AlgebraFile, _format_linear, build, parse, print_file
 from .regression import (
     DOCUMENTED,
     MATCH,
@@ -359,17 +359,10 @@ def _cmd_symplectic(args) -> int:
                     print("  [" + ", ".join(str(x) for x in row) + "]")
         print(f"exact (Frobenius): exists = {verdict.exact_exists}")
         if args.witness and verdict.exact_one_form is not None:
-            labels = g.labels
-            parts = []
-            for i, c in enumerate(verdict.exact_one_form):
-                if c == 0:
-                    continue
-                body = f"{labels[i]}^*" if abs(c) == 1 else f"{abs(c)}*{labels[i]}^*"
-                if not parts:
-                    parts.append(("-" if c < 0 else "") + body)
-                else:
-                    parts.append(("- " if c < 0 else "+ ") + body)
-            print("exact witness one-form: " + (" ".join(parts) if parts else "0"))
+            terms = tuple(
+                (c, f"{g.labels[i]}^*") for i, c in enumerate(verdict.exact_one_form) if c
+            )
+            print("exact witness one-form: " + _format_linear(terms))
         return EXIT_OK
 
     return _with_analysis(args, run)

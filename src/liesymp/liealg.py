@@ -240,8 +240,8 @@ class LieAlgebra:
                     elif a < t < b:
                         yield (a, t, b), neg, c, x
 
-    def jacobi_failure(self) -> tuple[int, int, int] | None:
-        """First basis triple (i < j < k) violating the Jacobi identity, if any.
+    def jacobi_failures(self) -> list[tuple[int, int, int]]:
+        """Every basis triple (i < j < k) violating the Jacobi identity.
 
         The Jacobi sum of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
         - [[e_i, e_k], e_j]: the walk of :meth:`compositions` with the
@@ -258,8 +258,11 @@ class LieAlgebra:
             acc = sums.setdefault(key, {})
             for u, y in terms.items():
                 acc[u] = acc.get(u, 0) + f * y
-        failing = [key for key, acc in sums.items() if any(acc.values())]
-        return min(failing) if failing else None
+        return [key for key, acc in sums.items() if any(acc.values())]
+
+    def jacobi_failure(self) -> tuple[int, int, int] | None:
+        """The first triple of :meth:`jacobi_failures`, if any."""
+        return min(self.jacobi_failures(), default=None)
 
     def jacobi_holds(self) -> bool:
         return self.jacobi_failure() is None
@@ -322,27 +325,21 @@ class LieAlgebra:
 
     def lower_central_series(self) -> list[Subspace]:
         """g, [g, g], [g, [g, g]], ... until the chain stabilises."""
-        full = Subspace.full(self.dim)
-        series = [full]
-        while True:
-            nxt = self.subalgebra_product(full, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-            if nxt.is_zero():
-                break
-        return series
+        return self._series(lower=True)
 
     def derived_series(self) -> list[Subspace]:
         """g, [g, g], [[g, g], [g, g]], ... until the chain stabilises."""
+        return self._series(lower=False)
+
+    def _series(self, lower: bool) -> list[Subspace]:
+        """From g, bracket the last term with g (``lower``) or with itself,
+        until the term is 0 or repeats."""
         series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self.subalgebra_product(series[-1], series[-1])
+        while not series[-1].is_zero():
+            nxt = self.subalgebra_product(series[0] if lower else series[-1], series[-1])
             if nxt == series[-1]:
                 break
             series.append(nxt)
-            if nxt.is_zero():
-                break
         return series
 
     def has_acyclic_bracket_graph(self) -> bool:

@@ -17,7 +17,10 @@ column, and :func:`sparse_kernel_basis` reads a kernel basis off it.  The
 reduced echelon form of a row space is canonical, so the result does not
 depend on the order in which rows arrive, and callers assemble their
 systems (Leibniz, cocycle and center equations) sparse, straight from a
-bracket table.
+bracket table.  The kernel stores every value as an int where integral,
+whatever its input rows hold, so what is read off it (kernel vectors, the
+Z^2 and B^2 coordinates, a minimal polynomial, a determinant) needs no
+conversion.
 
 :class:`RationalMatrix` is an immutable dense matrix, the form in which a
 torus generator is given.  It keeps only what the torus path and the
@@ -79,7 +82,8 @@ def vector(entries: Iterable) -> tuple[int | Fraction, ...]:
 #
 # A sparse row maps column indices to nonzero exact values.  Pivot rows are
 # kept reduced: each has entry 1 at its pivot, which is its leading column, and
-# no entry in any other pivot column.
+# no entry in any other pivot column.  Fraction arithmetic gives a Fraction
+# even where the result is integral, so each Fraction goes through as_exact.
 
 SparseRow = dict[int, int | Fraction]
 
@@ -91,8 +95,9 @@ def sparse_row(entries: Iterable) -> SparseRow:
 
 def reduce_row(row: Mapping[int, Fraction], pivots: Mapping[int, SparseRow]) -> SparseRow:
     """``row`` minus the multiples of the pivot rows that clear its pivot
-    columns: zero exactly when ``row`` lies in their span."""
-    out = {j: x for j, x in row.items() if x}
+    columns: zero exactly when ``row`` lies in their span.  Every entry of
+    the result is an int where integral."""
+    out = {j: x if type(x) is int else as_exact(x) for j, x in row.items() if x}
     for c in [c for c in out if c in pivots]:
         f = out.pop(c)
         for j, v in pivots[c].items():
@@ -100,7 +105,7 @@ def reduce_row(row: Mapping[int, Fraction], pivots: Mapping[int, SparseRow]) -> 
                 x = out.get(j)
                 x = -f * v if x is None else x - f * v
                 if x:
-                    out[j] = x
+                    out[j] = x if type(x) is int else as_exact(x)
                 else:
                     del out[j]
     return out
@@ -108,13 +113,16 @@ def reduce_row(row: Mapping[int, Fraction], pivots: Mapping[int, SparseRow]) -> 
 
 def _add_row(pivots: dict[int, SparseRow], residual: SparseRow) -> None:
     """Add a row already reduced by ``pivots`` (see :func:`reduce_row`) as a
-    new pivot row, keeping every pivot row reduced.  Takes ownership of
-    ``residual``; an empty residual adds nothing."""
+    new pivot row, keeping every pivot row reduced and every entry an int
+    where integral.  Takes ownership of ``residual``; an empty residual adds
+    nothing."""
     if not residual:
         return
     c = min(residual)
     lead = residual[c]
-    row = residual if lead == 1 else {j: exact_quotient(x, lead) for j, x in residual.items()}
+    row = residual if lead == 1 else {
+        j: as_exact(exact_quotient(x, lead)) for j, x in residual.items()
+    }
     for other in pivots.values():
         f = other.pop(c, None)
         if f is not None:
@@ -123,7 +131,7 @@ def _add_row(pivots: dict[int, SparseRow], residual: SparseRow) -> None:
                     x = other.get(j)
                     x = -f * v if x is None else x - f * v
                     if x:
-                        other[j] = x
+                        other[j] = x if type(x) is int else as_exact(x)
                     else:
                         del other[j]
     pivots[c] = row
@@ -327,7 +335,7 @@ class RationalMatrix:
             order.append(c)
             _add_row(pivots, residual)
         inversions = sum(1 for a in range(len(order)) for b in range(a) if order[b] > order[a])
-        return -det if inversions % 2 else det
+        return as_exact(-det if inversions % 2 else det)
 
     def pfaffian(self) -> int | Fraction:
         """Pfaffian of an antisymmetric matrix of even size.
@@ -374,7 +382,7 @@ class RationalMatrix:
             flat[size + k] = 1
             residual = reduce_row(flat, pivots)
             if min(residual) >= size:
-                return vector(dense_row(residual, size, size + k)) + (1,)
+                return dense_row(residual, size, size + k) + (1,)
             _add_row(pivots, residual)
             power = sparse_product(power, rows)
         raise AssertionError("no minimal polynomial of degree <= n found")

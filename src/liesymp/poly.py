@@ -253,13 +253,6 @@ class MultiPoly:
             total += val
         return Fraction(total, den * b**top)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
-        """Leading term under graded-lex over this polynomial's variables."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex)
-        return exps, self.terms[exps]
-
     def __str__(self) -> str:
         keep, ordered = self.canonical()
         if not ordered:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .analysis import Analysis
 from .catalog import DEFAULT_SELECTION, CatalogEntry, build_entry
@@ -103,6 +104,15 @@ def _verdict_word(v: str) -> str:
     return {"yes": "yes", "no": "never", "odd": "odd"}[v]
 
 
+def _status(agrees: bool, registry: Mapping[str, str], key: str) -> tuple[str, str | None]:
+    """A comparison's status and typo: a disagreement is documented when the
+    entry's ``registry`` names a typo for ``key``."""
+    if agrees:
+        return MATCH, None
+    typo = registry.get(key)
+    return (MISMATCH, None) if typo is None else (DOCUMENTED, typo)
+
+
 def check_entry(entry: CatalogEntry) -> EntryResult:
     """Recompute all verdicts for one entry and compare with the reference."""
     comparisons: list[Comparison] = []
@@ -130,24 +140,19 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     )
 
     maximal = analysis.maximal_rank
-    status = MATCH if maximal == entry.expected.maximal_rank else MISMATCH
-    typo = None
-    if status == MISMATCH and "maximal_rank" in entry.known_mismatches:
-        status = DOCUMENTED
-        typo = entry.known_mismatches["maximal_rank"]
-    comparisons.append(
-        Comparison("maximal-rank", str(maximal), str(entry.expected.maximal_rank), status, typo)
-    )
+    expected_maximal = entry.expected.maximal_rank
+    comparisons.append(Comparison(
+        "maximal-rank", str(maximal), str(expected_maximal),
+        *_status(maximal == expected_maximal, entry.known_mismatches, "maximal_rank"),
+    ))
 
     verdict = analysis.verdict
     computed_word = _verdict_word(verdict.exists)
     expected_word = entry.expected.symplectic
-    status = MATCH if computed_word == expected_word else MISMATCH
-    typo = None
-    if status == MISMATCH and "symplectic" in entry.known_mismatches:
-        status = DOCUMENTED
-        typo = entry.known_mismatches["symplectic"]
-    comparisons.append(Comparison("symplectic", computed_word, expected_word, status, typo))
+    comparisons.append(Comparison(
+        "symplectic", computed_word, expected_word,
+        *_status(computed_word == expected_word, entry.known_mismatches, "symplectic"),
+    ))
 
     witness_verified: bool | None = None
     if verdict.exists == "yes" and not verdict.degenerate:
@@ -191,12 +196,10 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
                 divides = "pf^2"
             else:
                 divides = "no"
-            status = MATCH if divides != "no" else MISMATCH
-            typo = None
-            if status == MISMATCH and cond.label in entry.known_condition_failures:
-                status = DOCUMENTED
-                typo = entry.known_condition_failures[cond.label]
-            conditions.append(ConditionResult(cond.label, divides, status, typo))
+            conditions.append(ConditionResult(
+                cond.label, divides,
+                *_status(divides != "no", entry.known_condition_failures, cond.label),
+            ))
 
     return EntryResult(
         name=entry.name,

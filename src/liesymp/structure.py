@@ -6,6 +6,11 @@ the solvable algebra ``semidirect(t)`` with the bracket
 
     [h1 + n1, h2 + n2] = h1(n2) - h2(n1) + [n1, n2].
 
+For a Lie algebra n, this bracket satisfies Jacobi exactly when the
+generators are commuting derivations, so ``verify_torus`` builds t ⋉ n once
+and reads both axioms off its failing Jacobi triples; ``semidirect`` returns
+that product and checks nothing again.
+
 Tori are supplied (from reference data or the user) and verified here; no
 attempt is made to construct a maximal torus from scratch.  Maximality is
 instead certified numerically through the rank bound dim(n / [n, n]) and,
@@ -40,7 +45,6 @@ from .linalg import (
     RationalMatrix,
     as_exact,
     sparse_kernel_basis,
-    sparse_product,
     sparse_row,
     sparse_rref,
     upoly_is_squarefree,
@@ -116,41 +120,17 @@ def _leibniz_rows(
     return rows
 
 
-def _leibniz_holds(g: LieAlgebra, d: RationalMatrix, diagonal: bool) -> bool:
-    """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] on every
-    basis pair, evaluated on the nonzero entries of D only.
-
-    A ``diagonal`` D = diag(l) satisfies it iff l_a + l_b = l_k for every
-    nonzero structure constant c_ab^k, read straight from the bracket table.
-    """
-    n = g.dim
-    rows = d.data
-    if diagonal:
-        return all(
-            rows[a][a] + rows[b][b] == rows[k][k]
-            for (a, b), coeffs in g.table.items()
-            for k in coeffs
-        )
-    cols = [{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j]
-            acc = g._bracket_rows(cols[i], {j: 1})
-            for k, c in g._bracket_rows({i: 1}, cols[j]).items():
-                acc[k] = acc.get(k, 0) + c
-            for m, c in g.table.get((i, j), {}).items():
-                for k, x in cols[m].items():
-                    acc[k] = acc.get(k, 0) - c * x
-            if any(acc.values()):
-                return False
-    return True
-
-
 def is_derivation(g: LieAlgebra, d: RationalMatrix) -> bool:
-    """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
+    """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
+
+    The Jacobi sum of {e_i, e_j, h} in g with h = D adjoined (see
+    :func:`_adjoin`) is the Leibniz identity of D on (e_i, e_j), so D is a
+    derivation when no failing triple contains h; triples inside g, which
+    fail when g itself violates Jacobi, do not count.
+    """
     if d.rows != g.dim or d.cols != g.dim:
         return False
-    return _leibniz_holds(g, d, d.is_diagonal())
+    return all(k != g.dim for _, _, k in _adjoin(g, (d,)).jacobi_failures())
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
@@ -230,16 +210,17 @@ class TorusAction:
             labels = tuple(f"e{n + a + 1}" for a in range(len(gens)))
         if len(labels) != len(gens):
             raise ValueError("one label per torus generator is required")
+        # the labels name the basis of t ⋉ n after the nilradical's
+        taken = set(self.nilradical.labels)
+        for label in labels:
+            if label in taken:
+                raise ValueError(f"torus label {label!r} repeats a basis or torus label")
+            taken.add(label)
         object.__setattr__(self, "labels", labels)
 
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    @cached_property
-    def diagonal(self) -> tuple[bool, ...]:
-        """Which generators are diagonal matrices, computed once."""
-        return tuple(d.is_diagonal() for d in self.generators)
 
     @cached_property
     def check(self) -> TorusCheck:
@@ -249,44 +230,78 @@ class TorusAction:
 
 @dataclass(frozen=True)
 class TorusCheck:
+    """The verdict of :func:`verify_torus`.  A valid torus also keeps its
+    product t ⋉ n and the first triple at which that violates Jacobi (one
+    inside n), for :func:`semidirect`."""
+
     ok: bool
     violation: str | None = None
+    product: LieAlgebra | None = None
+    jacobi_failure: tuple[int, int, int] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
+def _adjoin(
+    n: LieAlgebra, generators: Sequence[RationalMatrix], labels: Sequence[str] | None = None
+) -> LieAlgebra:
+    """The bracket of t ⋉ n: n with the generators adjoined after its basis,
+    [e_i, h] = -h(e_i), and [h, h'] = 0, whatever the generators are.  With
+    ``labels``, the basis is labelled n's labels then these."""
+    dim = n.dim
+    # LieAlgebra copies the coefficient maps, so the nilradical's are shared
+    brackets: dict[tuple[int, int], Mapping[int, Fraction]] = dict(n.table)
+    for a, d in enumerate(generators):
+        for i in range(dim):
+            # [e_i, h] = -h(e_i): column i of the generator, negated
+            col = {k: -row[i] for k, row in enumerate(d.data) if row[i]}
+            if col:
+                brackets[(i, dim + a)] = col
+    if labels is not None:
+        labels = n.labels + tuple(labels)
+    return LieAlgebra(dim + len(generators), brackets, labels)
+
+
 def verify_torus(t: TorusAction) -> TorusCheck:
     """Check the torus axioms, reporting the first violated property.
 
+    The product t ⋉ n is built once, from the generators before the first
+    one of the wrong shape.  For basis vectors e_i of n, the Jacobi sum of
+    {e_i, e_j, h_a} is the Leibniz identity of h_a on (e_i, e_j), and that of
+    {e_i, h_a, h_b} is -[h_a, h_b] e_i.  So a failing triple with one torus
+    index names a generator that is not a derivation, and one with two a
+    pair that does not commute; failing triples inside n are left to
+    ``semidirect``.
+
     Semisimplicity is tested as squarefreeness of the minimal polynomial,
     which characterises semisimple action over any field of characteristic
-    zero (rational diagonalisability is strictly stronger and not required).
-    A diagonal generator is semisimple outright and is checked against the
-    bracket table directly; diag(l) commutes with A iff A_ij = 0 wherever
-    l_i != l_j, and two non-diagonal generators are multiplied sparsely.
-    Linear independence of the generators is checked last, as the rank of
-    their flattened entries, so that the torus rank is the number of
-    generators.
+    zero (rational diagonalisability is strictly stronger and not required);
+    a diagonal generator is semisimple outright.  Linear independence of the
+    generators is checked last, as the rank of their flattened entries, so
+    that the torus rank is the number of generators.
     """
     n = t.nilradical.dim
-    diagonal = t.diagonal
+    labels = t.labels
+    shaped = next((a for a, d in enumerate(t.generators) if d.rows != n or d.cols != n), t.rank)
+    product = _adjoin(t.nilradical, t.generators[:shaped], labels[:shaped])
+    failures = product.jacobi_failures()
+    # the torus generators in each failing triple, whose indices sort last
+    torus_indices = [tuple(x - n for x in triple if x >= n) for triple in failures]
+    not_derivations = [h[0] for h in torus_indices if len(h) == 1]
+    if not_derivations:
+        return TorusCheck(False, f"generator {labels[min(not_derivations)]} is not a derivation")
+    if shaped < t.rank:
+        return TorusCheck(False, f"generator {labels[shaped]} has the wrong shape")
+    pairs = [h for h in torus_indices if len(h) == 2]
+    if pairs:
+        a, b = min(pairs)
+        return TorusCheck(False, f"generators {labels[a]} and {labels[b]} do not commute")
     for a, d in enumerate(t.generators):
-        if d.rows != n or d.cols != n:
-            return TorusCheck(False, f"generator {t.labels[a]} has the wrong shape")
-        if not _leibniz_holds(t.nilradical, d, diagonal[a]):
-            return TorusCheck(False, f"generator {t.labels[a]} is not a derivation")
-    for a in range(len(t.generators)):
-        for b in range(a + 1, len(t.generators)):
-            if not _commute(t.generators[a], t.generators[b], diagonal[a], diagonal[b]):
-                return TorusCheck(
-                    False, f"generators {t.labels[a]} and {t.labels[b]} do not commute"
-                )
-    for a, d in enumerate(t.generators):
-        if not diagonal[a] and not upoly_is_squarefree(d.minimal_polynomial()):
+        if not d.is_diagonal() and not upoly_is_squarefree(d.minimal_polynomial()):
             return TorusCheck(
                 False,
-                f"generator {t.labels[a]} is not semisimple "
+                f"generator {labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)",
             )
     flat = (
@@ -295,58 +310,27 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     )
     if len(sparse_rref(flat)) < t.rank:
         if t.rank == 1:
-            return TorusCheck(False, f"generator {t.labels[0]} is zero")
-        return TorusCheck(False, f"generators {', '.join(t.labels)} are linearly dependent")
-    return TorusCheck(True)
-
-
-def _commute(x: RationalMatrix, y: RationalMatrix, x_diagonal: bool, y_diagonal: bool) -> bool:
-    """Whether xy = yx for square matrices of one size, given which are diagonal."""
-    if x_diagonal and y_diagonal:
-        return True
-    if x_diagonal or y_diagonal:
-        lam, m = (x, y) if x_diagonal else (y, x)
-        # [diag(l), A]_ij = (l_i - l_j) A_ij
-        return all(
-            not a or lam.data[i][i] == lam.data[j][j]
-            for i, row in enumerate(m.data)
-            for j, a in enumerate(row)
-        )
-    xs, ys = [sparse_row(r) for r in x.data], [sparse_row(r) for r in y.data]
-    return sparse_product(xs, ys) == sparse_product(ys, xs)
+            return TorusCheck(False, f"generator {labels[0]} is zero")
+        return TorusCheck(False, f"generators {', '.join(labels)} are linearly dependent")
+    return TorusCheck(True, product=product, jacobi_failure=min(failures, default=None))
 
 
 def semidirect(t: TorusAction) -> LieAlgebra:
-    """The solvable algebra on h + n with torus generators adjoined last.
+    """The solvable algebra on h + n with torus generators adjoined last:
+    the product that ``t.check`` built.
 
-    Raises ValueError when the torus axioms fail (``t.check``) or the
-    product violates the Jacobi identity (as it does when the nilradical
-    table does).
+    Raises ValueError when the torus axioms fail or the product violates the
+    Jacobi identity (as it does when the nilradical table does), both read
+    off ``t.check``.
     """
     check = t.check
     if not check.ok:
         raise ValueError(f"invalid torus action: {check.violation}")
-    n = t.nilradical.dim
-    r = t.rank
-    # LieAlgebra copies the coefficient maps, so the nilradical's are shared
-    brackets: dict[tuple[int, int], Mapping[int, Fraction]] = dict(t.nilradical.table)
-    for a, d in enumerate(t.generators):
-        # [e_i, h] = -h(e_i): column i of the generator, negated
-        cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for k, row in enumerate(d.data):
-            for i, x in enumerate(row):
-                if x:
-                    cols[i][k] = -x
-        h = n + a
-        for i, col in enumerate(cols):
-            if col:
-                brackets[(i, h)] = col
-    labels = t.nilradical.labels + t.labels
-    g = LieAlgebra(n + r, brackets, labels)
-    failure = g.jacobi_failure()
-    if failure is not None:
-        raise ValueError(f"semidirect product violates Jacobi at triple {failure}")
-    return g
+    if check.jacobi_failure is not None:
+        raise ValueError(
+            f"semidirect product violates Jacobi at triple {check.jacobi_failure}"
+        )
+    return check.product
 
 
 def rank_bound(n: LieAlgebra) -> int:
@@ -357,7 +341,7 @@ def rank_bound(n: LieAlgebra) -> int:
     otherwise the lower central series decides, and a series that does not
     end in 0 raises ValueError.
     """
-    if not n.has_acyclic_bracket_graph() and not n.lower_central_series()[-1].is_zero():
+    if not n.is_nilpotent():
         raise ValueError("rank bound is defined for nilpotent algebras")
     return n.dim - n.derived_subalgebra().dim
 

@@ -319,7 +319,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
             else:
                 del row[col]
     z2 = [
-        TwoForm._of(n, {zero_pairs[j]: as_exact(c) for j, c in v.items()})
+        TwoForm._of(n, {zero_pairs[j]: c for j, c in v.items()})
         for v in sparse_kernel_rows(sparse_rref(rows.values()), len(zero_pairs))
     ]
 
@@ -340,7 +340,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     )
     if graded:
         z2.extend(
-            TwoForm._of(n, {pairs[last - j]: as_exact(c) for j, c in row.items()})
+            TwoForm._of(n, {pairs[last - j]: c for j, c in row.items()})
             for row in graded.values()
         )
         z2.sort(key=lambda z: max(z.coords))
@@ -350,9 +350,9 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     b2_pre = []
     for p in sorted(pivots):
         if p < size:
-            upper = {pairs[j]: as_exact(c) for j, c in pivots[p].items() if j < size}
+            upper = {pairs[j]: c for j, c in pivots[p].items() if j < size}
             b2.append(TwoForm._of(n, upper))
-            b2_pre.append(vector(dense_row(pivots[p], size, size + n)))
+            b2_pre.append(dense_row(pivots[p], size, size + n))
     return CocycleSpace(g, tuple(z2), tuple(b2), tuple(b2_pre))
 
 

@@ -8,7 +8,8 @@ No value of either verdict may be a float.
 
 The same rule holds for the matrices, vectors and two-forms of the catalog
 path (:func:`int_where_integral`), and the Pfaffian recursion seeded with the
-ints 0 and 1 agrees with one seeded with Fractions.
+ints 0 and 1 agrees with one seeded with Fractions.  The elimination kernel
+keeps it too, for any mix of int and Fraction input rows.
 """
 
 import math
@@ -17,11 +18,18 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
-from liesymp.liealg import LieAlgebra
-from liesymp.linalg import RationalMatrix, sparsest_row_pfaffian
+from liesymp.liealg import LieAlgebra, Subspace
+from liesymp.linalg import (
+    RationalMatrix,
+    sparse_kernel_basis,
+    sparse_row,
+    sparse_rref,
+    sparsest_row_pfaffian,
+)
 from liesymp.poly import MultiPoly
 from liesymp.structure import rank_bound
 from liesymp.symplectic import TwoForm, cocycle_space, pullback, top_power
@@ -203,3 +211,45 @@ def test_int_seeded_pfaffian_matches_the_fraction_seeded_one(g):
     assert type(got) in (int, Q)
     if all(type(x) is int for x in coords.values()):
         assert type(got) is int
+
+
+# -- the elimination kernel ----------------------------------------------------
+
+
+def _kernel_values(rows):
+    """Every value the kernel gives for ``rows`` (equal lengths): the pivot
+    rows, the kernel basis, a subspace basis and, for the leading square
+    block, the determinant."""
+    cols = len(rows[0])
+    pivots = sparse_rref(sparse_row(r) for r in rows)
+    yield from (x for row in pivots.values() for x in row.values())
+    yield from (x for v in sparse_kernel_basis(pivots, cols) for x in v)
+    yield from (x for v in Subspace(cols, [sparse_row(r) for r in rows]).basis for x in v)
+    size = min(len(rows), cols)
+    yield RationalMatrix([r[:size] for r in rows[:size]]).determinant()
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1, 0], [0, 1, 2]],  # Subspace.basis held Fraction(-1, 1)
+    [[2, 3, 1], [4, 1, 5]],  # a pivot row of sparse_rref held Fraction(1, 1)
+    [[2, 1], [1, 1]],  # the determinant was Fraction(1, 1)
+])
+def test_kernel_results_that_were_integral_fractions(rows):
+    for x in _kernel_values(rows):
+        assert int_where_integral(x), repr(x)
+
+
+KERNEL_VALUES = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_kernel_gives_ints_where_integral(data):
+    """Input rows mix ints and Fractions, integral Fractions among them."""
+    cols = data.draw(st.integers(1, 5))
+    row = st.lists(KERNEL_VALUES, min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    for x in _kernel_values(rows):
+        assert int_where_integral(x), repr(x)

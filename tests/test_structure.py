@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from liesymp import analysis, regression, structure
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra
 from liesymp.linalg import RationalMatrix
+from liesymp.regression import check_entry
+from test_analysis import _dense_leibniz
 from test_linalg import ad_matrix, dense_apply, in_span
 from liesymp.structure import (
     NotRationallyDiagonalizable,
@@ -141,6 +144,101 @@ def test_verify_torus_rejects_linearly_dependent_generators():
     jordan = RationalMatrix([[0, 1], [0, 0]])
     check = verify_torus(TorusAction(g, (jordan, jordan)))
     assert "not semisimple" in check.violation
+
+
+# -- torus axioms read off the Jacobi identity of t x n ---------------------------
+
+
+def _with_entry(d: RationalMatrix, r: int, c: int, x) -> RationalMatrix:
+    rows = [list(row) for row in d.data]
+    rows[r][c] = x
+    return RationalMatrix(rows)
+
+
+def test_the_printed_n5_2_torus_rule_is_not_a_derivation():
+    # the source prints [e6, e3] = -3 e3; the catalog corrects it to -e3
+    t = build_entry("n5_2").torus
+    assert verify_torus(t).ok
+    printed = _with_entry(t.generators[0], 2, 2, -3)
+    check = verify_torus(TorusAction(t.nilradical, (printed, t.generators[1]), t.labels))
+    assert (check.ok, check.violation) == (False, "generator e6 is not a derivation")
+
+
+def test_the_lowest_pair_of_derivations_that_do_not_commute_is_reported():
+    g = n4_1()
+    diagonal = [_matrix_from_action(4, rules) for rules in PRINTED_DERIVATIONS[:2]]
+    shift = _matrix_from_action(4, PRINTED_DERIVATIONS[3])  # e3 -> e1
+    assert all(is_derivation(g, d) for d in diagonal + [shift])
+    # the shift commutes with neither diagonal derivation
+    for gens, violation in (
+        ((diagonal[0], shift), "generators e5 and e6 do not commute"),
+        ((diagonal[0], diagonal[1], shift), "generators e5 and e7 do not commute"),
+        ((diagonal[1], shift, diagonal[0]), "generators e5 and e6 do not commute"),
+    ):
+        check = verify_torus(TorusAction(g, gens))
+        assert (check.ok, check.violation) == (False, violation)
+
+
+def test_a_non_derivation_and_a_wrong_shape_are_reported_in_generator_order():
+    g = n4_1()
+    identity = RationalMatrix.diagonal([1] * 4)  # not a derivation of n4_1
+    small = RationalMatrix.diagonal([1] * 3)
+    for gens, violation in (
+        ((identity, small), "generator e5 is not a derivation"),
+        ((small, identity), "generator e5 has the wrong shape"),
+    ):
+        check = verify_torus(TorusAction(g, gens))
+        assert (check.ok, check.violation) == (False, violation)
+
+
+@pytest.mark.parametrize("labels", [("e5", "e2"), ("e5", "e5")])
+def test_a_repeated_torus_label_is_rejected_when_the_torus_is_built(labels):
+    gens = tuple(_matrix_from_action(4, rules) for rules in PRINTED_DERIVATIONS[:2])
+    with pytest.raises(ValueError, match="repeats a basis or torus label"):
+        TorusAction(n4_1(), gens, labels)
+
+
+def test_is_derivation_answers_leibniz_on_a_table_that_violates_jacobi():
+    # n4_1 plus [e1, e3] = e4 fails Jacobi; Leibniz is still a question on it
+    bad = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}, (0, 2): {3: 1}})
+    assert not bad.jacobi_holds()
+    candidates = list(derivation_algebra(bad).basis)
+    candidates += [_with_entry(d, (3 * k) % 4, k % 4, 1) for k, d in enumerate(candidates)]
+    candidates += [RationalMatrix.diagonal(v) for v in ([1, 1, 2, 2], [0, 1, 1, 1], [0] * 4)]
+    answers = [is_derivation(bad, d) for d in candidates]
+    assert answers == [_dense_leibniz(bad, d) for d in candidates]
+    assert True in answers and False in answers
+
+
+def test_check_entry_evaluates_the_jacobi_sums_of_t_x_n_once(monkeypatch):
+    """One Jacobi evaluation of each product t x n, inside the torus check;
+    the nilradical's own check is the only other one, and ``semidirect``
+    evaluates none."""
+    evaluated, inside, built = [], [], []
+    failures, product = LieAlgebra.jacobi_failures, structure.semidirect
+
+    def counted_failures(self):
+        evaluated.append((self.dim, bool(inside)))
+        return failures(self)
+
+    def counted_semidirect(t):
+        built.append(t)
+        inside.append(t)
+        try:
+            return product(t)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_failures", counted_failures)
+    for mod in (structure, analysis, regression):
+        if getattr(mod, "semidirect", None) is product:
+            monkeypatch.setattr(mod, "semidirect", counted_semidirect)
+    for name, params in DEFAULT_SELECTION:
+        entry = build_entry(name, **params)
+        evaluated.clear()
+        assert check_entry(entry).green
+        assert sorted(evaluated) == [(entry.nilradical.dim, False), (entry.total_dim, False)]
+    assert len(built) == len(DEFAULT_SELECTION)
 
 
 def test_semidirect_abelian_brackets():
