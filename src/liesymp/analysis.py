@@ -8,7 +8,8 @@ cached on the torus, ``TorusAction.check``, built and checked for the
 Jacobi identity), ``is_complete(algebra)`` (whose report solves the
 center and Der(g) only when read), ``rank_bound(nilradical)`` and
 ``decide_symplectic(algebra)`` (whose verdict carries the generic closed
-form that any condition is checked against).
+form that any condition is checked against).  The nilradical's Jacobi
+identity is read off that torus check, as t ⋉ n holds every triple of n.
 
 An analysis holds no state beyond its caches and is built afresh for each
 catalog entry, file or command; nothing is shared between analyses.
@@ -49,6 +50,15 @@ class Analysis:
         if self.torus is None:
             return self.nilradical
         return semidirect(self.torus)
+
+    @cached_property
+    def jacobi_failure(self) -> tuple[int, int, int] | None:
+        """The nilradical's first triple violating the Jacobi identity, if
+        any: the one a valid torus's check found in t ⋉ n, which holds every
+        triple of n, else computed on n."""
+        if self.torus is not None and self.torus.check.ok:
+            return self.torus.check.jacobi_failure
+        return self.nilradical.jacobi_failure()
 
     @cached_property
     def completeness(self) -> CompletenessReport:

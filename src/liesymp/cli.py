@@ -266,7 +266,7 @@ def _cmd_check(args) -> int:
           + (f", torus of rank {len(parsed.torus_labels)}" if parsed.torus_labels else ""))
     print("antisymmetry: structural (each unordered pair stored once, zero diagonal)")
     analysis = build(parsed)
-    failure = analysis.nilradical.jacobi_failure()
+    failure = analysis.jacobi_failure
     if failure is not None:
         a, b, c = (analysis.nilradical.labels[i] for i in failure)
         raise ValueError(f"jacobi identity fails on ({a}, {b}, {c})")
@@ -281,7 +281,7 @@ def _with_analysis(args, fn) -> int:
     passes the Jacobi identity."""
     parsed = parse(_read(args.file))
     analysis = build(parsed)
-    failure = analysis.nilradical.jacobi_failure()
+    failure = analysis.jacobi_failure
     if failure is not None:
         raise ValueError(f"the bracket table violates the Jacobi identity at triple {failure}")
     return fn(parsed.name, analysis)

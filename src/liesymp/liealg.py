@@ -124,7 +124,7 @@ class LieAlgebra:
     zero is simply omitted.
     """
 
-    __slots__ = ("dim", "labels", "table")
+    __slots__ = ("dim", "labels", "table", "_grading")
 
     def __init__(
         self,
@@ -170,6 +170,7 @@ class LieAlgebra:
         self.dim = dim
         self.labels = labels
         self.table = table
+        self._grading = None  # (weights, weight_classes), read once by _grade
 
     # -- bracket --------------------------------------------------------------
 
@@ -272,12 +273,25 @@ class LieAlgebra:
     def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """The weight of each basis vector: its eigenvalues under the basis
         vectors h whose ad h is diagonal and nonzero, in increasing order of
-        h, read off the bracket table.
+        h, read off the bracket table once and kept.
 
         Each such ad h is a derivation, so the weights grade the algebra:
         [e_a, e_b] has weight w_a + w_b.  With no such h, as in a nilpotent
         algebra, every weight is ().
         """
+        if self._grading is None:
+            self._grading = self._grade()
+        return self._grading[0]
+
+    def weight_classes(self) -> dict[tuple[int | Fraction, ...], tuple[int, ...]]:
+        """The basis indices of each weight of :meth:`weights`, increasing;
+        computed with the weights."""
+        self.weights()
+        return self._grading[1]
+
+    def _grade(self):
+        """The one scan of the bracket table behind :meth:`weights` and
+        :meth:`weight_classes`."""
         ad: dict[int, dict[int, int | Fraction]] = {}  # ad[h][i] = c where [e_h, e_i] = c e_i
         off: set[int] = set()  # the h with some [e_h, e_i] not a multiple of e_i
         for (a, b), coeffs in self.table.items():
@@ -290,9 +304,11 @@ class LieAlgebra:
             else:
                 off.update((a, b))
         diagonal = [ad[h] for h in sorted(ad) if h not in off]
-        if not diagonal:
-            return ((),) * self.dim
-        return tuple(tuple([col.get(i, 0) for col in diagonal]) for i in range(self.dim))
+        weights = tuple(tuple([col.get(i, 0) for col in diagonal]) for i in range(self.dim))
+        classes: dict[tuple, list[int]] = {}
+        for i, w in enumerate(weights):
+            classes.setdefault(w, []).append(i)
+        return weights, {w: tuple(idx) for w, idx in classes.items()}
 
     # -- classical subspaces ----------------------------------------------------
 

@@ -96,21 +96,24 @@ class MultiPoly:
         in declared order: one scan down each exponent column."""
         return tuple(v for v, column in zip(self.vars, zip(*self.terms)) if any(column))
 
+    def _pruned(self, keep: tuple[str, ...]) -> dict[Exponents, Fraction]:
+        """The terms with exponents over ``keep``, which lists every occurring
+        variable in some order: the unused variables pruned."""
+        idx = [self.vars.index(v) for v in keep]
+        return {tuple(exps[i] for i in idx): c for exps, c in self.terms.items()}
+
     def canonical(self) -> tuple[tuple[str, ...], tuple[tuple[Exponents, Fraction], ...]]:
         """Display form: unused variables pruned (declared order kept), terms
         sorted graded-lex descending."""
         keep = self.used_vars()
-        idx = [self.vars.index(v) for v in keep]
-        terms = {tuple(exps[i] for i in idx): c for exps, c in self.terms.items()}
+        terms = self._pruned(keep)
         ordered = tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
         return keep, ordered
 
     def _signature(self) -> tuple[tuple[str, ...], tuple[tuple[Exponents, Fraction], ...]]:
         """Order-independent form: occurring variables sorted by name."""
         keep = tuple(sorted(self.used_vars()))
-        idx = [self.vars.index(v) for v in keep]
-        terms = {tuple(exps[i] for i in idx): c for exps, c in self.terms.items()}
-        return keep, tuple(sorted(terms.items()))
+        return keep, tuple(sorted(self._pruned(keep).items()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

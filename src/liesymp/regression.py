@@ -69,9 +69,6 @@ class EntryResult:
     exact: str
     pfaffian: MultiPoly
     cocycle_dims: tuple[int, int, int]
-    rank_bound: int
-    torus_rank: int
-    complete: bool
     witness_verified: bool | None
     comparisons: tuple[Comparison, ...]
     conditions: tuple[ConditionResult, ...]
@@ -119,67 +116,38 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     conditions: list[ConditionResult] = []
     analysis = Analysis(entry.torus)
 
-    jac = entry.nilradical.jacobi_holds()
-    comparisons.append(
-        Comparison("nilradical-jacobi", str(jac), "True", MATCH if jac else MISMATCH)
-    )
-    torus_ok = entry.torus.check.ok
-    comparisons.append(
-        Comparison("torus-axioms", str(torus_ok), "True", MATCH if torus_ok else MISMATCH)
-    )
+    def compare(fieldname: str, computed, expected=True) -> None:
+        """Record ``computed`` against ``expected``; the entry's registry
+        keys a documented typo by the field name, with ``_`` for ``-``."""
+        key = fieldname.replace("-", "_")
+        comparisons.append(Comparison(
+            fieldname, str(computed), str(expected),
+            *_status(computed == expected, entry.known_mismatches, key),
+        ))
+
+    compare("nilradical-jacobi", analysis.jacobi_failure is None)
+    compare("torus-axioms", entry.torus.check.ok)
     g = analysis.algebra
-
-    completeness = analysis.completeness
-    comparisons.append(
-        Comparison(
-            "complete",
-            str(completeness.complete),
-            "True",
-            MATCH if completeness.complete else MISMATCH,
-        )
-    )
-
-    maximal = analysis.maximal_rank
-    expected_maximal = entry.expected.maximal_rank
-    comparisons.append(Comparison(
-        "maximal-rank", str(maximal), str(expected_maximal),
-        *_status(maximal == expected_maximal, entry.known_mismatches, "maximal_rank"),
-    ))
+    compare("complete", analysis.completeness.complete)
+    compare("maximal-rank", analysis.maximal_rank, entry.expected.maximal_rank)
 
     verdict = analysis.verdict
     computed_word = _verdict_word(verdict.exists)
-    expected_word = entry.expected.symplectic
-    comparisons.append(Comparison(
-        "symplectic", computed_word, expected_word,
-        *_status(computed_word == expected_word, entry.known_mismatches, "symplectic"),
-    ))
+    compare("symplectic", computed_word, entry.expected.symplectic)
 
     witness_verified: bool | None = None
     if verdict.exists == "yes" and not verdict.degenerate:
         w = verdict.witness
-        witness_verified = (
-            w is not None and not d_two_form(g, w) and w.pfaffian() != 0
-        )
-        comparisons.append(
-            Comparison(
-                "witness-reverified",
-                str(witness_verified),
-                "True",
-                MATCH if witness_verified else MISMATCH,
-            )
-        )
+        witness_verified = w is not None and not d_two_form(g, w) and w.pfaffian() != 0
+        compare("witness-reverified", witness_verified)
 
     if entry.expected.exact is not None and verdict.exact_exists in ("yes", "no"):
-        computed_exact = verdict.exact_exists == "yes"
-        status = MATCH if computed_exact == entry.expected.exact else MISMATCH
-        comparisons.append(
-            Comparison("exact", str(computed_exact), str(entry.expected.exact), status)
-        )
+        compare("exact", verdict.exact_exists == "yes", entry.expected.exact)
     if verdict.exact_exists == "yes" and verdict.exact_one_form is not None:
         rebuilt = d_one_form(g, verdict.exact_one_form)
-        ok = rebuilt == verdict.exact_witness and rebuilt.pfaffian() != 0
-        comparisons.append(
-            Comparison("exact-witness-is-d-of-one-form", str(ok), "True", MATCH if ok else MISMATCH)
+        compare(
+            "exact-witness-is-d-of-one-form",
+            rebuilt == verdict.exact_witness and rebuilt.pfaffian() != 0,
         )
 
     if entry.expected.conditions:
@@ -209,9 +177,6 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
         exact=verdict.exact_exists,
         pfaffian=verdict.pfaffian,
         cocycle_dims=verdict.cocycle_dims,
-        rank_bound=analysis.rank_bound,
-        torus_rank=entry.torus.rank,
-        complete=completeness.complete,
         witness_verified=witness_verified,
         comparisons=tuple(comparisons),
         conditions=tuple(conditions),

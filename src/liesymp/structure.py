@@ -9,7 +9,9 @@ the solvable algebra ``semidirect(t)`` with the bracket
 For a Lie algebra n, this bracket satisfies Jacobi exactly when the
 generators are commuting derivations, so ``verify_torus`` builds t ⋉ n once
 and reads both axioms off its failing Jacobi triples; ``semidirect`` returns
-that product and checks nothing again.
+that product and checks nothing again.  Its failing triples inside n are
+n's own, so a valid torus check also answers the nilradical's Jacobi
+identity (:attr:`liesymp.analysis.Analysis.jacobi_failure`).
 
 Tori are supplied (from reference data or the user) and verified here; no
 attempt is made to construct a maximal torus from scratch.  Maximality is
@@ -25,7 +27,9 @@ table by :meth:`LieAlgebra.weights`) grades g, as the torus vector of a
 diagonal generator diag(l) does on t ⋉ n, with l_i on e_i and 0 on the
 torus.  Der(g) splits by the weight w_r - w_c of an entry D[r][c], and a
 derivation of weight mu != 0 is inner.  Only the Leibniz rows of the
-weight-0 block are solved, and
+weight-0 block are solved, over the classes of basis indices by weight
+(:meth:`LieAlgebra.weight_classes`, scanned with the weights once per
+algebra and shared with ``cocycle_space``), and
 
     dim Der(g) = dim Der_0(g) + (dim g - dim g_0)
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import count, islice
 from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
@@ -64,14 +69,6 @@ class DerivationBasis:
         return len(self.basis)
 
 
-def _weight_classes(weights: Sequence) -> list[list[int]]:
-    """For each basis index, the increasing indices of the same weight."""
-    classes: dict = {}
-    for i, w in enumerate(weights):
-        classes.setdefault(w, []).append(i)
-    return [classes[w] for w in weights]
-
-
 def _leibniz_rows(
     g: LieAlgebra, weights: Sequence | None = None
 ) -> dict[tuple[int, int, int], dict[int, Fraction]]:
@@ -82,13 +79,14 @@ def _leibniz_rows(
     D e_c); there is one sparse row per basis pair i < j and component k,
     assembled from the bracket table.  Equations with no terms are absent.
 
-    With ``weights`` (one per basis vector, grading the bracket), only the
-    weight-0 unknowns D[r][c] with weights[r] == weights[c] are kept: the
-    rows are the Leibniz system of the weight-0 derivations.  Without, every
-    basis vector has the same weight and the system is the full one.
+    With ``weights``, which are ``g.weights()``, only the weight-0 unknowns
+    D[r][c] with weights[r] == weights[c] are kept, read off
+    :meth:`LieAlgebra.weight_classes`: the rows are the Leibniz system of
+    the weight-0 derivations.  Without, every basis vector has the same
+    weight and the system is the full one.
     """
     n = g.dim
-    classes = _weight_classes(weights or ((),) * n)
+    classes = [range(n)] * n if weights is None else [g.weight_classes()[w] for w in weights]
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def add(key: tuple[int, int, int], col: int, c: Fraction) -> None:
@@ -174,8 +172,7 @@ class CompletenessReport:
     @cached_property
     def derivation_dim(self) -> int:
         weights = self.algebra.weights()
-        # summed over indices, class sizes give the sum of squared class sizes
-        unknowns = sum(len(c) for c in _weight_classes(weights))
+        unknowns = sum(len(c) ** 2 for c in self.algebra.weight_classes().values())
         rank = len(sparse_rref(_leibniz_rows(self.algebra, weights).values()))
         return unknowns - rank + sum(1 for w in weights if any(w))
 
@@ -195,7 +192,11 @@ def is_complete(g: LieAlgebra) -> CompletenessReport:
 
 @dataclass(frozen=True)
 class TorusAction:
-    """Commuting semisimple derivations acting on a nilpotent algebra."""
+    """Commuting semisimple derivations acting on a nilpotent algebra.
+
+    Without ``labels`` the generators are named e{k} for the successive
+    k >= n + 1 that no label of the nilradical already takes.
+    """
 
     nilradical: LieAlgebra
     generators: tuple[RationalMatrix, ...]
@@ -206,8 +207,9 @@ class TorusAction:
         object.__setattr__(self, "generators", gens)
         labels = tuple(self.labels)
         if not labels:
-            n = self.nilradical.dim
-            labels = tuple(f"e{n + a + 1}" for a in range(len(gens)))
+            used = set(self.nilradical.labels)
+            fresh = (f"e{k}" for k in count(self.nilradical.dim + 1) if f"e{k}" not in used)
+            labels = tuple(islice(fresh, len(gens)))
         if len(labels) != len(gens):
             raise ValueError("one label per torus generator is required")
         # the labels name the basis of t ⋉ n after the nilradical's
@@ -232,7 +234,8 @@ class TorusAction:
 class TorusCheck:
     """The verdict of :func:`verify_torus`.  A valid torus also keeps its
     product t ⋉ n and the first triple at which that violates Jacobi (one
-    inside n), for :func:`semidirect`."""
+    inside n), for :func:`semidirect` and for
+    :attr:`liesymp.analysis.Analysis.jacobi_failure`."""
 
     ok: bool
     violation: str | None = None

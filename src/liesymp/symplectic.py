@@ -264,7 +264,9 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     """Z^2 as the kernel of d on antisymmetric forms; B^2 as the image of d
     on covectors, with a covector preimage recorded for each basis element.
     ``g`` must satisfy the Jacobi identity, which makes the weights of
-    :meth:`LieAlgebra.weights` a grading.
+    :meth:`LieAlgebra.weights` a grading; its classes of basis indices by
+    weight are :meth:`LieAlgebra.weight_classes`, computed once per algebra
+    and shared with the Der(g) count of the completeness report.
 
     Z^2 is solved by weight: the pair {m, t} has weight w_m + w_t, and d
     keeps weights.  A closed form of weight mu != 0 is exact, by Cartan's
@@ -288,9 +290,7 @@ def cocycle_space(g: LieAlgebra) -> CocycleSpace:
     """
     n = g.dim
     weights = g.weights()
-    classes: dict[tuple, list[int]] = {}
-    for i, w in enumerate(weights):
-        classes.setdefault(w, []).append(i)
+    classes = g.weight_classes()
     opposite = {w: classes.get(tuple(-x for x in w), ()) for w in classes}
     # the weight-0 pairs {m, t}, w_t = -w_m, in their order among all pairs;
     # column[s][t] is the column of the weight-0 pair {s, t}
@@ -408,9 +408,9 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
     names = tuple(names)
+    terms = _integer_terms(p, names)  # raises if p has a variable not in names
     if not names:
         return {}
-    terms = _integer_terms(p, names)
     degree = max(map(max, terms))
     for radius in range(1, degree // 2 + 2):
         point = _first_in_shell(terms, len(names), radius)

@@ -323,6 +323,8 @@ def _counters(monkeypatch):
         "rank_bound": _count_calls(monkeypatch, structure, "rank_bound"),
         "lower_central_series": _count_calls(monkeypatch, LieAlgebra, "lower_central_series"),
         "minimal_polynomial": _count_calls(monkeypatch, RationalMatrix, "minimal_polynomial"),
+        "jacobi_failures": _count_calls(monkeypatch, LieAlgebra, "jacobi_failures"),
+        "weight_scans": _count_calls(monkeypatch, LieAlgebra, "_grade"),
     }
 
 
@@ -341,6 +343,10 @@ def test_regression_computes_each_artifact_once_per_entry(monkeypatch):
     assert len(counts["cocycle_space"]) <= entries
     assert _at_most_once_each(counts["cocycle_space"])
     assert len(counts["rank_bound"]) <= entries
+    # one Jacobi walk per entry, of t ⋉ n, and one scan for its grading
+    assert len(counts["jacobi_failures"]) == entries
+    assert len(counts["weight_scans"]) == entries
+    assert _at_most_once_each(counts["weight_scans"])
     # every catalog nilradical has an acyclic bracket graph, which certifies
     # nilpotency, so the rank bound reads [n, n] without the series
     assert len(counts["lower_central_series"]) == 0
@@ -370,12 +376,20 @@ torus e5 e6
 """
 
 
-def test_build_verifies_the_torus_once(monkeypatch):
+def test_build_verifies_the_torus_once(monkeypatch, tmp_path, capsys):
     counts = _counters(monkeypatch)
     built = build(parse(TORUS_FILE))
     assert len(counts["verify_torus"]) == 1
+    assert len(counts["jacobi_failures"]) == 1
     assert isinstance(built, Analysis)
     assert built.algebra == semidirect(built.torus)
+    # the symplectic command reads the nilradical's Jacobi off the torus check
+    path = tmp_path / "n4_1.lie"
+    path.write_text(TORUS_FILE, encoding="utf-8")
+    counts["jacobi_failures"].clear()
+    assert cli.main(["symplectic", str(path)]) == 0
+    capsys.readouterr()
+    assert len(counts["jacobi_failures"]) == 1
 
 
 def test_symplectic_command_computes_each_artifact_once(monkeypatch, tmp_path, capsys):
@@ -399,11 +413,21 @@ def test_analysis_without_a_torus_studies_the_algebra_itself():
     assert analysis.verdict.cocycle_dims == cocycle_space(g).dims
 
 
+def test_analysis_reads_the_nilradical_jacobi_off_a_valid_torus_check():
+    # n4_1 plus [e1, e3] = e4 fails Jacobi; the empty torus passes its check
+    bad = LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}, (0, 2): {3: 1}})
+    expected = bad.jacobi_failure()
+    assert expected is not None
+    for subject in (bad, TorusAction(bad, ())):
+        assert Analysis(subject).jacobi_failure == expected
+
+
 def test_analysis_reports_an_invalid_torus_like_semidirect():
     jordan = RationalMatrix([[0, 1], [0, 0]])
     t = TorusAction(LieAlgebra(2), (jordan,))
     analysis = Analysis(t)
     assert not verify_torus(t).ok
+    assert analysis.jacobi_failure is None  # computed on n, as the check failed
     try:
         analysis.algebra
     except ValueError as exc:

@@ -192,6 +192,14 @@ def test_walk_rejects_unnamed_variables():
         find_nonvanishing_point(x * y, ("x",))
 
 
+def test_walk_over_no_names_needs_a_constant():
+    # with no names a point is the empty assignment, which gives x no value
+    for names in ((), ("y",)):
+        with pytest.raises(ValueError, match="no value for variable"):
+            find_nonvanishing_point(MultiPoly.variable("x"), names)
+    assert find_nonvanishing_point(MultiPoly.constant(Q(3, 2)), ()) == {}
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=sparse_polys(), data=st.data())
 def test_integer_terms_in_declared_and_permuted_order(case, data):
