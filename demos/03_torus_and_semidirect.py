@@ -1,7 +1,8 @@
 """Derivation algebras, torus actions, semidirect products, root spaces.
 
 A torus on a nilpotent algebra is a commuting family of semisimple
-derivations.  Adjoining it gives a solvable algebra; when the torus attains
+derivations, each given by its sparse columns {j: {k: c}}: the generator
+sends e_j to sum_k c e_k (0-based indices).  Adjoining it gives a solvable algebra; when the torus attains
 the rank bound dim(n/[n,n]) the result is complete (trivial center, every
 derivation inner) -- and the package verifies both facts directly.
 """
@@ -10,7 +11,6 @@ import signal
 
 from liesymp import (
     LieAlgebra,
-    RationalMatrix,
     TorusAction,
     derivation_algebra,
     is_complete,
@@ -20,6 +20,7 @@ from liesymp import (
     semidirect,
     verify_torus,
 )
+from liesymp.linalg import diagonal
 
 # a reader that closes stdout early (| head) ends the demo quietly
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
@@ -30,7 +31,7 @@ print(f"dim Der = {der.dim} for the 4-dimensional example (seven derivations)")
 
 torus = TorusAction(
     n4_1,
-    (RationalMatrix.diagonal([1, 0, -1, 1]), RationalMatrix.diagonal([0, 1, 2, -1])),
+    (diagonal([1, 0, -1, 1]), diagonal([0, 1, 2, -1])),
     ("e5", "e6"),
 )
 print(f"torus axioms verified: {verify_torus(torus).ok}")
@@ -54,6 +55,6 @@ for beta, space in zip(decomp.roots, decomp.spaces):
 
 print()
 print("a nilpotent generator is rejected (not semisimple):")
-jordan = RationalMatrix([[0, 1], [0, 0]])
+jordan = {1: {0: 1}}  # e_2 -> e_1, e_1 -> 0
 check = verify_torus(TorusAction(LieAlgebra(2), (jordan,)))
 print(f"  {check.violation}")

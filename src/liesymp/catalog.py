@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, check_dim
-from .linalg import Q, RationalMatrix, as_fraction
+from .linalg import Q, as_fraction, diagonal
 from .poly import MultiPoly
 from .structure import TorusAction
 from .symplectic import TwoForm
@@ -208,14 +208,10 @@ def _nil(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]],
     return LieAlgebra(dim, table, labels)
 
 
-def _action(dim: int, rules: Mapping[int, Mapping[int, object]]) -> RationalMatrix:
-    """Generator matrix from 1-based action data {j: {k: c}} (e_j -> sum c e_k);
-    ``RationalMatrix`` coerces each c."""
-    m = [[0] * dim for _ in range(dim)]
-    for j, comps in rules.items():
-        for k, c in comps.items():
-            m[k - 1][j - 1] = c
-    return RationalMatrix(m)
+def _action(rules: Mapping[int, Mapping[int, object]]) -> dict[int, dict[int, object]]:
+    """Generator columns from 1-based action data {j: {k: c}} (e_j -> sum c e_k);
+    ``TorusAction`` coerces each c."""
+    return {j - 1: {k - 1: c for k, c in comps.items()} for j, comps in rules.items()}
 
 
 def _cond(label: str, *terms) -> Condition:
@@ -241,7 +237,7 @@ def _table_entry(
 ) -> CatalogEntry:
     nilradical = _nil(dim, nil)
     labels = tuple(torus.keys())
-    gens = tuple(_action(dim, rules) for rules in torus.values())
+    gens = tuple(_action(rules) for rules in torus.values())
     return CatalogEntry(
         name=name,
         params=params or {},
@@ -764,10 +760,7 @@ def _build_abelian(n=2) -> CatalogEntry:
         raise ValueError("abelian family requires n >= 1")
     check_dim(2 * n)
     nil = LieAlgebra(n)
-    gens = tuple(
-        RationalMatrix([[1 if (r == c == i) else 0 for c in range(n)] for r in range(n)])
-        for i in range(n)
-    )
+    gens = tuple({i: {i: 1}} for i in range(n))
     labels = tuple(f"e{n + i + 1}" for i in range(n))
     conditions = tuple(
         _cond(f"a_{{{i},{n + i}}} != 0", (1, [(i, n + i)])) for i in range(1, n + 1)
@@ -785,8 +778,8 @@ def _build_L(n=4) -> CatalogEntry:
         raise ValueError("L family requires n >= 3")
     check_dim(n + 2)
     nil = _nil(n, {(1, i): {i + 1: 1} for i in range(2, n)})
-    h1 = RationalMatrix.diagonal([1] + [i - 2 for i in range(2, n + 1)])
-    h2 = RationalMatrix.diagonal([0] + [1] * (n - 1))
+    h1 = diagonal([1] + [i - 2 for i in range(2, n + 1)])
+    h2 = diagonal([0] + [1] * (n - 1))
     torus = TorusAction(nil, (h1, h2), (f"e{n + 1}", f"e{n + 2}"))
     if (n + 2) % 2 != 0:
         symplectic = "odd"
@@ -815,8 +808,8 @@ def _build_Q(n=5) -> CatalogEntry:
         brackets.setdefault((i, n - i), {})[n] = Q(-1) ** i
     labels = tuple(f"e{i}" for i in range(n + 1))
     nil = LieAlgebra(n + 1, brackets, labels)
-    h1 = RationalMatrix.diagonal([1] + [i - 1 for i in range(1, n)] + [n - 2])
-    h2 = RationalMatrix.diagonal([0] + [1] * (n - 1) + [2])
+    h1 = diagonal([1] + [i - 1 for i in range(1, n)] + [n - 2])
+    h2 = diagonal([0] + [1] * (n - 1) + [2])
     torus = TorusAction(nil, (h1, h2), (f"e{n + 1}", f"e{n + 2}"))
     return CatalogEntry(
         name="Q", params={"n": n}, nilradical=nil, torus=torus,

@@ -416,12 +416,9 @@ def _entry_to_file(entry: cat.CatalogEntry) -> AlgebraFile:
         rules.append((nil.labels[i], nil.labels[j], terms))
     torus_rules = []
     for label, gen in zip(entry.torus.labels, entry.torus.generators):
-        for j in range(nil.dim):
-            terms = tuple(
-                (gen[k, j], nil.labels[k]) for k in range(nil.dim) if gen[k, j] != 0
-            )
-            if terms:
-                torus_rules.append((label, nil.labels[j], terms))
+        for j, col in sorted(gen.items()):
+            terms = tuple((c, nil.labels[k]) for k, c in sorted(col.items()))
+            torus_rules.append((label, nil.labels[j], terms))
     return AlgebraFile(
         entry.name, nil.labels, tuple(rules), entry.torus.labels, tuple(torus_rules)
     )

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .analysis import Analysis
 from .liealg import LieAlgebra, check_dim
-from .linalg import RationalMatrix, as_exact
+from .linalg import as_exact
 from .structure import TorusAction
 
 KEYWORDS = ("algebra", "basis", "torus")
@@ -334,17 +334,11 @@ def build(f: AlgebraFile) -> Analysis:
     nil = LieAlgebra(n, table, f.basis)
     if not f.torus_labels:
         return Analysis(nil)
-    gens = []
-    for t_idx, t_label in enumerate(f.torus_labels):
-        m = [[0] * n for _ in range(n)]
-        for left, right, terms in f.torus_rules:
-            if left != t_label:
-                continue
-            j = index[right]
-            for lbl, c in _combine(terms).items():
-                m[index[lbl]][j] += c
-        gens.append(RationalMatrix(m))
-    torus = TorusAction(nil, tuple(gens), f.torus_labels)
+    # [h, e_j] = sum_k c e_k is column j of the generator h
+    gens: dict[str, dict] = {lbl: {} for lbl in f.torus_labels}
+    for left, right, terms in f.torus_rules:
+        gens[left][index[right]] = {index[lbl]: c for lbl, c in _combine(terms).items()}
+    torus = TorusAction(nil, tuple(gens.values()), f.torus_labels)
     check = torus.check
     if not check.ok:
         raise ValueError(f"torus block is not a torus action: {check.violation}")

@@ -3,8 +3,8 @@
 Every value in the package is exact: an ``int`` or a ``fractions.Fraction``,
 never a float.  Values enter as an int where integral and a Fraction only
 where a denominator appears (:func:`as_exact`): structure constants (see
-:class:`liesymp.liealg.LieAlgebra`), the entries of a
-:class:`RationalMatrix` and of a vector, and the coordinates of a two-form.
+:class:`liesymp.liealg.LieAlgebra`), the entries of a linear map and of a
+vector, and the coordinates of a two-form.
 ``+``, ``-`` and ``*`` keep ints exact; the one operation that would round,
 ``int / int``, is never written: a division whose operands may both be ints
 goes through :func:`exact_quotient`.  So every result is exact: a kernel
@@ -19,16 +19,16 @@ depend on the order in which rows arrive, and callers assemble their
 systems (Leibniz, cocycle and center equations) sparse, straight from a
 bracket table.  The kernel stores every value as an int where integral,
 whatever its input rows hold, so what is read off it (kernel vectors, the
-Z^2 and B^2 coordinates, a minimal polynomial, a determinant) needs no
-conversion.
+Z^2 and B^2 coordinates, a minimal polynomial) needs no conversion.
 
-:class:`RationalMatrix` is an immutable dense matrix, the form in which a
-torus generator is given.  It keeps only what the torus path and the
-pullback read (``diagonal``, ``row``, ``is_diagonal``, ``rank``,
-``is_invertible`` and ``minimal_polynomial``) and three adapters over the
-same kernel: ``rref``, ``determinant`` and ``pfaffian``.
-``minimal_polynomial`` forms the powers of the matrix as sparse row
-products (:func:`sparse_product`) of its nonzero entries.
+A linear map is held sparse too, as the column map of
+:mod:`liesymp.structure`; :func:`diagonal` builds a diagonal one, and
+:func:`minimal_polynomial` reads a map's sparse rows and forms its powers
+as sparse row products (:func:`sparse_product`) of the nonzero entries.
+The dense :class:`RationalMatrix` is no part of that path: nothing in the
+package calls it, and it keeps only the three adapters over the kernel
+(``rref``, ``minimal_polynomial`` and ``pfaffian``) that the benchmark's
+tracing table names.
 
 :func:`sparsest_row_pfaffian` is the one Pfaffian recursion, for rational
 and polynomial entries alike.  It reads a matrix by its nonzero entries
@@ -246,9 +246,51 @@ def sparsest_row_pfaffian(n: int, upper: Mapping[tuple[int, int], object], zero,
     return pf(tuple(range(n)), tuple(map(len, neighbours)))
 
 
+def minimal_polynomial(rows: Sequence[Mapping[int, int | Fraction]]) -> tuple[int | Fraction, ...]:
+    """Monic minimal polynomial of the n x n matrix with the given sparse
+    rows (n = ``len(rows)``, every column index below n), coefficients in
+    ascending degree order, each an int where integral and a Fraction
+    otherwise.  A matrix and its transpose have the same one, so the sparse
+    columns of a map may be passed as its rows.
+
+    Found as the first linear dependency among I, A, A**2, ...: each
+    flattened power, tagged with its degree in an extra column, is reduced
+    against the earlier ones in one incremental elimination, and the first
+    residual with no matrix part is the polynomial itself.  Each power is
+    held as sparse rows, the last one times A by :func:`sparse_product`,
+    so only products of nonzero entries are formed.
+    """
+    n = len(rows)
+    if n == 0:
+        return (0, 1)  # x, by convention
+    size = n * n
+    pivots: dict[int, SparseRow] = {}
+    power = [{i: 1} for i in range(n)]
+    for k in range(n + 1):
+        flat = {i * n + j: x for i, row in enumerate(power) for j, x in row.items()}
+        flat[size + k] = 1
+        residual = reduce_row(flat, pivots)
+        if min(residual) >= size:
+            return dense_row(residual, size, size + k) + (1,)
+        _add_row(pivots, residual)
+        power = sparse_product(power, rows)
+    raise AssertionError("no minimal polynomial of degree <= n found")
+
+
+def diagonal(entries: Iterable) -> dict[int, SparseRow]:
+    """The diagonal matrix with the given entries as a sparse map
+    {i: {i: d_i}}, each d_i exact (see :func:`as_exact`) and a zero one
+    left out; it reads the same as rows or as columns."""
+    return {i: {i: x} for i, x in enumerate(vector(entries)) if x}
+
+
 class RationalMatrix:
-    """Immutable dense matrix whose entries are exact rationals, each an int
-    or a Fraction (see :func:`as_exact`)."""
+    """A dense grid of exact rationals, each an int or a Fraction.
+
+    Nothing in the package calls it: it stays only while the benchmark's
+    tracing table (``bench/tracing.py``) wraps ``rref``,
+    ``minimal_polynomial`` and ``pfaffian`` by name, and each of them is a
+    thin adapter over the sparse kernel."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -260,132 +302,29 @@ class RationalMatrix:
         self.rows = len(grid)
         self.cols = len(grid[0]) if grid else 0
 
-    @classmethod
-    def diagonal(cls, entries: Iterable) -> "RationalMatrix":
-        d = vector(entries)
-        n = len(d)
-        return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[int | Fraction, ...]:
-        return self.data[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def is_antisymmetric(self) -> bool:
-        """Zero diagonal and a_ji = -a_ij, compared by numerator and
-        denominator without building -a_ij: each entry is an int or a
-        Fraction in lowest terms, and an int has denominator 1."""
-        if self.rows != self.cols:
-            return False
-        data = self.data
-        for i, row in enumerate(data):
-            if row[i]:
-                return False
-            for j in range(i + 1, self.cols):
-                a, b = row[j], data[j][i]
-                if a.numerator != -b.numerator or a.denominator != b.denominator:
-                    return False
-        return True
-
-    # -- elimination: dense adapters over the sparse kernel -------------------
-
-    def _pivot_rows(self) -> dict[int, SparseRow]:
-        return sparse_rref(sparse_row(r) for r in self.data)
-
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and the pivot column indices."""
-        pivots = self._pivot_rows()
+        pivots = sparse_rref(sparse_row(r) for r in self.data)
         order = tuple(sorted(pivots))
         reduced = [dense_row(pivots[p], 0, self.cols) for p in order]
         reduced += [(0,) * self.cols] * (self.rows - len(order))
         return RationalMatrix(reduced), order
 
-    def rank(self) -> int:
-        return len(self._pivot_rows())
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-    def determinant(self) -> int | Fraction:
-        """Determinant from the elimination kernel: the product of the leading
-        entries as rows are reduced, times the sign of the pivot order."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        pivots: dict[int, SparseRow] = {}
-        order = []
-        det = 1
-        for r in self.data:
-            residual = reduce_row(sparse_row(r), pivots)
-            if not residual:
-                return 0
-            c = min(residual)
-            det *= residual[c]
-            order.append(c)
-            _add_row(pivots, residual)
-        inversions = sum(1 for a in range(len(order)) for b in range(a) if order[b] > order[a])
-        return as_exact(-det if inversions % 2 else det)
-
     def pfaffian(self) -> int | Fraction:
-        """Pfaffian of an antisymmetric matrix of even size.
-
-        By :func:`sparsest_row_pfaffian`; satisfies pfaffian()**2 == determinant().
-        """
-        if self.rows != self.cols:
-            raise ValueError("pfaffian of a non-square matrix")
-        if self.rows % 2 != 0:
-            raise ValueError("pfaffian requires even size")
-        if not self.is_antisymmetric():
-            raise ValueError("pfaffian requires an antisymmetric matrix")
-        return sparsest_row_pfaffian(self.rows, upper_entries(self.data), 0, 1)
-
-    # -- matrix analysis -----------------------------------------------------
-
-    def is_diagonal(self) -> bool:
-        return all(
-            x == 0 for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j
-        )
+        """Pfaffian of an antisymmetric matrix of even size, by
+        :func:`sparsest_row_pfaffian`."""
+        n, data = self.rows, self.data
+        if self.cols != n or n % 2 or any(
+            data[i][j] != -data[j][i] for i in range(n) for j in range(i, n)
+        ):
+            raise ValueError("pfaffian requires an antisymmetric matrix of even size")
+        return sparsest_row_pfaffian(n, upper_entries(data), 0, 1)
 
     def minimal_polynomial(self) -> tuple[int | Fraction, ...]:
-        """Monic minimal polynomial, coefficients in ascending degree order,
-        each an int where integral and a Fraction otherwise.
-
-        Found as the first linear dependency among I, A, A**2, ...: each
-        flattened power, tagged with its degree in an extra column, is reduced
-        against the earlier ones in one incremental elimination, and the first
-        residual with no matrix part is the polynomial itself.  Each power is
-        held as sparse rows, the last one times A by :func:`sparse_product`,
-        so only products of nonzero entries are formed.
-        """
+        """The module's :func:`minimal_polynomial` of the grid."""
         if self.rows != self.cols:
             raise ValueError("minimal polynomial of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return (0, 1)  # x, by convention
-        size = n * n
-        rows = [sparse_row(r) for r in self.data]
-        pivots: dict[int, SparseRow] = {}
-        power = [{i: 1} for i in range(n)]
-        for k in range(n + 1):
-            flat = {i * n + j: x for i, row in enumerate(power) for j, x in row.items()}
-            flat[size + k] = 1
-            residual = reduce_row(flat, pivots)
-            if min(residual) >= size:
-                return dense_row(residual, size, size + k) + (1,)
-            _add_row(pivots, residual)
-            power = sparse_product(power, rows)
-        raise AssertionError("no minimal polynomial of degree <= n found")
+        return minimal_polynomial([sparse_row(r) for r in self.data])
 
 
 # -- univariate polynomial helpers (for semisimplicity and eigenvalues) ------

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over the rationals, and matrices of them.
+"""Sparse multivariate polynomials over the rationals.
 
 A :class:`MultiPoly` stores an ordered variable tuple plus a map from exponent
 tuples to nonzero exact coefficients, each an int or a Fraction (the
@@ -11,12 +11,11 @@ how they were built.
 The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
 
-:class:`PolyMatrix` is a dense adapter for antisymmetric matrices of
-polynomials: it checks the shape and antisymmetry, passes its entries above
-the diagonal to :func:`liesymp.linalg.sparsest_row_pfaffian` (the recursion
-that the symplectic decision calls directly on a two-form's coordinates),
-and gives the determinant of an antisymmetric matrix as the Pfaffian
-squared.
+The symplectic decision calls :func:`liesymp.linalg.sparsest_row_pfaffian`
+directly on a two-form's coordinates.  The dense :class:`PolyMatrix` is no
+part of that path: nothing in the package calls it, and it keeps only the
+``pfaffian`` adapter (with the shape and antisymmetry check it needs) that
+the benchmark's tracing table names.
 
 Only the public constructor validates; arithmetic, whose operands already
 hold the invariants, builds its results through a trusted one.
@@ -123,7 +122,11 @@ class MultiPoly:
         return self._signature() == other._signature()
 
     def __hash__(self):
-        return hash(self._signature())
+        # a constant equals its value (see __eq__), so it hashes as one
+        keep, terms = self._signature()
+        if not keep:
+            return hash(terms[0][1] if terms else 0)
+        return hash((keep, terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -378,7 +381,8 @@ def poly_divides(d: MultiPoly, p: MultiPoly) -> bool:
 
 
 class PolyMatrix:
-    """Dense matrix of MultiPoly entries (constants are lifted automatically)."""
+    """Dense matrix of MultiPoly entries (constants are lifted automatically),
+    kept for its traced ``pfaffian`` only."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -397,10 +401,6 @@ class PolyMatrix:
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged rows")
-
-    def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
-        i, j = ij
-        return self.data[i][j]
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
@@ -422,13 +422,3 @@ class PolyMatrix:
             raise ValueError("pfaffian requires an antisymmetric matrix")
         upper = upper_entries(self.data)
         return sparsest_row_pfaffian(self.rows, upper, MultiPoly.zero(), MultiPoly.constant(1))
-
-    def determinant(self) -> MultiPoly:
-        """Determinant of an antisymmetric matrix: the Pfaffian squared, and
-        zero in odd size."""
-        if not self.is_antisymmetric():
-            raise ValueError("determinant requires an antisymmetric matrix")
-        if self.rows % 2 != 0:
-            return MultiPoly.zero()
-        p = self.pfaffian()
-        return p * p

@@ -25,7 +25,7 @@ from typing import Mapping
 from .analysis import Analysis
 from .catalog import DEFAULT_SELECTION, CatalogEntry, build_entry
 from .liealg import Subspace
-from .linalg import Q, RationalMatrix
+from .linalg import Q, diagonal
 from .poly import MultiPoly, poly_divides
 from .structure import semidirect
 from .symplectic import (
@@ -253,7 +253,7 @@ def _reproduce_commutative(n: int) -> list[PropItem]:
         for j in range(i + 1, n):
             pairs[(n + i, n + j)] = Q(1)
     w = TwoForm.from_pairs(2 * n, pairs)
-    t_map = RationalMatrix.diagonal([1 / c for c in coeffs] + [Q(1)] * n)
+    t_map = diagonal([1 / c for c in coeffs] + [Q(1)] * n)
     pulled = pullback(g, t_map, w)
     normal_pairs = {(i, n + i): Q(1) for i in range(n)}
     for i in range(n):

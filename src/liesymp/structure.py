@@ -6,6 +6,13 @@ the solvable algebra ``semidirect(t)`` with the bracket
 
     [h1 + n1, h2 + n2] = h1(n2) - h2(n1) + [n1, n2].
 
+Every linear map of the nilradical here (a torus generator, an element of
+a :class:`DerivationBasis`, the argument of ``is_derivation``) is one
+format, its sparse columns {j: {k: c}}: e_j -> sum_k c e_k, 0-based, with
+no zero entry and no empty column.  That is how a file's torus block and
+the catalog state the action ([h, e_j] = sum_k c e_k), and ``_adjoin``
+reads each column straight into the bracket table as [e_j, h] = -column j.
+
 For a Lie algebra n, this bracket satisfies Jacobi exactly when the
 generators are commuting derivations, so ``verify_torus`` builds t ⋉ n once
 and reads both axioms off its failing Jacobi triples; ``semidirect`` returns
@@ -47,46 +54,72 @@ from typing import Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
-    RationalMatrix,
     as_exact,
+    minimal_polynomial,
     sparse_kernel_basis,
-    sparse_row,
+    sparse_kernel_rows,
     sparse_rref,
     upoly_is_squarefree,
     upoly_rational_roots,
 )
 
+# A linear map of the nilradical as its sparse columns {j: {k: c}}, 0-based:
+# e_j -> sum_k c e_k, with no zero entry and no empty column.
+Columns = dict[int, dict[int, int | Fraction]]
+
+
+def _columns(flat: Mapping[int, int | Fraction], n: int) -> Columns:
+    """The column map of a matrix flattened row-major (entry (r, c) at
+    r * n + c), columns and entries in increasing order."""
+    cols: Columns = {}
+    for idx, x in sorted(flat.items()):
+        r, c = divmod(idx, n)
+        cols.setdefault(c, {})[r] = x
+    return dict(sorted(cols.items()))
+
+
+def _in_range(d: Columns, n: int) -> bool:
+    """Whether every column and row index of ``d`` lies in range(n)."""
+    return all(0 <= j < n and all(0 <= k < n for k in col) for j, col in d.items())
+
 
 @dataclass(frozen=True)
 class DerivationBasis:
-    """A basis of Der(g), each element an n x n matrix acting on basis columns."""
+    """A basis of Der(g), each element the column map of a derivation."""
 
     algebra_dim: int
-    basis: tuple[RationalMatrix, ...]
+    basis: tuple[Columns, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
+def _full_leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """The Leibniz system of every derivation: all n^2 unknowns."""
+    return _leibniz_rows(g, [range(g.dim)] * g.dim)
+
+
+def _weight_0_leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """The Leibniz system of the weight-0 derivations: only the unknowns
+    D[r][c] with e_r and e_c of one weight (:meth:`LieAlgebra.weights`),
+    read off :meth:`LieAlgebra.weight_classes`."""
+    classes = g.weight_classes()
+    return _leibniz_rows(g, [classes[w] for w in g.weights()])
+
+
 def _leibniz_rows(
-    g: LieAlgebra, weights: Sequence | None = None
+    g: LieAlgebra, classes: Sequence[Sequence[int]]
 ) -> dict[tuple[int, int, int], dict[int, Fraction]]:
     """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] as
-    linear equations in the entries of D.
+    linear equations in the entries D[r][c] with r in ``classes[c]``, the
+    others held at zero.
 
     D is flattened row-major (D[r][c] at index r*n + c, so column c holds
     D e_c); there is one sparse row per basis pair i < j and component k,
     assembled from the bracket table.  Equations with no terms are absent.
-
-    With ``weights``, which are ``g.weights()``, only the weight-0 unknowns
-    D[r][c] with weights[r] == weights[c] are kept, read off
-    :meth:`LieAlgebra.weight_classes`: the rows are the Leibniz system of
-    the weight-0 derivations.  Without, every basis vector has the same
-    weight and the system is the full one.
     """
     n = g.dim
-    classes = [range(n)] * n if weights is None else [g.weight_classes()[w] for w in weights]
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
     def add(key: tuple[int, int, int], col: int, c: Fraction) -> None:
@@ -118,28 +151,26 @@ def _leibniz_rows(
     return rows
 
 
-def is_derivation(g: LieAlgebra, d: RationalMatrix) -> bool:
-    """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
+def is_derivation(g: LieAlgebra, d: Columns) -> bool:
+    """Leibniz identity D[x,y] = [Dx,y] + [x,Dy] on all basis pairs, for
+    the column map ``d``; False when an index lies outside range(g.dim).
 
     The Jacobi sum of {e_i, e_j, h} in g with h = D adjoined (see
     :func:`_adjoin`) is the Leibniz identity of D on (e_i, e_j), so D is a
     derivation when no failing triple contains h; triples inside g, which
     fail when g itself violates Jacobi, do not count.
     """
-    if d.rows != g.dim or d.cols != g.dim:
+    if not _in_range(d, g.dim):
         return False
     return all(k != g.dim for _, _, k in _adjoin(g, (d,)).jacobi_failures())
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
     """Solve the Leibniz identity as a linear system on n x n matrices,
-    flattened row-major (see ``_leibniz_rows``)."""
+    flattened row-major (see ``_leibniz_rows``), for a basis of column maps."""
     n = g.dim
-    kernel = sparse_kernel_basis(sparse_rref(_leibniz_rows(g).values()), n * n)
-    mats = tuple(
-        RationalMatrix([v[r * n : (r + 1) * n] for r in range(n)]) for v in kernel
-    )
-    return DerivationBasis(n, mats)
+    kernel = sparse_kernel_rows(sparse_rref(_full_leibniz_rows(g).values()), n * n)
+    return DerivationBasis(n, tuple(_columns(v, n) for v in kernel))
 
 
 @dataclass(frozen=True)
@@ -171,10 +202,10 @@ class CompletenessReport:
 
     @cached_property
     def derivation_dim(self) -> int:
-        weights = self.algebra.weights()
-        unknowns = sum(len(c) ** 2 for c in self.algebra.weight_classes().values())
-        rank = len(sparse_rref(_leibniz_rows(self.algebra, weights).values()))
-        return unknowns - rank + sum(1 for w in weights if any(w))
+        g = self.algebra
+        unknowns = sum(len(c) ** 2 for c in g.weight_classes().values())
+        rank = len(sparse_rref(_weight_0_leibniz_rows(g).values()))
+        return unknowns - rank + sum(1 for w in g.weights() if any(w))
 
     @property
     def ad_dim(self) -> int:
@@ -194,16 +225,27 @@ def is_complete(g: LieAlgebra) -> CompletenessReport:
 class TorusAction:
     """Commuting semisimple derivations acting on a nilpotent algebra.
 
-    Without ``labels`` the generators are named e{k} for the successive
-    k >= n + 1 that no label of the nilradical already takes.
+    Each generator is a column map {j: {k: c}}, [h, e_j] = sum_k c e_k.
+    Construction coerces each c (see :func:`liesymp.linalg.as_exact`) and
+    drops zero entries and empty columns, keeping columns and entries in
+    increasing order.  Without ``labels`` the generators are named e{k} for
+    the successive k >= n + 1 that no label of the nilradical already takes.
     """
 
     nilradical: LieAlgebra
-    generators: tuple[RationalMatrix, ...]
+    generators: tuple[Columns, ...]
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(self.generators)
+        gens = []
+        for d in self.generators:
+            cols = {}
+            for j, col in sorted(d.items()):
+                col = {k: x for k, c in sorted(col.items()) if (x := as_exact(c))}
+                if col:
+                    cols[j] = col
+            gens.append(cols)
+        gens = tuple(gens)
         object.__setattr__(self, "generators", gens)
         labels = tuple(self.labels)
         if not labels:
@@ -247,7 +289,7 @@ class TorusCheck:
 
 
 def _adjoin(
-    n: LieAlgebra, generators: Sequence[RationalMatrix], labels: Sequence[str] | None = None
+    n: LieAlgebra, generators: Sequence[Columns], labels: Sequence[str] | None = None
 ) -> LieAlgebra:
     """The bracket of t ⋉ n: n with the generators adjoined after its basis,
     [e_i, h] = -h(e_i), and [h, h'] = 0, whatever the generators are.  With
@@ -256,11 +298,9 @@ def _adjoin(
     # LieAlgebra copies the coefficient maps, so the nilradical's are shared
     brackets: dict[tuple[int, int], Mapping[int, Fraction]] = dict(n.table)
     for a, d in enumerate(generators):
-        for i in range(dim):
+        for i, col in d.items():
             # [e_i, h] = -h(e_i): column i of the generator, negated
-            col = {k: -row[i] for k, row in enumerate(d.data) if row[i]}
-            if col:
-                brackets[(i, dim + a)] = col
+            brackets[(i, dim + a)] = {k: -c for k, c in col.items()}
     if labels is not None:
         labels = n.labels + tuple(labels)
     return LieAlgebra(dim + len(generators), brackets, labels)
@@ -270,7 +310,8 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     """Check the torus axioms, reporting the first violated property.
 
     The product t ⋉ n is built once, from the generators before the first
-    one of the wrong shape.  For basis vectors e_i of n, the Jacobi sum of
+    one of the wrong shape: one with a column or row index outside
+    range(dim n).  For basis vectors e_i of n, the Jacobi sum of
     {e_i, e_j, h_a} is the Leibniz identity of h_a on (e_i, e_j), and that of
     {e_i, h_a, h_b} is -[h_a, h_b] e_i.  So a failing triple with one torus
     index names a generator that is not a derivation, and one with two a
@@ -286,7 +327,7 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     """
     n = t.nilradical.dim
     labels = t.labels
-    shaped = next((a for a, d in enumerate(t.generators) if d.rows != n or d.cols != n), t.rank)
+    shaped = next((a for a, d in enumerate(t.generators) if not _in_range(d, n)), t.rank)
     product = _adjoin(t.nilradical, t.generators[:shaped], labels[:shaped])
     failures = product.jacobi_failures()
     # the torus generators in each failing triple, whose indices sort last
@@ -301,15 +342,17 @@ def verify_torus(t: TorusAction) -> TorusCheck:
         a, b = min(pairs)
         return TorusCheck(False, f"generators {labels[a]} and {labels[b]} do not commute")
     for a, d in enumerate(t.generators):
-        if not d.is_diagonal() and not upoly_is_squarefree(d.minimal_polynomial()):
+        if all(col.keys() == {j} for j, col in d.items()):
+            continue  # diagonal
+        # the columns are the rows of the transpose, which has the same minimal polynomial
+        if not upoly_is_squarefree(minimal_polynomial([d.get(j, {}) for j in range(n)])):
             return TorusCheck(
                 False,
                 f"generator {labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)",
             )
     flat = (
-        {i * n + j: x for i, row in enumerate(d.data) for j, x in enumerate(row) if x}
-        for d in t.generators
+        {j * n + k: c for j, col in d.items() for k, c in col.items()} for d in t.generators
     )
     if len(sparse_rref(flat)) < t.rank:
         if t.rank == 1:
@@ -372,6 +415,15 @@ class RootDecomposition:
     spaces: tuple[Subspace, ...]
 
 
+def _shifted(row: Mapping[int, int | Fraction], i: int, lam: Fraction) -> dict:
+    """Row i of a matrix minus lam times row i of the identity."""
+    out = dict(row)
+    x = as_exact(out.pop(i, 0) - lam)
+    if x:
+        out[i] = x
+    return out
+
+
 def root_decomposition(t: TorusAction) -> RootDecomposition:
     """Simultaneous eigenspace decomposition of the nilradical.
 
@@ -379,19 +431,23 @@ def root_decomposition(t: TorusAction) -> RootDecomposition:
     d_a - l_a I, one block per generator.  A piece is split only when its
     eigenspaces fill it: every generator must act diagonalizably over Q, and
     the generators must commute, or NotRationallyDiagonalizable is raised
-    (the decomposition is skipped, not falsified).
+    (the decomposition is skipped, not falsified).  A generator with an
+    index outside range(dim n) raises ValueError.
     """
     n = t.nilradical.dim
+    if not all(_in_range(d, n) for d in t.generators):
+        raise ValueError("a torus generator has the wrong shape")
     # (roots so far, their stacked rows, a basis of the joint eigenspace)
     pieces: list[tuple[tuple[Fraction, ...], list, Sequence]] = [((), [], Subspace.full(n).basis)]
     for a, d in enumerate(t.generators):
-        # the sparse rows of d - lam I
+        d_rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
+        for j, col in d.items():
+            for k, c in col.items():
+                d_rows[k][j] = c
+        # the sparse rows of d - lam I, from the rows of d
         blocks = {
-            lam: [
-                sparse_row(as_exact(x - lam) if j == i else x for j, x in enumerate(row))
-                for i, row in enumerate(d.data)
-            ]
-            for lam in upoly_rational_roots(d.minimal_polynomial())
+            lam: [_shifted(row, i, lam) for i, row in enumerate(d_rows)]
+            for lam in upoly_rational_roots(minimal_polynomial(d_rows))
         }
         refined = []
         for beta, rows, basis in pieces:

@@ -44,7 +44,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
-    RationalMatrix,
     as_exact,
     dense_row,
     sparse_kernel_rows,
@@ -53,6 +52,7 @@ from .linalg import (
     vector,
 )
 from .poly import MultiPoly, negates
+from .structure import _in_range
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
 Coords = dict[tuple[int, int], object]
@@ -616,20 +616,21 @@ def _pfaffian_and_witness(
 # -- geometry helpers -----------------------------------------------------------
 
 
-def pullback(g: LieAlgebra, t: RationalMatrix, w: TwoForm) -> TwoForm:
-    """(T* w)(x, y) = w(Tx, Ty); as matrices, T^t M T."""
-    if t.rows != g.dim or t.cols != g.dim or w.dim != g.dim:
+def pullback(g: LieAlgebra, t: Mapping[int, Mapping[int, object]], w: TwoForm) -> TwoForm:
+    """(T* w)(x, y) = w(Tx, Ty), for T given by its sparse columns
+    {j: {k: c}} (T e_j = sum_k c e_k); as matrices, T^t M T."""
+    n = g.dim
+    if w.dim != n or not _in_range(t, n):
         raise ValueError("dimension mismatch")
-    if not t.is_invertible():
+    if len(sparse_rref(t.values())) != n:
         raise ValueError("pullback requires an invertible map")
     # w(Te_i, Te_j) = sum over the pairs a < b of w_ab (T_ai T_bj - T_bi T_aj)
-    n = g.dim
     items = []
+    cols = sorted(t.items())
     for (a, b), c in w.coords.items():
-        ra, rb = t.row(a), t.row(b)
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = ra[i] * rb[j] - rb[i] * ra[j]
+        for x, (i, ci) in enumerate(cols):
+            for j, cj in cols[x + 1 :]:
+                f = ci.get(a, 0) * cj.get(b, 0) - ci.get(b, 0) * cj.get(a, 0)
                 if f:
                     items.append(((i, j), f * c))
     return _form_sum(n, items, w.variables)

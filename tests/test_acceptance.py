@@ -15,7 +15,7 @@ from test_catalog import documented_typos
 
 from liesymp.catalog import DEFAULT_SELECTION, TYPO_IDS, build_entry
 from liesymp.liealg import Subspace
-from liesymp.linalg import RationalMatrix
+from liesymp.linalg import diagonal
 from liesymp.poly import poly_divides
 from liesymp.regression import run_regression
 from liesymp.structure import derivation_algebra, is_complete, semidirect
@@ -31,7 +31,7 @@ from liesymp.symplectic import (
     top_power,
 )
 
-from test_linalg import ad_matrix, in_span
+from test_linalg import ad_map, dense_determinant, in_span
 from test_symplectic import _coords, _pairs, naive_cocycle_subspace
 
 
@@ -127,7 +127,7 @@ def test_acceptance_3_commutative_nilradical():
             (n + i, n + j): Q(i - j) for i in range(n) for j in range(i + 1, n)
         }
         w = TwoForm.from_pairs(2 * n, {**pairs, **torus_pairs})
-        t = RationalMatrix.diagonal([1 / c for c in coeffs] + [Q(1)] * n)
+        t = diagonal([1 / c for c in coeffs] + [Q(1)] * n)
         normal = TwoForm.from_pairs(
             2 * n, {**{(i, n + i): Q(1) for i in range(n)}, **torus_pairs}
         )
@@ -219,11 +219,8 @@ def test_acceptance_5_worked_example():
     ]
     span_ok = True
     for rules in printed:
-        m = [[Q(0)] * 4 for _ in range(4)]
-        for j, comps in rules.items():
-            for k, c in comps.items():
-                m[k - 1][j - 1] = Q(c)
-        span_ok &= in_span(der.basis, RationalMatrix(m))
+        m = {j - 1: {k - 1: Q(c) for k, c in comps.items()} for j, comps in rules.items()}
+        span_ok &= in_span(der.basis, m, 4)
 
     g = semidirect(entry.torus)
     cs = cocycle_space(g)
@@ -253,7 +250,7 @@ def test_acceptance_6_completeness_suite():
         good = report.complete and report.center_dim == 0 and report.derivation_dim == g.dim
         der = derivation_algebra(g)
         ad_spans = all(
-            in_span(der.basis, ad_matrix(g, g.basis_vector(i))) for i in range(g.dim)
+            in_span(der.basis, ad_map(g, g.basis_vector(i)), g.dim) for i in range(g.dim)
         )
         ok &= good and ad_spans
         checked += 1
@@ -293,16 +290,11 @@ def test_acceptance_7_property_suites():
             for r in range(n)
             for c in range(r + 1, n)
         }
-        m = RationalMatrix(
-            [
-                [
-                    upper.get((r, c), -upper.get((c, r), Q(0)) if r > c else Q(0))
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-        pf_ok &= m.pfaffian() ** 2 == m.determinant()
+        grid = [
+            [upper.get((r, c), -upper.get((c, r), Q(0)) if r > c else Q(0)) for c in range(n)]
+            for r in range(n)
+        ]
+        pf_ok &= TwoForm(n, grid).pfaffian() ** 2 == dense_determinant(grid)
     ok &= pf_ok
     details.append(f"Pf^2 = det on 200 random antisymmetric matrices: {pf_ok}")
 

@@ -3,11 +3,11 @@ artifact computed once per algebra.
 
 The oracle for ``verify_torus`` evaluates the Leibniz identity on dense
 vectors with a bracket written in this file, commutes generators with the
-dense product of ``test_linalg`` (``da db == db da``), tests every
-generator, diagonal or not, for a squarefree minimal polynomial, and the
-generators for linear independence as flattened vectors.  The dimension of
-Der(g) that the analysis reads off the weight-0 block is compared with the
-full, ungraded Leibniz solve of ``derivation_algebra``.
+product of column maps of ``test_linalg`` (``da db == db da``), tests every
+generator, diagonal or not, for a squarefree minimal polynomial of its
+rows, and the generators for linear independence as flattened vectors.
+The dimension of Der(g) that the analysis reads off the weight-0 block is
+compared with the full, ungraded Leibniz solve of ``derivation_algebra``.
 """
 
 import itertools
@@ -18,12 +18,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from liesymp import cli, structure
+from liesymp import cli, linalg, structure
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra, Subspace
-from liesymp.linalg import RationalMatrix, upoly_is_squarefree
+from liesymp.linalg import diagonal, minimal_polynomial, sparse_row, upoly_is_squarefree
 from liesymp.regression import run_regression
 from liesymp.structure import (
     TorusAction,
@@ -35,7 +35,17 @@ from liesymp.structure import (
 )
 from liesymp.symplectic import cocycle_space, d_one_form
 from test_liealg import unchecked_product
-from test_linalg import dense_apply, dense_column, dense_product, dense_scale, dense_sum, in_span
+from test_linalg import (
+    add_maps,
+    apply_map,
+    column_of,
+    compose,
+    in_span,
+    is_diagonal,
+    out_of_range,
+    scale_map,
+    to_grid,
+)
 from test_symplectic import _coords, _pairs, naive_cocycle_subspace
 
 # -- the dense oracle ---------------------------------------------------------
@@ -53,11 +63,11 @@ def _dense_bracket(table, n, x, y):
 
 def _dense_leibniz(g, d):
     n = g.dim
-    cols = [dense_column(d, j) for j in range(n)]
+    cols = [column_of(d, j, n) for j in range(n)]
     units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = dense_apply(d, _dense_bracket(g.table, n, units[i], units[j]))
+            lhs = apply_map(d, _dense_bracket(g.table, n, units[i], units[j]))
             a = _dense_bracket(g.table, n, cols[i], units[j])
             b = _dense_bracket(g.table, n, units[i], cols[j])
             if any(l != p + q for l, p, q in zip(lhs, a, b)):
@@ -69,23 +79,24 @@ def reference_torus_check(t):
     n = t.nilradical.dim
     gens, labels = t.generators, t.labels
     for a, d in enumerate(gens):
-        if d.rows != n or d.cols != n:
+        if out_of_range(d, n):
             return False, f"generator {labels[a]} has the wrong shape"
         if not _dense_leibniz(t.nilradical, d):
             return False, f"generator {labels[a]} is not a derivation"
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             da, db = gens[a], gens[b]
-            if dense_product(da, db) != dense_product(db, da):
+            if compose(da, db) != compose(db, da):
                 return False, f"generators {labels[a]} and {labels[b]} do not commute"
     for a, d in enumerate(gens):
-        if not upoly_is_squarefree(d.minimal_polynomial()):
+        # the rows of the map, where the package passes its columns
+        if not upoly_is_squarefree(minimal_polynomial([sparse_row(r) for r in to_grid(d, n)])):
             return False, (
                 f"generator {labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)"
             )
     for a, d in enumerate(gens):
-        if in_span(gens[:a], d):
+        if in_span(gens[:a], d, n):
             if len(gens) == 1:
                 return False, f"generator {labels[0]} is zero"
             return False, f"generators {', '.join(labels)} are linearly dependent"
@@ -135,22 +146,20 @@ def torus_candidates(draw):
             ("p", "q", "diagonal", "derivation", "derivation", "perturbed", "perturbed", "shape")
         ))
         if kind in ("p", "q"):
-            gens.append(RationalMatrix.diagonal(p if kind == "p" else q))
+            gens.append(diagonal(p if kind == "p" else q))
         elif kind == "diagonal":
-            gens.append(RationalMatrix.diagonal([draw(st.integers(-2, 2)) for _ in range(n)]))
+            gens.append(diagonal([draw(st.integers(-2, 2)) for _ in range(n)]))
         elif kind == "shape":
-            gens.append(RationalMatrix.diagonal([0] * (n + 1)))
+            gens.append(diagonal([0] * n + [1]))  # e_n lies outside the nilradical
         else:
-            m = RationalMatrix.diagonal([0] * n)
+            m = {}
             for d in der:
                 c = draw(st.integers(-1, 1))
                 if c:
-                    m = dense_sum(m, dense_scale(c, d))
+                    m = add_maps(m, scale_map(c, d))
             if kind == "perturbed":
                 r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-                rows = [list(row) for row in m.data]
-                rows[r][c] += draw(st.sampled_from((-1, 1)))
-                m = RationalMatrix(rows)
+                m = add_maps(m, {c: {r: draw(st.sampled_from((-1, 1)))}})
             gens.append(m)
     return TorusAction(g, tuple(gens))
 
@@ -162,7 +171,9 @@ def test_verify_torus_matches_the_dense_oracle(t):
     assert (check.ok, check.violation) == reference_torus_check(t)
     n = t.nilradical.dim
     for d in t.generators:
-        if d.rows == n:
+        if out_of_range(d, n):
+            assert not is_derivation(t.nilradical, d)
+        else:
             assert is_derivation(t.nilradical, d) == _dense_leibniz(t.nilradical, d)
 
 
@@ -201,7 +212,7 @@ def _sub_tori(entry):
 @pytest.mark.parametrize(
     "name, params",
     [(n, p) for n, p in DEFAULT_SELECTION
-     if any(d.is_diagonal() for d in build_entry(n, **p).torus.generators)],
+     if any(map(is_diagonal, build_entry(n, **p).torus.generators))],
 )
 def test_graded_derivation_dim_on_every_sub_torus(name, params):
     """Every valid sub-torus, rank 0 included; many leave a nonzero center,
@@ -219,32 +230,33 @@ def test_graded_derivation_dim_on_mixed_tori(name):
     """Tori with a non-diagonal generator are graded by their diagonal
     generators only."""
     t = build_entry(name).torus
-    assert not all(d.is_diagonal() for d in t.generators)
+    assert not all(map(is_diagonal, t.generators))
     analysis = _graded_matches_full(t)
     assert analysis.completeness.complete
-    diagonal = sum(d.is_diagonal() for d in t.generators)
-    assert {len(w) for w in analysis.algebra.weights()} == {diagonal}
+    diagonals = sum(map(is_diagonal, t.generators))
+    assert {len(w) for w in analysis.algebra.weights()} == {diagonals}
 
 
 def test_the_catalog_solves_only_weight_0_blocks(monkeypatch):
     """No full Der(g) solve on the catalog path, and every Leibniz system it
     assembles has only the sum of squared weight-class sizes as unknowns."""
     full = _count_calls(monkeypatch, structure, "derivation_algebra")
-    original = structure._leibniz_rows
+    ungraded = _count_calls(monkeypatch, structure, "_full_leibniz_rows")
+    original = structure._weight_0_leibniz_rows
     systems = []
 
-    def leibniz_rows(g, weights=None):
-        rows = original(g, weights)
-        systems.append((g, weights, rows))
+    def weight_0_leibniz_rows(g):
+        rows = original(g)
+        systems.append((g, rows))
         return rows
 
-    monkeypatch.setattr(structure, "_leibniz_rows", leibniz_rows)
+    monkeypatch.setattr(structure, "_weight_0_leibniz_rows", weight_0_leibniz_rows)
     report = run_regression(DEFAULT_SELECTION)
-    assert report.green and full == []
+    assert report.green and full == [] and ungraded == []
     assert len(systems) == len(DEFAULT_SELECTION)  # every center is trivial
-    for g, weights, rows in systems:
+    for g, rows in systems:
         n = g.dim
-        assert weights is not None and len(weights) == n
+        weights = g.weights()
         # the weight-0 block: sum (class size)^2 unknowns, fewer than n^2
         block = {r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]}
         assert len(block) < n * n
@@ -257,10 +269,10 @@ def test_the_catalog_solves_only_weight_0_blocks(monkeypatch):
 def torus_weights(t):
     """The weights of t ⋉ n from its diagonal torus generators: diag(l)
     contributes l_i on e_i and 0 on every torus vector."""
-    diagonal = [d for d in t.generators if d.is_diagonal()]
+    diagonal = [d for d in t.generators if is_diagonal(d)]
     zero = tuple(Q(0) for _ in diagonal)
     return tuple(
-        tuple(d.data[i][i] for d in diagonal) for i in range(t.nilradical.dim)
+        tuple(d.get(i, {}).get(i, 0) for d in diagonal) for i in range(t.nilradical.dim)
     ) + (zero,) * t.rank
 
 
@@ -322,7 +334,7 @@ def _counters(monkeypatch):
         "cocycle_space": _count_calls(monkeypatch, symplectic, "cocycle_space"),
         "rank_bound": _count_calls(monkeypatch, structure, "rank_bound"),
         "lower_central_series": _count_calls(monkeypatch, LieAlgebra, "lower_central_series"),
-        "minimal_polynomial": _count_calls(monkeypatch, RationalMatrix, "minimal_polynomial"),
+        "minimal_polynomial": _count_calls(monkeypatch, linalg, "minimal_polynomial"),
         "jacobi_failures": _count_calls(monkeypatch, LieAlgebra, "jacobi_failures"),
         "weight_scans": _count_calls(monkeypatch, LieAlgebra, "_grade"),
     }
@@ -356,7 +368,7 @@ def test_regression_computes_each_artifact_once_per_entry(monkeypatch):
         d
         for name, params in DEFAULT_SELECTION
         for d in build_entry(name, **params).torus.generators
-        if not d.is_diagonal()
+        if not is_diagonal(d)
     ]
     assert len(counts["minimal_polynomial"]) == len(non_diagonal) > 0
 
@@ -423,7 +435,7 @@ def test_analysis_reads_the_nilradical_jacobi_off_a_valid_torus_check():
 
 
 def test_analysis_reports_an_invalid_torus_like_semidirect():
-    jordan = RationalMatrix([[0, 1], [0, 0]])
+    jordan = {1: {0: 1}}  # e_2 -> e_1
     t = TorusAction(LieAlgebra(2), (jordan,))
     analysis = Analysis(t)
     assert not verify_torus(t).ok

@@ -12,6 +12,7 @@ from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.catalog import build_entry
 from liesymp.structure import semidirect
 from liesymp.symplectic import cocycle_space
+from test_linalg import to_grid
 
 
 def n4_1() -> LieAlgebra:
@@ -102,8 +103,9 @@ def unchecked_product(t) -> LieAlgebra:
     n = t.nilradical.dim
     table = dict(t.nilradical.table)
     for a, d in enumerate(t.generators):
+        grid = to_grid(d, n)
         for i in range(n):
-            column = {k: -d.data[k][i] for k in range(n) if d.data[k][i]}
+            column = {k: -grid[k][i] for k in range(n) if grid[k][i]}
             if column:
                 table[(i, n + a)] = column
     return LieAlgebra(n + t.rank, table, t.nilradical.labels + t.labels)

@@ -101,9 +101,7 @@ def test_rational_pfaffian_matches_first_row_expansion(grid):
 @given(grid=skew_grids(polys(), MultiPoly.zero()))
 def test_polynomial_pfaffian_matches_first_row_expansion(grid):
     expected = first_row_pfaffian(grid, MultiPoly.zero(), MultiPoly.constant(1))
-    pf = PolyMatrix(grid).pfaffian()
-    assert pf == expected
-    assert PolyMatrix(grid).determinant() == expected * expected
+    assert PolyMatrix(grid).pfaffian() == expected
     form = TwoForm(len(grid), grid)
     assert form.pfaffian() == expected
     assert form.entries == grid

@@ -11,10 +11,10 @@ from liesymp import analysis, regression, structure
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra
-from liesymp.linalg import RationalMatrix
+from liesymp.linalg import diagonal
 from liesymp.regression import check_entry
 from test_analysis import _dense_leibniz
-from test_linalg import ad_matrix, dense_apply, in_span
+from test_linalg import ad_map, apply_map, columns, in_span, to_grid
 from liesymp.structure import (
     NotRationallyDiagonalizable,
     TorusAction,
@@ -33,12 +33,9 @@ def n4_1() -> LieAlgebra:
     return LieAlgebra(4, {(1, 3): {0: 1}, (2, 3): {1: 1}})
 
 
-def _matrix_from_action(dim, rules):
-    m = [[Q(0)] * dim for _ in range(dim)]
-    for j, comps in rules.items():
-        for k, c in comps.items():
-            m[k - 1][j - 1] = Q(c)
-    return RationalMatrix(m)
+def _matrix_from_action(rules):
+    """The column map of 1-based action rules {j: {k: c}}."""
+    return {j - 1: {k - 1: Q(c) for k, c in comps.items()} for j, comps in rules.items()}
 
 
 # the seven derivations of n4_1, as printed: D(e_j) = sum_k c e_k
@@ -62,9 +59,9 @@ def test_printed_derivations_span_check():
     g = n4_1()
     der = derivation_algebra(g)
     for rules in PRINTED_DERIVATIONS:
-        d = _matrix_from_action(4, rules)
+        d = _matrix_from_action(rules)
         assert is_derivation(g, d)
-        assert in_span(der.basis, d)
+        assert in_span(der.basis, d, 4)
 
 
 def test_derivations_of_abelian_are_all_matrices():
@@ -90,7 +87,7 @@ def test_ad_matrices_lie_in_derivation_algebra():
     g = semidirect(build_entry("n4_1").torus)
     der = derivation_algebra(g)
     for i in range(g.dim):
-        assert in_span(der.basis, ad_matrix(g, g.basis_vector(i)))
+        assert in_span(der.basis, ad_map(g, g.basis_vector(i)), g.dim)
 
 
 def test_is_complete_examples():
@@ -108,7 +105,7 @@ def test_verify_torus_accepts_catalog_tori():
 
 def test_verify_torus_rejects_nilpotent_generator():
     g = LieAlgebra(2)
-    jordan = RationalMatrix([[0, 1], [0, 0]])
+    jordan = columns([[0, 1], [0, 0]])
     check = verify_torus(TorusAction(g, (jordan,)))
     assert not check.ok
     assert "semisimple" in check.violation
@@ -116,32 +113,33 @@ def test_verify_torus_rejects_nilpotent_generator():
 
 def test_verify_torus_rejects_non_derivation():
     g = n4_1()
-    bad = RationalMatrix.diagonal([1, 1, 1, 1])  # identity is not a derivation here
+    bad = diagonal([1, 1, 1, 1])  # identity is not a derivation here
     check = verify_torus(TorusAction(g, (bad,)))
     assert not check.ok and "derivation" in check.violation
 
 
 def test_verify_torus_rejects_non_commuting():
     g = LieAlgebra(2)
-    a = RationalMatrix([[0, 1], [1, 0]])
-    b = RationalMatrix.diagonal([1, 2])
+    a = columns([[0, 1], [1, 0]])
+    b = diagonal([1, 2])
     check = verify_torus(TorusAction(g, (a, b)))
     assert not check.ok and "commute" in check.violation
 
 
 def test_verify_torus_rejects_linearly_dependent_generators():
     g = LieAlgebra(2)
-    h = RationalMatrix.diagonal([1, 0])
+    h = diagonal([1, 0])
     for gens, violation in (
         ((h, h), "generators e3, e4 are linearly dependent"),
-        ((h, RationalMatrix.diagonal([0, 1]), RationalMatrix.diagonal([2, -3])),
+        ((h, diagonal([0, 1]), diagonal([2, -3])),
          "generators e3, e4, e5 are linearly dependent"),
-        ((RationalMatrix.diagonal([0, 0]),), "generator e3 is zero"),
+        (({},), "generator e3 is zero"),
+        (({0: {0: 0}, 1: {}},), "generator e3 is zero"),
     ):
         check = verify_torus(TorusAction(g, gens))
         assert not check.ok and check.violation == violation
     # a non-semisimple generator is reported as such, not as dependent
-    jordan = RationalMatrix([[0, 1], [0, 0]])
+    jordan = columns([[0, 1], [0, 0]])
     check = verify_torus(TorusAction(g, (jordan, jordan)))
     assert "not semisimple" in check.violation
 
@@ -149,10 +147,11 @@ def test_verify_torus_rejects_linearly_dependent_generators():
 # -- torus axioms read off the Jacobi identity of t x n ---------------------------
 
 
-def _with_entry(d: RationalMatrix, r: int, c: int, x) -> RationalMatrix:
-    rows = [list(row) for row in d.data]
-    rows[r][c] = x
-    return RationalMatrix(rows)
+def _with_entry(d, r: int, c: int, x):
+    """The column map d with the entry at row r, column c set to x."""
+    out = {j: dict(col) for j, col in d.items()}
+    out.setdefault(c, {})[r] = x
+    return out
 
 
 def test_the_printed_n5_2_torus_rule_is_not_a_derivation():
@@ -166,8 +165,8 @@ def test_the_printed_n5_2_torus_rule_is_not_a_derivation():
 
 def test_the_lowest_pair_of_derivations_that_do_not_commute_is_reported():
     g = n4_1()
-    diagonal = [_matrix_from_action(4, rules) for rules in PRINTED_DERIVATIONS[:2]]
-    shift = _matrix_from_action(4, PRINTED_DERIVATIONS[3])  # e3 -> e1
+    diagonal = [_matrix_from_action(rules) for rules in PRINTED_DERIVATIONS[:2]]
+    shift = _matrix_from_action(PRINTED_DERIVATIONS[3])  # e3 -> e1
     assert all(is_derivation(g, d) for d in diagonal + [shift])
     # the shift commutes with neither diagonal derivation
     for gens, violation in (
@@ -181,26 +180,47 @@ def test_the_lowest_pair_of_derivations_that_do_not_commute_is_reported():
 
 def test_a_non_derivation_and_a_wrong_shape_are_reported_in_generator_order():
     g = n4_1()
-    identity = RationalMatrix.diagonal([1] * 4)  # not a derivation of n4_1
-    small = RationalMatrix.diagonal([1] * 3)
+    identity = diagonal([1] * 4)  # not a derivation of n4_1
+    large = diagonal([1] * 5)  # e5 lies outside n4_1
     for gens, violation in (
-        ((identity, small), "generator e5 is not a derivation"),
-        ((small, identity), "generator e5 has the wrong shape"),
+        ((identity, large), "generator e5 is not a derivation"),
+        ((large, identity), "generator e5 has the wrong shape"),
     ):
         check = verify_torus(TorusAction(g, gens))
         assert (check.ok, check.violation) == (False, violation)
 
 
+# a derivation of n4_1 (diag(1, 0, -1, 1)) with one index outside range(4):
+# a row (e4 -> 4 e5), a column (e5 -> e1) and a negative column
+OUT_OF_RANGE = [
+    {0: {0: 1}, 2: {2: -1}, 3: {3: 1, 4: 4}},
+    {0: {0: 1}, 2: {2: -1}, 3: {3: 1}, 4: {0: 1}},
+    {-1: {0: 1}, 0: {0: 1}, 2: {2: -1}, 3: {3: 1}},
+]
+
+
+@pytest.mark.parametrize("d", OUT_OF_RANGE, ids=["row", "column", "negative-column"])
+def test_an_index_outside_the_nilradical_is_the_wrong_shape(d):
+    g = n4_1()
+    inside = {j: {k: c for k, c in col.items() if 0 <= k < 4} for j, col in d.items() if 0 <= j < 4}
+    assert is_derivation(g, inside) and verify_torus(TorusAction(g, (inside,))).ok
+    assert not is_derivation(g, d)
+    check = verify_torus(TorusAction(g, (d,)))
+    assert (check.ok, check.violation) == (False, "generator e5 has the wrong shape")
+    with pytest.raises(ValueError, match="wrong shape"):
+        root_decomposition(TorusAction(g, (d,)))
+
+
 @pytest.mark.parametrize("labels", [("e5", "e2"), ("e5", "e5")])
 def test_a_repeated_torus_label_is_rejected_when_the_torus_is_built(labels):
-    gens = tuple(_matrix_from_action(4, rules) for rules in PRINTED_DERIVATIONS[:2])
+    gens = tuple(_matrix_from_action(rules) for rules in PRINTED_DERIVATIONS[:2])
     with pytest.raises(ValueError, match="repeats a basis or torus label"):
         TorusAction(n4_1(), gens, labels)
 
 
 def test_default_torus_labels_skip_the_nilradical_labels():
-    one = (RationalMatrix.diagonal([1, 1]),)
-    two = one + (RationalMatrix.diagonal([1, 0]),)
+    one = (diagonal([1, 1]),)
+    two = one + (diagonal([1, 0]),)
     assert TorusAction(LieAlgebra(2), two).labels == ("e3", "e4")
     assert TorusAction(LieAlgebra(2, labels=("e1", "e3")), one).labels == ("e4",)
     assert TorusAction(LieAlgebra(2, labels=("e4", "e3")), two).labels == ("e5", "e6")
@@ -216,7 +236,7 @@ def test_is_derivation_answers_leibniz_on_a_table_that_violates_jacobi():
     assert not bad.jacobi_holds()
     candidates = list(derivation_algebra(bad).basis)
     candidates += [_with_entry(d, (3 * k) % 4, k % 4, 1) for k, d in enumerate(candidates)]
-    candidates += [RationalMatrix.diagonal(v) for v in ([1, 1, 2, 2], [0, 1, 1, 1], [0] * 4)]
+    candidates += [diagonal(v) for v in ([1, 1, 2, 2], [0, 1, 1, 1], [0] * 4)]
     answers = [is_derivation(bad, d) for d in candidates]
     assert answers == [_dense_leibniz(bad, d) for d in candidates]
     assert True in answers and False in answers
@@ -282,8 +302,9 @@ def test_semidirect_restricts_to_nilradical():
     # [e_i, h] = -h(e_i) is stored on the pair (i, h)
     for a, gen in enumerate(entry.torus.generators):
         h = nil.dim + a
+        grid = to_grid(gen, nil.dim)
         for i in range(nil.dim):
-            expected = {k: -gen[k, i] for k in range(nil.dim) if gen[k, i] != 0}
+            expected = {k: -grid[k][i] for k in range(nil.dim) if grid[k][i] != 0}
             assert g.table.get((i, h), {}) == expected
 
 
@@ -394,7 +415,7 @@ def test_is_maximal_rank():
 
 def test_too_many_generators_is_an_error():
     g = LieAlgebra(1)
-    t = TorusAction(g, (RationalMatrix([[1]]), RationalMatrix([[2]])))
+    t = TorusAction(g, (diagonal([1]), diagonal([2])))
     # commuting semisimple derivations, but two of them on a line
     check = verify_torus(t)
     assert not check.ok and check.violation == "generators e2, e3 are linearly dependent"
@@ -434,7 +455,7 @@ def test_root_decomposition_eigen_relation():
     for beta, space in zip(decomp.roots, decomp.spaces):
         for v in space.basis:
             for lam, gen in zip(beta, entry.torus.generators):
-                assert dense_apply(gen, v) == tuple(lam * x for x in v)
+                assert apply_map(gen, v) == tuple(lam * x for x in v)
 
 
 def test_root_decomposition_irrational_eigenvalues():
@@ -447,9 +468,9 @@ def test_root_decomposition_irrational_eigenvalues():
 
 @pytest.mark.parametrize("gens", [
     # diag(1, 0) and the swap do not commute: no joint eigenbasis
-    (RationalMatrix.diagonal([1, 0]), RationalMatrix([[0, 1], [1, 0]])),
+    (diagonal([1, 0]), columns([[0, 1], [1, 0]])),
     # a Jordan block: its minimal polynomial splits, its eigenvectors span a line
-    (RationalMatrix([[1, 1], [0, 1]]),),
+    (columns([[1, 1], [0, 1]]),),
 ])
 def test_root_decomposition_rejects_a_split_that_does_not_fill(gens):
     with pytest.raises(NotRationallyDiagonalizable, match="does not split"):

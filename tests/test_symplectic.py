@@ -16,21 +16,13 @@ from hypothesis import strategies as st
 
 from test_integral_table import int_where_integral
 from test_liealg import sparse_tables, unchecked_product
-from test_linalg import (
-    ad_matrix,
-    dense_apply,
-    dense_column,
-    dense_product,
-    dense_scale,
-    dense_sum,
-    is_zero_matrix,
-)
+from test_linalg import ad_map, add_maps, apply_map, column_of, compose, scale_map
 
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra, Subspace
-from liesymp.linalg import RationalMatrix, sparse_kernel_basis, sparse_row, sparse_rref
-from liesymp.poly import MultiPoly, PolyMatrix, poly_divides
+from liesymp.linalg import diagonal, sparse_kernel_basis, sparse_row, sparse_rref
+from liesymp.poly import MultiPoly, poly_divides
 from liesymp.structure import semidirect
 from liesymp.symplectic import (
     TwoForm,
@@ -249,7 +241,7 @@ def test_generic_cocycle_pfaffian_squared_is_determinant():
     g = _g("n4_1")
     gen = generic_cocycle(cocycle_space(g))
     pf = gen.pfaffian()
-    assert pf * pf == _cofactor_determinant(PolyMatrix(gen.entries))
+    assert pf * pf == _cofactor_determinant(gen.entries)
 
 
 def test_generic_combination_of_nothing_is_the_zero_form():
@@ -323,29 +315,43 @@ def test_witness_search_order_is_deterministic():
 def test_pullback_identity_and_normalization():
     g = _g("abelian", n=2)
     w = TwoForm.from_pairs(4, {(0, 2): Q(3), (1, 3): Q(-2), (2, 3): Q(7)})
-    assert pullback(g, RationalMatrix.diagonal([1] * 4), w) == w
-    t = RationalMatrix.diagonal([Q(1, 3), Q(-1, 2), 1, 1])
+    assert pullback(g, diagonal([1] * 4), w) == w
+    t = diagonal([Q(1, 3), Q(-1, 2), 1, 1])
     normal = TwoForm.from_pairs(4, {(0, 2): Q(1), (1, 3): Q(1), (2, 3): Q(7)})
     assert pullback(g, t, w) == normal
-    with pytest.raises(ValueError):
-        pullback(g, RationalMatrix.diagonal([0] * 4), w)
+    with pytest.raises(ValueError, match="invertible"):
+        pullback(g, diagonal([0] * 4), w)
+
+
+def test_pullback_rejects_a_singular_or_out_of_range_map():
+    g = _g("abelian", n=2)
+    w = TwoForm.from_pairs(4, {(0, 2): Q(3), (1, 3): Q(-2)})
+    # rank 3: e_4 -> e_1 + e_2 repeats the sum of the first two columns
+    singular = {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {0: 1, 1: 1}}
+    with pytest.raises(ValueError, match="invertible"):
+        pullback(g, singular, w)
+    # rank 4, but a row index (4) or a column index (-1) outside the algebra
+    for bad in ({0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1, 4: 1}},
+                {-1: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}}):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pullback(g, bad, w)
 
 
 def test_pullback_by_automorphism_preserves_closedness():
     g = _g("n4_1")
     # exponential of the inner derivation ad_{e4} (nilpotent, so a finite sum)
-    ad = ad_matrix(g, g.basis_vector(3))
-    t = RationalMatrix.diagonal([1] * g.dim)
-    power = RationalMatrix.diagonal([1] * g.dim)
+    ad = ad_map(g, g.basis_vector(3))
+    t = diagonal([1] * g.dim)
+    power = diagonal([1] * g.dim)
     for k in range(1, g.dim + 1):
-        power = dense_product(power, ad)
-        if is_zero_matrix(power):
+        power = compose(power, ad)
+        if not power:
             break
-        t = dense_sum(t, dense_scale(Q(1, math.factorial(k)), power))
+        t = add_maps(t, scale_map(Q(1, math.factorial(k)), power))
     # T[e_i, e_j] = [T e_i, T e_j] on every basis pair
     for i, j in _pairs(g.dim):
-        lhs = dense_apply(t, g.bracket(g.basis_vector(i), g.basis_vector(j)))
-        assert lhs == g.bracket(dense_column(t, i), dense_column(t, j))
+        lhs = apply_map(t, g.bracket(g.basis_vector(i), g.basis_vector(j)))
+        assert lhs == g.bracket(column_of(t, i, g.dim), column_of(t, j, g.dim))
     verdict = decide_symplectic(g)
     pulled = pullback(g, t, verdict.witness)
     assert is_closed(g, pulled)
