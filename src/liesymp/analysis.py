@@ -71,10 +71,15 @@ class Analysis:
 
     @property
     def maximal_rank(self) -> bool | None:
-        """Whether the torus exhausts the rank bound; None without a torus."""
+        """Whether the torus exhausts the rank bound; None without a torus,
+        or when the nilradical is not nilpotent and the bound is undefined."""
         if self.torus is None:
             return None
-        return is_maximal_rank(self.torus, self.rank_bound)
+        try:
+            bound = self.rank_bound
+        except ValueError:  # raised by rank_bound for a non-nilpotent n
+            return None
+        return is_maximal_rank(self.torus, bound)
 
     @cached_property
     def verdict(self) -> SymplecticVerdict:

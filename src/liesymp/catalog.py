@@ -9,9 +9,12 @@ the general closed 2-form.
 
 The reference data is transcribed from published classification tables.  A
 few printed values contradict the algebra axioms (a torus rule that is not a
-derivation, for example); those are corrected here, and every correction is
-recorded in the :data:`TYPOS` registry and in the top-level TYPOS.md.
-Expected verdicts are never computed, only transcribed.
+derivation, for example) or the recomputed results.  Each such erratum is
+described in the top-level TYPOS.md under an id from :data:`TYPOS`, and the id
+sits on what it excuses: a fix to an entry's stored data is listed in the
+entry's ``corrections``, a printed condition carries ``Condition.typo``, and a
+printed verdict carries ``Expected.typos[<comparison name>]``.  Expected
+verdicts are never computed, only transcribed.
 """
 
 from __future__ import annotations
@@ -34,10 +37,13 @@ class Condition:
 
     ``terms`` is a sum of (coefficient, entry-pair product): the pair (i, j)
     stands for the value of the general closed form on (e_i, e_j), 1-based.
+    ``typo`` is the erratum id of a condition kept as printed although it
+    fails, None for a condition expected to hold.
     """
 
     label: str
     terms: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
+    typo: str | None = None
 
     def polynomial(self, generic: TwoForm) -> MultiPoly:
         total = MultiPoly.zero()
@@ -52,19 +58,15 @@ class Condition:
 @dataclass(frozen=True)
 class Expected:
     """Reference verdicts for one entry; ``exact`` is None when the source
-    is silent about exact (Frobenius) forms."""
+    is silent about exact (Frobenius) forms.  ``typos`` maps a comparison
+    name, as the regression prints it, to the erratum id of a verdict kept
+    as printed although the computation contradicts it."""
 
     symplectic: str  # "yes" | "never" | "odd"
     maximal_rank: bool
     conditions: tuple[Condition, ...] = ()
     exact: bool | None = None
-
-
-@dataclass(frozen=True)
-class Typo:
-    ident: str
-    where: str
-    description: str
+    typos: Mapping[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -75,137 +77,41 @@ class CatalogEntry:
     torus: TorusAction
     expected: Expected
     corrections: tuple[str, ...] = ()
-    known_mismatches: Mapping[str, str] = field(default_factory=dict)
-    known_condition_failures: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def total_dim(self) -> int:
         return self.nilradical.dim + self.torus.rank
 
 
-TYPOS: tuple[Typo, ...] = (
-    Typo(
-        "n3_1-torus-action",
-        "n3_1, first torus generator",
-        "The printed rules give e4: e1 -> e1, e2 -> e2 and stop; the derivation "
-        "identity applied to [e1, e2] = e3 forces [e4, e3] = 2 e3, which the "
-        "source omits.  The forced rule is included here.",
-    ),
-    Typo(
-        "n5_2-torus-action",
-        "n5_2, first torus generator",
-        "The printed rule [e6, e3] = -3 e3 contradicts the derivation identity: "
-        "with [e6, e4] = -2 e4 and [e6, e5] = e5 the chain brackets force "
-        "[e6, e3] = -e3 (and then [e6, e2] = 0, [e6, e1] = e1 as printed).  "
-        "The coefficient is corrected to -1.",
-    ),
-    Typo(
-        "n6_10-torus-action",
-        "n6_10, first torus generator",
-        "The printed rule [e7, e3] = 2 e2 is corrected to [e7, e3] = 2 e3: "
-        "e3 = [e1, e2] must carry eigenvalue 2 for the diagonal generator with "
-        "[e7, e1] = e1, [e7, e2] = e2, and an e2 component is not a derivation.",
-    ),
-    Typo(
-        "n6_21-maximal-rank",
-        "n6_21, maximal-rank column",
-        "The table prints No, but the torus printed in the same row has two "
-        "generators and dim n/[n, n] = 2, so it attains the rank bound: the "
-        "computed verdict is Yes.  The printed value is kept as the expected "
-        "one and the disagreement is reported as documented.",
-    ),
-    Typo(
-        "n6_17-condition",
-        "n6_17, conditions column",
-        "The printed condition 2 a_{3,8} a_{6,8} != a_{4,8} is not homogeneous "
-        "and its polynomial does not divide the computed Pfaffian; the "
-        "quadratic form 2 a_{3,8} a_{6,8} - a_{4,8}^2 does.  Both are checked; "
-        "the printed one is reported as a documented failure.",
-    ),
-    Typo(
-        "n6_5-condition-1",
-        "n6_5, conditions column",
-        "The printed factor a_{6,8}^2 - a_{6,9}^2 does not divide the computed "
-        "Pfaffian; a a_{6,8}^2 - a_{6,9}^2 does (and divides twice, the "
-        "Pfaffian being its square times a linear factor).  The analogous "
-        "printed condition of n6_10 does carry the parameter a.",
-    ),
-    Typo(
-        "n6_5-condition-2",
-        "n6_5, conditions column",
-        "The printed factor a (a_{7,8} + a_{8,9}) - a_{7,10} - a_{9,10} does "
-        "not divide the computed Pfaffian; the sign of the last term is "
-        "flipped: a (a_{7,8} + a_{8,9}) - a_{7,10} + a_{9,10} divides, for "
-        "every tested value of a.",
-    ),
-    Typo(
-        "n6_13-condition",
-        "n6_13, conditions column",
-        "The printed factor a_{3,8} a_{6,8} - a_{4,8}^2 does not divide the "
-        "computed Pfaffian; 2 a_{3,8} a_{6,8} - a_{4,8}^2 does (a factor 2 "
-        "is missing on the cross term).",
-    ),
-    Typo(
-        "n6_16-condition",
-        "n6_16, conditions column",
-        "The printed cubic 3 a_{3,8} a_{6,8}^2 - 3 a_{4,8} a_{5,8} a_{6,8} "
-        "- a_{5,8}^3 does not divide the computed Pfaffian; the sign of the "
-        "a_{5,8}^3 term is flipped: 3 a_{3,8} a_{6,8}^2 - 3 a_{4,8} a_{5,8} "
-        "a_{6,8} + a_{5,8}^3 divides.",
-    ),
-    Typo(
-        "n6_21-condition",
-        "n6_21, conditions column",
-        "The printed factor a_{2,8} a_{6,8} - 8 a_{3,8} a_{5,8} - 3 a_{4,8}^2 "
-        "does not divide the computed Pfaffian, which factors as a_{6,8}^2 "
-        "times 8 a_{2,8} a_{6,8} - 8 a_{3,8} a_{5,8} + 3 a_{4,8}^2 (up to a "
-        "constant): the 8 belongs on the a_{2,8} a_{6,8} term and the "
-        "a_{4,8}^2 sign is flipped.",
-    ),
-    Typo(
-        "Q-chain-range",
-        "Q family, chain brackets",
-        "The chain [e0, ei] = e(i+1) is printed for 1 <= i <= n-1, but with "
-        "i = n-1 included the printed torus weights are not derivations "
-        "(e_n would need weight n-1 and n-2 at once).  The chain stops at "
-        "i = n-2; the displayed d(e^n) then has no e^{n-1,0} term.",
-    ),
-    Typo(
-        "Q-top-power-constant",
-        "Q family, top wedge power",
-        "The printed coefficient 4 of e^0 ^ ... ^ e^{n+2} equals the squared "
-        "Pfaffian (determinant) of d(e^0) + d(e^n).  The literal wedge power "
-        "is +-2 (k+2)! times the volume form and the (k+2)!-normalised "
-        "coefficient is the Pfaffian +-2; no single normalisation of the "
-        "wedge power yields 4.",
-    ),
-    Typo(
-        "L4-determinant-sign",
-        "L family, n = 4 determinant",
-        "The printed determinant a13^2 (a12^2 - 2 a13 a26)^2 matches the "
-        "printed coefficient matrix, whose a_{1,j} rows carry the opposite "
-        "sign from the printed general cocycle.  In terms of the form's "
-        "actual entries the identity is det = w(e1,e3)^2 (w(e1,e2)^2 + "
-        "2 w(e1,e3) w(e2,e6))^2; equivalently the printed identity holds "
-        "under the renaming u = -w(e1,e2), t = -w(e1,e3), v = w(e2,e6).",
-    ),
+# the ids of the errata that TYPOS.md describes
+TYPOS: tuple[str, ...] = (
+    "n3_1-torus-action",
+    "n5_2-torus-action",
+    "n6_10-torus-action",
+    "n6_21-maximal-rank",
+    "n6_17-condition",
+    "n6_5-condition-1",
+    "n6_5-condition-2",
+    "n6_13-condition",
+    "n6_16-condition",
+    "n6_21-condition",
+    "Q-chain-range",
+    "Q-top-power-constant",
+    "L4-determinant-sign",
 )
-
-TYPO_IDS = tuple(t.ident for t in TYPOS)
 
 
 # -- construction helpers ------------------------------------------------------
 
 
-def _nil(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]],
-         labels: Sequence[str] | None = None) -> LieAlgebra:
+def _nil(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> LieAlgebra:
     """Nilradical from 1-based bracket data {(i, j): {k: c}}; ``LieAlgebra``
     coerces each c."""
     table = {
         (i - 1, j - 1): {k - 1: c for k, c in comps.items()}
         for (i, j), comps in brackets.items()
     }
-    return LieAlgebra(dim, table, labels)
+    return LieAlgebra(dim, table)
 
 
 def _action(rules: Mapping[int, Mapping[int, object]]) -> dict[int, dict[int, object]]:
@@ -214,12 +120,12 @@ def _action(rules: Mapping[int, Mapping[int, object]]) -> dict[int, dict[int, ob
     return {j - 1: {k - 1: c for k, c in comps.items()} for j, comps in rules.items()}
 
 
-def _cond(label: str, *terms) -> Condition:
+def _cond(label: str, *terms, typo: str | None = None) -> Condition:
     packed = tuple(
         (as_fraction(coeff), tuple((int(i), int(j)) for (i, j) in pairs))
         for coeff, pairs in terms
     )
-    return Condition(label, packed)
+    return Condition(label, packed, typo)
 
 
 def _table_entry(
@@ -231,22 +137,26 @@ def _table_entry(
     maximal: bool,
     conditions: Sequence[Condition] = (),
     corrections: Sequence[str] = (),
-    known_mismatches: Mapping[str, str] | None = None,
-    known_condition_failures: Mapping[str, str] | None = None,
+    typos: Mapping[str, str] | None = None,
     params: dict | None = None,
 ) -> CatalogEntry:
+    """A table row; ``corrections`` names the fixes to its stored data, and
+    the entry lists them before the ids on its verdicts and conditions."""
     nilradical = _nil(dim, nil)
     labels = tuple(torus.keys())
     gens = tuple(_action(rules) for rules in torus.values())
+    typos = dict(typos or {})
     return CatalogEntry(
         name=name,
         params=params or {},
         nilradical=nilradical,
         torus=TorusAction(nilradical, gens, labels),
-        expected=Expected(symplectic, maximal, tuple(conditions)),
-        corrections=tuple(corrections),
-        known_mismatches=dict(known_mismatches or {}),
-        known_condition_failures=dict(known_condition_failures or {}),
+        expected=Expected(symplectic, maximal, tuple(conditions), typos=typos),
+        corrections=(
+            tuple(corrections)
+            + tuple(typos.values())
+            + tuple(c.typo for c in conditions if c.typo is not None)
+        ),
     )
 
 
@@ -258,7 +168,7 @@ def _build_n3_1() -> CatalogEntry:
         "n3_1", 3,
         nil={(1, 2): {3: 1}},
         torus={
-            "e4": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}},  # [e4,e3]=2e3 forced, see TYPOS
+            "e4": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}},  # [e4,e3]=2e3 forced, see TYPOS.md
             "e5": {2: {2: 1}, 3: {3: 1}},
         },
         symplectic="odd", maximal=True,
@@ -307,7 +217,7 @@ def _build_n5_2() -> CatalogEntry:
         "n5_2", 5,
         nil={(2, 5): {1: 1}, (3, 5): {2: 1}, (4, 5): {3: 1}},
         torus={
-            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: -2}, 5: {5: 1}},  # -1, see TYPOS
+            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: -2}, 5: {5: 1}},  # -1, see TYPOS.md
             "e7": {2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: -1}},
         },
         symplectic="odd", maximal=True,
@@ -522,14 +432,11 @@ def _build_n6_13() -> CatalogEntry:
         conditions=(
             _cond("a_{6,8} != 0", (1, [(6, 8)])),
             _cond("a_{3,8} a_{6,8} != a_{4,8}^2  [as printed]",
-                  (1, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
+                  (1, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)]),
+                  typo="n6_13-condition"),
             _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
                   (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
         ),
-        corrections=("n6_13-condition",),
-        known_condition_failures={
-            "a_{3,8} a_{6,8} != a_{4,8}^2  [as printed]": "n6_13-condition",
-        },
     )
 
 
@@ -559,16 +466,13 @@ def _build_n6_16() -> CatalogEntry:
             _cond("3 a_{3,8} a_{6,8}^2 != 3 a_{4,8} a_{5,8} a_{6,8} + a_{5,8}^3  [as printed]",
                   (3, [(3, 8), (6, 8), (6, 8)]),
                   (-3, [(4, 8), (5, 8), (6, 8)]),
-                  (-1, [(5, 8), (5, 8), (5, 8)])),
+                  (-1, [(5, 8), (5, 8), (5, 8)]),
+                  typo="n6_16-condition"),
             _cond("3 a_{3,8} a_{6,8}^2 + a_{5,8}^3 != 3 a_{4,8} a_{5,8} a_{6,8}  [corrected]",
                   (3, [(3, 8), (6, 8), (6, 8)]),
                   (-3, [(4, 8), (5, 8), (6, 8)]),
                   (1, [(5, 8), (5, 8), (5, 8)])),
         ),
-        corrections=("n6_16-condition",),
-        known_condition_failures={
-            "3 a_{3,8} a_{6,8}^2 != 3 a_{4,8} a_{5,8} a_{6,8} + a_{5,8}^3  [as printed]": "n6_16-condition",
-        },
     )
 
 
@@ -584,14 +488,11 @@ def _build_n6_17() -> CatalogEntry:
         conditions=(
             _cond("a_{6,8} != 0", (1, [(6, 8)])),
             _cond("2 a_{3,8} a_{6,8} != a_{4,8}  [as printed]",
-                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8)])),
+                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8)]),
+                  typo="n6_17-condition"),
             _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
                   (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
         ),
-        corrections=("n6_17-condition",),
-        known_condition_failures={
-            "2 a_{3,8} a_{6,8} != a_{4,8}  [as printed]": "n6_17-condition",
-        },
     )
 
 
@@ -628,23 +529,20 @@ def _build_n6_21() -> CatalogEntry:
             "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
             "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
         },
-        symplectic="yes", maximal=False,  # printed No; computed Yes, see TYPOS
+        symplectic="yes", maximal=False,  # printed No; computed Yes, see TYPOS.md
         conditions=(
             _cond("a_{2,8} a_{6,8} != 8 a_{3,8} a_{5,8} + 3 a_{4,8}^2  [as printed]",
                   (1, [(2, 8), (6, 8)]),
                   (-8, [(3, 8), (5, 8)]),
-                  (-3, [(4, 8), (4, 8)])),
+                  (-3, [(4, 8), (4, 8)]),
+                  typo="n6_21-condition"),
             _cond("8 a_{2,8} a_{6,8} + 3 a_{4,8}^2 != 8 a_{3,8} a_{5,8}  [corrected]",
                   (8, [(2, 8), (6, 8)]),
                   (-8, [(3, 8), (5, 8)]),
                   (3, [(4, 8), (4, 8)])),
             _cond("a_{6,8} != 0", (1, [(6, 8)])),
         ),
-        corrections=("n6_21-maximal-rank", "n6_21-condition"),
-        known_mismatches={"maximal_rank": "n6_21-maximal-rank"},
-        known_condition_failures={
-            "a_{2,8} a_{6,8} != 8 a_{3,8} a_{5,8} + 3 a_{4,8}^2  [as printed]": "n6_21-condition",
-        },
+        typos={"maximal-rank": "n6_21-maximal-rank"},
     )
 
 
@@ -685,19 +583,16 @@ def _build_n6_5(a=Q(2)) -> CatalogEntry:
         symplectic="yes", maximal=True,
         conditions=(
             _cond("a_{6,8}^2 != a_{6,9}^2  [as printed]",
-                  (1, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
+                  (1, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)]),
+                  typo="n6_5-condition-1"),
             _cond("a a_{6,8}^2 != a_{6,9}^2  [corrected]",
                   (a, [(6, 8), (6, 8)]), (-1, [(6, 9), (6, 9)])),
             _cond("a (a_{7,8} + a_{8,9}) != a_{7,10} + a_{9,10}  [as printed]",
-                  (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (-1, [(9, 10)])),
+                  (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (-1, [(9, 10)]),
+                  typo="n6_5-condition-2"),
             _cond("a (a_{7,8} + a_{8,9}) + a_{9,10} != a_{7,10}  [corrected]",
                   (a, [(7, 8)]), (a, [(8, 9)]), (-1, [(7, 10)]), (1, [(9, 10)])),
         ),
-        corrections=("n6_5-condition-1", "n6_5-condition-2"),
-        known_condition_failures={
-            "a_{6,8}^2 != a_{6,9}^2  [as printed]": "n6_5-condition-1",
-            "a (a_{7,8} + a_{8,9}) != a_{7,10} + a_{9,10}  [as printed]": "n6_5-condition-2",
-        },
         params={"a": a},
     )
 
@@ -708,7 +603,7 @@ def _build_n6_10(a=Q(2)) -> CatalogEntry:
         "n6_10", 6,
         nil={(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
         torus={
-            # [e7,e3] = 2 e3 (printed 2 e2), see TYPOS
+            # [e7,e3] = 2 e3 (printed 2 e2), see TYPOS.md
             "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
             "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
         },
@@ -802,7 +697,7 @@ def _build_Q(n=5) -> CatalogEntry:
     check_dim(n + 3)
     k = (n - 1) // 2
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(1, n - 1):  # chain stops at n-2, see TYPOS (Q-chain-range)
+    for i in range(1, n - 1):  # chain stops at n-2, see TYPOS.md (Q-chain-range)
         brackets[(0, i)] = {i + 1: Q(1)}
     for i in range(1, k + 1):
         brackets.setdefault((i, n - i), {})[n] = Q(-1) ** i

@@ -290,27 +290,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def negates(a, b) -> bool:
-    """Whether a + b is zero, for polynomials or rationals.
-
-    Two polynomials over the same variable tuple are compared term by term,
-    without building the sum: their term maps hold no zero coefficient, and
-    their coefficients are ints or Fractions in lowest terms (an int has
-    denominator 1), so c' = -c exactly when the numerators are opposite and
-    the denominators equal.
-    """
-    if isinstance(a, MultiPoly) and isinstance(b, MultiPoly) and a.vars == b.vars:
-        at, bt = a.terms, b.terms
-        if len(at) != len(bt):
-            return False
-        for exps, c in at.items():
-            x = bt.get(exps)
-            if x is None or x.numerator != -c.numerator or x.denominator != c.denominator:
-                return False
-        return True
-    return not (a + b)
-
-
 def _coerce(x) -> "MultiPoly":
     if isinstance(x, MultiPoly):
         return x
@@ -408,8 +387,7 @@ class PolyMatrix:
         data = self.data
         for i in range(self.rows):
             for j in range(i, self.cols):
-                a, b = data[i][j], data[j][i]
-                if (a.terms or b.terms) and not negates(a, b):
+                if data[i][j] + data[j][i]:
                     return False
         return True
 

@@ -7,9 +7,9 @@ against the computed Pfaffian (falling back to its square, since a printed
 determinant is the Pfaffian squared).
 
 A comparison that disagrees with the reference value is a mismatch; if the
-entry pre-registers the disagreement against the typo registry it is counted
-as documented.  The report is green exactly when no undocumented mismatch or
-condition failure remains.
+expectation it compares against carries an erratum id (see TYPOS.md) it is
+counted as documented.  The report is green exactly when no undocumented
+mismatch or condition failure remains.
 
 Each entry has one :class:`~liesymp.analysis.Analysis`, so each artifact
 (the torus check, the product, the completeness report, the verdict and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .analysis import Analysis
 from .catalog import DEFAULT_SELECTION, CatalogEntry, build_entry
@@ -101,12 +100,11 @@ def _verdict_word(v: str) -> str:
     return {"yes": "yes", "no": "never", "odd": "odd"}[v]
 
 
-def _status(agrees: bool, registry: Mapping[str, str], key: str) -> tuple[str, str | None]:
+def _status(agrees: bool, typo: str | None) -> tuple[str, str | None]:
     """A comparison's status and typo: a disagreement is documented when the
-    entry's ``registry`` names a typo for ``key``."""
+    expectation carries an erratum id ``typo``."""
     if agrees:
         return MATCH, None
-    typo = registry.get(key)
     return (MISMATCH, None) if typo is None else (DOCUMENTED, typo)
 
 
@@ -117,12 +115,11 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     analysis = Analysis(entry.torus)
 
     def compare(fieldname: str, computed, expected=True) -> None:
-        """Record ``computed`` against ``expected``; the entry's registry
-        keys a documented typo by the field name, with ``_`` for ``-``."""
-        key = fieldname.replace("-", "_")
+        """Record ``computed`` against ``expected``, excused by the erratum
+        id that the entry's expected verdicts file under ``fieldname``."""
         comparisons.append(Comparison(
             fieldname, str(computed), str(expected),
-            *_status(computed == expected, entry.known_mismatches, key),
+            *_status(computed == expected, entry.expected.typos.get(fieldname)),
         ))
 
     compare("nilradical-jacobi", analysis.jacobi_failure is None)
@@ -166,7 +163,7 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
                 divides = "no"
             conditions.append(ConditionResult(
                 cond.label, divides,
-                *_status(divides != "no", entry.known_condition_failures, cond.label),
+                *_status(divides != "no", cond.typo),
             ))
 
     return EntryResult(
@@ -205,13 +202,7 @@ class PropItem:
 
 @dataclass(frozen=True)
 class PropositionsReport:
-    commutative: tuple[PropItem, ...]
-    chain_filiform: tuple[PropItem, ...]
-    pairing_filiform: tuple[PropItem, ...]
-
-    @property
-    def items(self) -> tuple[PropItem, ...]:
-        return self.commutative + self.chain_filiform + self.pairing_filiform
+    items: tuple[PropItem, ...]
 
     @property
     def green(self) -> bool:
@@ -354,7 +345,7 @@ def _reproduce_pairing(ns=(5, 7, 9)) -> list[PropItem]:
             fact *= i
         consistent = literal == fact * pf
         # the printed constant 4 is the squared Pfaffian; the Pfaffian itself
-        # is +-2 and the literal wedge coefficient is +-2 m!  (see TYPOS)
+        # is +-2 and the literal wedge coefficient is +-2 m!  (see TYPOS.md)
         items.append(
             PropItem(
                 f"Q n={n}: d(e^0)+d(e^n) closed, non-degenerate, squared Pfaffian 4",
@@ -366,12 +357,11 @@ def _reproduce_pairing(ns=(5, 7, 9)) -> list[PropItem]:
 
 
 def reproduce_propositions() -> PropositionsReport:
-    """Re-derive the three families' reference statements from scratch."""
-    commutative: list[PropItem] = []
+    """Re-derive the three families' reference statements from scratch:
+    the commutative, then the chain filiform, then the pairing filiform."""
+    items: list[PropItem] = []
     for n in (1, 2, 3, 4):
-        commutative.extend(_reproduce_commutative(n))
-    return PropositionsReport(
-        commutative=tuple(commutative),
-        chain_filiform=tuple(_reproduce_chain()),
-        pairing_filiform=tuple(_reproduce_pairing()),
-    )
+        items.extend(_reproduce_commutative(n))
+    items.extend(_reproduce_chain())
+    items.extend(_reproduce_pairing())
+    return PropositionsReport(tuple(items))

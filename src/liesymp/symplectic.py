@@ -51,7 +51,7 @@ from .linalg import (
     sparsest_row_pfaffian,
     vector,
 )
-from .poly import MultiPoly, negates
+from .poly import MultiPoly
 from .structure import _in_range
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
@@ -83,7 +83,7 @@ class TwoForm:
             for j in range(i + 1, dim):
                 a, b = row[j], grid[j][i]
                 if a or b:
-                    if not negates(a, b):
+                    if a + b:
                         raise ValueError("two-form entries are not antisymmetric")
                     coords[(i, j)] = a
         self._hold(dim, coords, variables)

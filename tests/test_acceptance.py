@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from test_catalog import documented_typos
 
-from liesymp.catalog import DEFAULT_SELECTION, TYPO_IDS, build_entry
+from liesymp.catalog import DEFAULT_SELECTION, TYPOS, build_entry
 from liesymp.liealg import Subspace
 from liesymp.linalg import diagonal
 from liesymp.poly import poly_divides
@@ -190,10 +190,10 @@ def test_acceptance_4_table_regression():
     details.append(f"maximal-rank column matches (or documented): {rank_ok}")
 
     documented = documented_typos(report)
-    doc_ok = set(documented) <= set(TYPO_IDS) and len(documented) <= len(TYPO_IDS)
+    doc_ok = set(documented) <= set(TYPOS) and len(documented) <= len(TYPOS)
     ok &= doc_ok
     details.append(
-        f"{len(documented)} documented mismatches within the {len(TYPO_IDS)}-entry errata"
+        f"{len(documented)} documented mismatches within the {len(TYPOS)}-entry errata"
     )
 
     elapsed = time.monotonic() - started

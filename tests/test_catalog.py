@@ -8,7 +8,7 @@ from liesymp.catalog import (
     DEFAULT_SELECTION,
     FAMILY_NAMES,
     TABLE_NAMES,
-    TYPO_IDS,
+    TYPOS,
     build_entry,
     entry_names,
 )
@@ -127,11 +127,11 @@ def test_full_regression_is_green():
     counts = report.counts
     assert counts["entries"] == len(DEFAULT_SELECTION)
     assert counts[MISMATCH] == 0
-    # every excusal points at a registered typo, and there are not more
-    # excusals than registry entries describing row data
+    # every excusal points at an erratum id, and there are not more
+    # excusals than errata
     documented = documented_typos(report)
-    assert set(documented) <= set(TYPO_IDS)
-    assert len(documented) <= len(TYPO_IDS)
+    assert set(documented) <= set(TYPOS)
+    assert len(documented) <= len(TYPOS)
 
 
 def test_regression_catches_wrong_expectations():
@@ -167,8 +167,48 @@ def test_reproductions_are_green():
 
 def test_typo_registry_is_documented():
     import pathlib
+    import re
 
     doc = pathlib.Path(__file__).resolve().parent.parent / "TYPOS.md"
     text = doc.read_text(encoding="utf-8")
-    for ident in TYPO_IDS:
-        assert ident in text, f"typo {ident} missing from TYPOS.md"
+    bullets = re.findall(r"^- \*\*`([^`]+)`\*\*", text, flags=re.MULTILINE)
+    assert len(bullets) == len(set(bullets)), "an erratum is described twice"
+    assert set(bullets) == set(TYPOS)
+    assert len(TYPOS) == len(set(TYPOS)) == 13
+
+
+def test_the_default_selection_references_exactly_the_typos():
+    """Every erratum is used: each id is among the selection's corrections,
+    condition typos or expected-verdict typos, and no other id is."""
+    referenced = set()
+    for name, params in DEFAULT_SELECTION:
+        entry = build_entry(name, **params)
+        referenced.update(entry.corrections, entry.expected.typos.values())
+        referenced.update(c.typo for c in entry.expected.conditions if c.typo)
+    assert referenced == set(TYPOS)
+
+
+CORRECTIONS = {
+    ("n3_1", ()): ("n3_1-torus-action",),
+    ("n5_2", ()): ("n5_2-torus-action",),
+    ("n6_10", ()): ("n6_10-torus-action",),
+    ("n6_5", ()): ("n6_5-condition-1", "n6_5-condition-2"),
+    ("n6_13", ()): ("n6_13-condition",),
+    ("n6_16", ()): ("n6_16-condition",),
+    ("n6_17", ()): ("n6_17-condition",),
+    ("n6_21", ()): ("n6_21-maximal-rank", "n6_21-condition"),
+    ("L", (("n", 4),)): ("L4-determinant-sign",),
+    ("Q", (("n", 5),)): ("Q-chain-range", "Q-top-power-constant"),
+    ("Q", (("n", 7),)): ("Q-chain-range", "Q-top-power-constant"),
+    ("Q", (("n", 9),)): ("Q-chain-range", "Q-top-power-constant"),
+}
+
+
+def test_corrections_are_pinned():
+    """Each entry lists its data fixes, then the ids on its expected
+    verdicts, then those on its conditions in condition order."""
+    for name, params in DEFAULT_SELECTION:
+        key = (name, tuple(sorted(params.items())))
+        assert build_entry(name, **params).corrections == CORRECTIONS.get(key, ()), key
+    assert build_entry("n6_5", a=Q(1, 3)).corrections == CORRECTIONS[("n6_5", ())]
+    assert build_entry("n6_10", a=-2).corrections == CORRECTIONS[("n6_10", ())]

@@ -72,6 +72,25 @@ def test_symplectic_json_without_torus(tmp_path, capsys):
     assert data["verdicts"]["complete"] is False
 
 
+def test_symplectic_on_a_torus_over_a_non_nilpotent_bracket_part(tmp_path, capsys):
+    """The rank bound is undefined when the bracket part is not nilpotent:
+    the JSON mode reports maximal_rank null and exits 0, as the text mode
+    does."""
+    path = tmp_path / "s.lie"
+    path.write_text(
+        "algebra s\nbasis x y\n[x,y] = y\ntorus h\n[h,y] = y\n", encoding="utf-8"
+    )
+    assert main(["symplectic", str(path)]) == 0
+    assert "symplectic: exists = odd" in capsys.readouterr().out
+    assert main(["symplectic", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    import jsonschema
+
+    jsonschema.validate(data, SYMPLECTIC_REPORT_SCHEMA)
+    assert data["verdicts"]["maximal_rank"] is None
+    assert data["verdicts"]["symplectic"]["exists"] == "odd"
+
+
 def test_decide_symplectic_on_bare_nilpotent_algebras():
     """The decision is total: it applies to any rational Lie algebra, not
     only to the torus extensions; witnesses always re-verify."""

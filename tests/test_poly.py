@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesymp.poly import MultiPoly, PolyMatrix, negates, poly_divides, poly_divmod
+from liesymp.poly import MultiPoly, PolyMatrix, poly_divides, poly_divmod
 
 
 def _random_poly(rng, names=("x", "y", "z"), terms=4, degree=3):
@@ -151,7 +151,7 @@ def test_pfaffian_structure_errors():
         assert not bad.is_antisymmetric()
         with pytest.raises(ValueError, match=r"^pfaffian requires an antisymmetric matrix$"):
             bad.pfaffian()
-    # a mirror over another variable tuple still negates
+    # a mirror over another variable tuple is still antisymmetric
     assert PolyMatrix([[0, a], [MultiPoly(("b", "a"), {(0, 1): Q(-1)}), 0]]).is_antisymmetric()
     with pytest.raises(ValueError):
         PolyMatrix([[0]]).pfaffian()  # odd size
@@ -360,17 +360,3 @@ def test_evaluate_edge_cases():
     x, y = MultiPoly.variables(["x", "y"])
     with pytest.raises(ValueError, match=r"^no value for variable\(s\) x, y$"):
         (x * y).evaluate({})
-
-
-@settings(max_examples=300, deadline=None)
-@given(p=mixed_polys(), q=mixed_polys())
-def test_negates_matches_the_sum(p, q):
-    for a, b in ((p, q), (p, -p), (-q, q), (p, -_rebuilt(p)), (p, p)):
-        assert negates(a, b) == (a + b).is_zero()
-    widened = MultiPoly(("w",) + p.vars, {(0,) + e: c for e, c in p.terms.items()})
-    assert negates(widened, -p) and negates(-p, widened)
-    for c in (Q(0), Q(2), Q(-1, 2)):
-        assert negates(p, c) == negates(c, p) == (p + c).is_zero()
-        assert negates(c, -c)
-    assert not negates(Q(2), Q(2))
-
