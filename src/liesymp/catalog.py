@@ -8,10 +8,15 @@ and the printed non-degeneracy conditions as polynomials in the entries of
 the general closed 2-form.
 
 The reference data is transcribed from published classification tables.  A
-few printed values contradict the algebra axioms (a torus rule that is not a
-derivation, for example) or the recomputed results.  Each such erratum is
-described in the top-level TYPOS.md under an id from :data:`TYPOS`, and the id
-sits on what it excuses: a fix to an entry's stored data is listed in the
+fixed row of a table is one entry of ``_TABLE``, from its name to the fields
+of ``_table_entry``; a row with the parameter a is a function of a that
+returns those fields, so every table row is built by one path.  The three
+families keep a builder each.
+
+A few printed values contradict the algebra axioms (a torus rule that is not
+a derivation, for example) or the recomputed results.  Each such erratum is
+described in the top-level TYPOS.md under an id from :data:`TYPOS`, and the
+id sits on what it excuses: a fix to an entry's stored data is listed in the
 entry's ``corrections``, a printed condition carries ``Condition.typo``, and a
 printed verdict carries ``Expected.typos[<comparison name>]``.  Expected
 verdicts are never computed, only transcribed.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .liealg import LieAlgebra, check_dim
 from .linalg import Q, as_fraction, diagonal
@@ -160,406 +165,9 @@ def _table_entry(
     )
 
 
-# -- fixed table rows ----------------------------------------------------------
-
-
-def _build_n3_1() -> CatalogEntry:
-    return _table_entry(
-        "n3_1", 3,
-        nil={(1, 2): {3: 1}},
-        torus={
-            "e4": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}},  # [e4,e3]=2e3 forced, see TYPOS.md
-            "e5": {2: {2: 1}, 3: {3: 1}},
-        },
-        symplectic="odd", maximal=True,
-        corrections=("n3_1-torus-action",),
-    )
-
-
-def _build_n4_1() -> CatalogEntry:
-    return _table_entry(
-        "n4_1", 4,
-        nil={(2, 4): {1: 1}, (3, 4): {2: 1}},
-        torus={
-            "e5": {1: {1: 1}, 3: {3: -1}, 4: {4: 1}},
-            "e6": {2: {2: 1}, 3: {3: 2}, 4: {4: -1}},
-        },
-        symplectic="yes", maximal=True,
-        conditions=(
-            _cond("a_{2,4} != 0", (1, [(2, 4)])),
-            _cond("2 a_{3,5} a_{2,4} != a_{3,4}^2",
-                  (2, [(3, 5), (2, 4)]), (-1, [(3, 4), (3, 4)])),
-        ),
-    )
-
-
-def _build_n5_1() -> CatalogEntry:
-    return _table_entry(
-        "n5_1", 5,
-        nil={(3, 5): {1: 1}, (4, 5): {2: 1}},
-        torus={
-            "e6": {1: {1: 1}, 4: {4: -1}, 5: {5: 1}},
-            "e7": {2: {2: 1}, 4: {4: 1}},
-            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: -1}},
-        },
-        symplectic="yes", maximal=True,
-        conditions=(
-            _cond("a_{4,5} != 0", (1, [(4, 5)])),
-            _cond("a_{3,5} != 0", (1, [(3, 5)])),
-            _cond("a_{3,5} a_{4,8} != a_{3,8} a_{4,5}",
-                  (1, [(3, 5), (4, 8)]), (-1, [(3, 8), (4, 5)])),
-        ),
-    )
-
-
-def _build_n5_2() -> CatalogEntry:
-    return _table_entry(
-        "n5_2", 5,
-        nil={(2, 5): {1: 1}, (3, 5): {2: 1}, (4, 5): {3: 1}},
-        torus={
-            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: -2}, 5: {5: 1}},  # -1, see TYPOS.md
-            "e7": {2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: -1}},
-        },
-        symplectic="odd", maximal=True,
-        corrections=("n5_2-torus-action",),
-    )
-
-
-def _build_n5_3() -> CatalogEntry:
-    return _table_entry(
-        "n5_3", 5,
-        nil={(3, 4): {2: 1}, (3, 5): {1: 1}, (4, 5): {3: 1}},
-        torus={
-            "e6": {1: {1: 1}, 3: {3: Q(1, 3)}, 4: {4: Q(-1, 3)}, 5: {5: Q(2, 3)}},
-            "e7": {2: {2: 1}, 3: {3: Q(1, 3)}, 4: {4: Q(2, 3)}, 5: {5: Q(-1, 3)}},
-        },
-        symplectic="odd", maximal=True,
-    )
-
-
-def _build_n5_4() -> CatalogEntry:
-    return _table_entry(
-        "n5_4", 5,
-        nil={(2, 4): {1: 1}, (3, 5): {1: 1}},
-        torus={
-            "e6": {1: {1: 1}, 4: {4: 1}, 5: {5: 1}},
-            "e7": {3: {3: 1}, 5: {5: -1}},
-            "e8": {2: {2: 1}, 4: {4: -1}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{7,8} != 0", (1, [(7, 8)])),
-            _cond("a_{3,5} != 0", (1, [(3, 5)])),
-        ),
-    )
-
-
-def _build_n5_5() -> CatalogEntry:
-    return _table_entry(
-        "n5_5", 5,
-        nil={(2, 5): {1: 1}, (3, 4): {1: 1}, (3, 5): {2: 1}},
-        torus={
-            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: 2}, 5: {5: 1}},
-            "e7": {2: {2: 1}, 3: {3: 2}, 4: {4: -2}, 5: {5: -1}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n5_6() -> CatalogEntry:
-    return _table_entry(
-        "n5_6", 5,
-        nil={(2, 5): {1: 1}, (3, 4): {1: 1}, (3, 5): {2: 1}, (4, 5): {3: 1}},
-        torus={
-            "e6": {1: {1: 1}, 2: {2: Q(4, 5)}, 3: {3: Q(3, 5)},
-                   4: {4: Q(2, 5)}, 5: {5: Q(1, 5)}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(_cond("a_{3,4} != 0", (1, [(3, 4)])),),
-    )
-
-
-def _build_n6_1() -> CatalogEntry:
-    return _table_entry(
-        "n6_1", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}},
-            "e9": {5: {5: 1}, 6: {6: 1}},
-        },
-        symplectic="odd", maximal=True,
-    )
-
-
-def _build_n6_2() -> CatalogEntry:
-    return _table_entry(
-        "n6_2", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 4}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-        },
-        symplectic="never", maximal=True,
-    )
-
-
-def _build_n6_3() -> CatalogEntry:
-    return _table_entry(
-        "n6_3", 6,
-        nil={(1, 2): {6: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}},
-        torus={
-            "e7": {1: {1: 1}, 4: {4: 1}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 5: {5: 1}, 6: {6: 1}},
-            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}},
-        },
-        symplectic="odd", maximal=True,
-    )
-
-
-def _build_n6_4() -> CatalogEntry:
-    return _table_entry(
-        "n6_4", 6,
-        nil={(1, 2): {5: 1}, (1, 3): {6: 1}, (2, 4): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 4: {4: -1}, 5: {5: 1}},
-            "e9": {3: {3: 1}, 4: {4: 1}, 6: {6: 1}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n6_6() -> CatalogEntry:
-    return _table_entry(
-        "n6_6", 6,
-        nil={(1, 2): {6: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: 2}, 4: {4: 1}, 5: {5: 2}, 6: {6: 3}},
-            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,7} != 0", (1, [(6, 7)])),
-            _cond("a_{5,8} != 0", (1, [(5, 8)])),
-        ),
-    )
-
-
-def _build_n6_7() -> CatalogEntry:
-    return _table_entry(
-        "n6_7", 6,
-        nil={(1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 2}},
-            "e8": {2: {2: 1}, 6: {6: 1}},
-            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-        },
-        symplectic="odd", maximal=True,
-    )
-
-
-def _build_n6_8() -> CatalogEntry:
-    return _table_entry(
-        "n6_8", 6,
-        nil={(1, 2): {3: 1, 5: 1}, (1, 3): {4: 1}, (2, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 1}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-            _cond("a_{4,8} != 0", (1, [(4, 8)])),
-        ),
-    )
-
-
-def _build_n6_9() -> CatalogEntry:
-    return _table_entry(
-        "n6_9", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 5): {6: 1}, (2, 3): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 2}, 6: {6: 2}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-            _cond("a_{4,8} != 0", (1, [(4, 8)])),
-        ),
-    )
-
-
-def _build_n6_11() -> CatalogEntry:
-    return _table_entry(
-        "n6_11", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
-        },
-        symplectic="yes", maximal=True,
-        conditions=(
-            _cond("a_{5,8} != 0", (1, [(5, 8)])),
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-        ),
-    )
-
-
-def _build_n6_12() -> CatalogEntry:
-    return _table_entry(
-        "n6_12", 6,
-        nil={(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 2}, 6: {6: 2}},
-            "e8": {2: {2: 1}, 5: {5: -1}},
-            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n6_13() -> CatalogEntry:
-    return _table_entry(
-        "n6_13", 6,
-        nil={(1, 2): {5: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: -1}, 5: {5: 1}, 6: {6: 1}},
-            "e8": {2: {2: 1}, 3: {3: 2}, 4: {4: 2}, 5: {5: 1}, 6: {6: 2}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-            _cond("a_{3,8} a_{6,8} != a_{4,8}^2  [as printed]",
-                  (1, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)]),
-                  typo="n6_13-condition"),
-            _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
-                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
-        ),
-    )
-
-
-def _build_n6_15() -> CatalogEntry:
-    return _table_entry(
-        "n6_15", 6,
-        nil={(1, 2): {3: 1, 5: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: 2}, 3: {3: 3}, 4: {4: 4}, 5: {5: 3}, 6: {6: 5}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n6_16() -> CatalogEntry:
-    return _table_entry(
-        "n6_16", 6,
-        nil={(1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
-             (2, 3): {5: 1}, (2, 4): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: 2}, 4: {4: 1}, 5: {5: 2}, 6: {6: 3}},
-            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-            _cond("3 a_{3,8} a_{6,8}^2 != 3 a_{4,8} a_{5,8} a_{6,8} + a_{5,8}^3  [as printed]",
-                  (3, [(3, 8), (6, 8), (6, 8)]),
-                  (-3, [(4, 8), (5, 8), (6, 8)]),
-                  (-1, [(5, 8), (5, 8), (5, 8)]),
-                  typo="n6_16-condition"),
-            _cond("3 a_{3,8} a_{6,8}^2 + a_{5,8}^3 != 3 a_{4,8} a_{5,8} a_{6,8}  [corrected]",
-                  (3, [(3, 8), (6, 8), (6, 8)]),
-                  (-3, [(4, 8), (5, 8), (6, 8)]),
-                  (1, [(5, 8), (5, 8), (5, 8)])),
-        ),
-    )
-
-
-def _build_n6_17() -> CatalogEntry:
-    return _table_entry(
-        "n6_17", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 6: {6: 1}},
-        },
-        symplectic="yes", maximal=False,
-        conditions=(
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-            _cond("2 a_{3,8} a_{6,8} != a_{4,8}  [as printed]",
-                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8)]),
-                  typo="n6_17-condition"),
-            _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
-                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
-        ),
-    )
-
-
-def _build_n6_19() -> CatalogEntry:
-    return _table_entry(
-        "n6_19", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
-             (2, 3): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: 3}, 3: {3: 4}, 4: {4: 5}, 5: {5: 6}, 6: {6: 7}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n6_20() -> CatalogEntry:
-    return _table_entry(
-        "n6_20", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
-             (2, 3): {5: 1}, (2, 4): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: 2}, 3: {3: 3}, 4: {4: 4}, 5: {5: 5}, 6: {6: 6}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-def _build_n6_21() -> CatalogEntry:
-    return _table_entry(
-        "n6_21", 6,
-        nil={(1, 2): {3: 1}, (1, 5): {6: 1}, (2, 3): {4: 1}, (2, 4): {5: 1},
-             (3, 4): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
-            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
-        },
-        symplectic="yes", maximal=False,  # printed No; computed Yes, see TYPOS.md
-        conditions=(
-            _cond("a_{2,8} a_{6,8} != 8 a_{3,8} a_{5,8} + 3 a_{4,8}^2  [as printed]",
-                  (1, [(2, 8), (6, 8)]),
-                  (-8, [(3, 8), (5, 8)]),
-                  (-3, [(4, 8), (4, 8)]),
-                  typo="n6_21-condition"),
-            _cond("8 a_{2,8} a_{6,8} + 3 a_{4,8}^2 != 8 a_{3,8} a_{5,8}  [corrected]",
-                  (8, [(2, 8), (6, 8)]),
-                  (-8, [(3, 8), (5, 8)]),
-                  (3, [(4, 8), (4, 8)])),
-            _cond("a_{6,8} != 0", (1, [(6, 8)])),
-        ),
-        typos={"maximal-rank": "n6_21-maximal-rank"},
-    )
-
-
-def _build_n6_22() -> CatalogEntry:
-    return _table_entry(
-        "n6_22", 6,
-        nil={(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 5): {6: 1}, (2, 3): {4: 1},
-             (2, 4): {5: 1}, (3, 4): {6: 1}},
-        torus={
-            "e7": {1: {1: 1}, 2: {2: Q(1, 2)}, 3: {3: Q(3, 2)}, 4: {4: 2},
-                   5: {5: Q(5, 2)}, 6: {6: Q(7, 2)}},
-        },
-        symplectic="odd", maximal=False,
-    )
-
-
-# -- parametric table rows -----------------------------------------------------
+# -- table rows ----------------------------------------------------------------
+# Each row maps its name to the fields that ``_table_entry`` takes after the
+# name.  A row with the parameter a is a function of a that returns them.
 
 
 def _require_nonzero_a(a) -> Fraction:
@@ -569,11 +177,10 @@ def _require_nonzero_a(a) -> Fraction:
     return a
 
 
-def _build_n6_5(a=Q(2)) -> CatalogEntry:
+def _n6_5(a=Q(2)) -> dict:
     a = _require_nonzero_a(a)
-    return _table_entry(
-        "n6_5", 6,
-        nil={(1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
+    return dict(
+        dim=6, nil={(1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
         torus={
             "e7": {1: {1: 1}, 2: {2: 1}, 5: {5: 1}, 6: {6: 1}},
             "e8": {1: {2: 1 / a}, 2: {1: 1}, 5: {6: 1}, 6: {5: 1 / a}},
@@ -597,10 +204,10 @@ def _build_n6_5(a=Q(2)) -> CatalogEntry:
     )
 
 
-def _build_n6_10(a=Q(2)) -> CatalogEntry:
+def _n6_10(a=Q(2)) -> dict:
     a = _require_nonzero_a(a)
-    return _table_entry(
-        "n6_10", 6,
+    return dict(
+        dim=6,
         nil={(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 3): {6: a}, (2, 4): {5: 1}},
         torus={
             # [e7,e3] = 2 e3 (printed 2 e2), see TYPOS.md
@@ -617,11 +224,10 @@ def _build_n6_10(a=Q(2)) -> CatalogEntry:
     )
 
 
-def _build_n6_14(a=Q(1)) -> CatalogEntry:
+def _n6_14(a=Q(1)) -> dict:
     a = _require_nonzero_a(a)
-    return _table_entry(
-        "n6_14", 6,
-        nil={(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}},
+    return dict(
+        dim=6, nil={(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}},
         torus={
             "e7": {1: {1: 1}, 2: {2: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
             "e8": {1: {2: -1 / a}, 2: {1: 1}, 4: {5: -1 / a}, 5: {4: 1}},
@@ -632,10 +238,10 @@ def _build_n6_14(a=Q(1)) -> CatalogEntry:
     )
 
 
-def _build_n6_18(a=Q(1)) -> CatalogEntry:
+def _n6_18(a=Q(1)) -> dict:
     a = _require_nonzero_a(a)
-    return _table_entry(
-        "n6_18", 6,
+    return dict(
+        dim=6,
         nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {5: 1}, (2, 5): {6: a}},
         torus={
             "e7": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: 3}, 6: {6: 4}},
@@ -644,6 +250,306 @@ def _build_n6_18(a=Q(1)) -> CatalogEntry:
         symplectic="never", maximal=True,
         params={"a": a},
     )
+
+
+_TABLE: dict[str, Mapping | Callable[..., Mapping]] = {
+    "n3_1": dict(
+        dim=3, nil={(1, 2): {3: 1}},
+        torus={
+            "e4": {1: {1: 1}, 2: {2: 1}, 3: {3: 2}},  # [e4,e3]=2e3 forced, see TYPOS.md
+            "e5": {2: {2: 1}, 3: {3: 1}},
+        },
+        symplectic="odd", maximal=True,
+        corrections=("n3_1-torus-action",),
+    ),
+    "n4_1": dict(
+        dim=4, nil={(2, 4): {1: 1}, (3, 4): {2: 1}},
+        torus={
+            "e5": {1: {1: 1}, 3: {3: -1}, 4: {4: 1}},
+            "e6": {2: {2: 1}, 3: {3: 2}, 4: {4: -1}},
+        },
+        symplectic="yes", maximal=True,
+        conditions=(
+            _cond("a_{2,4} != 0", (1, [(2, 4)])),
+            _cond("2 a_{3,5} a_{2,4} != a_{3,4}^2",
+                  (2, [(3, 5), (2, 4)]), (-1, [(3, 4), (3, 4)])),
+        ),
+    ),
+    "n5_1": dict(
+        dim=5, nil={(3, 5): {1: 1}, (4, 5): {2: 1}},
+        torus={
+            "e6": {1: {1: 1}, 4: {4: -1}, 5: {5: 1}},
+            "e7": {2: {2: 1}, 4: {4: 1}},
+            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: -1}},
+        },
+        symplectic="yes", maximal=True,
+        conditions=(
+            _cond("a_{4,5} != 0", (1, [(4, 5)])),
+            _cond("a_{3,5} != 0", (1, [(3, 5)])),
+            _cond("a_{3,5} a_{4,8} != a_{3,8} a_{4,5}",
+                  (1, [(3, 5), (4, 8)]), (-1, [(3, 8), (4, 5)])),
+        ),
+    ),
+    "n5_2": dict(
+        dim=5, nil={(2, 5): {1: 1}, (3, 5): {2: 1}, (4, 5): {3: 1}},
+        torus={
+            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: -2}, 5: {5: 1}},  # -1, see TYPOS.md
+            "e7": {2: {2: 1}, 3: {3: 2}, 4: {4: 3}, 5: {5: -1}},
+        },
+        symplectic="odd", maximal=True,
+        corrections=("n5_2-torus-action",),
+    ),
+    "n5_3": dict(
+        dim=5, nil={(3, 4): {2: 1}, (3, 5): {1: 1}, (4, 5): {3: 1}},
+        torus={
+            "e6": {1: {1: 1}, 3: {3: Q(1, 3)}, 4: {4: Q(-1, 3)}, 5: {5: Q(2, 3)}},
+            "e7": {2: {2: 1}, 3: {3: Q(1, 3)}, 4: {4: Q(2, 3)}, 5: {5: Q(-1, 3)}},
+        },
+        symplectic="odd", maximal=True,
+    ),
+    "n5_4": dict(
+        dim=5, nil={(2, 4): {1: 1}, (3, 5): {1: 1}},
+        torus={
+            "e6": {1: {1: 1}, 4: {4: 1}, 5: {5: 1}},
+            "e7": {3: {3: 1}, 5: {5: -1}},
+            "e8": {2: {2: 1}, 4: {4: -1}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{7,8} != 0", (1, [(7, 8)])),
+            _cond("a_{3,5} != 0", (1, [(3, 5)])),
+        ),
+    ),
+    "n5_5": dict(
+        dim=5, nil={(2, 5): {1: 1}, (3, 4): {1: 1}, (3, 5): {2: 1}},
+        torus={
+            "e6": {1: {1: 1}, 3: {3: -1}, 4: {4: 2}, 5: {5: 1}},
+            "e7": {2: {2: 1}, 3: {3: 2}, 4: {4: -2}, 5: {5: -1}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n5_6": dict(
+        dim=5, nil={(2, 5): {1: 1}, (3, 4): {1: 1}, (3, 5): {2: 1}, (4, 5): {3: 1}},
+        torus={
+            "e6": {1: {1: 1}, 2: {2: Q(4, 5)}, 3: {3: Q(3, 5)},
+                   4: {4: Q(2, 5)}, 5: {5: Q(1, 5)}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(_cond("a_{3,4} != 0", (1, [(3, 4)])),),
+    ),
+    "n6_1": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}},
+            "e9": {5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="odd", maximal=True,
+    ),
+    "n6_2": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 4}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="never", maximal=True,
+    ),
+    "n6_3": dict(
+        dim=6, nil={(1, 2): {6: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}},
+        torus={
+            "e7": {1: {1: 1}, 4: {4: 1}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 5: {5: 1}, 6: {6: 1}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}},
+        },
+        symplectic="odd", maximal=True,
+    ),
+    "n6_4": dict(
+        dim=6, nil={(1, 2): {5: 1}, (1, 3): {6: 1}, (2, 4): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 4: {4: -1}, 5: {5: 1}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 6: {6: 1}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n6_5": _n6_5,
+    "n6_6": dict(
+        dim=6, nil={(1, 2): {6: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 2}, 4: {4: 1}, 5: {5: 2}, 6: {6: 3}},
+            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,7} != 0", (1, [(6, 7)])),
+            _cond("a_{5,8} != 0", (1, [(5, 8)])),
+        ),
+    ),
+    "n6_7": dict(
+        dim=6, nil={(1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 2}},
+            "e8": {2: {2: 1}, 6: {6: 1}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="odd", maximal=True,
+    ),
+    "n6_8": dict(
+        dim=6, nil={(1, 2): {3: 1, 5: 1}, (1, 3): {4: 1}, (2, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 1}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+            _cond("a_{4,8} != 0", (1, [(4, 8)])),
+        ),
+    ),
+    "n6_9": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 5): {6: 1}, (2, 3): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 2}, 6: {6: 2}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+            _cond("a_{4,8} != 0", (1, [(4, 8)])),
+        ),
+    ),
+    "n6_10": _n6_10,
+    "n6_11": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
+        },
+        symplectic="yes", maximal=True,
+        conditions=(
+            _cond("a_{5,8} != 0", (1, [(5, 8)])),
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+        ),
+    ),
+    "n6_12": dict(
+        dim=6, nil={(1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 4: {4: 1}, 5: {5: 2}, 6: {6: 2}},
+            "e8": {2: {2: 1}, 5: {5: -1}},
+            "e9": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n6_13": dict(
+        dim=6, nil={(1, 2): {5: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: -1}, 5: {5: 1}, 6: {6: 1}},
+            "e8": {2: {2: 1}, 3: {3: 2}, 4: {4: 2}, 5: {5: 1}, 6: {6: 2}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+            _cond("a_{3,8} a_{6,8} != a_{4,8}^2  [as printed]",
+                  (1, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)]),
+                  typo="n6_13-condition"),
+            _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
+                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
+        ),
+    ),
+    "n6_14": _n6_14,
+    "n6_15": dict(
+        dim=6, nil={(1, 2): {3: 1, 5: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 2}, 3: {3: 3}, 4: {4: 4}, 5: {5: 3}, 6: {6: 5}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n6_16": dict(
+        dim=6, nil={(1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
+             (2, 3): {5: 1}, (2, 4): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 2}, 4: {4: 1}, 5: {5: 2}, 6: {6: 3}},
+            "e8": {3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 1}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+            _cond("3 a_{3,8} a_{6,8}^2 != 3 a_{4,8} a_{5,8} a_{6,8} + a_{5,8}^3  [as printed]",
+                  (3, [(3, 8), (6, 8), (6, 8)]),
+                  (-3, [(4, 8), (5, 8), (6, 8)]),
+                  (-1, [(5, 8), (5, 8), (5, 8)]),
+                  typo="n6_16-condition"),
+            _cond("3 a_{3,8} a_{6,8}^2 + a_{5,8}^3 != 3 a_{4,8} a_{5,8} a_{6,8}  [corrected]",
+                  (3, [(3, 8), (6, 8), (6, 8)]),
+                  (-3, [(4, 8), (5, 8), (6, 8)]),
+                  (1, [(5, 8), (5, 8), (5, 8)])),
+        ),
+    ),
+    "n6_17": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 1}, 6: {6: 1}},
+        },
+        symplectic="yes", maximal=False,
+        conditions=(
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+            _cond("2 a_{3,8} a_{6,8} != a_{4,8}  [as printed]",
+                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8)]),
+                  typo="n6_17-condition"),
+            _cond("2 a_{3,8} a_{6,8} != a_{4,8}^2  [corrected]",
+                  (2, [(3, 8), (6, 8)]), (-1, [(4, 8), (4, 8)])),
+        ),
+    ),
+    "n6_18": _n6_18,
+    "n6_19": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
+             (2, 3): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 3}, 3: {3: 4}, 4: {4: 5}, 5: {5: 6}, 6: {6: 7}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n6_20": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1},
+             (2, 3): {5: 1}, (2, 4): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: 2}, 3: {3: 3}, 4: {4: 4}, 5: {5: 5}, 6: {6: 6}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+    "n6_21": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 5): {6: 1}, (2, 3): {4: 1}, (2, 4): {5: 1},
+             (3, 4): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 3: {3: 1}, 4: {4: 1}, 5: {5: 1}, 6: {6: 2}},
+            "e8": {2: {2: 1}, 3: {3: 1}, 4: {4: 2}, 5: {5: 3}, 6: {6: 3}},
+        },
+        symplectic="yes", maximal=False,  # printed No; computed Yes, see TYPOS.md
+        conditions=(
+            _cond("a_{2,8} a_{6,8} != 8 a_{3,8} a_{5,8} + 3 a_{4,8}^2  [as printed]",
+                  (1, [(2, 8), (6, 8)]),
+                  (-8, [(3, 8), (5, 8)]),
+                  (-3, [(4, 8), (4, 8)]),
+                  typo="n6_21-condition"),
+            _cond("8 a_{2,8} a_{6,8} + 3 a_{4,8}^2 != 8 a_{3,8} a_{5,8}  [corrected]",
+                  (8, [(2, 8), (6, 8)]),
+                  (-8, [(3, 8), (5, 8)]),
+                  (3, [(4, 8), (4, 8)])),
+            _cond("a_{6,8} != 0", (1, [(6, 8)])),
+        ),
+        typos={"maximal-rank": "n6_21-maximal-rank"},
+    ),
+    "n6_22": dict(
+        dim=6, nil={(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 5): {6: 1}, (2, 3): {4: 1},
+             (2, 4): {5: 1}, (3, 4): {6: 1}},
+        torus={
+            "e7": {1: {1: 1}, 2: {2: Q(1, 2)}, 3: {3: Q(3, 2)}, 4: {4: 2},
+                   5: {5: Q(5, 2)}, 6: {6: Q(7, 2)}},
+        },
+        symplectic="odd", maximal=False,
+    ),
+}
 
 
 # -- families ------------------------------------------------------------------
@@ -713,63 +619,35 @@ def _build_Q(n=5) -> CatalogEntry:
     )
 
 
-_BUILDERS = {
-    "n3_1": _build_n3_1,
-    "n4_1": _build_n4_1,
-    "n5_1": _build_n5_1,
-    "n5_2": _build_n5_2,
-    "n5_3": _build_n5_3,
-    "n5_4": _build_n5_4,
-    "n5_5": _build_n5_5,
-    "n5_6": _build_n5_6,
-    "n6_1": _build_n6_1,
-    "n6_2": _build_n6_2,
-    "n6_3": _build_n6_3,
-    "n6_4": _build_n6_4,
-    "n6_5": _build_n6_5,
-    "n6_6": _build_n6_6,
-    "n6_7": _build_n6_7,
-    "n6_8": _build_n6_8,
-    "n6_9": _build_n6_9,
-    "n6_10": _build_n6_10,
-    "n6_11": _build_n6_11,
-    "n6_12": _build_n6_12,
-    "n6_13": _build_n6_13,
-    "n6_14": _build_n6_14,
-    "n6_15": _build_n6_15,
-    "n6_16": _build_n6_16,
-    "n6_17": _build_n6_17,
-    "n6_18": _build_n6_18,
-    "n6_19": _build_n6_19,
-    "n6_20": _build_n6_20,
-    "n6_21": _build_n6_21,
-    "n6_22": _build_n6_22,
-    "abelian": _build_abelian,
-    "L": _build_L,
-    "Q": _build_Q,
-}
+_FAMILIES = {"abelian": _build_abelian, "L": _build_L, "Q": _build_Q}
 
-TABLE_NAMES = tuple(name for name in _BUILDERS if name.startswith("n"))
-FAMILY_NAMES = ("abelian", "L", "Q")
+TABLE_NAMES = tuple(_TABLE)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def entry_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return TABLE_NAMES + FAMILY_NAMES
 
 
 def entry_parameters(name: str) -> tuple[str, ...]:
     """The parameter names that ``build_entry(name, ...)`` accepts."""
-    return tuple(inspect.signature(_BUILDERS[name]).parameters)
+    builder = _TABLE[name] if name in _TABLE else _FAMILIES[name]
+    return tuple(inspect.signature(builder).parameters) if callable(builder) else ()
 
 
 def build_entry(name: str, **params) -> CatalogEntry:
     """Construct a catalog entry; raises ValueError on bad names or parameters."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in _TABLE and name not in _FAMILIES:
         raise ValueError(f"unknown catalog entry {name!r}; see entry_names()")
+    unexpected = [key for key in params if key not in entry_parameters(name)]
+    if unexpected:
+        raise ValueError(f"invalid parameters for {name!r}: unexpected parameter {unexpected[0]!r}")
     try:
-        return builder(**params)
-    except TypeError as exc:
+        if name in _FAMILIES:
+            return _FAMILIES[name](**params)
+        row = _TABLE[name]
+        return _table_entry(name, **(row(**params) if callable(row) else row))
+    except TypeError as exc:  # a parameter value of the wrong type
         raise ValueError(f"invalid parameters for {name!r}: {exc}") from None
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .analysis import Analysis
-from .fileformat import AlgebraFile, _format_linear, build, parse, print_file
+from .fileformat import AlgebraFile, _format_linear, build, parse, print_file, to_file
 from .regression import (
     DOCUMENTED,
     MATCH,
@@ -265,26 +265,29 @@ def _cmd_check(args) -> int:
           f"{len(parsed.brackets)} bracket rules"
           + (f", torus of rank {len(parsed.torus_labels)}" if parsed.torus_labels else ""))
     print("antisymmetry: structural (each unordered pair stored once, zero diagonal)")
-    analysis = build(parsed)
-    failure = analysis.jacobi_failure
-    if failure is not None:
-        a, b, c = (analysis.nilradical.labels[i] for i in failure)
-        raise ValueError(f"jacobi identity fails on ({a}, {b}, {c})")
+    analysis = _analyse(parsed)
     print("jacobi identity: holds on all basis triples")
     if analysis.torus is not None:
         print(f"torus action: verified; combined algebra has dimension {analysis.algebra.dim}")
     return EXIT_OK
 
 
+def _analyse(parsed: AlgebraFile) -> Analysis:
+    """The analysis of a parsed file whose bracket table passes the Jacobi
+    identity; every command reports a failing triple by its labels."""
+    analysis = build(parsed)
+    failure = analysis.jacobi_failure
+    if failure is not None:
+        a, b, c = (analysis.nilradical.labels[i] for i in failure)
+        raise ValueError(f"jacobi identity fails on ({a}, {b}, {c})")
+    return analysis
+
+
 def _with_analysis(args, fn) -> int:
     """``fn(name, analysis)`` for the file's algebra, once its bracket table
     passes the Jacobi identity."""
     parsed = parse(_read(args.file))
-    analysis = build(parsed)
-    failure = analysis.jacobi_failure
-    if failure is not None:
-        raise ValueError(f"the bracket table violates the Jacobi identity at triple {failure}")
-    return fn(parsed.name, analysis)
+    return fn(parsed.name, _analyse(parsed))
 
 
 def _cmd_props(args) -> int:
@@ -408,22 +411,6 @@ def _set_integer(key: str, digits: str) -> int:
         raise ValueError(f"--set {key}: number too long ({count} digits)") from None
 
 
-def _entry_to_file(entry: cat.CatalogEntry) -> AlgebraFile:
-    nil = entry.nilradical
-    rules = []
-    for (i, j), comps in sorted(nil.table.items()):
-        terms = tuple((c, nil.labels[k]) for k, c in sorted(comps.items()))
-        rules.append((nil.labels[i], nil.labels[j], terms))
-    torus_rules = []
-    for label, gen in zip(entry.torus.labels, entry.torus.generators):
-        for j, col in sorted(gen.items()):
-            terms = tuple((c, nil.labels[k]) for k, c in sorted(col.items()))
-            torus_rules.append((label, nil.labels[j], terms))
-    return AlgebraFile(
-        entry.name, nil.labels, tuple(rules), entry.torus.labels, tuple(torus_rules)
-    )
-
-
 def _cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
         for name in cat.entry_names():
@@ -440,7 +427,7 @@ def _cmd_catalog(args) -> int:
 
     if args.catalog_cmd == "show":
         entry = cat.build_entry(args.name, **_parse_sets(args.set))
-        print(print_file(_entry_to_file(entry)), end="")
+        print(print_file(to_file(entry.name, entry.torus)), end="")
         print(f"# expected symplectic: {entry.expected.symplectic}")
         print(f"# expected maximal rank: {entry.expected.maximal_rank}")
         for cond in entry.expected.conditions:

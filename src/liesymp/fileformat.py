@@ -18,9 +18,11 @@ parser is total in the sense that every failure is reported as a positioned
 included, is one column).  A coefficient is parsed as an ``int`` where
 integral and as a ``Fraction`` otherwise.
 
-``parse(print_file(f)) == f`` for every :class:`AlgebraFile`, and
+``parse(print_file(f)) == f`` for every :class:`AlgebraFile`,
 ``build(f)`` is the :class:`~liesymp.analysis.Analysis` of the algebra
-``f`` denotes.
+``f`` denotes, and :func:`to_file` writes a nilradical with its torus back
+as a file, so both directions between torus rules and generator columns
+live here.
 """
 
 from __future__ import annotations
@@ -345,6 +347,27 @@ def build(f: AlgebraFile) -> Analysis:
     analysis = Analysis(torus)
     analysis.algebra  # the product is built here, so a Jacobi failure raises here
     return analysis
+
+
+def to_file(name: str, torus: TorusAction) -> AlgebraFile:
+    """The file of the algebra ``torus`` acts on, with the torus block: the
+    inverse of :func:`build`, ``build(to_file(name, torus))`` rebuilds the
+    same bracket table and generator columns."""
+    labels = torus.nilradical.labels
+
+    def linear(comps) -> tuple[Term, ...]:
+        return tuple((c, labels[k]) for k, c in sorted(comps.items()))
+
+    brackets = tuple(
+        (labels[i], labels[j], linear(comps))
+        for (i, j), comps in sorted(torus.nilradical.table.items())
+    )
+    torus_rules = tuple(
+        (label, labels[j], linear(col))
+        for label, gen in zip(torus.labels, torus.generators)
+        for j, col in sorted(gen.items())
+    )
+    return AlgebraFile(name, labels, brackets, torus.labels, torus_rules)
 
 
 def _combine(terms: tuple[Term, ...]) -> dict[str, int | Fraction]:

@@ -1,5 +1,6 @@
 """Catalog integrity and the regression runner."""
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -90,8 +91,48 @@ def test_build_entry_rejects_bad_parameters():
         build_entry("n6_18", a=Q(0))
     with pytest.raises(ValueError):
         build_entry("no_such_entry")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'n4_1': unexpected parameter 'a'"):
         build_entry("n4_1", a=1)  # not parametric
+
+
+def test_each_build_makes_its_own_algebra_and_torus():
+    # a torus check or grading cached on one entry must not reach the next
+    for name, params in (("n4_1", {}), ("n6_5", {"a": Q(3)})):
+        first, second = build_entry(name, **params), build_entry(name, **params)
+        assert first.nilradical is not second.nilradical, name
+        assert first.torus is not second.torus, name
+        assert first.torus.nilradical is first.nilradical, name
+
+
+def _label_polynomial(sympy, label: str, params: dict):
+    """lhs - rhs of a printed condition "lhs != rhs", read with sympy; the
+    form entry a_{i,j} is the symbol x_i_j and a bare ``a`` the parameter."""
+    text = re.sub(r"\s+\[(as printed|corrected)\]$", "", label)
+    text = re.sub(r"a_\{(\d+),(\d+)\}", r"x_\1_\2", text)
+    text = re.sub(r"\ba\b", f"({params['a']})" if "a" in params else "a", text)
+    text = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", text).replace("^", "**")
+    lhs, rhs = text.split(" != ")
+    return sympy.expand(sympy.sympify(lhs) - sympy.sympify(rhs))
+
+
+def test_condition_labels_match_their_terms():
+    sympy = pytest.importorskip("sympy")
+    selection = list(DEFAULT_SELECTION) + [
+        (name, {"a": a}) for name in ("n6_5", "n6_10", "n6_14", "n6_18") for a in (Q(1, 3), Q(-2))
+    ]
+    checked = 0
+    for name, params in selection:
+        entry = build_entry(name, **params)
+        for cond in entry.expected.conditions:
+            terms = sympy.expand(sum(
+                sympy.Rational(coeff.numerator, coeff.denominator)
+                * sympy.Mul(*(sympy.Symbol(f"x_{i}_{j}") for i, j in pairs))
+                for coeff, pairs in cond.terms
+            ))
+            printed = _label_polynomial(sympy, cond.label, entry.params)
+            assert printed - terms == 0 or printed + terms == 0, (name, params, cond.label)
+            checked += 1
+    assert checked > 40
 
 
 def test_parametric_entries_revalidate_after_override():

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON schemas, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import liesymp
+from liesymp.catalog import entry_names
 from liesymp.cli import (
     CATALOG_REPORT_SCHEMA,
     PROPS_REPORT_SCHEMA,
@@ -57,12 +59,13 @@ def test_check_ok(good_file, capsys):
     assert "jacobi identity: holds" in out
 
 
-def test_check_jacobi_violation_exits_2(tmp_path, capsys):
+def test_jacobi_violation_reads_the_same_under_every_command(tmp_path, capsys):
     path = tmp_path / "bad.lie"
     path.write_text(JACOBI_BAD, encoding="utf-8")
-    assert main(["check", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert _one_error_line(err) == "error: jacobi identity fails on (e1, e2, e3)"
+    for command in ("check", "props", "der", "symplectic"):
+        assert main([command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert _one_error_line(err) == "error: jacobi identity fails on (e1, e2, e3)", command
 
 
 def _one_error_line(err: str) -> str:
@@ -261,6 +264,62 @@ def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
     assert "n6_22" in out and "abelian" in out
+
+
+# sha256 prefixes of known-good ``liesymp catalog ...`` stdout: the list,
+# every entry at its defaults, and the parameter values the CI battery shows
+CATALOG_DIGESTS = {
+    "list": "c1dc64a1a09ebf2b",
+    "show n3_1": "1635da81b2e09001",
+    "show n4_1": "489d2d9c58496044",
+    "show n5_1": "6027903c5b049ee0",
+    "show n5_2": "3ce1ff3a85838fcf",
+    "show n5_3": "8b901c2b3679514a",
+    "show n5_4": "1ba2984b9c9ace69",
+    "show n5_5": "5803f8b07aa76039",
+    "show n5_6": "fd6f85a8c57a72fc",
+    "show n6_1": "0d87a7d9f70e6186",
+    "show n6_2": "974cb2966c335a29",
+    "show n6_3": "ff5f62329cb8a7c7",
+    "show n6_4": "1475c059b91a1c53",
+    "show n6_5": "21207c8e97ce0500",
+    "show n6_6": "c53f3d99d1db0e9f",
+    "show n6_7": "49a391b8496ec5b3",
+    "show n6_8": "25c2c4bbdd20ca77",
+    "show n6_9": "fccce2477debedf1",
+    "show n6_10": "1f0baca2f6b59be8",
+    "show n6_11": "c10ce28b750fd394",
+    "show n6_12": "4743c0d60623b521",
+    "show n6_13": "35c9080a40568a3f",
+    "show n6_14": "dab6b389bed15915",
+    "show n6_15": "c32d939f86046283",
+    "show n6_16": "4fb7af882aa410a2",
+    "show n6_17": "9514b4df7285e3fa",
+    "show n6_18": "3a61d96761e52616",
+    "show n6_19": "27115e6044311322",
+    "show n6_20": "a2cd21fb12b50919",
+    "show n6_21": "f196e069bdeedf1b",
+    "show n6_22": "8fd6231552d6be2d",
+    "show abelian": "35a26355323bd5f5",
+    "show L": "c36cb7339d367e81",
+    "show Q": "fb6aacc77dbd6f62",
+    "show n6_5 --set a=1/3": "7ebb223d87f0897b",
+    "show n6_10 --set a=-2": "e865afa1bace066c",
+    "show n6_14 --set a=5": "2f8f4869979eb115",
+    "show n6_18 --set a=7/2": "11ec7af1a15e943a",
+    "show Q --set n=13": "089d71a3b59d51cf",
+    "show L --set n=12": "763da52fe9e4b18d",
+    "show abelian --set n=5": "0b0423e99589cb78",
+}
+
+
+def test_catalog_show_and_list_outputs_are_pinned(capsys):
+    defaults = [key.split()[1] for key in CATALOG_DIGESTS if key.count(" ") == 1]
+    assert defaults == list(entry_names())
+    for command, want in CATALOG_DIGESTS.items():
+        assert main(["catalog", *command.split()]) == 0, command
+        got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()[:16]
+        assert got == want, f"`liesymp catalog {command}` prints other bytes than recorded"
 
 
 def test_catalog_show_roundtrips(capsys, tmp_path):

@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
-from liesymp.cli import _entry_to_file, main
-from liesymp.fileformat import print_file
+from liesymp.cli import main
+from liesymp.fileformat import print_file, to_file
 
 ROOT = Path(__file__).resolve().parent.parent
 SHOWN = (("n4_1", {}), ("n6_5", {}), ("n6_8", {}), ("L", {"n": 4}), ("Q", {"n": 5}),
          ("abelian", {"n": 2}))
 SOURCES = tuple(
     [Path(p).read_text(encoding="utf-8") for p in sorted(glob.glob(str(ROOT / "demos/algebras/*.lie")))]
-    + [print_file(_entry_to_file(build_entry(name, **ps))) for name, ps in SHOWN]
+    + [print_file(to_file(name, build_entry(name, **ps).torus)) for name, ps in SHOWN]
 )
 TOKEN = re.compile(r"\s+|\w+|.", re.DOTALL)
 EXTRA_TOKENS = (

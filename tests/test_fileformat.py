@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from liesymp import cli
 from liesymp.analysis import Analysis
 from liesymp.catalog import build_entry
-from liesymp.fileformat import ParseError, _error, _tokenize, build, parse, print_file
+from liesymp.fileformat import (
+    ParseError,
+    _error,
+    _tokenize,
+    build,
+    parse,
+    print_file,
+    to_file,
+)
 from liesymp.structure import semidirect
 
 N4_1_SOURCE = """\
@@ -161,12 +169,15 @@ def test_round_trip_through_printer():
 
 
 def test_round_trip_catalog_shapes():
-    # files synthesised from catalog entries survive the printer
-    from liesymp.cli import _entry_to_file
-
+    # files synthesised from catalog entries survive the printer, and build
+    # reads back the entry's bracket table and generator columns
     for name in ("n3_1", "n5_3", "n6_5", "Q"):
-        f = _entry_to_file(build_entry(name))
+        torus = build_entry(name).torus
+        f = to_file(name, torus)
         assert parse(print_file(f)) == f
+        built = build(f).torus
+        assert built.nilradical.table == torus.nilradical.table
+        assert built.generators == torus.generators and built.labels == torus.labels
 
 
 def test_build_without_torus():
