@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 
 from liesymp import MultiPoly, poly_divides
 from liesymp.linalg import sparse_kernel_basis, sparse_rref, sparsest_row_pfaffian
+from liesymp.poly import polynomial_pfaffian
 
 # a reader that closes stdout early (| head) ends the demo quietly
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
@@ -35,11 +36,13 @@ print()
 print("== Pfaffians ==")
 
 
-def pfaffian(upper, zero=0, one=1):
+def pfaffian(upper, recursion=sparsest_row_pfaffian):
     """The Pfaffian of the antisymmetric 4 x 4 matrix with these entries above
-    the diagonal, row by row: the package's recursion on (i, j) -> entry."""
+    the diagonal, row by row: the package's recursion on (i, j) -> entry, run
+    on rationals directly and on polynomials through ``polynomial_pfaffian``,
+    which packs them as integer polynomials for the same recursion."""
     pairs = dict(zip(combinations(range(4), 2), upper))
-    return sparsest_row_pfaffian(4, {ij: x for ij, x in pairs.items() if x}, zero, one)
+    return recursion(4, {ij: x for ij, x in pairs.items() if x})
 
 
 def determinant(upper):
@@ -58,7 +61,7 @@ def determinant(upper):
 
 
 generic = MultiPoly.variables(list("abcdef"))
-pf = pfaffian(generic, MultiPoly.zero(), MultiPoly.constant(1))
+pf = pfaffian(generic, polynomial_pfaffian)
 print(f"Pf of the generic 4x4 antisymmetric matrix: {pf}")
 print(f"Pf^2 == det: {determinant(generic) == pf * pf}")
 

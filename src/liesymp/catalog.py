@@ -629,24 +629,33 @@ def entry_names() -> tuple[str, ...]:
     return TABLE_NAMES + FAMILY_NAMES
 
 
+def _builder(name: str):
+    """The table row or family builder of ``name``; raises ValueError on a
+    name that is not an entry."""
+    if name in _TABLE:
+        return _TABLE[name]
+    if name in _FAMILIES:
+        return _FAMILIES[name]
+    raise ValueError(f"unknown catalog entry {name!r}; see entry_names()")
+
+
 def entry_parameters(name: str) -> tuple[str, ...]:
-    """The parameter names that ``build_entry(name, ...)`` accepts."""
-    builder = _TABLE[name] if name in _TABLE else _FAMILIES[name]
+    """The parameter names that ``build_entry(name, ...)`` accepts; raises
+    ValueError on a name that is not an entry."""
+    builder = _builder(name)
     return tuple(inspect.signature(builder).parameters) if callable(builder) else ()
 
 
 def build_entry(name: str, **params) -> CatalogEntry:
     """Construct a catalog entry; raises ValueError on bad names or parameters."""
-    if name not in _TABLE and name not in _FAMILIES:
-        raise ValueError(f"unknown catalog entry {name!r}; see entry_names()")
+    builder = _builder(name)
     unexpected = [key for key in params if key not in entry_parameters(name)]
     if unexpected:
         raise ValueError(f"invalid parameters for {name!r}: unexpected parameter {unexpected[0]!r}")
     try:
         if name in _FAMILIES:
-            return _FAMILIES[name](**params)
-        row = _TABLE[name]
-        return _table_entry(name, **(row(**params) if callable(row) else row))
+            return builder(**params)
+        return _table_entry(name, **(builder(**params) if callable(builder) else builder))
     except TypeError as exc:  # a parameter value of the wrong type
         raise ValueError(f"invalid parameters for {name!r}: {exc}") from None
 

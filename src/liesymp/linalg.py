@@ -30,17 +30,23 @@ package calls it, and it keeps only the three adapters over the kernel
 (``rref``, ``minimal_polynomial`` and ``pfaffian``) that the benchmark's
 tracing table names.
 
-:func:`sparsest_row_pfaffian` is the one Pfaffian recursion, for rational
-and polynomial entries alike.  It reads a matrix by its nonzero entries
-above the diagonal, the format in which a two-form is stored
-(:class:`liesymp.symplectic.TwoForm`).
+:func:`sparsest_row_pfaffian` is the one Pfaffian recursion.  It reads a
+matrix by its nonzero entries above the diagonal, the format in which a
+two-form is stored (:class:`liesymp.symplectic.TwoForm`), keys each minor
+by the bitmask of its indices, and takes the entry ring as a parameter
+(:class:`Ring`): :data:`SCALARS` for exact rationals, and :data:`PACKED`
+for integer polynomials whose monomial t^e is the int key sum_k e_k * D^k,
+so that a product of monomials is one int addition.  Polynomial entries
+are packed by their callers (:func:`liesymp.poly.polynomial_pfaffian` and
+:func:`liesymp.poly.linear_pfaffian`), which read the result back as a
+MultiPoly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Q = Fraction
 
@@ -193,57 +199,105 @@ def upper_entries(data: Sequence[Sequence]) -> dict[tuple[int, int], object]:
     return {(i, j): row[j] for i, row in enumerate(data) for j in range(i + 1, n) if row[j]}
 
 
-def sparsest_row_pfaffian(n: int, upper: Mapping[tuple[int, int], object], zero, one):
+class Ring(NamedTuple):
+    """The steps of :func:`sparsest_row_pfaffian` that depend on the entry
+    ring.  A value of the ring is zero exactly when it is falsy."""
+
+    one: object
+    zero: Callable[[], object]  # a fresh zero, which ``add_product`` may update
+    add_product: Callable[[object, object, object, bool], object]  # total +- a * b
+
+
+def _add_scalar_product(total, a, b, negate: bool):
+    return total - a * b if negate else total + a * b
+
+
+def _add_packed_product(total: dict[int, int], a: dict[int, int], b: dict[int, int], negate: bool):
+    for ka, ca in a.items():
+        if negate:
+            ca = -ca
+        for kb, cb in b.items():
+            k = ka + kb
+            x = total.get(k, 0) + ca * cb
+            if x:
+                total[k] = x
+            else:
+                del total[k]  # a new key would hold ca * cb, which is nonzero
+    return total
+
+
+# Exact rationals, each an int or a Fraction, and integer polynomials packed
+# as {monomial key: nonzero int}: the key of t^e is sum_k e_k * D^k for a
+# base D above every exponent the Pfaffian can reach, so that the key of a
+# product of monomials is the sum of their keys.
+SCALARS = Ring(1, int, _add_scalar_product)
+PACKED = Ring({0: 1}, dict, _add_packed_product)
+
+
+def sparsest_row_pfaffian(n: int, upper: Mapping[tuple[int, int], object], ring: Ring = SCALARS):
     """Pfaffian of the antisymmetric n x n matrix, n even, whose entry at
     (i, j) is ``upper[(i, j)]`` for i < j (missing pairs are zero), by
-    recursive expansion along the sparsest row, memoised over index subsets
-    so that shared minors are expanded once.
+    recursive expansion along the sparsest row, memoised over the minors so
+    that a shared minor is expanded once.
 
-    Each minor is expanded along its row with the fewest nonzero entries
-    among its own columns (the lowest such row on a tie); a row with none
-    makes the minor's Pfaffian zero.  With the row at position p and the
-    column at position q of the minor, the term for that pair is
-    (-1)^(p+q+1) times the pair's upper entry times Pf(minor without p, q),
-    whichever of p and q is smaller.  The choice of row changes only the
-    cost: the chain nilradicals, whose last rows hold one or two entries,
-    no longer expand exponentially.  A minor's row counts are its parent's
-    less the two removed indices, read off per-row neighbour maps.
+    A minor is the int bitmask of its indices.  It is expanded along its
+    row r with the fewest nonzero entries among its own indices, the
+    popcount of r's neighbour mask within the minor's (the lowest such row
+    on a tie); a row with none makes the minor's Pfaffian zero.  With p and
+    q the positions of r and of a column c in the minor (the popcount of
+    its indices below each), the term for c is (-1)^(p+q+1) times the
+    entry of {r, c} (the upper one, whichever of r and c is smaller) times
+    the Pfaffian of the minor without r and c.  The choice of row changes
+    only the cost: the chain nilradicals, whose last rows hold one or two
+    entries, do not expand exponentially.
 
-    Generic over the entry ring: entries need ``+``, ``-`` and ``*`` and are
-    zero exactly when falsy, as Fractions and polynomials are; ``zero`` and
-    ``one`` are the ring's identities.  The caller checks the shape and
-    passes nonzero entries only.
+    ``ring`` supplies the identity and the accumulation ``total +- a * b``
+    (see :class:`Ring`): :data:`SCALARS` for ints and Fractions and
+    :data:`PACKED` for packed integer polynomials, where a product of
+    monomials is one int addition and each term is added in place.  The
+    caller checks the shape and passes nonzero entries only.
     """
-    # neighbours[r][c] is the upper entry of the pair {r, c}
+    if not n:
+        return ring.one
+    # neighbours[r][c] is the upper entry of the pair {r, c}; masks[r] has bit c set
     neighbours: list[dict[int, object]] = [{} for _ in range(n)]
+    masks = [0] * n
     for (i, j), a in upper.items():
         neighbours[i][j] = neighbours[j][i] = a
-    memo: dict[tuple[int, ...], object] = {(): one}
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    memo: dict[int, object] = {0: ring.one}
+    zero, add_product = ring.zero, ring.add_product
 
-    def pf(active: tuple[int, ...], counts: tuple[int, ...]):
-        p = counts.index(min(counts))  # an empty row leaves total zero
-        row = neighbours[active[p]]
-        total = zero
-        for q, c in enumerate(active):
-            a = row.get(c)
-            if a is None:
-                continue
-            lo, hi = (p, q) if p < q else (q, p)
-            minor = active[:lo] + active[lo + 1 : hi] + active[hi + 1 :]
-            sub = memo.get(minor)
-            if sub is None:
-                col = neighbours[c]
-                rest = counts[:lo] + counts[lo + 1 : hi] + counts[hi + 1 :]
-                sub = pf(minor, tuple(k - (i in row) - (i in col) for i, k in zip(minor, rest)))
-            if sub:
-                term = a * sub
-                total = total + term if (p + q) % 2 else total - term
+    def pf(active: int):
+        r, fewest, rest = 0, n, active
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            count = (masks[i] & active).bit_count()
+            if count < fewest:
+                r, fewest = i, count
+            rest ^= low
+        total = zero()
+        if fewest:  # an empty row leaves total zero
+            row = neighbours[r]
+            p = (active & ((1 << r) - 1)).bit_count()
+            others = active ^ (1 << r)
+            cols = masks[r] & active
+            while cols:
+                low = cols & -cols
+                cols ^= low
+                minor = others ^ low
+                sub = memo.get(minor)
+                if sub is None:
+                    sub = pf(minor)
+                if sub:
+                    q = (active & (low - 1)).bit_count()
+                    total = add_product(total, row[low.bit_length() - 1], sub, not (p + q) % 2)
         memo[active] = total
         return total
 
-    if not n:
-        return one
-    return pf(tuple(range(n)), tuple(map(len, neighbours)))
+    return pf((1 << n) - 1)
 
 
 def minimal_polynomial(rows: Sequence[Mapping[int, int | Fraction]]) -> tuple[int | Fraction, ...]:
@@ -318,7 +372,7 @@ class RationalMatrix:
             data[i][j] != -data[j][i] for i in range(n) for j in range(i, n)
         ):
             raise ValueError("pfaffian requires an antisymmetric matrix of even size")
-        return sparsest_row_pfaffian(n, upper_entries(data), 0, 1)
+        return sparsest_row_pfaffian(n, upper_entries(data))
 
     def minimal_polynomial(self) -> tuple[int | Fraction, ...]:
         """The module's :func:`minimal_polynomial` of the grid."""

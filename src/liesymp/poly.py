@@ -11,11 +11,16 @@ how they were built.
 The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
 
-The symplectic decision calls :func:`liesymp.linalg.sparsest_row_pfaffian`
-directly on a two-form's coordinates.  The dense :class:`PolyMatrix` is no
-part of that path: nothing in the package calls it, and it keeps only the
-``pfaffian`` adapter (with the shape and antisymmetry check it needs) that
-the benchmark's tracing table names.
+No Pfaffian is expanded over MultiPolys.  :func:`polynomial_pfaffian`
+(any polynomial entries) and :func:`linear_pfaffian` (a linear combination
+of concrete forms, which is how the symplectic decision takes the Pfaffian
+of its generic closed form) pack their entries as integer polynomials
+keyed by one int per monomial (:data:`liesymp.linalg.PACKED`), run the one
+recursion :func:`liesymp.linalg.sparsest_row_pfaffian` on them, and read
+the result back as a MultiPoly.  The dense :class:`PolyMatrix` is no
+part of any computation: nothing in the package calls it, and it keeps only
+the ``pfaffian`` adapter (with the shape and antisymmetry check it needs)
+that the benchmark's tracing table names.
 
 Only the public constructor validates; arithmetic, whose operands already
 hold the invariants, builds its results through a trusted one.
@@ -24,11 +29,20 @@ hold the invariants, builds its results through a trusted one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Q, as_exact, as_fraction, exact_quotient, sparsest_row_pfaffian, upper_entries
+from .linalg import (
+    PACKED,
+    Q,
+    as_exact,
+    as_fraction,
+    exact_quotient,
+    sparsest_row_pfaffian,
+    upper_entries,
+)
 
 Exponents = tuple[int, ...]
 
@@ -392,11 +406,81 @@ class PolyMatrix:
         return True
 
     def pfaffian(self) -> MultiPoly:
-        """Pfaffian by :func:`liesymp.linalg.sparsest_row_pfaffian`; requires
-        an antisymmetric matrix of even size."""
+        """Pfaffian by :func:`polynomial_pfaffian`; requires an
+        antisymmetric matrix of even size."""
         if self.rows != self.cols or self.rows % 2 != 0:
             raise ValueError("pfaffian requires an antisymmetric matrix of even size")
         if not self.is_antisymmetric():
             raise ValueError("pfaffian requires an antisymmetric matrix")
-        upper = upper_entries(self.data)
-        return sparsest_row_pfaffian(self.rows, upper, MultiPoly.zero(), MultiPoly.constant(1))
+        return polynomial_pfaffian(self.rows, upper_entries(self.data))
+
+
+def polynomial_pfaffian(n: int, upper: Mapping[tuple[int, int], object]) -> MultiPoly:
+    """Pfaffian of the antisymmetric n x n matrix, n even, with the nonzero
+    upper entries ``upper`` (MultiPolys or exact rationals), as a MultiPoly
+    over the entries' variables in order of first occurrence.
+
+    The entries are packed for :data:`liesymp.linalg.PACKED`: each is scaled
+    by s, the lcm of every coefficient's denominator, so that Pf(sM) =
+    s^(n/2) Pf(M) has int coefficients, and t^e is keyed sum_k e_k * D^k
+    with D = (n/2) * (largest exponent) + 1, above any exponent of the
+    Pfaffian.
+    """
+    entries = {pair: _coerce(x) for pair, x in upper.items()}
+    names = tuple(dict.fromkeys(v for p in entries.values() for v in p.vars))
+    top = max((e for p in entries.values() for exps in p.terms for e in exps), default=0)
+    base = n // 2 * top + 1
+    weight = {v: base**k for k, v in enumerate(names)}
+    scale = math.lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
+    packed = {}
+    for pair, p in entries.items():
+        weights = [weight[v] for v in p.vars]
+        packed[pair] = {
+            sum(map(mul, exps, weights)): c.numerator * (scale // c.denominator)
+            for exps, c in p.terms.items()
+        }
+    terms = _unpacked(sparsest_row_pfaffian(n, packed, PACKED), base, len(names))
+    den = scale ** (n // 2)
+    if den != 1:
+        terms = {exps: exact_quotient(c, den) for exps, c in terms.items()}
+    return MultiPoly._trusted(names, terms)
+
+
+def linear_pfaffian(
+    n: int, forms: Sequence[Mapping[tuple[int, int], int | Fraction]], names: Sequence[str]
+) -> MultiPoly:
+    """Pfaffian of sum_k t_k * M_k, t_k = ``names[k]``, where M_k is the
+    antisymmetric n x n matrix, n even, with the nonzero upper entries
+    ``forms[k]`` (exact rationals), as a MultiPoly over ``names``.
+
+    The entries are packed for :data:`liesymp.linalg.PACKED` straight from
+    the forms: M_k is scaled by s_k, the lcm of its denominators, so each
+    entry has int coefficients; t_k is keyed D^k with D = n/2 + 1, as the
+    sum is linear in t; and the coefficient of t^e is the packed one over
+    prod_k s_k^e_k.
+    """
+    base = n // 2 + 1
+    scales = [math.lcm(*(c.denominator for c in form.values())) for form in forms]
+    upper: dict[tuple[int, int], dict[int, int]] = {}
+    for k, (form, s) in enumerate(zip(forms, scales)):
+        key = base**k
+        for pair, c in form.items():
+            upper.setdefault(pair, {})[key] = c.numerator * (s // c.denominator)
+    terms = _unpacked(sparsest_row_pfaffian(n, upper, PACKED), base, len(names))
+    if any(s != 1 for s in scales):
+        terms = {e: exact_quotient(c, math.prod(map(pow, scales, e))) for e, c in terms.items()}
+    return MultiPoly._trusted(tuple(names), terms)
+
+
+def _unpacked(packed: Mapping[int, int], base: int, width: int) -> dict[Exponents, int]:
+    """The terms of a packed polynomial (see :data:`liesymp.linalg.PACKED`)
+    over ``width`` variables, keyed by exponent tuples."""
+    powers = [base**k for k in range(width)]
+    out = {}
+    for key, c in packed.items():
+        exps = [0] * width
+        while key:  # one step per variable that occurs: the highest left
+            k = bisect_right(powers, key) - 1
+            exps[k], key = divmod(key, powers[k])
+        out[tuple(exps)] = c
+    return out

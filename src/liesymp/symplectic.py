@@ -17,7 +17,10 @@ pairs i < j, so antisymmetry holds by construction.  The Z^2 and B^2 bases,
 the generic closed form, witnesses, sums and pullbacks are all built in that
 format, and the Pfaffian reads it directly
 (:func:`liesymp.linalg.sparsest_row_pfaffian`); ``TwoForm.entries`` is a
-dense view for printing.
+dense view for printing.  The Pfaffian of a parametric form is taken over
+packed integer polynomials: the decision's straight from the basis forms
+(:func:`liesymp.poly.linear_pfaffian`), and ``TwoForm.pfaffian`` through
+:func:`liesymp.poly.polynomial_pfaffian`.
 
 Z^2 is solved by the weights of :meth:`LieAlgebra.weights`, the grading
 that completeness uses too: only the weight-0 block of dw = 0 is
@@ -51,7 +54,7 @@ from .linalg import (
     sparsest_row_pfaffian,
     vector,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, linear_pfaffian, polynomial_pfaffian
 from .structure import _in_range
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
@@ -153,8 +156,9 @@ class TwoForm:
         and a Fraction otherwise; else a MultiPoly."""
         if self.dim % 2 != 0:
             raise ValueError("pfaffian requires even dimension")
-        one = 1 if self.is_concrete() else MultiPoly.constant(1)
-        return _as_entry(sparsest_row_pfaffian(self.dim, self.coords, self._zero, one))
+        if self.is_concrete():
+            return as_exact(sparsest_row_pfaffian(self.dim, self.coords))
+        return polynomial_pfaffian(self.dim, self.coords)
 
     def add(self, other: "TwoForm") -> "TwoForm":
         if self.dim != other.dim:
@@ -365,7 +369,7 @@ def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
     """sum_k t_k * basis[k], built coordinate by coordinate: each is one
     polynomial with a term c * t_k per form."""
     m = len(basis)
-    names = tuple(f"t{k + 1}" for k in range(m))
+    names = _parameters(m)
     upper: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
     for k, z in enumerate(basis):
         unit = tuple(1 if j == k else 0 for j in range(m))
@@ -374,6 +378,11 @@ def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
     # one unit-exponent term per form, with a nonzero coefficient
     coords = {pair: MultiPoly._trusted(names, terms) for pair, terms in upper.items()}
     return TwoForm._of(n, coords, names)
+
+
+def _parameters(m: int) -> tuple[str, ...]:
+    """The parameter names t1..tm of a generic combination of m forms."""
+    return tuple(f"t{k + 1}" for k in range(m))
 
 
 def _specialized_combination(
@@ -571,14 +580,12 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
             cocycle_dims=cs.dims,
         )
 
-    generic = generic_cocycle(cs)
-    pf, witness, _ = _pfaffian_and_witness(generic, cs.z2_basis)
-    exact_generic = _generic_combination(n, cs.b2_basis)
-    exact_pf, exact_witness, point = _pfaffian_and_witness(exact_generic, cs.b2_basis)
+    pf, witness, _ = _pfaffian_and_witness(n, cs.z2_basis)
+    exact_pf, exact_witness, point = _pfaffian_and_witness(n, cs.b2_basis)
     exact_one_form = None
     if point is not None:
         alpha = [0] * n
-        for name, pre in zip(exact_generic.variables, cs.b2_preimages):
+        for name, pre in zip(_parameters(len(cs.b2_basis)), cs.b2_preimages):
             c = point[name]
             if c:
                 for k, x in enumerate(pre):
@@ -589,7 +596,7 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     return SymplecticVerdict(
         dim=n,
         exists="yes" if not pf.is_zero() else "no",
-        generic=generic,
+        generic=generic_cocycle(cs),
         pfaffian=pf,
         witness=witness,
         exact_exists="yes" if not exact_pf.is_zero() else "no",
@@ -601,16 +608,19 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
 
 
 def _pfaffian_and_witness(
-    generic: TwoForm, basis: Sequence[TwoForm]
+    n: int, basis: Sequence[TwoForm]
 ) -> tuple[MultiPoly, TwoForm | None, dict[str, int] | None]:
-    """The Pfaffian of ``generic = _generic_combination(n, basis)`` and, when
-    it is nonzero, the witness form at its first nonvanishing point, and that
-    point; otherwise None for both."""
-    pf = sparsest_row_pfaffian(generic.dim, generic.coords, MultiPoly.zero(), MultiPoly.constant(1))
+    """The Pfaffian of ``_generic_combination(n, basis)``, over its parameters
+    t1..tm, and, when it is nonzero, the witness form at its first
+    nonvanishing point, and that point; otherwise None for both.  The
+    Pfaffian is packed straight from the basis forms, so the generic form
+    itself is not built."""
+    names = _parameters(len(basis))
+    pf = linear_pfaffian(n, [z.coords for z in basis], names)
     if pf.is_zero():
         return pf, None, None
-    point = find_nonvanishing_point(pf, generic.variables)
-    return pf, _specialized_combination(generic.dim, basis, generic.variables, point), point
+    point = find_nonvanishing_point(pf, names)
+    return pf, _specialized_combination(n, basis, names, point), point
 
 
 # -- geometry helpers -----------------------------------------------------------

@@ -12,6 +12,7 @@ from liesymp.catalog import (
     TYPOS,
     build_entry,
     entry_names,
+    entry_parameters,
 )
 from liesymp.regression import (
     DOCUMENTED,
@@ -93,6 +94,16 @@ def test_build_entry_rejects_bad_parameters():
         build_entry("no_such_entry")
     with pytest.raises(ValueError, match=r"'n4_1': unexpected parameter 'a'"):
         build_entry("n4_1", a=1)  # not parametric
+
+
+def test_an_unknown_name_raises_the_same_error_everywhere():
+    # entry_parameters once raised KeyError where build_entry raised ValueError
+    for call in (build_entry, entry_parameters):
+        with pytest.raises(ValueError, match=r"^unknown catalog entry 'zz'; see entry_names\(\)$"):
+            call("zz")
+    with pytest.raises(ValueError, match=r"^unknown catalog entry 'zz'"):
+        build_entry("zz", n=3)  # the name is checked before the parameters
+    assert entry_parameters("Q") == ("n",) and entry_parameters("n4_1") == ()
 
 
 def test_each_build_makes_its_own_algebra_and_torus():

@@ -24,6 +24,8 @@ from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.linalg import (
+    SCALARS,
+    Ring,
     diagonal,
     minimal_polynomial,
     sparse_kernel_basis,
@@ -209,8 +211,9 @@ def _pfaffian_coords(g: LieAlgebra) -> tuple[int, dict]:
 @given(g=sparse_tables())
 def test_int_seeded_pfaffian_matches_the_fraction_seeded_one(g):
     m, coords = _pfaffian_coords(g)
-    got = sparsest_row_pfaffian(m, coords, 0, 1)
-    reference = sparsest_row_pfaffian(m, {p: Q(x) for p, x in coords.items()}, Q(0), Q(1))
+    got = sparsest_row_pfaffian(m, coords)
+    fractions = Ring(Q(1), Q, SCALARS.add_product)  # the scalar ring seeded with Fractions
+    reference = sparsest_row_pfaffian(m, {p: Q(x) for p, x in coords.items()}, fractions)
     assert got == reference and type(reference) is Q
     assert type(got) in (int, Q)
     if all(type(x) is int for x in coords.values()):

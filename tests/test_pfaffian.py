@@ -6,18 +6,30 @@ expansion of the full grid along the first row, with no memo and no choice
 of row.  A ``TwoForm`` built from the same grid must agree with both and
 give the grid back as its dense view.  ``tests/test_kernel_oracle.py`` checks Pf^2 = det
 against sympy.
+
+Polynomial entries reach the recursion packed as integer polynomials: the
+decision packs straight from the Z^2 and B^2 basis forms, and
+``TwoForm.pfaffian`` and ``PolyMatrix.pfaffian`` through the general packer.
+The two packers are checked against each other and, through polynomials with
+higher exponents and Fraction coefficients, against the reference.
 """
 
+import hashlib
 import time
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_liealg import sparse_tables
 
+from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.cli import main
+from liesymp.liealg import LieAlgebra
 from liesymp.linalg import RationalMatrix
 from liesymp.poly import MultiPoly, PolyMatrix
-from liesymp.symplectic import TwoForm
+from liesymp.structure import semidirect
+from liesymp.symplectic import TwoForm, cocycle_space, decide_symplectic, generic_cocycle
 
 
 def first_row_pfaffian(data, zero, one):
@@ -68,22 +80,25 @@ def skew_grids(draw, entry, zero, max_size=8):
 FRACTIONS = st.builds(Q, st.integers(-5, 5), st.integers(1, 3))
 
 NAMES = ("a", "b", "c")
+COEFFICIENTS = st.integers(-50, 50) | st.builds(Q, st.integers(-50, 50), st.integers(1, 7))
 
 
 @st.composite
 def polys(draw):
-    """A sum of a constant and up to two variable terms; the variable tuple
-    is sometimes all of NAMES and sometimes one name or none, so the
-    recursion adds and multiplies across different variable tuples."""
-    p = MultiPoly.constant(draw(st.integers(-2, 2)))
+    """A sum of a constant and up to two terms c * x^e, e from 1 to 3 and c
+    an int or a Fraction; the variable tuple is sometimes all of NAMES and
+    sometimes one name or none, so the entries have different variable
+    tuples.  A packing base too small for the exponents, or a wrong power of
+    the common denominator, gives a wrong Pfaffian."""
+    p = MultiPoly.constant(draw(COEFFICIENTS))
     for _ in range(draw(st.integers(0, 2))):
-        c = draw(st.integers(-2, 2))
+        c = draw(COEFFICIENTS)
         i = draw(st.integers(0, len(NAMES) - 1))
         if draw(st.booleans()):
             x = MultiPoly.variables(NAMES)[i]
         else:
             x = MultiPoly.variable(NAMES[i])
-        p = p + c * x
+        p = p + c * x ** draw(st.integers(1, 3))
     return p
 
 
@@ -126,6 +141,18 @@ def test_pfaffian_sign_when_the_sparsest_row_is_not_first():
     assert first_row_pfaffian(grid, 0, 1) == 7 * 3
 
 
+def test_pfaffian_variables_follow_their_first_occurrence():
+    # the entries' variable tuples differ, so the result's variable order,
+    # and with it the printed order of each term's factors, is the order in
+    # which the variables first occur among the upper entries
+    p, r, u, w, s = (MultiPoly.variable(v) for v in "pruws")
+    zero = MultiPoly.zero()
+    grid = [[zero, p, r, u], [-p, zero, w, s], [-r, -w, zero, zero], [-u, -s, zero, zero]]
+    pf = PolyMatrix(grid).pfaffian()
+    assert pf.vars == ("p", "r", "u", "w", "s")
+    assert str(pf) == "-r*s + u*w"
+
+
 BARE_Q29_JSON = """\
 {
   "algebra": "Q",
@@ -162,3 +189,81 @@ def test_bare_chain_nilradical_does_not_hang(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == BARE_Q29_JSON
     assert elapsed < 1.5
+
+
+# -- the two packers ----------------------------------------------------------
+
+
+def _same_pfaffian_both_ways(g: LieAlgebra) -> None:
+    """The decision's Pfaffian, packed from the Z^2 basis, equals the general
+    packer's on the generic closed form, and prints the same."""
+    decided = decide_symplectic(g).pfaffian
+    general = generic_cocycle(cocycle_space(g)).pfaffian()
+    assert decided == general
+    assert str(decided) == str(general)
+
+
+EVEN_ITEMS = [
+    (name, params)
+    for name, params in list(DEFAULT_SELECTION) + [("Q", {"n": 11}), ("Q", {"n": 13})]
+    if build_entry(name, **params).total_dim % 2 == 0
+]
+
+
+@pytest.mark.parametrize("name, params", EVEN_ITEMS)
+def test_the_basis_packer_matches_the_general_packer(name, params):
+    # Q n=11 and n=13 each have one Z^2 basis form with a Fraction coordinate
+    _same_pfaffian_both_ways(semidirect(build_entry(name, **params).torus))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=sparse_tables())
+def test_the_basis_packer_matches_the_general_packer_on_drawn_tables(g):
+    assume(g.dim % 2 == 0)
+    _same_pfaffian_both_ways(g)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+@pytest.mark.parametrize("name, params", [("Q", {"n": 13}), ("n6_5", {})])
+def test_the_decision_does_no_polynomial_arithmetic(monkeypatch, name, params):
+    g = semidirect(build_entry(name, **params).torus)
+    calls = []
+    for op in ARITHMETIC:
+        original = getattr(MultiPoly, op)
+
+        def counted(self, other, op=op, original=original):
+            calls.append(op)
+            return original(self, other)
+
+        monkeypatch.setattr(MultiPoly, op, counted)
+    verdict = decide_symplectic(g)
+    assert verdict.exists == "yes"
+    assert calls == []
+    verdict.pfaffian * verdict.pfaffian  # the counter does count
+    assert calls == ["__mul__"]
+
+
+def test_the_bare_abelian_dim_10_pfaffian_is_pinned():
+    # the generic Pfaffian of all 45 two-forms: its packed keys reach
+    # 6^45, far wider than 64 bits; the digest is that of the MultiPoly
+    # recursion the packed one replaced
+    pf = decide_symplectic(LieAlgebra(10)).pfaffian
+    assert (len(pf.terms), len(pf.vars)) == (945, 45)
+    assert hashlib.sha256(str(pf).encode()).hexdigest()[:16] == "59ad3122d40db9d2"
+
+
+@pytest.mark.parametrize(
+    "n, digest, exact_digest",
+    [(11, "3d4b0f1cb264a62a", "63abc2f8aae5cd8e"), (13, "2a2df4fda4aadec0", "6336783650e4b522")],
+)
+def test_the_chain_pfaffians_with_fraction_coefficients_are_pinned(n, digest, exact_digest):
+    # each has one Z^2 basis form with a Fraction coordinate, and its generic
+    # Pfaffian has non-integral coefficients, so the form's scale and its
+    # powers are divided back out; digests of the MultiPoly recursion the
+    # packed one replaced
+    verdict = decide_symplectic(semidirect(build_entry("Q", n=n).torus))
+    assert any(c.denominator != 1 for c in verdict.pfaffian.terms.values())
+    assert hashlib.sha256(str(verdict.pfaffian).encode()).hexdigest()[:16] == digest
+    assert hashlib.sha256(str(verdict.exact_pfaffian).encode()).hexdigest()[:16] == exact_digest
