@@ -7,9 +7,10 @@ artifact is a cached property, one call of the public function for it:
 cached on the torus, ``TorusAction.check``, built and checked for the
 Jacobi identity), ``is_complete(algebra)`` (whose report solves the
 center and Der(g) only when read), ``rank_bound(nilradical)`` and
-``decide_symplectic(algebra)`` (whose verdict carries the generic closed
-form that any condition is checked against).  The nilradical's Jacobi
-identity is read off that torus check, as t ⋉ n holds every triple of n.
+``decide_symplectic(algebra)`` (whose verdict keeps the cocycle space it
+decided from, out of which a reader builds the generic closed form).  The
+nilradical's Jacobi identity is read off that torus check, as t ⋉ n holds
+every triple of n.
 
 An analysis holds no state beyond its caches and is built afresh for each
 catalog entry, file or command; nothing is shared between analyses.

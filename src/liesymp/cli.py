@@ -352,8 +352,8 @@ def _cmd_symplectic(args) -> int:
         g = analysis.algebra
         if not args.exact_only:
             print(f"algebra {name}: dimension {g.dim}")
-            print(f"closed 2-forms: dim Z^2 = {verdict.cocycle_dims[0]}, "
-                  f"dim B^2 = {verdict.cocycle_dims[1]}, dim H^2 = {verdict.cocycle_dims[2]}")
+            z2, b2, h2 = verdict.cocycles.dims
+            print(f"closed 2-forms: dim Z^2 = {z2}, dim B^2 = {b2}, dim H^2 = {h2}")
             print(f"symplectic: exists = {verdict.exists}")
             print(f"pfaffian: {verdict.pfaffian}")
             if args.witness and verdict.witness is not None:

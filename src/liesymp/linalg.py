@@ -37,9 +37,8 @@ by the bitmask of its indices, and takes the entry ring as a parameter
 (:class:`Ring`): :data:`SCALARS` for exact rationals, and :data:`PACKED`
 for integer polynomials whose monomial t^e is the int key sum_k e_k * D^k,
 so that a product of monomials is one int addition.  Polynomial entries
-are packed by their callers (:func:`liesymp.poly.polynomial_pfaffian` and
-:func:`liesymp.poly.linear_pfaffian`), which read the result back as a
-MultiPoly.
+are packed by one caller, :func:`liesymp.poly.monomial_pfaffian`, which
+reads the result back as a MultiPoly.
 """
 
 from __future__ import annotations

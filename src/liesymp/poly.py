@@ -11,16 +11,18 @@ how they were built.
 The monomial order used for division and printing is graded lexicographic
 over the declared variable tuple.
 
-No Pfaffian is expanded over MultiPolys.  :func:`polynomial_pfaffian`
-(any polynomial entries) and :func:`linear_pfaffian` (a linear combination
-of concrete forms, which is how the symplectic decision takes the Pfaffian
-of its generic closed form) pack their entries as integer polynomials
-keyed by one int per monomial (:data:`liesymp.linalg.PACKED`), run the one
-recursion :func:`liesymp.linalg.sparsest_row_pfaffian` on them, and read
-the result back as a MultiPoly.  The dense :class:`PolyMatrix` is no
-part of any computation: nothing in the package calls it, and it keeps only
-the ``pfaffian`` adapter (with the shape and antisymmetry check it needs)
-that the benchmark's tracing table names.
+No Pfaffian is expanded over MultiPolys.  :func:`monomial_pfaffian` is the
+one packer: it takes the Pfaffian of sum_mu t^mu * M_mu from the concrete
+matrices M_mu keyed by sparse monomials mu (the symplectic decision passes
+its generic closed form sum_k t_k * z_k as the basis forms z_k), packs
+the entries as integer polynomials keyed by one int per monomial
+(:data:`liesymp.linalg.PACKED`), runs the one recursion
+:func:`liesymp.linalg.sparsest_row_pfaffian` on them, and reads the result
+back as a MultiPoly.  :func:`polynomial_pfaffian` splits a matrix of
+polynomial entries into sparse monomials for it.  The dense
+:class:`PolyMatrix` is no part of any computation: nothing in the package
+calls it, and it keeps only the ``pfaffian`` adapter (with the shape and
+antisymmetry check it needs) that the benchmark's tracing table names.
 
 Only the public constructor validates; arithmetic, whose operands already
 hold the invariants, builds its results through a trusted one.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -45,6 +47,8 @@ from .linalg import (
 )
 
 Exponents = tuple[int, ...]
+# a sparse monomial, as its (variable index, positive exponent) pairs
+Monomial = tuple[tuple[int, int], ...]
 
 
 class MultiPoly:
@@ -52,6 +56,8 @@ class MultiPoly:
 
     def __init__(self, variables: Sequence[str] = (), terms: Mapping[Exponents, Fraction] | None = None):
         self.vars: tuple[str, ...] = tuple(variables)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"repeated variable name in {self.vars}")
         clean: dict[Exponents, Fraction] = {}
         if terms:
             width = len(self.vars)
@@ -418,67 +424,51 @@ class PolyMatrix:
 def polynomial_pfaffian(n: int, upper: Mapping[tuple[int, int], object]) -> MultiPoly:
     """Pfaffian of the antisymmetric n x n matrix, n even, with the nonzero
     upper entries ``upper`` (MultiPolys or exact rationals), as a MultiPoly
-    over the entries' variables in order of first occurrence.
-
-    The entries are packed for :data:`liesymp.linalg.PACKED`: each is scaled
-    by s, the lcm of every coefficient's denominator, so that Pf(sM) =
-    s^(n/2) Pf(M) has int coefficients, and t^e is keyed sum_k e_k * D^k
-    with D = (n/2) * (largest exponent) + 1, above any exponent of the
-    Pfaffian.
-    """
+    over the entries' variables in order of first occurrence: each entry
+    split into its sparse monomials for :func:`monomial_pfaffian`."""
     entries = {pair: _coerce(x) for pair, x in upper.items()}
     names = tuple(dict.fromkeys(v for p in entries.values() for v in p.vars))
-    top = max((e for p in entries.values() for exps in p.terms for e in exps), default=0)
-    base = n // 2 * top + 1
-    weight = {v: base**k for k, v in enumerate(names)}
-    scale = math.lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
-    packed = {}
+    index = {v: k for k, v in enumerate(names)}
+    forms: dict[Monomial, dict[tuple[int, int], object]] = {}
     for pair, p in entries.items():
-        weights = [weight[v] for v in p.vars]
-        packed[pair] = {
-            sum(map(mul, exps, weights)): c.numerator * (scale // c.denominator)
-            for exps, c in p.terms.items()
-        }
-    terms = _unpacked(sparsest_row_pfaffian(n, packed, PACKED), base, len(names))
+        at = [index[v] for v in p.vars]
+        for exps, c in p.terms.items():
+            forms.setdefault(tuple((k, e) for k, e in zip(at, exps) if e), {})[pair] = c
+    return monomial_pfaffian(n, forms, names)
+
+
+def monomial_pfaffian(n: int, forms: Mapping[Monomial, Mapping], names: Sequence[str]) -> MultiPoly:
+    """Pfaffian of sum_mu t^mu * M_mu, n even, as a MultiPoly over ``names``:
+    each key mu is a distinct sparse monomial, and ``forms[mu]`` holds the
+    nonzero upper entries (exact rationals) of the antisymmetric n x n M_mu.
+
+    The entries are packed for :data:`liesymp.linalg.PACKED`: each is scaled
+    by s, the lcm of every denominator, so that Pf(sM) = s^(n/2) Pf(M) has
+    int coefficients, and t^e is keyed sum_k e_k * D^k with
+    D = (n/2) * (largest exponent) + 1, above any exponent of the Pfaffian.
+    """
+    top = max((e for mu in forms for _, e in mu), default=0)
+    base = n // 2 * top + 1
+    powers = [base**k for k in range(len(names))]
+    scale = math.lcm(*(c.denominator for form in forms.values() for c in form.values()))
+    upper: dict[tuple[int, int], dict[int, int]] = {}
+    for mu, form in forms.items():
+        key = sum(e * powers[k] for k, e in mu)
+        for pair, c in form.items():
+            upper.setdefault(pair, {})[key] = c.numerator * (scale // c.denominator)
+    terms = _unpacked(sparsest_row_pfaffian(n, upper, PACKED), powers)
     den = scale ** (n // 2)
     if den != 1:
         terms = {exps: exact_quotient(c, den) for exps, c in terms.items()}
-    return MultiPoly._trusted(names, terms)
-
-
-def linear_pfaffian(
-    n: int, forms: Sequence[Mapping[tuple[int, int], int | Fraction]], names: Sequence[str]
-) -> MultiPoly:
-    """Pfaffian of sum_k t_k * M_k, t_k = ``names[k]``, where M_k is the
-    antisymmetric n x n matrix, n even, with the nonzero upper entries
-    ``forms[k]`` (exact rationals), as a MultiPoly over ``names``.
-
-    The entries are packed for :data:`liesymp.linalg.PACKED` straight from
-    the forms: M_k is scaled by s_k, the lcm of its denominators, so each
-    entry has int coefficients; t_k is keyed D^k with D = n/2 + 1, as the
-    sum is linear in t; and the coefficient of t^e is the packed one over
-    prod_k s_k^e_k.
-    """
-    base = n // 2 + 1
-    scales = [math.lcm(*(c.denominator for c in form.values())) for form in forms]
-    upper: dict[tuple[int, int], dict[int, int]] = {}
-    for k, (form, s) in enumerate(zip(forms, scales)):
-        key = base**k
-        for pair, c in form.items():
-            upper.setdefault(pair, {})[key] = c.numerator * (s // c.denominator)
-    terms = _unpacked(sparsest_row_pfaffian(n, upper, PACKED), base, len(names))
-    if any(s != 1 for s in scales):
-        terms = {e: exact_quotient(c, math.prod(map(pow, scales, e))) for e, c in terms.items()}
     return MultiPoly._trusted(tuple(names), terms)
 
 
-def _unpacked(packed: Mapping[int, int], base: int, width: int) -> dict[Exponents, int]:
+def _unpacked(packed: Mapping[int, int], powers: Sequence[int]) -> dict[Exponents, int]:
     """The terms of a packed polynomial (see :data:`liesymp.linalg.PACKED`)
-    over ``width`` variables, keyed by exponent tuples."""
-    powers = [base**k for k in range(width)]
+    whose k-th variable is keyed ``powers[k]``, by exponent tuples."""
     out = {}
     for key, c in packed.items():
-        exps = [0] * width
+        exps = [0] * len(powers)
         while key:  # one step per variable that occurs: the highest left
             k = bisect_right(powers, key) - 1
             exps[k], key = divmod(key, powers[k])

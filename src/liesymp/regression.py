@@ -12,8 +12,8 @@ counted as documented.  The report is green exactly when no undocumented
 mismatch or condition failure remains.
 
 Each entry has one :class:`~liesymp.analysis.Analysis`, so each artifact
-(the torus check, the product, the completeness report, the verdict and
-its generic closed form, ...) is computed once.
+(the torus check, the product, the completeness report, the verdict, ...)
+is computed once, and the generic closed form only where it is read.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .symplectic import (
     cocycle_space,
     d_one_form,
     d_two_form,
+    generic_cocycle,
     is_lagrangian_ideal,
     pullback,
     top_power,
@@ -67,7 +68,6 @@ class EntryResult:
     symplectic: str
     exact: str
     pfaffian: MultiPoly
-    cocycle_dims: tuple[int, int, int]
     witness_verified: bool | None
     comparisons: tuple[Comparison, ...]
     conditions: tuple[ConditionResult, ...]
@@ -151,8 +151,9 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
         # a zero Pfaffian (odd dimension included) divides no condition
         pf = verdict.pfaffian
         pf_sq = pf * pf
+        generic = None if pf.is_zero() else generic_cocycle(verdict.cocycles)
         for cond in entry.expected.conditions:
-            p = None if pf.is_zero() else cond.polynomial(verdict.generic)
+            p = None if generic is None else cond.polynomial(generic)
             if p is None or p.is_zero():
                 divides = "no"
             elif poly_divides(p, pf):
@@ -173,7 +174,6 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
         symplectic=computed_word,
         exact=verdict.exact_exists,
         pfaffian=verdict.pfaffian,
-        cocycle_dims=verdict.cocycle_dims,
         witness_verified=witness_verified,
         comparisons=tuple(comparisons),
         conditions=tuple(conditions),
@@ -297,7 +297,7 @@ def _reproduce_chain(ns=(4, 5, 6, 7, 8)) -> list[PropItem]:
         g = analysis.algebra
         verdict = analysis.verdict
         if n == 4:
-            generic = verdict.generic
+            generic = generic_cocycle(verdict.cocycles)
             det = verdict.pfaffian * verdict.pfaffian
             # documented renaming: u, t are the negated (1,2), (1,3) entries;
             # v is the (2,6) entry (the printed matrix layout carries the

@@ -17,10 +17,12 @@ pairs i < j, so antisymmetry holds by construction.  The Z^2 and B^2 bases,
 the generic closed form, witnesses, sums and pullbacks are all built in that
 format, and the Pfaffian reads it directly
 (:func:`liesymp.linalg.sparsest_row_pfaffian`); ``TwoForm.entries`` is a
-dense view for printing.  The Pfaffian of a parametric form is taken over
-packed integer polynomials: the decision's straight from the basis forms
-(:func:`liesymp.poly.linear_pfaffian`), and ``TwoForm.pfaffian`` through
-:func:`liesymp.poly.polynomial_pfaffian`.
+dense view for printing.  A parametric Pfaffian is taken over packed
+integer polynomials by :func:`liesymp.poly.monomial_pfaffian`: the
+decision's from the basis forms, the k-th keyed by t_k, and
+``TwoForm.pfaffian``'s through :func:`liesymp.poly.polynomial_pfaffian`.
+So the decision builds no generic form; its verdict keeps the
+:class:`CocycleSpace`, from which :func:`generic_cocycle` builds one.
 
 Z^2 is solved by the weights of :meth:`LieAlgebra.weights`, the grading
 that completeness uses too: only the weight-0 block of dw = 0 is
@@ -54,7 +56,7 @@ from .linalg import (
     sparsest_row_pfaffian,
     vector,
 )
-from .poly import MultiPoly, linear_pfaffian, polynomial_pfaffian
+from .poly import MultiPoly, monomial_pfaffian, polynomial_pfaffian
 from .structure import _in_range
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
@@ -144,6 +146,8 @@ class TwoForm:
     def value(self, x: Sequence, y: Sequence):
         """w(x, y) for coordinate vectors; exact whatever the entry type."""
         x, y = vector(x), vector(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length does not match form dimension")
         total = 0
         for (i, j), c in self.coords.items():
             f = x[i] * y[j] - x[j] * y[i]
@@ -417,6 +421,8 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
     names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated variable name in {names}")
     terms = _integer_terms(p, names)  # raises if p has a variable not in names
     if not names:
         return {}
@@ -528,8 +534,9 @@ class SymplecticVerdict:
     """Outcome of the symplectic / exact-symplectic decision for one algebra.
 
     ``exists`` and ``exact_exists`` are "yes", "no" or "odd" (odd dimension,
-    not applicable).  ``generic`` is the generic closed form whose Pfaffian
-    is ``pfaffian`` (None in odd dimension, where none is taken).  When
+    not applicable).  ``pfaffian`` and ``exact_pfaffian`` are those of the
+    generic forms over the Z^2 and B^2 bases of ``cocycles`` (zero in odd
+    dimension, where none is taken).  When
     "yes", the matching witness fields hold a concrete closed two-form with
     nonzero Pfaffian; ``exact_witness`` is d of the recorded
     ``exact_one_form``.
@@ -537,14 +544,13 @@ class SymplecticVerdict:
 
     dim: int
     exists: str
-    generic: TwoForm | None
     pfaffian: MultiPoly
     witness: TwoForm | None
     exact_exists: str
     exact_pfaffian: MultiPoly
     exact_witness: TwoForm | None
     exact_one_form: tuple[Fraction, ...] | None
-    cocycle_dims: tuple[int, int, int]
+    cocycles: CocycleSpace
 
     @property
     def degenerate(self) -> bool:
@@ -561,7 +567,8 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     antisymmetric matrix is always singular).  In dimension zero the empty
     Pfaffian is 1, so the algebra is vacuously symplectic (and flagged as
     ``degenerate``).  The witness search bounds itself
-    (see :func:`find_nonvanishing_point`).
+    (see :func:`find_nonvanishing_point`).  Neither generic form is built:
+    each Pfaffian is packed from its basis forms.
     """
     cs = cocycle_space(g)
     n = g.dim
@@ -570,14 +577,13 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
         return SymplecticVerdict(
             dim=n,
             exists="odd",
-            generic=None,
             pfaffian=zero,
             witness=None,
             exact_exists="odd",
             exact_pfaffian=zero,
             exact_witness=None,
             exact_one_form=None,
-            cocycle_dims=cs.dims,
+            cocycles=cs,
         )
 
     pf, witness, _ = _pfaffian_and_witness(n, cs.z2_basis)
@@ -596,14 +602,13 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     return SymplecticVerdict(
         dim=n,
         exists="yes" if not pf.is_zero() else "no",
-        generic=generic_cocycle(cs),
         pfaffian=pf,
         witness=witness,
         exact_exists="yes" if not exact_pf.is_zero() else "no",
         exact_pfaffian=exact_pf,
         exact_witness=exact_witness,
         exact_one_form=exact_one_form,
-        cocycle_dims=cs.dims,
+        cocycles=cs,
     )
 
 
@@ -613,10 +618,10 @@ def _pfaffian_and_witness(
     """The Pfaffian of ``_generic_combination(n, basis)``, over its parameters
     t1..tm, and, when it is nonzero, the witness form at its first
     nonvanishing point, and that point; otherwise None for both.  The
-    Pfaffian is packed straight from the basis forms, so the generic form
-    itself is not built."""
+    Pfaffian is packed straight from the basis forms, the k-th keyed by the
+    monomial t_k, so the generic form itself is not built."""
     names = _parameters(len(basis))
-    pf = linear_pfaffian(n, [z.coords for z in basis], names)
+    pf = monomial_pfaffian(n, {((k, 1),): z.coords for k, z in enumerate(basis)}, names)
     if pf.is_zero():
         return pf, None, None
     point = find_nonvanishing_point(pf, names)

@@ -422,7 +422,7 @@ def test_analysis_without_a_torus_studies_the_algebra_itself():
     analysis = Analysis(g)
     assert analysis.algebra is g and analysis.maximal_rank is None
     assert analysis.rank_bound == 2
-    assert analysis.verdict.cocycle_dims == cocycle_space(g).dims
+    assert analysis.verdict.cocycles.dims == cocycle_space(g).dims
 
 
 def test_analysis_reads_the_nilradical_jacobi_off_a_valid_torus_check():

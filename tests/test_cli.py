@@ -22,7 +22,7 @@ from liesymp.cli import (
 )
 from liesymp.fileformat import build, parse
 from liesymp.liealg import MAX_DIM
-from liesymp.symplectic import decide_symplectic, find_nonvanishing_point
+from liesymp.symplectic import decide_symplectic, find_nonvanishing_point, generic_cocycle
 
 GOOD = """\
 algebra n4_1
@@ -139,7 +139,8 @@ def test_symplectic_witness_past_the_first_shell_exits_0(tmp_path, capsys):
     symplectic = json.loads(captured.out)["verdicts"]["symplectic"]
     assert symplectic["exists"] == "yes"
     verdict = decide_symplectic(build(parse(NO_WITNESS_IN_FIRST_SHELL)).algebra)
-    point = find_nonvanishing_point(verdict.pfaffian, verdict.generic.variables)
+    generic = generic_cocycle(verdict.cocycles)
+    point = find_nonvanishing_point(verdict.pfaffian, generic.variables)
     assert max(abs(v) for v in point.values()) == 2
     assert symplectic["witness"]["matrix"] == [[str(x) for x in row] for row in verdict.witness.entries]
 

@@ -61,8 +61,12 @@ def _table_types_hold(g: LieAlgebra) -> bool:
 
 def _numbers(x):
     """The numbers held by a verdict, walked through its fields, forms,
-    polynomials and tuples (flags and labels are not numbers)."""
-    if isinstance(x, TwoForm):
+    polynomials, tuples and its cocycle space's algebra (whose structure
+    constants are its numbers; flags and labels are not numbers)."""
+    if isinstance(x, LieAlgebra):
+        for coeffs in x.table.values():
+            yield from coeffs.values()
+    elif isinstance(x, TwoForm):
         for v in x.coords.values():
             yield from _numbers(v)
     elif isinstance(x, MultiPoly):
@@ -104,7 +108,7 @@ def _artifacts(analysis: Analysis) -> dict:
             str(v.exact_pfaffian),
             _coords(v.exact_witness),
             v.exact_one_form,
-            v.cocycle_dims,
+            v.cocycles.dims,
         )
 
     def cocycles():

@@ -7,11 +7,13 @@ of row.  A ``TwoForm`` built from the same grid must agree with both and
 give the grid back as its dense view.  ``tests/test_kernel_oracle.py`` checks Pf^2 = det
 against sympy.
 
-Polynomial entries reach the recursion packed as integer polynomials: the
-decision packs straight from the Z^2 and B^2 basis forms, and
-``TwoForm.pfaffian`` and ``PolyMatrix.pfaffian`` through the general packer.
-The two packers are checked against each other and, through polynomials with
-higher exponents and Fraction coefficients, against the reference.
+Polynomial entries reach the recursion packed as integer polynomials by one
+packer, ``monomial_pfaffian``, over matrices keyed by sparse monomials: the
+decision keys each Z^2 and B^2 basis form by its parameter t_k, and
+``TwoForm.pfaffian`` and ``PolyMatrix.pfaffian`` go through
+``polynomial_pfaffian``, which splits each entry into its monomials.  The two
+ways in are checked against each other and, through polynomials with higher
+exponents and Fraction coefficients, against the reference.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.cli import main
 from liesymp.liealg import LieAlgebra
 from liesymp.linalg import RationalMatrix
-from liesymp.poly import MultiPoly, PolyMatrix
+from liesymp.poly import MultiPoly, PolyMatrix, monomial_pfaffian
 from liesymp.structure import semidirect
 from liesymp.symplectic import TwoForm, cocycle_space, decide_symplectic, generic_cocycle
 
@@ -153,6 +155,18 @@ def test_pfaffian_variables_follow_their_first_occurrence():
     assert str(pf) == "-r*s + u*w"
 
 
+def test_the_packer_keeps_the_top_exponents_apart():
+    # s^2 in the decision's linear case and s^4 from the monomial s^2 are
+    # the largest exponents, which a base one too small packs onto t's key;
+    # the t form's denominators 3 and 2 make the common scale 6, divided
+    # back out to the power n/2 = 2
+    s, t = MultiPoly.variables(("s", "t"))
+    forms = {((0, 1),): {(0, 1): 1, (2, 3): 1}, ((1, 1),): {(0, 2): Q(1, 3), (1, 3): Q(1, 2)}}
+    assert monomial_pfaffian(4, forms, ("s", "t")) == s * s - Q(1, 6) * t * t
+    forms = {((0, 2),): {(0, 1): 1, (2, 3): 1}, ((1, 1),): {(0, 2): 1, (1, 3): 1}}
+    assert monomial_pfaffian(4, forms, ("s", "t")) == s**4 - t * t
+
+
 BARE_Q29_JSON = """\
 {
   "algebra": "Q",
@@ -191,12 +205,13 @@ def test_bare_chain_nilradical_does_not_hang(tmp_path, capsys):
     assert elapsed < 1.5
 
 
-# -- the two packers ----------------------------------------------------------
+# -- the two ways into the one packer -----------------------------------------
 
 
 def _same_pfaffian_both_ways(g: LieAlgebra) -> None:
-    """The decision's Pfaffian, packed from the Z^2 basis, equals the general
-    packer's on the generic closed form, and prints the same."""
+    """The decision's Pfaffian, packed from the Z^2 basis forms keyed by t_k,
+    equals that of the generic closed form split into monomials by
+    ``polynomial_pfaffian``, and prints the same."""
     decided = decide_symplectic(g).pfaffian
     general = generic_cocycle(cocycle_space(g)).pfaffian()
     assert decided == general

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesymp.poly import MultiPoly, PolyMatrix, poly_divides, poly_divmod
+from liesymp.symplectic import find_nonvanishing_point
 
 
 def _random_poly(rng, names=("x", "y", "z"), terms=4, degree=3):
@@ -32,6 +33,17 @@ def test_construction_and_equality():
     widened = MultiPoly(("x", "y"), {(1, 0): Q(1)})
     assert widened == x
     assert hash(widened) == hash(x)
+
+
+def test_a_repeated_variable_name_is_rejected():
+    # x - x over ("x", "x") would print "x*x - 1" and not be zero
+    with pytest.raises(ValueError, match="repeated variable name"):
+        MultiPoly(("x", "x"), {(1, 0): 1, (0, 1): -1})
+    with pytest.raises(ValueError, match="repeated variable name"):
+        MultiPoly.variables(("x", "y", "x"))
+    with pytest.raises(ValueError, match="repeated variable name"):
+        find_nonvanishing_point(MultiPoly.variable("x"), ("x", "x"))
+    assert MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): -1}) != 0
 
 
 def test_ring_laws_randomized():

@@ -18,11 +18,13 @@ from test_integral_table import int_where_integral
 from test_liealg import sparse_tables, unchecked_product
 from test_linalg import ad_map, add_maps, apply_map, column_of, compose, scale_map
 
+from liesymp import symplectic
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.linalg import diagonal, sparse_kernel_basis, sparse_row, sparse_rref
 from liesymp.poly import MultiPoly, poly_divides
+from liesymp.regression import check_entry
 from liesymp.structure import semidirect
 from liesymp.symplectic import (
     TwoForm,
@@ -426,6 +428,10 @@ def test_two_form_validation():
     w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2
     assert w.value((0, 1, 0), (1, 0, 0)) == -2
+    # a vector of the wrong length is neither truncated nor read past its end
+    for x, y in (((0, 1, 0, 9), (0, 0, 1)), ((0, 1), (0, 0, 1)), ((1, 0, 0), (0, 1))):
+        with pytest.raises(ValueError, match=r"^vector length does not match form dimension$"):
+            w.value(x, y)
     # (1, 0) counts as -(0, 1), so the pair cancels to the zero form
     cancelled = TwoForm.from_pairs(3, {(0, 1): 1, (1, 0): 1})
     assert cancelled == TwoForm.zero(3) and cancelled.coords == {}
@@ -459,19 +465,44 @@ SCALE_ENTRIES = (("L", {"n": 10}), ("L", {"n": 12}), ("Q", {"n": 11}), ("Q", {"n
                  ("abelian", {"n": 6}), ("abelian", {"n": 7}))
 
 
+def test_the_generic_form_is_built_only_where_it_is_read(monkeypatch):
+    """The decision packs its Pfaffians from the basis forms and keeps the
+    cocycle space; ``check_entry`` builds the generic closed form once for
+    an entry with printed conditions, and not at all for one without."""
+    calls = []
+    original = symplectic._generic_combination
+
+    def counted(n, basis):
+        calls.append(n)
+        return original(n, basis)
+
+    monkeypatch.setattr(symplectic, "_generic_combination", counted)
+    verdict = decide_symplectic(_g("Q", n=13))
+    assert verdict.exists == "yes" and calls == []
+    bare = build_entry("Q", n=13).nilradical
+    assert decide_symplectic(bare).cocycles.dims[0] > 0 and calls == []
+    assert build_entry("n4_1").expected.conditions
+    assert check_entry(build_entry("n4_1")).conditions and len(calls) == 1
+    calls.clear()
+    assert not build_entry("n6_2").expected.conditions
+    assert check_entry(build_entry("n6_2")).green and calls == []
+
+
 @pytest.mark.parametrize("name, params", list(DEFAULT_SELECTION) + list(SCALE_ENTRIES))
 def test_witnesses_are_the_generic_forms_specialized(name, params):
     """The verdict sums the Z^2 (and B^2) coordinates at the witness point;
     specializing the generic form entry by entry gives the same form."""
     analysis = Analysis(build_entry(name, **params).torus)
     verdict, cs = analysis.verdict, cocycle_space(analysis.algebra)
+    # the verdict keeps the cocycle space it decided from, in odd dimension too
+    assert verdict.cocycles.z2_basis == cs.z2_basis and verdict.cocycles.b2_basis == cs.b2_basis
     if verdict.exists == "odd":
         assert verdict.witness is None and verdict.exact_witness is None
-        assert verdict.generic is None
         return
     # the closed form whose Pfaffian the verdict took
-    assert verdict.generic == _generic_combination(verdict.dim, cs.z2_basis)
-    assert verdict.generic.variables == tuple(f"t{k + 1}" for k in range(len(cs.z2_basis)))
+    generic = generic_cocycle(verdict.cocycles)
+    assert generic == _generic_combination(verdict.dim, cs.z2_basis)
+    assert generic.variables == tuple(f"t{k + 1}" for k in range(len(cs.z2_basis)))
     for basis, pf, witness in (
         (cs.z2_basis, verdict.pfaffian, verdict.witness),
         (cs.b2_basis, verdict.exact_pfaffian, verdict.exact_witness),

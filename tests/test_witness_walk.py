@@ -277,7 +277,7 @@ def test_deep_witness_of_a_generated_algebra_is_frozen():
     start = time.perf_counter()
     verdict = decide_symplectic(g)
     elapsed = time.perf_counter() - start
-    assert verdict.cocycle_dims[0] == 33
+    assert verdict.cocycles.dims[0] == 33
     assert len(verdict.pfaffian.terms) == 90
     assert len(verdict.pfaffian.used_vars()) == 30
     assert verdict.witness.entries == tuple(
