@@ -1,11 +1,15 @@
 """Sparse multivariate polynomials over the rationals.
 
-A :class:`MultiPoly` stores an ordered variable tuple plus a map from exponent
-tuples to nonzero exact coefficients, each an int or a Fraction (the
+A :class:`MultiPoly` stores an ordered variable tuple plus a map from
+monomials to nonzero exact coefficients, each an int or a Fraction (the
 validating constructor stores an integral coefficient as an int; see
-:mod:`liesymp.linalg`).  The zero polynomial has an empty term map.
-Arithmetic never rounds; equality compares canonical forms (variables with
-no occurrence are ignored), so two equal polynomials compare equal no matter
+:mod:`liesymp.linalg`).  A monomial is a :data:`Monomial`: its
+(variable index, positive exponent) pairs, indices increasing, so ``()``
+is the constant monomial over any variable tuple.  This one format runs
+from the Pfaffian packer through arithmetic, division and printing to the
+witness walk of :mod:`liesymp.symplectic`.  The zero polynomial has an
+empty term map.  Arithmetic never rounds; equality reads each monomial by
+its variables' names, so two equal polynomials compare equal no matter
 how they were built.
 
 The monomial order used for division and printing is graded lexicographic
@@ -13,16 +17,17 @@ over the declared variable tuple.
 
 No Pfaffian is expanded over MultiPolys.  :func:`monomial_pfaffian` is the
 one packer: it takes the Pfaffian of sum_mu t^mu * M_mu from the concrete
-matrices M_mu keyed by sparse monomials mu (the symplectic decision passes
-its generic closed form sum_k t_k * z_k as the basis forms z_k), packs
-the entries as integer polynomials keyed by one int per monomial
+matrices M_mu keyed by monomials mu (the symplectic decision passes its
+generic closed form sum_k t_k * z_k as the basis forms z_k), packs the
+entries as integer polynomials keyed by one int per monomial
 (:data:`liesymp.linalg.PACKED`), runs the one recursion
 :func:`liesymp.linalg.sparsest_row_pfaffian` on them, and reads the result
-back as a MultiPoly.  :func:`polynomial_pfaffian` splits a matrix of
-polynomial entries into sparse monomials for it.  The dense
-:class:`PolyMatrix` is no part of any computation: nothing in the package
-calls it, and it keeps only the ``pfaffian`` adapter (with the shape and
-antisymmetry check it needs) that the benchmark's tracing table names.
+back as a MultiPoly.  :func:`polynomial_pfaffian` hands it the terms of a
+matrix of polynomial entries, their variable indices remapped onto one
+tuple.  The dense :class:`PolyMatrix` is no part of any computation:
+nothing in the package calls it, and it keeps only the ``pfaffian``
+adapter (with the shape and antisymmetry check it needs) that the
+benchmark's tracing table names.
 
 Only the public constructor validates; arithmetic, whose operands already
 hold the invariants, builds its results through a trusted one.
@@ -33,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -46,33 +50,26 @@ from .linalg import (
     upper_entries,
 )
 
-Exponents = tuple[int, ...]
-# a sparse monomial, as its (variable index, positive exponent) pairs
+# a monomial, as its (variable index, positive exponent) pairs, indices increasing
 Monomial = tuple[tuple[int, int], ...]
 
 
 class MultiPoly:
+    """A polynomial over ``vars``: ``terms`` maps each :data:`Monomial` to its coefficient."""
+
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str] = (), terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str] = (), terms: Mapping[Monomial, Fraction] | None = None):
         self.vars: tuple[str, ...] = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError(f"repeated variable name in {self.vars}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Monomial, Fraction] = {}
         if terms:
-            width = len(self.vars)
-            for exps, coeff in terms.items():
-                coeff = as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != width:
-                    raise ValueError("exponent tuple width does not match variable count")
-                coeff += clean.get(exps, 0)
+            for mono, coeff in terms.items():
+                mono = _checked(mono, len(self.vars))
+                coeff = as_fraction(coeff) + clean.pop(mono, 0)
                 if coeff:
-                    clean[exps] = as_exact(coeff)
-                else:
-                    del clean[exps]
+                    clean[mono] = as_exact(coeff)
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -88,17 +85,13 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): 1})
+        return cls((name,), {((0, 1),): 1})
 
     @classmethod
     def variables(cls, names: Sequence[str]) -> list["MultiPoly"]:
         """The coordinate polynomials t_i inside one shared variable context."""
         names = tuple(names)
-        out = []
-        for i in range(len(names)):
-            exps = tuple(1 if j == i else 0 for j in range(len(names)))
-            out.append(cls(names, {exps: 1}))
-        return out
+        return [cls(names, {((k, 1),): 1}) for k in range(len(names))]
 
     # -- structure ------------------------------------------------------------
 
@@ -108,31 +101,19 @@ class MultiPoly:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(e for _, e in mono) for mono in self.terms)
 
     def used_vars(self) -> tuple[str, ...]:
         """The declared variables that some term raises to a positive power,
-        in declared order: one scan down each exponent column."""
-        return tuple(v for v, column in zip(self.vars, zip(*self.terms)) if any(column))
+        in declared order."""
+        used = {k for mono in self.terms for k, _ in mono}
+        return tuple(v for k, v in enumerate(self.vars) if k in used)
 
-    def _pruned(self, keep: tuple[str, ...]) -> dict[Exponents, Fraction]:
-        """The terms with exponents over ``keep``, which lists every occurring
-        variable in some order: the unused variables pruned."""
-        idx = [self.vars.index(v) for v in keep]
-        return {tuple(exps[i] for i in idx): c for exps, c in self.terms.items()}
-
-    def canonical(self) -> tuple[tuple[str, ...], tuple[tuple[Exponents, Fraction], ...]]:
-        """Display form: unused variables pruned (declared order kept), terms
-        sorted graded-lex descending."""
-        keep = self.used_vars()
-        terms = self._pruned(keep)
-        ordered = tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
-        return keep, ordered
-
-    def _signature(self) -> tuple[tuple[str, ...], tuple[tuple[Exponents, Fraction], ...]]:
-        """Order-independent form: occurring variables sorted by name."""
-        keep = tuple(sorted(self.used_vars()))
-        return keep, tuple(sorted(self._pruned(keep).items()))
+    def _signature(self) -> frozenset:
+        """Order-independent form: each monomial keyed by its variables' names."""
+        return frozenset(
+            (frozenset((self.vars[k], e) for k, e in mono), c) for mono, c in self.terms.items()
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -143,10 +124,9 @@ class MultiPoly:
 
     def __hash__(self):
         # a constant equals its value (see __eq__), so it hashes as one
-        keep, terms = self._signature()
-        if not keep:
-            return hash(terms[0][1] if terms else 0)
-        return hash((keep, terms))
+        if not any(self.terms):
+            return hash(self.terms.get((), 0))
+        return hash(self._signature())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -154,7 +134,7 @@ class MultiPoly:
     # -- arithmetic -----------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "MultiPoly":
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
         """A polynomial from parts that already hold the invariants; no copy
         and no check."""
         p = cls.__new__(cls)
@@ -163,15 +143,16 @@ class MultiPoly:
         return p
 
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
-        if self.vars == other.vars:
+        """Both term maps over self's variables, then other's new ones: only
+        other's indices move, and none where one tuple begins the other."""
+        if other.vars == self.vars[: len(other.vars)]:
             return self.vars, self.terms, other.terms
-        # a constant over no variables has at most the one term (): widen it
-        if not other.vars:
-            return self.vars, self.terms, {(0,) * len(self.vars): c for c in other.terms.values()}
-        if not self.vars:
-            return other.vars, {(0,) * len(other.vars): c for c in self.terms.values()}, other.terms
-        merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
-        return tuple(merged), _remap(self, merged), _remap(other, merged)
+        if self.vars == other.vars[: len(self.vars)]:
+            return other.vars, self.terms, other.terms
+        at = {v: k for k, v in enumerate(self.vars)}
+        for v in other.vars:
+            at.setdefault(v, len(at))
+        return tuple(at), self.terms, _remap(other.terms, [at[v] for v in other.vars])
 
     def __add__(self, other) -> "MultiPoly":
         other = _coerce(other)
@@ -179,16 +160,16 @@ class MultiPoly:
             return NotImplemented
         variables, a, b = self._aligned(other)
         out = dict(a)
-        for exps, c in b.items():
-            x = out.get(exps)
+        for mono, c in b.items():
+            x = out.get(mono)
             if x is None:
-                out[exps] = c
+                out[mono] = c
             else:
                 x += c
                 if x:
-                    out[exps] = x
+                    out[mono] = x
                 else:
-                    del out[exps]
+                    del out[mono]
         return MultiPoly._trusted(variables, out)
 
     __radd__ = __add__
@@ -213,10 +194,10 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                key = _times(m1, m2, 1)
                 c = out.get(key)
                 c = c1 * c2 if c is None else c + c1 * c2
                 if c:
@@ -258,56 +239,59 @@ class MultiPoly:
             return Q(0)
         point = {v: as_fraction(assignment[v]) for v in used}
         b = math.lcm(*(x.denominator for x in point.values()))
-        # an unused variable has only zero exponents, so its 0 is never read
-        nums = [0] * len(self.vars)
-        for i, v in enumerate(self.vars):
-            x = point.get(v)
-            if x is not None:
-                nums[i] = x.numerator * (b // x.denominator)
+        # an unused variable occurs in no monomial, so its 0 is never read
+        nums = [point[v].numerator * (b // point[v].denominator) if v in point else 0 for v in self.vars]
         den = math.lcm(*(c.denominator for c in self.terms.values()))
         top = self.total_degree()
         total = 0
-        for exps, coeff in self.terms.items():
+        for mono, coeff in self.terms.items():
             val = coeff.numerator * (den // coeff.denominator)
             degree = 0
-            for x, e in zip(nums, exps):
-                if e:
-                    val *= x**e
-                    degree += e
+            for k, e in mono:
+                val *= nums[k] ** e
+                degree += e
             if b != 1 and degree != top:
                 val *= b ** (top - degree)
             total += val
         return Fraction(total, den * b**top)
 
     def __str__(self) -> str:
-        keep, ordered = self.canonical()
-        if not ordered:
+        if not self.terms:
             return "0"
+        names = self.vars
         chunks = []
-        for exps, coeff in ordered:
-            factors = []
-            for name, e in zip(keep, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
+        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True):
+            mono = "*".join(names[k] if e == 1 else f"{names[k]}^{e}" for k, e in mono)
             if not mono:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = mono
             else:
                 body = f"{abs(coeff)}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            chunks.append(("- " if coeff < 0 else "+ ") + body)
+        text = " ".join(chunks)  # "+ a - b ...": the leading sign loses its space
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _checked(mono, width: int) -> Monomial:
+    """A monomial key of the public constructor, validated: its pairs
+    sorted and zero exponents dropped."""
+    try:
+        pairs = sorted((k, e) for k, e in mono)
+        ok = len({k for k, _ in pairs}) == len(pairs) and all(
+            type(k) is type(e) is int and 0 <= k < width and e >= 0 for k, e in pairs
+        )
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"monomial {mono!r} is not a tuple of (variable index, exponent) pairs "
+            f"with distinct indices below {width} and nonnegative int exponents"
+        )
+    return tuple(pair for pair in pairs if pair[1])
 
 
 def _coerce(x) -> "MultiPoly":
@@ -318,16 +302,50 @@ def _coerce(x) -> "MultiPoly":
     return NotImplemented
 
 
-def _remap(p: MultiPoly, merged: Sequence[str]) -> dict[Exponents, Fraction]:
-    pos = {v: i for i, v in enumerate(merged)}
-    width = len(merged)
-    out: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
-        key = [0] * width
-        for name, e in zip(p.vars, exps):
-            key[pos[name]] = e
-        out[tuple(key)] = c
-    return out
+def _remap(terms: dict[Monomial, Fraction], at: Sequence[int]) -> dict[Monomial, Fraction]:
+    """The terms with variable index k renamed ``at[k]``."""
+    if all(k == j for k, j in enumerate(at)):
+        return terms
+    return {tuple(sorted((at[k], e) for k, e in mono)): c for mono, c in terms.items()}
+
+
+def _integer_terms(p: MultiPoly, names: tuple[str, ...]) -> dict[Monomial, int]:
+    """p scaled to integer coefficients (which keeps its zero set), its
+    monomials over the indices of ``names`` (a variable p does not use
+    need not be among them)."""
+    pos = {nm: i for i, nm in enumerate(names)}
+    missing = [v for v in p.used_vars() if v not in pos]
+    if missing:
+        raise ValueError(f"no value for variable(s) {', '.join(missing)}")
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = _remap(p.terms, [pos.get(v) for v in p.vars])
+    return {mono: c.numerator * (den // c.denominator) for mono, c in terms.items()}
+
+
+def _times(a: Monomial, b: Monomial, sign: int) -> Monomial | None:
+    """The monomial a * b^sign, sign 1 or -1, by one merge of the sorted pairs;
+    None when a negative exponent is left, that is, when b does not divide a."""
+    out, i, n = [], 0, len(a)
+    for k, e in b:
+        while i < n and a[i][0] < k:
+            out.append(a[i])
+            i += 1
+        e *= sign
+        if i < n and a[i][0] == k:
+            e += a[i][1]
+            i += 1
+        if e < 0:
+            return None
+        if e:
+            out.append((k, e))
+    out.extend(a[i:])
+    return tuple(out)
+
+
+def _grlex(mono: Monomial) -> tuple[int, Monomial]:
+    """The graded-lex sort key of a monomial: the order of its dense
+    exponent tuple, as a lower index that occurs outranks a higher one."""
+    return sum(e for _, e in mono), tuple((-k, e) for k, e in mono)
 
 
 def poly_divmod(p: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -342,19 +360,22 @@ def poly_divmod(p: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     variables, pt, dt = p._aligned(d)
     rem = dict(pt)
-    quot: dict[Exponents, Fraction] = {}
-    d_exps = max(dt, key=_grlex)
-    d_coeff = dt[d_exps]
-    tail = [(exps, c) for exps, c in dt.items() if exps != d_exps]
+    quot: dict[Monomial, Fraction] = {}
+    order = {mono: _grlex(mono) for mono in rem}  # each sort key built once per division
+    d_mono = max(dt, key=_grlex)
+    d_coeff = dt[d_mono]
+    tail = [(mono, c) for mono, c in dt.items() if mono != d_mono]
     while rem:
-        r_exps = max(rem, key=_grlex)
-        step = tuple(a - b for a, b in zip(r_exps, d_exps))
-        if any(e < 0 for e in step):
+        r_mono = max(rem, key=order.__getitem__)
+        step = _times(r_mono, d_mono, -1)
+        if step is None:
             break
-        f = exact_quotient(rem.pop(r_exps), d_coeff)
+        f = exact_quotient(rem.pop(r_mono), d_coeff)
         quot[step] = f
-        for exps, c in tail:
-            key = tuple(map(add, step, exps))
+        for mono, c in tail:
+            key = _times(step, mono, 1)
+            if key not in order:
+                order[key] = _grlex(key)
             x = rem.get(key)
             x = -f * c if x is None else x - f * c
             if x:
@@ -365,11 +386,6 @@ def poly_divmod(p: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         MultiPoly._trusted(variables if quot else (), quot),
         MultiPoly._trusted(variables, rem),
     )
-
-
-def _grlex(exps: Exponents) -> tuple[int, Exponents]:
-    """The graded-lex sort key of a monomial."""
-    return sum(exps), exps
 
 
 def poly_divides(d: MultiPoly, p: MultiPoly) -> bool:
@@ -424,22 +440,21 @@ class PolyMatrix:
 def polynomial_pfaffian(n: int, upper: Mapping[tuple[int, int], object]) -> MultiPoly:
     """Pfaffian of the antisymmetric n x n matrix, n even, with the nonzero
     upper entries ``upper`` (MultiPolys or exact rationals), as a MultiPoly
-    over the entries' variables in order of first occurrence: each entry
-    split into its sparse monomials for :func:`monomial_pfaffian`."""
+    over the entries' variables in order of first occurrence: the entries'
+    monomials, remapped onto that tuple, go to :func:`monomial_pfaffian`."""
     entries = {pair: _coerce(x) for pair, x in upper.items()}
     names = tuple(dict.fromkeys(v for p in entries.values() for v in p.vars))
     index = {v: k for k, v in enumerate(names)}
     forms: dict[Monomial, dict[tuple[int, int], object]] = {}
     for pair, p in entries.items():
-        at = [index[v] for v in p.vars]
-        for exps, c in p.terms.items():
-            forms.setdefault(tuple((k, e) for k, e in zip(at, exps) if e), {})[pair] = c
+        for mono, c in _remap(p.terms, [index[v] for v in p.vars]).items():
+            forms.setdefault(mono, {})[pair] = c
     return monomial_pfaffian(n, forms, names)
 
 
 def monomial_pfaffian(n: int, forms: Mapping[Monomial, Mapping], names: Sequence[str]) -> MultiPoly:
     """Pfaffian of sum_mu t^mu * M_mu, n even, as a MultiPoly over ``names``:
-    each key mu is a distinct sparse monomial, and ``forms[mu]`` holds the
+    each key mu is a distinct monomial, and ``forms[mu]`` holds the
     nonzero upper entries (exact rationals) of the antisymmetric n x n M_mu.
 
     The entries are packed for :data:`liesymp.linalg.PACKED`: each is scaled
@@ -459,18 +474,19 @@ def monomial_pfaffian(n: int, forms: Mapping[Monomial, Mapping], names: Sequence
     terms = _unpacked(sparsest_row_pfaffian(n, upper, PACKED), powers)
     den = scale ** (n // 2)
     if den != 1:
-        terms = {exps: exact_quotient(c, den) for exps, c in terms.items()}
+        terms = {mono: exact_quotient(c, den) for mono, c in terms.items()}
     return MultiPoly._trusted(tuple(names), terms)
 
 
-def _unpacked(packed: Mapping[int, int], powers: Sequence[int]) -> dict[Exponents, int]:
+def _unpacked(packed: Mapping[int, int], powers: Sequence[int]) -> dict[Monomial, int]:
     """The terms of a packed polynomial (see :data:`liesymp.linalg.PACKED`)
-    whose k-th variable is keyed ``powers[k]``, by exponent tuples."""
+    whose k-th variable is keyed ``powers[k]``, by monomials."""
     out = {}
     for key, c in packed.items():
-        exps = [0] * len(powers)
-        while key:  # one step per variable that occurs: the highest left
+        mono = []
+        while key:  # one step per variable that occurs: the highest first
             k = bisect_right(powers, key) - 1
-            exps[k], key = divmod(key, powers[k])
-        out[tuple(exps)] = c
+            e, key = divmod(key, powers[k])
+            mono.append((k, e))
+        out[tuple(reversed(mono))] = c
     return out

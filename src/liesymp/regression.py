@@ -150,7 +150,7 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     if entry.expected.conditions:
         # a zero Pfaffian (odd dimension included) divides no condition
         pf = verdict.pfaffian
-        pf_sq = pf * pf
+        pf_sq = None  # squared once, for the first condition that pf does not divide
         generic = None if pf.is_zero() else generic_cocycle(verdict.cocycles)
         for cond in entry.expected.conditions:
             p = None if generic is None else cond.polynomial(generic)
@@ -158,10 +158,9 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
                 divides = "no"
             elif poly_divides(p, pf):
                 divides = "pf"
-            elif poly_divides(p, pf_sq):
-                divides = "pf^2"
             else:
-                divides = "no"
+                pf_sq = pf_sq or pf * pf
+                divides = "pf^2" if poly_divides(p, pf_sq) else "no"
             conditions.append(ConditionResult(
                 cond.label, divides,
                 *_status(divides != "no", cond.typo),

@@ -41,7 +41,6 @@ basis forms z_k (and the exact witness likewise over B^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -56,7 +55,7 @@ from .linalg import (
     sparsest_row_pfaffian,
     vector,
 )
-from .poly import MultiPoly, monomial_pfaffian, polynomial_pfaffian
+from .poly import Monomial, MultiPoly, _integer_terms, monomial_pfaffian, polynomial_pfaffian
 from .structure import _in_range
 
 # the nonzero upper coordinates {(i, j): w(e_i, e_j)}, i < j, of a two-form
@@ -372,14 +371,13 @@ def generic_cocycle(cs: CocycleSpace) -> TwoForm:
 def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
     """sum_k t_k * basis[k], built coordinate by coordinate: each is one
     polynomial with a term c * t_k per form."""
-    m = len(basis)
-    names = _parameters(m)
-    upper: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    names = _parameters(len(basis))
+    upper: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
     for k, z in enumerate(basis):
-        unit = tuple(1 if j == k else 0 for j in range(m))
+        t_k = ((k, 1),)
         for pair, c in z.coords.items():
-            upper.setdefault(pair, {})[unit] = c
-    # one unit-exponent term per form, with a nonzero coefficient
+            upper.setdefault(pair, {})[t_k] = c
+    # one term c * t_k per form, with a nonzero coefficient
     coords = {pair: MultiPoly._trusted(names, terms) for pair, terms in upper.items()}
     return TwoForm._of(n, coords, names)
 
@@ -426,7 +424,7 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
     terms = _integer_terms(p, names)  # raises if p has a variable not in names
     if not names:
         return {}
-    degree = max(map(max, terms))
+    degree = max((e for mono in terms for _, e in mono), default=0)
     for radius in range(1, degree // 2 + 2):
         point = _first_in_shell(terms, len(names), radius)
         if point is not None:
@@ -440,85 +438,71 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
     )
 
 
-def _integer_terms(p: MultiPoly, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """p scaled to integer coefficients (which keeps its zero set), with
-    exponents listed in the order of ``names``."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    if p.vars == names:  # the exponents are already in that order
-        return {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
-    pos = {nm: i for i, nm in enumerate(names)}
-    missing = [v for v in p.used_vars() if v not in pos]
-    if missing:
-        raise ValueError(f"no value for variable(s) {', '.join(missing)}")
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in p.terms.items():
-        key = [0] * len(names)
-        for name, e in zip(p.vars, exps):
-            if e:
-                key[pos[name]] = e
-        out[tuple(key)] = c.numerator * (den // c.denominator)
-    return out
-
-
-def _fix_first(terms: dict[tuple[int, ...], int], v: int) -> dict[tuple[int, ...], int]:
-    """Substitute v for the first variable; zero terms are dropped."""
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in terms.items():
-        key = exps[1:]
-        x = out.get(key, 0) + (c * v ** exps[0] if exps[0] else c)
+def _fix_first(terms: dict[Monomial, int], k: int, v: int) -> dict[Monomial, int]:
+    """Substitute v for variable k, the lowest any monomial holds; zero terms are dropped."""
+    out: dict[Monomial, int] = {}
+    for mono, c in terms.items():
+        if mono and mono[0][0] == k:
+            c *= v ** mono[0][1]
+            mono = mono[1:]
+        x = out.get(mono, 0) + c
         if x:
-            out[key] = x
+            out[mono] = x
         else:
-            out.pop(key, None)
+            out.pop(mono, None)
     return out
 
 
-def _first_in_shell(terms: dict[tuple[int, ...], int], m: int, radius: int) -> tuple[int, ...] | None:
+def _first_in_shell(terms: dict[Monomial, int], m: int, radius: int) -> tuple[int, ...] | None:
     """The lex-first integer point of max-norm exactly ``radius`` at which
-    the polynomial ``terms`` is nonzero, or None.
+    the polynomial ``terms`` over the variables 0 .. m-1 is nonzero, or None.
 
-    Coordinates are fixed one at a time from -radius to radius, each
-    substituted into the polynomial.  A subtree whose partial polynomial is
-    identically zero is pruned, and so is one where some later variable
-    makes it vanish for each of its 2 radius + 1 values.  A coordinate that
-    no longer occurs is set to -radius without branching: that value comes
-    first, puts the point on the shell, and so admits every completion any
-    other value admits.
+    Coordinates are fixed one at a time, in index order, from -radius to
+    radius, each substituted into the polynomial, so the next one sits at
+    the front of each monomial that holds it.  A subtree whose partial
+    polynomial is identically zero is pruned, and so is one where some later
+    variable makes it vanish for each of its 2 radius + 1 values.  A
+    coordinate that no longer occurs is set to -radius without branching:
+    that value comes first, puts the point on the shell, and so admits
+    every completion any other value admits.
     """
     point = [0] * m
     # A polynomial of degree <= 2 radius in x that vanishes for each of the
     # 2 radius + 1 values of x is zero, so only variables of higher degree
     # can prune; substitution never raises a degree, so this list holds all
     # the variables that ever can.
-    high = [j for j, d in enumerate(map(max, zip(*terms))) if d > 2 * radius]
+    high = sorted({k for mono in terms for k, e in mono if e > 2 * radius})
 
-    def vanishes_on_line(rest: dict[tuple[int, ...], int], k: int) -> bool:
-        """Whether rest is zero for each value of its k-th variable."""
-        if any(exps[k] == 0 for exps in rest):
-            return False  # nonzero at x = 0
-        by_rest: dict[tuple[int, ...], dict[int, int]] = {}
-        for exps, c in rest.items():
-            by_rest.setdefault(exps[:k] + exps[k + 1:], {})[exps[k]] = c
+    def vanishes_on_line(rest: dict[Monomial, int], k: int) -> bool:
+        """Whether rest is zero for each value of variable k."""
+        by_rest: dict[Monomial, dict[int, int]] = {}
+        for mono, c in rest.items():
+            for i, (j, e) in enumerate(mono):
+                if j == k:
+                    by_rest.setdefault(mono[:i] + mono[i + 1:], {})[e] = c
+                    break
+            else:
+                return False  # nonzero at x_k = 0
         return all(
             not sum(c * v**e for e, c in line.items())
             for line in by_rest.values()
             for v in range(-radius, radius + 1)
         )
 
-    def walk(pos: int, rest: dict[tuple[int, ...], int], touched: bool) -> bool:
+    def walk(pos: int, rest: dict[Monomial, int], touched: bool) -> bool:
         if pos == m:
             return True  # the last coordinate takes only values that reach the shell
-        if any(vanishes_on_line(rest, j - pos) for j in high if j >= pos):
+        if any(vanishes_on_line(rest, k) for k in high if k >= pos):
             return False
-        if all(exps[0] == 0 for exps in rest):
+        if not any(mono and mono[0][0] == pos for mono in rest):
             point[pos] = -radius
-            return walk(pos + 1, {exps[1:]: c for exps, c in rest.items()}, True)
+            return walk(pos + 1, rest, True)
         for v in range(-radius, radius + 1):
             reached = touched or abs(v) == radius
             if not reached and pos == m - 1:
                 continue
             point[pos] = v
-            fixed = _fix_first(rest, v)
+            fixed = _fix_first(rest, pos, v)
             if fixed and walk(pos + 1, fixed, reached):
                 return True
         return False

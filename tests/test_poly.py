@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic and the symbolic Pfaffian."""
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from liesymp.poly import MultiPoly, PolyMatrix, poly_divides, poly_divmod
 from liesymp.symplectic import find_nonvanishing_point
+
+from monomials import to_dense, to_sparse
 
 
 def _random_poly(rng, names=("x", "y", "z"), terms=4, degree=3):
@@ -30,7 +33,7 @@ def test_construction_and_equality():
     assert MultiPoly.constant(0).is_zero()
     assert x * 0 == MultiPoly.zero()
     # equality ignores variables that never occur
-    widened = MultiPoly(("x", "y"), {(1, 0): Q(1)})
+    widened = MultiPoly(("x", "y"), {((0, 1),): Q(1)})
     assert widened == x
     assert hash(widened) == hash(x)
 
@@ -38,12 +41,50 @@ def test_construction_and_equality():
 def test_a_repeated_variable_name_is_rejected():
     # x - x over ("x", "x") would print "x*x - 1" and not be zero
     with pytest.raises(ValueError, match="repeated variable name"):
-        MultiPoly(("x", "x"), {(1, 0): 1, (0, 1): -1})
+        MultiPoly(("x", "x"), {((0, 1),): 1, ((1, 1),): -1})
     with pytest.raises(ValueError, match="repeated variable name"):
         MultiPoly.variables(("x", "y", "x"))
     with pytest.raises(ValueError, match="repeated variable name"):
         find_nonvanishing_point(MultiPoly.variable("x"), ("x", "x"))
-    assert MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): -1}) != 0
+    assert MultiPoly(("x", "y"), {((0, 1),): 1, ((1, 1),): -1}) != 0
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((0, -1),),  # a negative exponent
+        ((0, 1.5),),  # exponents are ints
+        ((0, Q(1)),),
+        ((0, True),),
+        ((1, 1),),  # an index outside range(len(vars))
+        ((-1, 1),),
+        ((0, 1), (0, 2)),  # a repeated index
+        ((0, 1), (0, 0)),
+        (-1,),  # a dense exponent tuple is no monomial
+        (1.5,),
+        ((0, 1, 2),),
+        ("x",),
+    ],
+)
+def test_the_constructor_rejects_a_bad_monomial(key):
+    # x^-1 and x^1.5 are no polynomial terms: the printer and the witness
+    # search's degree bound assume nonnegative int exponents
+    with pytest.raises(ValueError, match=r"^monomial .* is not a tuple of \(variable index, exponent\) pairs"):
+        MultiPoly(("x",), {key: 1})
+    with pytest.raises(ValueError, match=r"^monomial "):
+        MultiPoly(("x",), {key: 0})  # a zero coefficient does not excuse its key
+
+
+def test_the_constructor_sorts_pairs_and_drops_zero_exponents():
+    p = MultiPoly(("x", "y", "z"), {((2, 1), (0, 3), (1, 0)): 2, ((1, 0),): 5, (): -1})
+    assert p.terms == {((0, 3), (2, 1)): 2, (): 4}
+    assert str(p) == "2*x^3*z + 4" and p.used_vars() == ("x", "z")
+    # keys that name the same monomial add up, and a zero sum is dropped
+    q = MultiPoly(
+        ("x", "y"),
+        {((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): Q(1, 2), ((0, 2),): 1, ((0, 2), (1, 0)): -1},
+    )
+    assert q.terms == {((0, 1), (1, 1)): Q(3, 2)}
 
 
 def test_ring_laws_randomized():
@@ -105,7 +146,7 @@ def _from_sympy(expr, gens) -> MultiPoly:
     import sympy
 
     terms = sympy.Poly(expr, *gens).terms()
-    return MultiPoly([str(g) for g in gens], {e: Q(int(c.p), int(c.q)) for e, c in terms})
+    return MultiPoly([str(g) for g in gens], to_sparse({e: Q(int(c.p), int(c.q)) for e, c in terms}))
 
 
 @pytest.mark.parametrize(
@@ -142,6 +183,76 @@ def test_string_form_is_graded_lex():
     assert str(MultiPoly.constant(Q(-3, 2))) == "-3/2"
 
 
+LETTERS = ("w", "x", "y", "z")
+
+
+def _monomials_in_print_order(text: str, names) -> list[tuple[int, ...]]:
+    """The dense exponent tuples of the terms of ``str(p)``, in printed order."""
+    out = []
+    for chunk in re.split(r" [+-] ", text.lstrip("-")):
+        exps = dict.fromkeys(names, 0)
+        for factor in chunk.split("*"):
+            name, _, e = factor.partition("^")
+            if name in exps:
+                exps[name] = int(e or 1)
+        out.append(tuple(exps.values()))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_print_order_matches_sympy_grlex(data):
+    """Over 3 or 4 variables in any declared order, str(p) lists the terms
+    as sympy's ``Poly.terms(order="grlex")`` does: x*z before y^2 over
+    (x, y, z), which two variables cannot show."""
+    sympy = pytest.importorskip("sympy")
+    names = tuple(data.draw(st.permutations(LETTERS[: data.draw(st.integers(3, 4))])))
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3) for _ in names]),
+            st.sampled_from((Q(1), Q(-1), Q(3), Q(-5, 2))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    p = MultiPoly(names, to_sparse(terms))
+    expected = sympy.Poly.from_dict(terms, *sympy.symbols(names)).terms(order="grlex")
+    assert _monomials_in_print_order(str(p), names) == [m for m, _ in expected]
+
+
+DIVISION_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2) for _ in range(3)]),
+    st.sampled_from((Q(1), Q(-1), Q(2), Q(-3), Q(1, 2))),
+    max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), with_rest=st.booleans())
+def test_divides_matches_sympy_reduced(data, with_rest):
+    """poly_divides(d, p) against sympy's graded-lex reduction of p by d, on
+    p = d*q and p = d*q + r, with d declared over a permuted variable tuple;
+    one divisor is a Groebner basis, so d divides p iff the remainder is 0."""
+    sympy = pytest.importorskip("sympy")
+    names = ("x", "y", "z")
+    gens = sympy.symbols(names)
+    dd = data.draw(DIVISION_TERMS.filter(bool))
+    qd = data.draw(DIVISION_TERMS)
+    rd = data.draw(DIVISION_TERMS) if with_rest else {}
+    order = data.draw(st.permutations(range(3)))
+    d = MultiPoly(
+        [names[i] for i in order], to_sparse({tuple(e[i] for i in order): c for e, c in dd.items()})
+    )
+    p = d * MultiPoly(names, to_sparse(qd)) + MultiPoly(names, to_sparse(rd))
+
+    def expr(terms):
+        return sympy.Poly.from_dict(terms or {(0, 0, 0): 0}, *gens).as_expr()
+
+    ps = expr(dd) * expr(qd) + expr(rd)
+    remainder = sympy.reduced(ps, [expr(dd)], *gens, order="grlex")[1]
+    assert poly_divides(d, p) == (remainder == 0)
+
+
 def test_a_constant_hashes_as_its_value():
     """A constant polynomial equals its value, so it hashes as one: a set or
     a dict key that mixes them holds one element."""
@@ -151,7 +262,7 @@ def test_a_constant_hashes_as_its_value():
         assert constant == value and hash(constant) == hash(value)
         assert len({constant, value}) == 1 and {value: 1}[constant] == 1
         # a constant over declared variables is the same constant
-        over_x = MultiPoly(("x",), {(0,): value})
+        over_x = MultiPoly(("x",), {(): value})
         assert over_x == constant and hash(over_x) == hash(value)
     assert hash(x - x) == hash(0) and len({x, x * 1}) == 1
 
@@ -164,7 +275,7 @@ def test_pfaffian_structure_errors():
         with pytest.raises(ValueError, match=r"^pfaffian requires an antisymmetric matrix$"):
             bad.pfaffian()
     # a mirror over another variable tuple is still antisymmetric
-    assert PolyMatrix([[0, a], [MultiPoly(("b", "a"), {(0, 1): Q(-1)}), 0]]).is_antisymmetric()
+    assert PolyMatrix([[0, a], [MultiPoly(("b", "a"), {((1, 1),): Q(-1)}), 0]]).is_antisymmetric()
     with pytest.raises(ValueError):
         PolyMatrix([[0]]).pfaffian()  # odd size
 
@@ -245,7 +356,7 @@ def mixed_polys(draw):
             max_size=4,
         )
     )
-    return MultiPoly(names, terms)
+    return MultiPoly(names, to_sparse(terms))
 
 
 def _rebuilt(p: MultiPoly) -> MultiPoly:
@@ -261,7 +372,7 @@ def _reference(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
     def moved(r):
         return {
             tuple(dict(zip(r.vars, exps)).get(v, 0) for v in merged): c
-            for exps, c in r.terms.items()
+            for exps, c in to_dense(r.terms, len(r.vars)).items()
         }
 
     a, b = moved(p), moved(q)
@@ -275,13 +386,17 @@ def _reference(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
             for e2, c2 in b.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
                 out[exps] = out.get(exps, 0) + c1 * c2
-    return MultiPoly(merged, out)
+    return MultiPoly(merged, to_sparse(out))
 
 
 def _holds_invariants(p: MultiPoly) -> bool:
+    """Nonzero int or Fraction coefficients, each keyed by sorted distinct
+    variable indices in range with positive int exponents."""
     return all(
-        type(c) in (int, Q) and c != 0 and len(exps) == len(p.vars)
-        for exps, c in p.terms.items()
+        type(c) in (int, Q) and c != 0
+        and [k for k, _ in mono] == sorted({k for k, _ in mono})
+        and all(type(k) is int and 0 <= k < len(p.vars) and type(e) is int and e > 0 for k, e in mono)
+        for mono, c in p.terms.items()
     )
 
 
@@ -304,7 +419,7 @@ def test_arithmetic_results_hold_the_constructor_invariants(p, q, k):
 
 def _naive_used_vars(p: MultiPoly) -> tuple[str, ...]:
     return tuple(
-        v for i, v in enumerate(p.vars) if any(exps[i] for exps in p.terms)
+        v for i, v in enumerate(p.vars) if any(exps[i] for exps in to_dense(p.terms, len(p.vars)))
     )
 
 
@@ -320,7 +435,7 @@ def test_used_vars_edge_cases():
     assert MultiPoly(("x", "y"), {}).used_vars() == ()
     assert MultiPoly.constant(Q(3, 2)).used_vars() == ()
     # declared variables that no term uses are dropped; declared order is kept
-    widened = MultiPoly(("z", "x", "y"), {(0, 2, 0): 1, (1, 0, 0): -3, (0, 0, 0): 5})
+    widened = MultiPoly(("z", "x", "y"), {((1, 2),): 1, ((0, 1),): -3, (): 5})
     assert widened.used_vars() == ("z", "x")
 
 
@@ -330,7 +445,7 @@ def test_used_vars_edge_cases():
 def _fraction_evaluate(p: MultiPoly, assignment) -> Q:
     """The value term by term in Fraction arithmetic."""
     total = Q(0)
-    for exps, c in p.terms.items():
+    for exps, c in to_dense(p.terms, len(p.vars)).items():
         val = c
         for name, e in zip(p.vars, exps):
             val *= Q(assignment[name]) ** e
@@ -364,7 +479,7 @@ def test_evaluate_edge_cases():
     assert MultiPoly.zero().evaluate({}) == 0
     assert isinstance(MultiPoly.zero().evaluate({}), Q)
     assert MultiPoly.constant(Q(-5, 3)).evaluate({"x": Q(1, 2)}) == Q(-5, 3)
-    widened = MultiPoly(("x", "y", "z"), {(0, 2, 0): Q(1, 2), (0, 0, 0): Q(-3)})
+    widened = MultiPoly(("x", "y", "z"), {((1, 2),): Q(1, 2), (): Q(-3)})
     assert widened.evaluate({"y": "2/3"}) == Q(1, 2) * Q(4, 9) - 3
     assert widened.evaluate({"y": 5, "x": "junk is never read"}) == Q(25, 2) - 3
     with pytest.raises(ValueError, match=r"^no value for variable\(s\) y$"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monomials import to_sparse
 from test_integral_table import int_where_integral
 from test_liealg import sparse_tables, unchecked_product
 from test_linalg import ad_map, add_maps, apply_map, column_of, compose, scale_map
@@ -171,7 +172,7 @@ def forms_on(draw, n: int) -> TwoForm:
     for p in pairs:
         terms = {e: draw(FORM_VALUES) for e in draw(st.lists(
             st.sampled_from(((0, 0), (1, 0), (0, 1))), min_size=1, max_size=3, unique=True))}
-        coords[p] = MultiPoly(names, terms)
+        coords[p] = MultiPoly(names, to_sparse(terms))
     return TwoForm.from_pairs(n, coords, names)
 
 
@@ -423,7 +424,7 @@ def test_two_form_validation():
     with pytest.raises(ValueError, match=r"^two-form has a nonzero diagonal entry$"):
         TwoForm(2, [[x, 0], [0, 0]])
     # a mirror over another variable tuple, or a constant against a rational
-    TwoForm(2, [[0, x], [MultiPoly(("y", "x"), {(0, 1): Q(-1)}), 0]])
+    TwoForm(2, [[0, x], [MultiPoly(("y", "x"), {((1, 1),): Q(-1)}), 0]])
     TwoForm(2, [[0, MultiPoly.constant(3)], [Q(-3), 0]])
     w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2

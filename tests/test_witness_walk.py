@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 from liesymp import symplectic
 from liesymp.fileformat import build, parse
-from liesymp.poly import MultiPoly
+from liesymp.poly import MultiPoly, _integer_terms
 from liesymp.symplectic import (
     _first_in_shell,
-    _integer_terms,
     decide_symplectic,
     find_nonvanishing_point,
 )
+
+from monomials import to_dense
 
 VARS = ("x1", "x2", "x3", "x4", "x5")
 
@@ -53,7 +54,7 @@ def brute_force_shell(p: MultiPoly, names, radius):
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     terms = [
         (tuple((v, e) for v, e in zip(p.vars, exps) if e), int(c * den))
-        for exps, c in p.terms.items()
+        for exps, c in to_dense(p.terms, len(p.vars)).items()
     ]
     for point in itertools.product(range(-radius, radius + 1), repeat=len(names)):
         if max(abs(v) for v in point) != radius:
@@ -74,7 +75,7 @@ def brute_force_point(p: MultiPoly, names, bound):
 
 def _degree(p: MultiPoly) -> int:
     """The largest exponent of any variable in p."""
-    return max((e for exps in p.terms for e in exps), default=0)
+    return max((e for exps in to_dense(p.terms, len(p.vars)) for e in exps), default=0)
 
 
 def _shell_matches_brute_force(p, names, radius):
@@ -207,13 +208,20 @@ def test_integer_terms_in_declared_and_permuted_order(case, data):
     integers); a permutation of the variables permutes every exponent tuple."""
     p = case[0]
     names = tuple(data.draw(st.permutations(p.vars)))
+    width = len(p.vars)
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    declared = _integer_terms(p, p.vars)
-    assert declared == {exps: int(c * den) for exps, c in p.terms.items()}
+    for terms in (_integer_terms(p, p.vars), _integer_terms(p, names)):
+        # the walk reads mono[0] as the lowest index a monomial holds
+        assert all(
+            [k for k, _ in mono] == sorted({k for k, _ in mono}) and all(e > 0 for _, e in mono)
+            for mono in terms
+        )
+    declared = to_dense(_integer_terms(p, p.vars), width)
+    assert declared == {exps: int(c * den) for exps, c in to_dense(p.terms, width).items()}
     assert all(type(c) is int for c in declared.values())
     order = [p.vars.index(v) for v in names]
     permuted = {tuple(exps[i] for i in order): c for exps, c in declared.items()}
-    assert _integer_terms(p, names) == permuted
+    assert to_dense(_integer_terms(p, names), width) == permuted
 
 
 def test_deep_witness_among_many_parameters_is_found_fast():
