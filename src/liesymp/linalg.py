@@ -8,7 +8,9 @@ vector, and the coordinates of a two-form.
 ``+``, ``-`` and ``*`` keep ints exact; the one operation that would round,
 ``int / int``, is never written: a division whose operands may both be ints
 goes through :func:`exact_quotient`.  So every result is exact: a kernel
-vector really multiplies to zero and a rank really is the rank.
+vector really multiplies to zero and a rank really is the rank.  Values
+that feed only ring operations (a Pfaffian, dw) are first scaled to ints
+by s, the lcm of their denominators (:func:`integer_multiple`).
 
 Every linear system in the package goes through one Gauss-Jordan kernel,
 :func:`sparse_rref`.  A row is a sparse map ``{column: value}``; the
@@ -76,6 +78,13 @@ def exact_quotient(x, y):
         q, r = divmod(x, y)
         return Fraction(x, y) if r else q
     return x / y
+
+
+def integer_multiple(values: Mapping) -> tuple[int, dict]:
+    """(s, s * values) for s the lcm of the denominators of the exact
+    rationals ``values``, the least positive int that makes each an int."""
+    s = math.lcm(*(x.denominator for x in values.values()))
+    return s, {k: x.numerator * (s // x.denominator) for k, x in values.items()}
 
 
 def vector(entries: Iterable) -> tuple[int | Fraction, ...]:

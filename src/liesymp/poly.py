@@ -46,6 +46,7 @@ from .linalg import (
     as_exact,
     as_fraction,
     exact_quotient,
+    integer_multiple,
     sparsest_row_pfaffian,
     upper_entries,
 )
@@ -317,9 +318,7 @@ def _integer_terms(p: MultiPoly, names: tuple[str, ...]) -> dict[Monomial, int]:
     missing = [v for v in p.used_vars() if v not in pos]
     if missing:
         raise ValueError(f"no value for variable(s) {', '.join(missing)}")
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    terms = _remap(p.terms, [pos.get(v) for v in p.vars])
-    return {mono: c.numerator * (den // c.denominator) for mono, c in terms.items()}
+    return integer_multiple(_remap(p.terms, [pos.get(v) for v in p.vars]))[1]
 
 
 def _times(a: Monomial, b: Monomial, sign: int) -> Monomial | None:

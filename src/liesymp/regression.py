@@ -31,8 +31,8 @@ from .symplectic import (
     TwoForm,
     cocycle_space,
     d_one_form,
-    d_two_form,
     generic_cocycle,
+    is_closed,
     is_lagrangian_ideal,
     pullback,
     top_power,
@@ -135,7 +135,7 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     witness_verified: bool | None = None
     if verdict.exists == "yes" and not verdict.degenerate:
         w = verdict.witness
-        witness_verified = w is not None and not d_two_form(g, w) and w.pfaffian() != 0
+        witness_verified = w is not None and is_closed(g, w) and w.pfaffian() != 0
         compare("witness-reverified", witness_verified)
 
     if entry.expected.exact is not None and verdict.exact_exists in ("yes", "no"):
@@ -253,7 +253,7 @@ def _reproduce_commutative(n: int) -> list[PropItem]:
     items.append(
         PropItem(
             f"abelian n={n}: rescaling pullback maps the form to the normal form",
-            not d_two_form(g, w) and pulled == normal,
+            is_closed(g, w) and pulled == normal,
         )
     )
 
@@ -336,7 +336,7 @@ def _reproduce_pairing(ns=(5, 7, 9)) -> list[PropItem]:
         e0 = g.basis_vector(0)
         en = g.basis_vector(n)
         w = d_one_form(g, e0).add(d_one_form(g, en))
-        closed = not d_two_form(g, w)
+        closed = is_closed(g, w)
         pf = w.pfaffian()
         literal = top_power(w)
         fact = 1

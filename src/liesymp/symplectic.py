@@ -34,9 +34,11 @@ A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
 closed form is the zero polynomial.  The witness point is the first integer
 parameter point p in growing max-norm shells, lexicographic within a shell
-(deterministic order), found by a pruned depth-first walk of each shell; the
+(deterministic order): the shell's corner (-r, ..., -r) if the Pfaffian is
+nonzero there, else found by a pruned depth-first walk of the shell; the
 witness form is sum_k p_k * z_k, summed from the coordinates of the Z^2
-basis forms z_k (and the exact witness likewise over B^2).
+basis forms z_k (and the exact witness likewise over B^2).  A concrete
+form's Pfaffian and dw are taken on s * w, in ints (``TwoForm.pfaffian``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .liealg import LieAlgebra, Subspace
 from .linalg import (
     as_exact,
     dense_row,
+    exact_quotient,
+    integer_multiple,
     sparse_kernel_rows,
     sparse_rref,
     sparsest_row_pfaffian,
@@ -156,11 +160,14 @@ class TwoForm:
 
     def pfaffian(self) -> int | Fraction | MultiPoly:
         """Pfaffian of the form's matrix: if concrete, an int where integral
-        and a Fraction otherwise; else a MultiPoly."""
+        and a Fraction otherwise; else a MultiPoly.  A concrete one is taken
+        in ints, on s * w for s the lcm of the denominators
+        (:func:`liesymp.linalg.integer_multiple`), as Pf(s w) / s^(n/2)."""
         if self.dim % 2 != 0:
             raise ValueError("pfaffian requires even dimension")
         if self.is_concrete():
-            return as_exact(sparsest_row_pfaffian(self.dim, self.coords))
+            s, coords = integer_multiple(self.coords)
+            return exact_quotient(sparsest_row_pfaffian(self.dim, coords), s ** (self.dim // 2))
         return polynomial_pfaffian(self.dim, self.coords)
 
     def add(self, other: "TwoForm") -> "TwoForm":
@@ -242,6 +249,10 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
 
 
 def is_closed(g: LieAlgebra, w: TwoForm) -> bool:
+    """Whether dw = 0.  A concrete w is tested as s * w, its coordinates
+    ints (see :meth:`TwoForm.pfaffian`), which is closed exactly when w is."""
+    if w.is_concrete():
+        w = TwoForm._of(w.dim, integer_multiple(w.coords)[1])
     return not d_two_form(g, w)
 
 
@@ -411,10 +422,10 @@ def find_nonvanishing_point(p: MultiPoly, names: Sequence[str]) -> dict[str, int
     nonzero somewhere on the grid {+-1, ..., +-r}^m once 2r > d (the grid
     lemma of Schwartz and of the Combinatorial Nullstellensatz), so the
     shells 1 .. d // 2 + 1 hold a witness and the search needs no cap.
-    Each shell is walked depth first in lex order (see ``_first_in_shell``),
-    so the walk never visits the points of a subtree on which p vanishes
-    identically; the point it returns is re-checked with
-    ``MultiPoly.evaluate``.
+    Each shell is tried at its corner, then walked depth first in lex order
+    (see ``_first_in_shell``), so the walk never visits the points of a
+    subtree on which p vanishes identically; the point found is re-checked
+    with ``MultiPoly.evaluate``.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -465,7 +476,12 @@ def _first_in_shell(terms: dict[Monomial, int], m: int, radius: int) -> tuple[in
     coordinate that no longer occurs is set to -radius without branching:
     that value comes first, puts the point on the shell, and so admits
     every completion any other value admits.
+
+    The walk starts only when the value at the corner (-radius, ..., -radius),
+    the lex-first point of the shell, sum c * (-radius)^deg, is zero.
     """
+    if sum(c * (-radius) ** sum(e for _, e in mono) for mono, c in terms.items()):
+        return (-radius,) * m
     point = [0] * m
     # A polynomial of degree <= 2 radius in x that vanishes for each of the
     # 2 radius + 1 values of x is zero, so only variables of higher degree

@@ -28,7 +28,7 @@ from test_liealg import sparse_tables
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.cli import main
 from liesymp.liealg import LieAlgebra
-from liesymp.linalg import RationalMatrix
+from liesymp.linalg import RationalMatrix, as_exact
 from liesymp.poly import MultiPoly, PolyMatrix, monomial_pfaffian
 from liesymp.structure import semidirect
 from liesymp.symplectic import TwoForm, cocycle_space, decide_symplectic, generic_cocycle
@@ -111,6 +111,8 @@ def test_rational_pfaffian_matches_first_row_expansion(grid):
     assert RationalMatrix(grid).pfaffian() == expected
     form = TwoForm(len(grid), grid)
     assert form.pfaffian() == expected
+    # an int where integral, never Fraction(4, 1), though taken on s * w
+    assert type(form.pfaffian()) is type(as_exact(expected))
     assert form.entries == grid
 
 
@@ -133,6 +135,18 @@ def test_pfaffian_of_edge_shapes():
     # the last row is empty, so the Pfaffian is zero whatever the rest holds
     grid = [[0, 1, 2, 0], [-1, 0, 3, 0], [-2, -3, 0, 0], [0, 0, 0, 0]]
     assert RationalMatrix(grid).pfaffian() == 0
+    # a concrete form's Pfaffian is Pf(s w) / s^(n/2) for s the lcm of its
+    # denominators: an int where integral, whatever the denominators
+    for pairs, pf in (
+        ({}, 1),  # dim 0
+        ({(0, 1): Q(8, 3), (2, 3): Q(3, 2)}, 4),
+        ({(0, 1): Q(1, 2), (2, 3): 4}, 2),
+        ({(0, 1): Q(1, 2), (2, 3): 2, (0, 2): Q(1, 3), (1, 3): 3, (0, 3): Q(1, 6), (1, 2): 6}, 1),
+        ({(0, 1): Q(1, 2), (2, 3): Q(1, 3)}, Q(1, 6)),
+        ({(0, 1): Q(3, 4), (2, 3): Q(5, 6), (0, 3): Q(1, 10)}, Q(5, 8)),
+    ):
+        got = TwoForm.from_pairs(4 if pairs else 0, pairs).pfaffian()
+        assert got == pf and type(got) is type(pf)
 
 
 def test_pfaffian_sign_when_the_sparsest_row_is_not_first():

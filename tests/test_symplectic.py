@@ -285,6 +285,32 @@ def test_decide_symplectic_with_witness_and_conditions():
     assert poly_divides(cond2, verdict.pfaffian)
 
 
+def test_witness_rechecks_on_an_integer_multiple_still_catch_faults():
+    """Both re-checks run on s * w, s the lcm of the witness's denominators:
+    Q n=13's witness has half-integer coordinates and Pf = -1/32, and must
+    still read as closed and non-degenerate, while a changed coordinate or a
+    degenerate form with a Fraction entry must not."""
+    entry = build_entry("Q", n=13)
+    g = semidirect(entry.torus)
+    w = decide_symplectic(g).witness
+    assert any(type(x) is Q for x in w.coords.values())
+    assert w.pfaffian() == Q(-1, 32)
+    result = check_entry(entry)
+    assert result.witness_verified is True
+    assert [c.computed for c in result.comparisons if c.fieldname == "witness-reverified"] == ["True"]
+    assert is_closed(g, w) and is_closed(g, generic_cocycle(cocycle_space(g)))
+    # each coordinate changed by 1/3 in turn: is_closed agrees with dw itself
+    verdicts = set()
+    for pair, x in w.coords.items():
+        changed = TwoForm._of(g.dim, {**w.coords, pair: x + Q(1, 3)})
+        verdicts.add(is_closed(g, changed))
+        assert is_closed(g, changed) == (not d_two_form(g, changed))
+    assert False in verdicts
+    # Pf = (1/2) * 2 - 1 * 1: degenerate, with a Fraction entry
+    degenerate = TwoForm.from_pairs(4, {(0, 1): Q(1, 2), (2, 3): 2, (0, 2): 1, (1, 3): 1})
+    assert degenerate.pfaffian() == 0 and type(degenerate.pfaffian()) is int
+
+
 def test_decide_symplectic_zero_dimension_is_degenerate():
     verdict = decide_symplectic(LieAlgebra(0))
     assert verdict.exists == "yes" and verdict.degenerate

@@ -6,7 +6,9 @@ lexicographic order, evaluates the polynomial on it with integer
 arithmetic of its own, and returns the first nonzero point.  The two must
 agree exactly shell by shell, including on a shell where the polynomial
 vanishes, and the search must end with a witness within the shells
-1 .. d // 2 + 1 for d the largest exponent of any variable.
+1 .. d // 2 + 1 for d the largest exponent of any variable.  Each shell is
+first tried at its corner (-r, ..., -r), its lex-first point; where the
+polynomial is nonzero there, no walk starts.
 """
 
 import itertools
@@ -156,12 +158,32 @@ def test_walk_matches_brute_force_on_hand_picked_cases():
         (x * (y - 1) * (y + 1) * y + z, ("x", "y", "z")),
         ((x - y) * (y - z) * (x - z), ("x", "y", "z")),
         (x * x - y * y, ("y", "x")),
+        (x - y, ("x", "y")),  # zero at the corner, nonzero elsewhere on shell 1
+        (x + y + 2, ("x", "y")),  # zero at the corner, 4 at (1, 1): (-r)^deg keeps its sign
+        # zero on all of shell 1, nonzero at the corner (-2, -2) of shell 2
+        (x * (x - 1) * (x + 1) + y * (y - 1) * (y + 1), ("x", "y")),
     ]
     for p, names in cases:
         for radius in (1, 2, 3):
             _shell_matches_brute_force(p, names, radius)
         expected = brute_force_point(p, names, _degree(p) // 2 + 1)
         assert find_nonvanishing_point(p, names) == expected
+
+
+def test_a_polynomial_nonzero_at_the_corner_is_answered_without_substituting(monkeypatch):
+    # the corner (-r, ..., -r) is the lex-first point of shell r, so where p
+    # is nonzero there the walk, which substitutes, never starts
+    def substituted(*args):
+        raise AssertionError("the walk ran although the corner is a witness")
+
+    monkeypatch.setattr(symplectic, "_fix_first", substituted)
+    x, y, z = MultiPoly.variables(["x", "y", "z"])
+    # x*y + z + 5 is 5 at (-1, -1, -1); x*y*z + 1 is 0 there and -7 at (-2, -2, -2)
+    assert find_nonvanishing_point(x * y + z + 5, ("x", "y", "z")) == {"x": -1, "y": -1, "z": -1}
+    terms = _integer_terms(x * y * z + 1, ("x", "y", "z"))
+    assert _first_in_shell(terms, 3, 2) == (-2, -2, -2)
+    with pytest.raises(AssertionError, match="the walk ran"):
+        _first_in_shell(terms, 3, 1)
 
 
 @pytest.mark.parametrize("r", range(1, 6))

@@ -8,7 +8,9 @@
 # table section, every catalog file, a parameter a fixed row rejects (exit 2;
 # its stderr is compared too), each file command on the demo files and on
 # catalog files with a torus, the symplectic decision of bare abelian files
-# of dim 10 and 12, of Q n=45 and of L n=20, and the demos.  Two checkouts,
+# of dim 10 and 12, of two generated nilpotent files (one whose witness the
+# walk finds deep in shell 1, one whose witness is the shell's corner), of
+# Q n=45 and of L n=20, and the demos.  Two checkouts,
 # or two interpreters, that print the same bytes agree on every output.
 # A failing command outside ``run`` (which records the exit code of the one
 # it runs) stops the battery with that command's exit code.
@@ -52,6 +54,18 @@ battery() {
   # bare abelian dim 12: 10,395 terms over 66 parameters
   printf 'algebra a\nbasis %s\n' "$(echo e{1..12})" > "$dir/abelian12.lie"
   run symplectic "$dir/abelian12.lie" --json
+  # two files of the benchmark's generated core (bench/gen.py).  core_008,
+  # the DEEP_WITNESS of tests/test_witness_walk.py, is zero at the corner
+  # (-1, ..., -1) of shell 1, and its witness is the 6,562nd point of that
+  # shell; core_110's witness is the corner itself
+  printf 'algebra core_008\nbasis %s\n[e1,e5] = 2*e10\n[e4,e5] = 2*e8\n' \
+    "$(echo e{1..10})" > "$dir/core_008.lie"
+  printf 'algebra core_110\nbasis %s\n[e1,e3] = -2*e8\n[e2,e3] = e5\n[e3,e5] = -2*e8\n' \
+    "$(echo e{1..8})" > "$dir/core_110.lie"
+  for f in "$dir/core_008.lie" "$dir/core_110.lie"; do
+    run symplectic "$f" --json
+    run symplectic "$f" --witness
+  done
   # the largest catalog members the suite pins
   for args in "Q n=45" "L n=20"; do
     set -- $args
