@@ -445,6 +445,12 @@ def _cmd_catalog(args) -> int:
         selection = [
             (name, ps) for name, ps in selection if name.startswith(f"n{args.dim}_")
         ]
+        if not selection:
+            raise ValueError(f"--dim {args.dim}: no table section has that nilradical dimension")
+    taken = {key for name, _ in selection for key in cat.entry_parameters(name)}
+    unused = [key for key in params if key not in taken]
+    if unused:
+        raise ValueError(f"--set {unused[0]}: no selected entry takes this parameter")
     if params:
         selection = [
             (name, {**ps, **{k: v for k, v in params.items() if k in cat.entry_parameters(name)}})

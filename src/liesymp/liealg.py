@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .linalg import (
     as_exact,
@@ -170,7 +170,7 @@ class LieAlgebra:
         self.dim = dim
         self.labels = labels
         self.table = table
-        self._grading = None  # (weights, weight_classes), read once by _grade
+        self._grading = None  # (weights, weight_classes, grading_vectors), read once by _grade
 
     # -- bracket --------------------------------------------------------------
 
@@ -271,9 +271,9 @@ class LieAlgebra:
     # -- grading -----------------------------------------------------------------
 
     def weights(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The weight of each basis vector: its eigenvalues under the basis
-        vectors h whose ad h is diagonal and nonzero, in increasing order of
-        h, read off the bracket table once and kept.
+        """The weight of each basis vector: its eigenvalues under the
+        :meth:`grading_vectors`, in increasing order of h, read off the
+        bracket table once and kept.
 
         Each such ad h is a derivation, so the weights grade the algebra:
         [e_a, e_b] has weight w_a + w_b.  With no such h, as in a nilpotent
@@ -289,9 +289,15 @@ class LieAlgebra:
         self.weights()
         return self._grading[1]
 
+    def grading_vectors(self) -> tuple[int, ...]:
+        """The basis indices h whose ad h is diagonal and nonzero, increasing,
+        each of weight 0 ([e_h, e_h'] is a multiple of e_h and of e_h')."""
+        self.weights()
+        return self._grading[2]
+
     def _grade(self):
-        """The one scan of the bracket table behind :meth:`weights` and
-        :meth:`weight_classes`."""
+        """The one scan of the bracket table behind :meth:`weights`,
+        :meth:`weight_classes` and :meth:`grading_vectors`."""
         ad: dict[int, dict[int, int | Fraction]] = {}  # ad[h][i] = c where [e_h, e_i] = c e_i
         off: set[int] = set()  # the h with some [e_h, e_i] not a multiple of e_i
         for (a, b), coeffs in self.table.items():
@@ -303,29 +309,31 @@ class LieAlgebra:
                 off.add(a)
             else:
                 off.update((a, b))
-        diagonal = [ad[h] for h in sorted(ad) if h not in off]
-        weights = tuple(tuple([col.get(i, 0) for col in diagonal]) for i in range(self.dim))
+        grading = tuple(h for h in sorted(ad) if h not in off)
+        weights = tuple(tuple([ad[h].get(i, 0) for h in grading]) for i in range(self.dim))
         classes: dict[tuple, list[int]] = {}
         for i, w in enumerate(weights):
             classes.setdefault(w, []).append(i)
-        return weights, {w: tuple(idx) for w, idx in classes.items()}
+        return weights, {w: tuple(idx) for w, idx in classes.items()}, grading
 
     # -- classical subspaces ----------------------------------------------------
 
-    def center_rows(self) -> list[dict[int, int | Fraction]]:
-        """The center's equations, one per (j, k): sum_i c_ij^k x_i = 0,
-        assembled from the bracket table as sparse rows in x."""
+    def center_rows(self, columns: Container[int]) -> list[dict[int, int | Fraction]]:
+        """The center's equations, one per (j, k): sum_i c_ij^k x_i = 0 over the
+        i in ``columns`` (the other x_i held at zero), as sparse rows."""
         rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (a, b), coeffs in self.table.items():
             for k, c in coeffs.items():
-                rows.setdefault((b, k), {})[a] = c
-                rows.setdefault((a, k), {})[b] = -c
+                if a in columns:
+                    rows.setdefault((b, k), {})[a] = c
+                if b in columns:
+                    rows.setdefault((a, k), {})[b] = -c
         return list(rows.values())
 
     def center(self) -> Subspace:
         """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to
-        zero: the solutions of :meth:`center_rows`."""
-        kernel = sparse_kernel_basis(sparse_rref(self.center_rows()), self.dim)
+        zero: the solutions of :meth:`center_rows` on every coordinate."""
+        kernel = sparse_kernel_basis(sparse_rref(self.center_rows(range(self.dim))), self.dim)
         return Subspace(self.dim, kernel)
 
     def subalgebra_product(self, a: Subspace, b: Subspace) -> Subspace:

@@ -30,18 +30,21 @@ series.
 
 The completeness check solves Der(g) by weight: every basis vector h whose
 ad h is diagonal (each [e_h, e_i] a multiple of e_i, read off the bracket
-table by :meth:`LieAlgebra.weights`) grades g, as the torus vector of a
-diagonal generator diag(l) does on t ⋉ n, with l_i on e_i and 0 on the
+table by :meth:`LieAlgebra.grading_vectors`) grades g, as the torus vector
+of a diagonal generator diag(l) does on t ⋉ n, with l_i on e_i and 0 on the
 torus.  Der(g) splits by the weight w_r - w_c of an entry D[r][c], and a
 derivation of weight mu != 0 is inner.  Only the Leibniz rows of the
 weight-0 block are solved, over the classes of basis indices by weight
 (:meth:`LieAlgebra.weight_classes`, scanned with the weights once per
 algebra and shared with ``cocycle_space``), and
 
-    dim Der(g) = dim Der_0(g) + (dim g - dim g_0)
+    dim Der(g) = dim Der_0(g) + (dim g - dim g_0).
 
-(see :class:`CompletenessReport`).  ``derivation_algebra`` solves the full
-system, for a basis.
+The center lies in g_0 and is solved there; a weight-0 derivation maps each
+grading vector into the center, so with a trivial center their columns and
+the rows of their pairs leave the system, whose rank is taken pivoting on
+each row's last unknown (see :class:`CompletenessReport`).
+``derivation_algebra`` solves the full system, for a basis.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, islice
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .liealg import LieAlgebra, Subspace
 from .linalg import (
@@ -95,25 +98,13 @@ class DerivationBasis:
         return len(self.basis)
 
 
-def _full_leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
-    """The Leibniz system of every derivation: all n^2 unknowns."""
-    return _leibniz_rows(g, [range(g.dim)] * g.dim)
-
-
-def _weight_0_leibniz_rows(g: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
-    """The Leibniz system of the weight-0 derivations: only the unknowns
-    D[r][c] with e_r and e_c of one weight (:meth:`LieAlgebra.weights`),
-    read off :meth:`LieAlgebra.weight_classes`."""
-    classes = g.weight_classes()
-    return _leibniz_rows(g, [classes[w] for w in g.weights()])
-
-
 def _leibniz_rows(
-    g: LieAlgebra, classes: Sequence[Sequence[int]]
+    g: LieAlgebra, classes: Sequence[Sequence[int]], fixed: Container[int]
 ) -> dict[tuple[int, int, int], dict[int, Fraction]]:
     """The Leibniz identity D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] as
-    linear equations in the entries D[r][c] with r in ``classes[c]``, the
-    others held at zero.
+    linear equations in the entries D[r][c] with r in ``classes[c]`` (and c
+    in ``classes[r]``) and c not in ``fixed``, the others held at zero, on
+    the pairs i < j that meet no index of ``fixed``.
 
     D is flattened row-major (D[r][c] at index r*n + c, so column c holds
     D e_c); there is one sparse row per basis pair i < j and component k,
@@ -130,20 +121,27 @@ def _leibniz_rows(
         else:
             del row[col]
 
+    # the rows k of the unknowns D[k][m] kept in column m, and the columns i
+    # kept in row a; in the loops over i and j the pair of each row holds the
+    # unknown's column, so they keep exactly the pairs that meet no fixed index
+    in_column = [() if c in fixed else cls for c, cls in enumerate(classes)]
+    in_row = [[c for c in cls if c not in fixed] for cls in classes]
     for (a, b), coeffs in g.table.items():
-        for m, c in coeffs.items():
-            # D applied to [e_a, e_b] = sum_m c e_m, in every component k
-            for k in classes[m]:
-                add((a, b, k), k * n + m, c)
+        if a not in fixed and b not in fixed:
+            for m, c in coeffs.items():
+                # D applied to [e_a, e_b] = sum_m c e_m, in every component k
+                for k in in_column[m]:
+                    add((a, b, k), k * n + m, c)
+        left, right = () if b in fixed else in_row[a], () if a in fixed else in_row[b]
         for k, c in coeffs.items():
             # minus [D e_i, e_j] and [e_i, D e_j]: the e_a-component D[a][i]
             # of D e_i meets e_b, and the e_b-component D[b][j] meets e_a
-            for i in classes[a]:
+            for i in left:
                 if i < b:
                     add((i, b, k), a * n + i, -c)
                 elif i > b:
                     add((b, i, k), a * n + i, c)
-            for j in classes[b]:
+            for j in right:
                 if j < a:
                     add((j, a, k), b * n + j, c)
                 elif j > a:
@@ -169,28 +167,40 @@ def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
     """Solve the Leibniz identity as a linear system on n x n matrices,
     flattened row-major (see ``_leibniz_rows``), for a basis of column maps."""
     n = g.dim
-    kernel = sparse_kernel_rows(sparse_rref(_full_leibniz_rows(g).values()), n * n)
+    kernel = sparse_kernel_rows(sparse_rref(_leibniz_rows(g, [range(n)] * n, ()).values()), n * n)
     return DerivationBasis(n, tuple(_columns(v, n) for v in kernel))
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Center and derivation dimensions of an algebra.
+    """Center and derivation dimensions of an algebra, which must satisfy
+    the Jacobi identity: only then does ad give derivations.
 
     The center and Der(g) are solved only when read, and ``complete`` reads
     Der(g) only for a trivial center: otherwise the answer is already no.
-    Only the center's dimension is needed, so ``center_dim`` is dim g minus
-    the rank of :meth:`LieAlgebra.center_rows`, with no basis solved.
+    Only the center's dimension is needed, so ``center_dim`` is dim g_0
+    minus the rank of :meth:`LieAlgebra.center_rows` on the coordinates of
+    g_0, with no basis solved: the center lies in g_0, as [h, x] = mu(h) x
+    vanishes for central x of weight mu.
 
     The weights of :meth:`LieAlgebra.weights` (one per basis vector) are the
     eigenvalues of the diagonal inner derivations ad h, such as those of the
     diagonal torus generators of t ⋉ n.  They commute, so Der(g) splits by
     weight, and a derivation D of weight mu != 0 is inner: for h with
-    mu(h) != 0, mu(h) D = [ad h, D] = -ad(D h).  The center lies in weight 0, as
-    [h, x] = mu(h) x vanishes for central x, so ad is injective on each
-    g_mu with mu != 0, and only the weight-0 block is solved:
+    mu(h) != 0, mu(h) D = [ad h, D] = -ad(D h).  As ad is injective on each
+    g_mu with mu != 0, only the weight-0 block is solved:
 
         dim Der(g) = dim Der_0(g) + (dim g - dim g_0).
+
+    For D of weight 0, a grading vector h and x of weight lambda,
+    lambda(h) Dx = D[h, x] = [Dh, x] + [h, Dx] = [Dh, x] + lambda(h) Dx, so
+    Dh is central.  With a trivial center D(h) = 0: the unknowns D[.][h]
+    are fixed at zero, which takes |class(h)| off the count, and the rows
+    of every pair holding h, which then vanish identically, are left out.
+    Only the rank is read, and it does not depend on the order of the
+    unknowns, so they are numbered in reverse and each row pivots on its
+    last unknown D[r][c]; in the adapted bases of the catalog that unknown
+    is new in each row, and the elimination fills nothing.
     """
 
     algebra: LieAlgebra
@@ -198,14 +208,20 @@ class CompletenessReport:
     @cached_property
     def center_dim(self) -> int:
         g = self.algebra
-        return g.dim - len(sparse_rref(g.center_rows()))
+        zero = {i for i, w in enumerate(g.weights()) if not any(w)}
+        return len(zero) - len(sparse_rref(g.center_rows(zero)))
 
     @cached_property
     def derivation_dim(self) -> int:
         g = self.algebra
-        unknowns = sum(len(c) ** 2 for c in g.weight_classes().values())
-        rank = len(sparse_rref(_weight_0_leibniz_rows(g).values()))
-        return unknowns - rank + sum(1 for w in g.weights() if any(w))
+        weights, classes = g.weights(), g.weight_classes()
+        fixed = set(g.grading_vectors()) if self.center_dim == 0 else set()
+        unknowns = sum(len(c) ** 2 for c in classes.values())
+        unknowns -= sum(len(classes[weights[h]]) for h in fixed)
+        rows = _leibniz_rows(g, [classes[w] for w in weights], fixed).values()
+        last = g.dim**2 - 1  # numbered in reverse: each row pivots on its last unknown
+        rank = len(sparse_rref({last - j: x for j, x in row.items()} for row in rows))
+        return unknowns - rank + sum(1 for w in weights if any(w))
 
     @property
     def ad_dim(self) -> int:

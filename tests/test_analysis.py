@@ -34,7 +34,7 @@ from liesymp.structure import (
     verify_torus,
 )
 from liesymp.symplectic import cocycle_space, d_one_form
-from test_liealg import unchecked_product
+from test_liealg import sparse_tables, unchecked_product
 from test_linalg import (
     add_maps,
     apply_map,
@@ -238,29 +238,57 @@ def test_graded_derivation_dim_on_mixed_tori(name):
 
 
 def test_the_catalog_solves_only_weight_0_blocks(monkeypatch):
-    """No full Der(g) solve on the catalog path, and every Leibniz system it
-    assembles has only the sum of squared weight-class sizes as unknowns."""
+    """No full Der(g) solve on the catalog path.  Each entry assembles one
+    Leibniz system, of the weight-0 block with its grading vectors H fixed
+    (every center is trivial): no row's pair meets H, and no unknown lies in
+    an H column.  Its center is solved on the weight-0 coordinates alone."""
     full = _count_calls(monkeypatch, structure, "derivation_algebra")
-    ungraded = _count_calls(monkeypatch, structure, "_full_leibniz_rows")
-    original = structure._weight_0_leibniz_rows
-    systems = []
+    leibniz_rows, center_rows = structure._leibniz_rows, LieAlgebra.center_rows
+    systems, centers = [], []
 
-    def weight_0_leibniz_rows(g):
-        rows = original(g)
-        systems.append((g, rows))
+    def recorded_leibniz_rows(g, classes, fixed):
+        rows = leibniz_rows(g, classes, fixed)
+        systems.append((g, fixed, rows))
         return rows
 
-    monkeypatch.setattr(structure, "_weight_0_leibniz_rows", weight_0_leibniz_rows)
+    def recorded_center_rows(g, columns):
+        rows = center_rows(g, columns)
+        centers.append((g, rows))
+        return rows
+
+    monkeypatch.setattr(structure, "_leibniz_rows", recorded_leibniz_rows)
+    monkeypatch.setattr(LieAlgebra, "center_rows", recorded_center_rows)
     report = run_regression(DEFAULT_SELECTION)
-    assert report.green and full == [] and ungraded == []
-    assert len(systems) == len(DEFAULT_SELECTION)  # every center is trivial
-    for g, rows in systems:
+    assert report.green and full == []
+    assert len(systems) == len(DEFAULT_SELECTION)
+    assert [g for g, _ in centers] == [g for g, _, _ in systems]
+    for g, fixed, rows in systems:
         n = g.dim
         weights = g.weights()
+        grading = set(g.grading_vectors())
+        assert grading and set(fixed) == grading
         # the weight-0 block: sum (class size)^2 unknowns, fewer than n^2
         block = {r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]}
         assert len(block) < n * n
-        assert {c for row in rows.values() for c in row} <= block
+        unknowns = {c for row in rows.values() for c in row}
+        assert unknowns <= block
+        assert all(c % n not in grading for c in unknowns)
+        assert all(not {i, j} & grading for i, j, _ in rows)
+    for g, rows in centers:
+        assert all(not any(g.weights()[i]) for row in rows for i in row)
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(g=sparse_tables())
+def test_completeness_report_matches_the_full_solves_on_rescaled_tables(g):
+    """Permuted and rescaled bases move and scale the grading vectors; the
+    center and Der(g) counts still match the full solves."""
+    assume(g.jacobi_holds())
+    report = is_complete(g)
+    assert report.center_dim == g.center().dim
+    assert report.derivation_dim == derivation_algebra(g).dim
 
 
 # -- the grading read off the bracket table ------------------------------------
@@ -280,13 +308,32 @@ def test_table_weights_grade_algebras_given_without_a_torus():
     # [x, y] = y, where ad x is diagonal
     affine = LieAlgebra(2, {(0, 1): {1: Q(1)}}, ("x", "y"))
     # sl2 with [x, y] = x, [x, z] = y, [y, z] = z, where ad y is diagonal
-    sl2 = LieAlgebra(3, {(0, 1): {0: Q(1)}, (0, 2): {1: Q(1)}, (1, 2): {2: Q(1)}}, ("x", "y", "z"))
+    sl2_table = {(0, 1): {0: Q(1)}, (0, 2): {1: Q(1)}, (1, 2): {2: Q(1)}}
+    sl2 = LieAlgebra(3, sl2_table, ("x", "y", "z"))
     assert sl2.jacobi_holds()
-    for g, weights, der in ((affine, ((0,), (1,)), 2), (sl2, ((-1,), (0,), (1,)), 3)):
+    # sl2 x R: the grading vector y lies in [g, g], and the center is R
+    sl2_r = LieAlgebra(4, sl2_table, ("x", "y", "z", "c"))
+    # the affine algebra x R: x -> c is an outer derivation of weight 0
+    affine_r = LieAlgebra(3, affine.table, ("x", "y", "c"))
+    # sl2 x sl2: [x1, z1] = y1 has no y2-component, so the Leibniz row of
+    # (x1, z1) in that component holds only the unknown D[y2][y1]
+    shifted = {
+        (i + 3, j + 3): {k + 3: c for k, c in cs.items()} for (i, j), cs in sl2_table.items()
+    }
+    sl2_sl2 = LieAlgebra(6, {**sl2_table, **shifted})
+    cases = (
+        (affine, ((0,), (1,)), (0,), 0, 2),
+        (sl2, ((-1,), (0,), (1,)), (1,), 0, 3),
+        (sl2_r, ((-1,), (0,), (1,), (0,)), (1,), 1, 4),
+        (affine_r, ((0,), (1,), (0,)), (0,), 1, 4),
+        (sl2_sl2, ((-1, 0), (0, 0), (1, 0), (0, -1), (0, 0), (0, 1)), (1, 4), 0, 6),
+    )
+    for g, weights, grading, center, der in cases:
         report = is_complete(g)
-        assert g.weights() == weights
+        assert g.weights() == weights and g.grading_vectors() == grading
+        assert report.center_dim == g.center().dim == center
         assert report.derivation_dim == derivation_algebra(g).dim == der
-        assert report.complete
+        assert report.complete == (center == 0)
 
 
 @pytest.mark.parametrize("name, params", DEFAULT_SELECTION)

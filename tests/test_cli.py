@@ -398,6 +398,28 @@ def test_catalog_verify_dim_filter(capsys):
     assert "summary: 22 entries" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--dim", "7"], "error: --dim 7: no table section has that nilradical dimension"),
+        (["--dim", "-1"], "error: --dim -1: no table section has that nilradical dimension"),
+        (["--json", "--dim", "2"], "error: --dim 2: no table section has that nilradical dimension"),
+        (["--set", "zz=3"], "error: --set zz: no selected entry takes this parameter"),
+        (["--dim", "5", "--set", "a=3"], "error: --set a: no selected entry takes this parameter"),
+        (["--dim", "3", "--set", "n=5"], "error: --set n: no selected entry takes this parameter"),
+        (["--set", "n=5", "--set", "zz=1/2"], "error: --set zz: no selected entry takes this parameter"),
+    ],
+)
+def test_catalog_verify_rejects_a_vacuous_selection(argv, error, capsys):
+    """An empty table section, or a --set key that no selected entry takes,
+    exits 2 with one error line; both used to report an empty or unchanged
+    selection as green."""
+    assert main(["catalog", "verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == error
+
+
 def test_catalog_verify_json(capsys):
     assert main(["catalog", "verify", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -6,7 +6,10 @@ sources are the demo algebras and ``catalog show`` files, mutated token by
 token (replace, insert, delete).
 """
 
+import contextlib
 import glob
+import io
+import json
 import re
 from pathlib import Path
 
@@ -76,7 +79,7 @@ def test_mutated_files_keep_the_exit_contract(workdir, source, command):
 # --set values: well-formed and not, with zero denominators, and family
 # sizes from invalid through small to over the size bound (the sizes in
 # between are valid but slow, and the exit contract does not depend on them)
-KEYS = st.sampled_from(("n", "a", "alpha", "", " n ", "x y"))
+KEYS = st.sampled_from(("n", "a", "alpha", "", " n ", "x y", "zz"))
 VALUES = st.one_of(
     st.sampled_from(("1/0", "0/0", "-3/0", " 5/00")),
     st.sampled_from(("", "abc", "1e3", "0", "1/2", "-1", " 7 ", "=")),
@@ -101,8 +104,19 @@ def test_catalog_show_keeps_the_exit_contract(name, sets):
 @settings(max_examples=25, deadline=None)
 @given(
     sets=st.lists(SETS, min_size=1, max_size=2),
-    extra=st.sampled_from(([], ["--json"], ["--dim", "4"], ["--dim", "6"])),
+    extra=st.sampled_from(
+        ([], ["--json"], ["--dim", "4"], ["--dim", "5"], ["--dim", "6"], ["--dim", "7"],
+         ["--dim", "-1"])
+    ),
 )
 def test_catalog_verify_keeps_the_exit_contract(sets, extra):
-    _run(["catalog", "verify"] + extra + [x for s in sets for x in ("--set", s)])
-
+    """A run that exits 0 reports on at least one entry: an empty table
+    section or a --set key that no selected entry takes is bad input."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _run(["catalog", "verify"] + extra + [x for s in sets for x in ("--set", s)])
+    if code == 0:
+        if "--json" in extra:
+            assert json.loads(out.getvalue())["entries"]
+        else:
+            assert "summary: 0 entries" not in out.getvalue()

@@ -5,12 +5,16 @@
 #   tools/exact_outputs.sh python3 > out.txt 2> err.txt
 #
 # It covers the catalog and propositions reports in JSON and text, the dim-5
-# table section, every catalog file, a parameter a fixed row rejects (exit 2;
-# its stderr is compared too), each file command on the demo files and on
-# catalog files with a torus, the symplectic decision of bare abelian files
-# of dim 10 and 12, of two generated nilpotent files (one whose witness the
-# walk finds deep in shell 1, one whose witness is the shell's corner), of
-# Q n=45 and of L n=20, and the demos.  Two checkouts,
+# table section, every catalog file, a parameter a fixed row rejects and a
+# table section or a parameter that selects nothing (exit 2; their stderr is
+# compared too), each file command on the demo files and on catalog files
+# with a torus, the symplectic decision of bare abelian files of dim 10 and
+# 12, of two generated nilpotent files (one whose witness the walk finds deep
+# in shell 1, one whose witness is the shell's corner), the symplectic
+# decision, props and completeness of Q n=45 and of L n=20, props and
+# completeness of two algebras with a nonzero center in weight 0 (sl2 x R,
+# whose grading vector lies in [g, g], and abelian n=2 with one torus
+# generator), and the demos.  Two checkouts,
 # or two interpreters, that print the same bytes agree on every output.
 # A failing command outside ``run`` (which records the exit code of the one
 # it runs) stops the battery with that command's exit code.
@@ -30,6 +34,8 @@ battery() {
   run repro-props
   run catalog list
   run catalog show n4_1 --set a=1
+  run catalog verify --dim 7
+  run catalog verify --set zz=3
   for name in $(PYTHONPATH=src "$py" -c 'from liesymp.catalog import entry_names; print(*entry_names())'); do
     run catalog show "$name"
   done
@@ -72,6 +78,15 @@ battery() {
     liesymp catalog show "$1" --set "$2" > "$dir/large-$1.lie"
     run symplectic "$dir/large-$1.lie" --json
     run symplectic "$dir/large-$1.lie" --witness
+    run der "$dir/large-$1.lie" --complete
+    run props "$dir/large-$1.lie"
+  done
+  # a nonzero center: sl2 x R, and abelian n=2 with its first generator only
+  printf 'algebra sl2r\nbasis x y z c\n[x,y] = x\n[x,z] = y\n[y,z] = z\n' > "$dir/sl2r.lie"
+  printf 'algebra abelian\nbasis e1 e2\ntorus e3\n[e3,e1] = e1\n' > "$dir/abelian2-h1.lie"
+  for f in "$dir/sl2r.lie" "$dir/abelian2-h1.lie"; do
+    run der "$f" --complete
+    run props "$f"
   done
   for f in demos/*.py; do
     echo "== $f"
