@@ -8,7 +8,8 @@ cached on the torus, ``TorusAction.check``, built and checked for the
 Jacobi identity), ``is_complete(algebra)`` (whose report solves the
 center and Der(g) only when read), ``rank_bound(nilradical)`` and
 ``decide_symplectic(algebra)`` (whose verdict keeps the cocycle space it
-decided from, out of which a reader builds the generic closed form).  The
+decided from, whose Z^2 and B^2 are each solved only when read, and out of
+which a reader builds the generic closed form).  The
 nilradical's Jacobi identity is read off that torus check, as t ⋉ n holds
 every triple of n.
 

@@ -23,12 +23,15 @@ decision's from the basis forms, the k-th keyed by t_k, and
 ``TwoForm.pfaffian``'s through :func:`liesymp.poly.polynomial_pfaffian`.
 So the decision builds no generic form; its verdict keeps the
 :class:`CocycleSpace`, from which :func:`generic_cocycle` builds one.
+Each part of a cocycle space, Z^2 and B^2, is solved when read: in odd
+dimension the decision reads neither, and once the closed Pfaffian is
+zero the exact one is zero too (B^2 ⊆ Z^2), so B^2 is not read.
 
 Z^2 is solved by the weights of :meth:`LieAlgebra.weights`, the grading
 that completeness uses too: only the weight-0 block of dw = 0 is
 eliminated, and every other block is exact (Cartan's formula) and read off
 the rows d(e^k), in a column order that keeps the basis the one the
-ungraded solve gives (see :func:`cocycle_space`).
+ungraded solve gives (see :attr:`CocycleSpace.z2_basis`).
 
 A two-form is *symplectic* when it is closed and its Pfaffian is nonzero;
 existence over Q is decided by testing whether the Pfaffian of the generic
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -265,113 +269,147 @@ def _pair_index(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CocycleSpace:
-    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions."""
+    """Closed 2-forms (Z^2), exact 2-forms (B^2) and their dimensions, each
+    part solved when first read and kept.
+
+    ``algebra`` must satisfy the Jacobi identity, which makes the weights of
+    :meth:`LieAlgebra.weights` a grading; its classes of basis indices by
+    weight are :meth:`LieAlgebra.weight_classes`, computed once per algebra
+    and shared with the Der(g) count of the completeness report.  Z^2
+    (``z2_basis``) and B^2 (``b2_basis`` with ``b2_preimages``) are two
+    eliminations, each run at most once, on the first read of a field that
+    needs it; ``dims`` reads both.  A space nobody reads, as in odd
+    dimension, solves nothing.  B^2 ⊆ Z^2, as d(d a) = 0, so when every
+    closed form is degenerate every exact one is too, and the decision
+    reads no B^2 then (see :func:`decide_symplectic`).
+    """
 
     algebra: LieAlgebra
-    z2_basis: tuple[TwoForm, ...]
-    b2_basis: tuple[TwoForm, ...]
-    b2_preimages: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dims(self) -> tuple[int, int, int]:
         z, b = len(self.z2_basis), len(self.b2_basis)
         return (z, b, z - b)
 
+    @cached_property
+    def _image(self) -> list[dict[int, int | Fraction]]:
+        """The rows d(e^k) = -sum c_ab^k e^a ^ e^b on the pair columns, each
+        tagged with e^k in the k-th column after the pairs; read by both
+        parts."""
+        n = self.algebra.dim
+        size = n * (n - 1) // 2
+        image: list[dict[int, int | Fraction]] = [{size + k: 1} for k in range(n)]
+        for (a, b), coeffs in self.algebra.table.items():
+            j = a * (2 * n - a - 1) // 2 + b - a - 1  # the column of the pair (a, b)
+            for k, c in coeffs.items():
+                image[k][j] = -c
+        return image
+
+    @cached_property
+    def z2_basis(self) -> tuple[TwoForm, ...]:
+        """Z^2 as the kernel of d on antisymmetric forms, solved by weight:
+        the pair {m, t} has weight w_m + w_t, and d keeps weights.  A closed
+        form of weight mu != 0 is exact, by Cartan's formula
+        theta(h) = d i_h + i_h d for a grading vector e_h with mu(h) != 0, so
+        Z^2 = Z^2_0 + B^2_{!=0}.  Only the rows of dw = 0 on the weight-0
+        pairs are assembled (the sums of :meth:`LieAlgebra.compositions`
+        with the partners e_t of e_m, w_t = -w_m) and solved by the
+        elimination kernel of :mod:`liesymp.linalg`; each vector of its
+        kernel basis has 1 at its free column, which is its last, and 0 at
+        every other free column.  The other blocks are the rows d(e^k) with
+        w_k != 0, reduced with the pair columns in reversed order, which
+        gives each row the same shape: 1 at its last pair and 0 at the last
+        pair of every other row.  So the two parts, merged by last pair, are
+        the kernel basis of the ungraded solve, form by form.  With one
+        weight class, as in a nilpotent algebra, the dw = 0 system is the
+        whole one."""
+        g = self.algebra
+        n = g.dim
+        weights = g.weights()
+        classes = g.weight_classes()
+        opposite = {w: classes.get(tuple(-x for x in w), ()) for w in classes}
+        # the weight-0 pairs {m, t}, w_t = -w_m, in their order among all pairs;
+        # column[s][t] is the column of the weight-0 pair {s, t}
+        zero_pairs = [(m, t) for m, w in enumerate(weights) for t in opposite[w] if t > m]
+        column = [[0] * n for _ in range(n)]
+        for idx, (i, j) in enumerate(zero_pairs):
+            column[i][j] = column[j][i] = idx
+        # w(e_m, e_t) is the coordinate of the pair's column if m < t, else its negation
+        partners = [
+            [(t, (column[m][t], m < t)) for t in opposite[w] if t != m]
+            for m, w in enumerate(weights)
+        ]
+
+        # dw = 0 on the weight-0 pairs, one row per triple
+        rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for key, f, neg, (col, up) in g.compositions(partners):
+            row = rows.setdefault(key, {})
+            v = f if up else neg
+            x = row.get(col)
+            if x is None:
+                row[col] = v
+            else:
+                x += v
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
+        z2 = [
+            TwoForm._of(n, {zero_pairs[j]: c for j, c in v.items()})
+            for v in sparse_kernel_rows(sparse_rref(rows.values()), len(zero_pairs))
+        ]
+
+        # Z^2_{!=0} = B^2_{!=0}, with column j reversed to size - 1 - j
+        size = n * (n - 1) // 2
+        last = size - 1
+        graded = sparse_rref(
+            {last - j: x for j, x in self._image[k].items() if j < size}
+            for k in range(n)
+            if any(weights[k])
+        )
+        if graded:
+            pairs = _pair_index(n)
+            z2.extend(
+                TwoForm._of(n, {pairs[last - j]: c for j, c in row.items()})
+                for row in graded.values()
+            )
+            z2.sort(key=lambda z: max(z.coords))
+        return tuple(z2)
+
+    @cached_property
+    def _exact(self) -> tuple[tuple[TwoForm, ...], tuple[tuple[Fraction, ...], ...]]:
+        """B^2 as the reduced echelon form of all the rows d(e^k), each
+        tagged with e^k in the columns after the pairs, so that reduction
+        records a covector preimage of each basis form."""
+        n = self.algebra.dim
+        pairs = _pair_index(n)
+        size = len(pairs)
+        pivots = sparse_rref(self._image)
+        b2 = []
+        b2_pre = []
+        for p in sorted(pivots):
+            if p < size:
+                upper = {pairs[j]: c for j, c in pivots[p].items() if j < size}
+                b2.append(TwoForm._of(n, upper))
+                b2_pre.append(dense_row(pivots[p], size, size + n))
+        return tuple(b2), tuple(b2_pre)
+
+    @property
+    def b2_basis(self) -> tuple[TwoForm, ...]:
+        return self._exact[0]
+
+    @property
+    def b2_preimages(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._exact[1]
+
 
 def cocycle_space(g: LieAlgebra) -> CocycleSpace:
-    """Z^2 as the kernel of d on antisymmetric forms; B^2 as the image of d
-    on covectors, with a covector preimage recorded for each basis element.
-    ``g`` must satisfy the Jacobi identity, which makes the weights of
-    :meth:`LieAlgebra.weights` a grading; its classes of basis indices by
-    weight are :meth:`LieAlgebra.weight_classes`, computed once per algebra
-    and shared with the Der(g) count of the completeness report.
-
-    Z^2 is solved by weight: the pair {m, t} has weight w_m + w_t, and d
-    keeps weights.  A closed form of weight mu != 0 is exact, by Cartan's
-    formula theta(h) = d i_h + i_h d for a grading vector e_h with
-    mu(h) != 0, so Z^2 = Z^2_0 + B^2_{!=0}.  Only the rows of dw = 0 on the
-    weight-0 pairs are assembled (the sums of
-    :meth:`LieAlgebra.compositions` with the partners e_t of e_m,
-    w_t = -w_m) and solved by the elimination kernel of
-    :mod:`liesymp.linalg`; each vector of its kernel basis has 1 at its
-    free column, which is its last, and 0 at every other free column.  The
-    other blocks are the rows d(e^k) with w_k != 0, reduced with the pair
-    columns in reversed order, which gives each row the same shape: 1 at
-    its last pair and 0 at the last pair of every other row.  So the two
-    parts, merged by last pair, are the kernel basis of the ungraded solve,
-    form by form.  With one weight class, as in a nilpotent algebra, the
-    dw = 0 system is the whole one.
-
-    B^2 is the reduced echelon form of all the rows d(e^k), each tagged
-    with e^k in the columns after the pairs, so that reduction records the
-    preimages.
-    """
-    n = g.dim
-    weights = g.weights()
-    classes = g.weight_classes()
-    opposite = {w: classes.get(tuple(-x for x in w), ()) for w in classes}
-    # the weight-0 pairs {m, t}, w_t = -w_m, in their order among all pairs;
-    # column[s][t] is the column of the weight-0 pair {s, t}
-    zero_pairs = [(m, t) for m, w in enumerate(weights) for t in opposite[w] if t > m]
-    column = [[0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(zero_pairs):
-        column[i][j] = column[j][i] = idx
-    # w(e_m, e_t) is the coordinate of the pair's column if m < t, else its negation
-    partners = [
-        [(t, (column[m][t], m < t)) for t in opposite[w] if t != m]
-        for m, w in enumerate(weights)
-    ]
-
-    # dw = 0 on the weight-0 pairs, one row per triple
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for key, f, neg, (col, up) in g.compositions(partners):
-        row = rows.setdefault(key, {})
-        v = f if up else neg
-        x = row.get(col)
-        if x is None:
-            row[col] = v
-        else:
-            x += v
-            if x:
-                row[col] = x
-            else:
-                del row[col]
-    z2 = [
-        TwoForm._of(n, {zero_pairs[j]: c for j, c in v.items()})
-        for v in sparse_kernel_rows(sparse_rref(rows.values()), len(zero_pairs))
-    ]
-
-    # B^2: the rows d(e^k) = -sum c_ab^k e^a ^ e^b, each tagged with e^k
-    pairs = _pair_index(n)
-    size = len(pairs)
-    image: list[dict[int, int | Fraction]] = [{size + k: 1} for k in range(n)]
-    for (a, b), coeffs in g.table.items():
-        j = a * (2 * n - a - 1) // 2 + b - a - 1  # the column of the pair (a, b)
-        for k, c in coeffs.items():
-            image[k][j] = -c
-    # Z^2_{!=0} = B^2_{!=0}, with column j reversed to size - 1 - j
-    last = size - 1
-    graded = sparse_rref(
-        {last - j: x for j, x in image[k].items() if j < size}
-        for k in range(n)
-        if any(weights[k])
-    )
-    if graded:
-        z2.extend(
-            TwoForm._of(n, {pairs[last - j]: c for j, c in row.items()})
-            for row in graded.values()
-        )
-        z2.sort(key=lambda z: max(z.coords))
-
-    pivots = sparse_rref(image)
-    b2 = []
-    b2_pre = []
-    for p in sorted(pivots):
-        if p < size:
-            upper = {pairs[j]: c for j, c in pivots[p].items() if j < size}
-            b2.append(TwoForm._of(n, upper))
-            b2_pre.append(dense_row(pivots[p], size, size + n))
-    return CocycleSpace(g, tuple(z2), tuple(b2), tuple(b2_pre))
+    """The cocycle space of ``g``, ``CocycleSpace(g)``: nothing is solved
+    here, and each of Z^2 and B^2 is solved when first read, so a reader
+    that needs only Z^2 (a decision whose closed Pfaffian is zero, which
+    makes the exact one zero as B^2 ⊆ Z^2) or neither (odd dimension) pays
+    for no more."""
+    return CocycleSpace(g)
 
 
 def generic_cocycle(cs: CocycleSpace) -> TwoForm:
@@ -536,10 +574,11 @@ class SymplecticVerdict:
     ``exists`` and ``exact_exists`` are "yes", "no" or "odd" (odd dimension,
     not applicable).  ``pfaffian`` and ``exact_pfaffian`` are those of the
     generic forms over the Z^2 and B^2 bases of ``cocycles`` (zero in odd
-    dimension, where none is taken).  When
-    "yes", the matching witness fields hold a concrete closed two-form with
-    nonzero Pfaffian; ``exact_witness`` is d of the recorded
-    ``exact_one_form``.
+    dimension, where none is taken).  After a "no" for Z^2,
+    ``exact_pfaffian`` is the zero polynomial over no variables: it is not
+    taken, since B^2 ⊆ Z^2 makes it zero.  When "yes", the matching witness
+    fields hold a concrete closed two-form with nonzero Pfaffian;
+    ``exact_witness`` is d of the recorded ``exact_one_form``.
     """
 
     dim: int
@@ -564,11 +603,16 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     that of the generic exact form.
 
     Odd dimension short-circuits to "odd" with a zero Pfaffian (an odd
-    antisymmetric matrix is always singular).  In dimension zero the empty
-    Pfaffian is 1, so the algebra is vacuously symplectic (and flagged as
-    ``degenerate``).  The witness search bounds itself
-    (see :func:`find_nonvanishing_point`).  Neither generic form is built:
-    each Pfaffian is packed from its basis forms.
+    antisymmetric matrix is always singular), and solves neither Z^2 nor
+    B^2: the verdict's ``cocycles`` solves each when read.  When the closed
+    Pfaffian is the zero polynomial, every rational closed form is
+    degenerate; every exact form is closed (B^2 ⊆ Z^2), so the exact
+    Pfaffian vanishes at every rational point, and, Q being infinite, is
+    the zero polynomial: exact existence is "no" without solving B^2.  In
+    dimension zero the empty Pfaffian is 1, so the algebra is vacuously
+    symplectic (and flagged as ``degenerate``).  The witness search bounds
+    itself (see :func:`find_nonvanishing_point`).  Neither generic form is
+    built: each Pfaffian is packed from its basis forms.
     """
     cs = cocycle_space(g)
     n = g.dim
@@ -587,7 +631,11 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
         )
 
     pf, witness, _ = _pfaffian_and_witness(n, cs.z2_basis)
-    exact_pf, exact_witness, point = _pfaffian_and_witness(n, cs.b2_basis)
+    if pf.is_zero():
+        # every closed form is degenerate, so every exact one is (B^2 ⊆ Z^2)
+        exact_pf, exact_witness, point = MultiPoly.zero(), None, None
+    else:
+        exact_pf, exact_witness, point = _pfaffian_and_witness(n, cs.b2_basis)
     exact_one_form = None
     if point is not None:
         alpha = [0] * n

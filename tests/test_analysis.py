@@ -33,7 +33,14 @@ from liesymp.structure import (
     semidirect,
     verify_torus,
 )
-from liesymp.symplectic import cocycle_space, d_one_form
+from liesymp.poly import monomial_pfaffian
+from liesymp.symplectic import (
+    CocycleSpace,
+    _pfaffian_and_witness,
+    cocycle_space,
+    d_one_form,
+    decide_symplectic,
+)
 from test_liealg import sparse_tables, unchecked_product
 from test_linalg import (
     add_maps,
@@ -373,12 +380,28 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_solves(monkeypatch, part):
+    """The cocycle spaces that solve ``part``, a cached property of
+    :class:`CocycleSpace` ("z2_basis", or "_exact" for B^2), one per solve."""
+    prop = vars(CocycleSpace)[part]
+    calls = []
+    original = prop.func
+
+    def solve(cs):
+        calls.append(cs)
+        return original(cs)
+
+    monkeypatch.setattr(prop, "func", solve)
+    return calls
+
+
 def _counters(monkeypatch):
-    from liesymp import structure, symplectic
+    from liesymp import structure
 
     return {
         "verify_torus": _count_calls(monkeypatch, structure, "verify_torus"),
-        "cocycle_space": _count_calls(monkeypatch, symplectic, "cocycle_space"),
+        "z2_solves": _count_solves(monkeypatch, "z2_basis"),
+        "b2_solves": _count_solves(monkeypatch, "_exact"),
         "rank_bound": _count_calls(monkeypatch, structure, "rank_bound"),
         "lower_central_series": _count_calls(monkeypatch, LieAlgebra, "lower_central_series"),
         "minimal_polynomial": _count_calls(monkeypatch, linalg, "minimal_polynomial"),
@@ -399,8 +422,15 @@ def test_regression_computes_each_artifact_once_per_entry(monkeypatch):
     assert len(report.entries) == entries and report.green
     assert len(counts["verify_torus"]) == entries
     assert _at_most_once_each(counts["verify_torus"])
-    assert len(counts["cocycle_space"]) <= entries
-    assert _at_most_once_each(counts["cocycle_space"])
+    # Z^2 is solved once per even entry, B^2 once per even entry whose
+    # closed Pfaffian is nonzero, and neither for any of the 17 odd ones
+    even = [e for e in report.entries if e.dim % 2 == 0]
+    assert entries - len(even) == 17
+    assert len(counts["z2_solves"]) == len(even)
+    assert len(counts["b2_solves"]) == sum(e.symplectic == "yes" for e in even) > 0
+    for part in ("z2_solves", "b2_solves"):
+        assert _at_most_once_each(counts[part])
+        assert all(cs.algebra.dim % 2 == 0 for cs in counts[part])
     assert len(counts["rank_bound"]) <= entries
     # one Jacobi walk per entry, of t ⋉ n, and one scan for its grading
     assert len(counts["jacobi_failures"]) == entries
@@ -458,10 +488,72 @@ def test_symplectic_command_computes_each_artifact_once(monkeypatch, tmp_path, c
     assert cli.main(["symplectic", str(path), "--json"]) == 0
     assert '"maximal_rank": true' in capsys.readouterr().out
     assert len(counts["verify_torus"]) == 1
-    assert len(counts["cocycle_space"]) == 1
+    assert len(counts["z2_solves"]) == len(counts["b2_solves"]) == 1
     assert len(counts["rank_bound"]) <= 1
     assert len(counts["lower_central_series"]) == 0
     assert _at_most_once_each(counts["lower_central_series"])
+
+
+# core_003 of the benchmark's files core (bench/gen.py), of dimension 7
+ODD_FILE = """\
+algebra core_003
+basis e1 e2 e3 e4 e5 e6 e7
+[e1,e3] = 2*e6
+[e3,e5] = 2*e6 - e7
+[e3,e6] = e7
+"""
+
+
+def test_an_odd_file_solves_the_cocycle_space_only_for_its_dims(monkeypatch, tmp_path, capsys):
+    """The odd verdict reads neither Z^2 nor B^2: ``symplectic --json``
+    solves neither, and the text command solves each once, for the line of
+    dimensions that the eager solve printed."""
+    path = tmp_path / "core_003.lie"
+    path.write_text(ODD_FILE, encoding="utf-8")
+    counts = _counters(monkeypatch)
+    assert cli.main(["symplectic", str(path), "--json"]) == 0
+    assert '"exists": "odd"' in capsys.readouterr().out
+    assert counts["z2_solves"] == [] and counts["b2_solves"] == []
+    assert cli.main(["symplectic", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "closed 2-forms: dim Z^2 = 13, dim B^2 = 2, dim H^2 = 11\n" in out
+    assert "symplectic: exists = odd\n" in out
+    assert len(counts["z2_solves"]) == len(counts["b2_solves"]) == 1
+
+
+# the catalog's even algebras whose closed Pfaffian is the zero polynomial
+EVEN_NO_ENTRIES = (("n6_2", {}), ("n6_18", {}), ("L", {"n": 6}), ("L", {"n": 8}),
+                   ("L", {"n": 10}), ("L", {"n": 12}))
+
+
+def test_a_zero_closed_pfaffian_decides_exact_no_without_solving_b2(monkeypatch):
+    """B^2 ⊆ Z^2, so when every closed form is degenerate every exact one
+    is too.  The implication is checked, on each even "no" of the catalog
+    and of the benchmark's files core: the Pfaffian packed over the B^2
+    basis is the zero polynomial, and the verdict, decided without solving
+    B^2, has the exact fields of the eager decision."""
+    from test_structure import _files_core_nilradicals  # it imports this module
+
+    b2_solves = _count_solves(monkeypatch, "_exact")
+    algebras = [semidirect(build_entry(name, **params).torus) for name, params in EVEN_NO_ENTRIES]
+    algebras += [g for g in _files_core_nilradicals() if g.dim % 2 == 0]
+    verdicts = [decide_symplectic(g) for g in algebras]
+    assert all(v.exists == "no" for v in verdicts[: len(EVEN_NO_ENTRIES)])
+    no = [(g, v) for g, v in zip(algebras, verdicts) if v.exists == "no"]
+    assert len(no) == len(EVEN_NO_ENTRIES) + 27
+    # B^2 solved by the "yes" decisions only
+    assert len(b2_solves) == len(verdicts) - len(no)
+    assert all("_exact" not in vars(v.cocycles) for _, v in no)
+    for g, v in no:
+        basis = cocycle_space(g).b2_basis
+        names = tuple(f"t{k + 1}" for k in range(len(basis)))
+        exact_pf = monomial_pfaffian(g.dim, {((k, 1),): b.coords for k, b in enumerate(basis)}, names)
+        assert exact_pf.is_zero()
+        # the eager decision: the Pfaffian over B^2, zero, so no witness
+        assert _pfaffian_and_witness(g.dim, basis) == (exact_pf, None, None)
+        exact = (v.exact_exists, v.exact_pfaffian, v.exact_witness, v.exact_one_form)
+        assert exact == ("no", exact_pf, None, None)
+        assert str(v.exact_pfaffian) == str(exact_pf) == "0"
 
 
 def test_analysis_without_a_torus_studies_the_algebra_itself():

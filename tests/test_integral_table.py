@@ -35,7 +35,7 @@ from liesymp.linalg import (
 )
 from liesymp.poly import MultiPoly
 from liesymp.structure import rank_bound
-from liesymp.symplectic import TwoForm, cocycle_space, pullback, top_power
+from liesymp.symplectic import CocycleSpace, TwoForm, cocycle_space, pullback, top_power
 from test_liealg import sparse_tables
 
 
@@ -61,9 +61,13 @@ def _table_types_hold(g: LieAlgebra) -> bool:
 
 def _numbers(x):
     """The numbers held by a verdict, walked through its fields, forms,
-    polynomials, tuples and its cocycle space's algebra (whose structure
-    constants are its numbers; flags and labels are not numbers)."""
-    if isinstance(x, LieAlgebra):
+    polynomials, tuples, and its cocycle space's algebra (whose structure
+    constants are its numbers; flags and labels are not numbers), bases and
+    preimages, which are solved when read and so are not dataclass fields."""
+    if isinstance(x, CocycleSpace):
+        for part in (x.algebra, x.z2_basis, x.b2_basis, x.b2_preimages):
+            yield from _numbers(part)
+    elif isinstance(x, LieAlgebra):
         for coeffs in x.table.values():
             yield from coeffs.values()
     elif isinstance(x, TwoForm):

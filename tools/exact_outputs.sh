@@ -10,7 +10,10 @@
 # compared too), each file command on the demo files and on catalog files
 # with a torus, the symplectic decision of bare abelian files of dim 10 and
 # 12, of two generated nilpotent files (one whose witness the walk finds deep
-# in shell 1, one whose witness is the shell's corner), the symplectic
+# in shell 1, one whose witness is the shell's corner), of an odd generated
+# nilpotent file (in text, which prints the cocycle dimensions, and in JSON,
+# which reads no cocycle space) and of an even one with no closed symplectic
+# form (whose exact "no" follows without B^2), the symplectic
 # decision, props and completeness of Q n=45 and of L n=20, props and
 # completeness of two algebras with a nonzero center in weight 0 (sl2 x R,
 # whose grading vector lies in [g, g], and abelian n=2 with one torus
@@ -72,6 +75,15 @@ battery() {
     run symplectic "$f" --json
     run symplectic "$f" --witness
   done
+  # core_003, of dimension 7, and core_002, of dimension 8, with no closed
+  # symplectic form
+  printf 'algebra core_003\nbasis %s\n[e1,e3] = 2*e6\n[e3,e5] = 2*e6 - e7\n[e3,e6] = e7\n' \
+    "$(echo e{1..7})" > "$dir/core_003.lie"
+  printf 'algebra core_002\nbasis %s\n[e1,e5] = e7\n[e1,e6] = e8\n[e3,e4] = -e7\n[e3,e6] = -2*e8\n[e4,e5] = e7\n' \
+    "$(echo e{1..8})" > "$dir/core_002.lie"
+  run symplectic "$dir/core_003.lie"
+  run symplectic "$dir/core_003.lie" --json
+  run symplectic "$dir/core_002.lie" --json
   # the largest catalog members the suite pins
   for args in "Q n=45" "L n=20"; do
     set -- $args
