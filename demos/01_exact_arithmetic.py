@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 from itertools import combinations, permutations
 
 from liesymp import MultiPoly, poly_divides
-from liesymp.linalg import sparse_kernel_basis, sparse_rref, sparsest_row_pfaffian
+from liesymp.linalg import dense_row, sparse_kernel_rows, sparse_rref, sparsest_row_pfaffian
 from liesymp.poly import polynomial_pfaffian
 
 # a reader that closes stdout early (| head) ends the demo quietly
@@ -19,7 +19,7 @@ print("== exact linear algebra ==")
 # a matrix is held as sparse rows {column: value}; the rows (1 2 1), (2 4 0), (0 0 3)
 pivots = sparse_rref([{0: 1, 1: 2, 2: 1}, {0: 2, 1: 4}, {2: 3}])
 print(f"rref pivots: {tuple(sorted(pivots))}")
-kernel = sparse_kernel_basis(sparse_rref([{0: 1, 1: -1}]), 3)
+kernel = [dense_row(v, 0, 3) for v in sparse_kernel_rows(sparse_rref([{0: 1, 1: -1}]), 3)]
 print("kernel of (1 -1 0):", ", ".join("(" + " ".join(map(str, v)) + ")" for v in kernel))
 for v in kernel:
     assert v[0] - v[1] == 0

@@ -283,40 +283,30 @@ def _analyse(parsed: AlgebraFile) -> Analysis:
     return analysis
 
 
-def _with_analysis(args, fn) -> int:
-    """``fn(name, analysis)`` for the file's algebra, once its bracket table
-    passes the Jacobi identity."""
-    parsed = parse(_read(args.file))
-    return fn(parsed.name, _analyse(parsed))
-
-
 def _cmd_props(args) -> int:
-    def run(name: str, analysis: Analysis) -> int:
-        g = analysis.algebra
-        print(f"algebra {name}: dimension {g.dim}")
-        print(f"center dimension: {analysis.completeness.center_dim}")
-        lcs = g.lower_central_series()
-        ds = g.derived_series()
-        print(f"lower central series dims: {[s.dim for s in lcs]}")
-        print(f"derived series dims: {[s.dim for s in ds]}")
-        print(f"nilpotent: {lcs[-1].is_zero()}")
-        print(f"solvable: {ds[-1].is_zero()}")
-        return EXIT_OK
-
-    return _with_analysis(args, run)
+    parsed = parse(_read(args.file))
+    analysis = _analyse(parsed)
+    g = analysis.algebra
+    print(f"algebra {parsed.name}: dimension {g.dim}")
+    print(f"center dimension: {analysis.completeness.center_dim}")
+    lcs = g.lower_central_series()
+    ds = g.derived_series()
+    print(f"lower central series dims: {[s.dim for s in lcs]}")
+    print(f"derived series dims: {[s.dim for s in ds]}")
+    print(f"nilpotent: {lcs[-1].is_zero()}")
+    print(f"solvable: {ds[-1].is_zero()}")
+    return EXIT_OK
 
 
 def _cmd_der(args) -> int:
-    def run(name: str, analysis: Analysis) -> int:
-        report = analysis.completeness
-        print(f"algebra {name}: dim Der = {report.derivation_dim}")
-        if args.complete:
-            print(f"center dimension: {report.center_dim}")
-            print(f"inner derivations (ad image): {report.ad_dim}")
-            print(f"complete: {report.complete}")
-        return EXIT_OK
-
-    return _with_analysis(args, run)
+    parsed = parse(_read(args.file))
+    report = _analyse(parsed).completeness
+    print(f"algebra {parsed.name}: dim Der = {report.derivation_dim}")
+    if args.complete:
+        print(f"center dimension: {report.center_dim}")
+        print(f"inner derivations (ad image): {report.ad_dim}")
+        print(f"complete: {report.complete}")
+    return EXIT_OK
 
 
 def _symplectic_payload(name: str, analysis: Analysis, verdict: SymplecticVerdict) -> dict:
@@ -344,31 +334,30 @@ def _symplectic_payload(name: str, analysis: Analysis, verdict: SymplecticVerdic
 
 
 def _cmd_symplectic(args) -> int:
-    def run(name: str, analysis: Analysis) -> int:
-        verdict = analysis.verdict
-        if args.json:
-            _emit(_symplectic_payload(name, analysis, verdict))
-            return EXIT_OK
-        g = analysis.algebra
-        if not args.exact_only:
-            print(f"algebra {name}: dimension {g.dim}")
-            z2, b2, h2 = verdict.cocycles.dims
-            print(f"closed 2-forms: dim Z^2 = {z2}, dim B^2 = {b2}, dim H^2 = {h2}")
-            print(f"symplectic: exists = {verdict.exists}")
-            print(f"pfaffian: {verdict.pfaffian}")
-            if args.witness and verdict.witness is not None:
-                print("witness (matrix of the form):")
-                for row in verdict.witness.entries:
-                    print("  [" + ", ".join(str(x) for x in row) + "]")
-        print(f"exact (Frobenius): exists = {verdict.exact_exists}")
-        if args.witness and verdict.exact_one_form is not None:
-            terms = tuple(
-                (c, f"{g.labels[i]}^*") for i, c in enumerate(verdict.exact_one_form) if c
-            )
-            print("exact witness one-form: " + _format_linear(terms))
+    parsed = parse(_read(args.file))
+    analysis = _analyse(parsed)
+    verdict = analysis.verdict
+    if args.json:
+        _emit(_symplectic_payload(parsed.name, analysis, verdict))
         return EXIT_OK
-
-    return _with_analysis(args, run)
+    g = analysis.algebra
+    if not args.exact_only:
+        print(f"algebra {parsed.name}: dimension {g.dim}")
+        z2, b2, h2 = verdict.cocycles.dims
+        print(f"closed 2-forms: dim Z^2 = {z2}, dim B^2 = {b2}, dim H^2 = {h2}")
+        print(f"symplectic: exists = {verdict.exists}")
+        print(f"pfaffian: {verdict.pfaffian}")
+        if args.witness and verdict.witness is not None:
+            print("witness (matrix of the form):")
+            for row in verdict.witness.entries:
+                print("  [" + ", ".join(str(x) for x in row) + "]")
+    print(f"exact (Frobenius): exists = {verdict.exact_exists}")
+    if args.witness and verdict.exact_one_form is not None:
+        terms = tuple(
+            (c, f"{g.labels[i]}^*") for i, c in enumerate(verdict.exact_one_form) if c
+        )
+        print("exact witness one-form: " + _format_linear(terms))
+    return EXIT_OK
 
 
 # a --set value: the file format's number, an optional sign, ASCII digits and

@@ -5,7 +5,9 @@ A :class:`LieAlgebra` stores, for each basis pair i < j, the expansion of
 (j, i) orientation is implied by antisymmetry.  A structure constant is an
 int when it is integral and a Fraction otherwise, so the systems assembled
 from the table (Jacobi sums, dw, Z^2/B^2, the center, the Leibniz rows) run
-on ints wherever no denominator appears.  All vectors are plain tuples of
+on ints wherever no denominator appears.  The Jacobi sums, dw and the
+Z^2 rows are one walk of the table, :meth:`LieAlgebra.compositions`,
+summed per basis triple and column.  All vectors are plain tuples of
 exact values (see :mod:`liesymp.linalg`) in the algebra's basis coordinates.
 
 :class:`Subspace` keeps its basis in reduced echelon form, which makes
@@ -23,7 +25,7 @@ from .linalg import (
     as_fraction,
     dense_row,
     reduce_row,
-    sparse_kernel_basis,
+    sparse_kernel_rows,
     sparse_row,
     sparse_rref,
     vector,
@@ -219,47 +221,57 @@ class LieAlgebra:
 
     # -- axioms ----------------------------------------------------------------
 
-    def compositions(self, partners: Sequence[Sequence[tuple[int, object]]]):
-        """The nonzero compositions of the bracket table with the partners of
-        each basis vector, each signed by the orientation of its triple.
+    def compositions(
+        self, partners: Sequence[Sequence[tuple[int, object, object]]]
+    ) -> dict[tuple[int, int, int], dict[object, object]]:
+        """The compositions of the bracket table with the partners of each
+        basis vector, summed per triple and column, each term signed by the
+        orientation of its triple.
 
         For each table pair a < b, each e_m in [e_a, e_b] = sum_m c e_m and
-        each (t, x) in ``partners[m]`` with t not in {a, b}, yields
-        (triple, f, -f, x): the triple {a, b, t} sorted, and f = c times the
-        sign of (a, b, t) as a cyclic order of it, -1 when a < t < b; f and
-        -f are computed once per (pair, m).  The Jacobi check, ``dw`` and the
-        Z^2 system of ``cocycle_space`` sum f x over it.
+        each (t, col, x) in ``partners[m]`` with t not in {a, b}, adds f x to
+        the column ``col`` of the triple {a, b, t} sorted, where f = c times
+        the sign of (a, b, t) as a cyclic order of it, -1 when a < t < b.
+        Returns {triple: {col: sum}}, the triples in the order the walk
+        first reaches them, with no zero sum and no empty triple.  The Jacobi
+        check, ``dw`` and the Z^2 system of ``cocycle_space`` each read it in
+        one call.
         """
+        sums: dict[tuple[int, int, int], dict[object, object]] = {}
         for (a, b), coeffs in self.table.items():
             for m, c in coeffs.items():
-                neg = -c
-                for t, x in partners[m]:
+                for t, col, x in partners[m]:
                     if t > b:
-                        yield (a, b, t), c, neg, x
+                        key, f = (a, b, t), c
                     elif t < a:
-                        yield (t, a, b), c, neg, x
+                        key, f = (t, a, b), c
                     elif a < t < b:
-                        yield (a, t, b), neg, c, x
+                        key, f = (a, t, b), -c
+                    else:
+                        continue
+                    acc = sums.setdefault(key, {})
+                    y = acc.get(col)
+                    acc[col] = f * x if y is None else y + f * x
+        out = {}
+        for key, acc in sums.items():
+            row = {col: y for col, y in acc.items() if y}
+            if row:
+                out[key] = row
+        return out
 
     def jacobi_failures(self) -> list[tuple[int, int, int]]:
         """Every basis triple (i < j < k) violating the Jacobi identity.
 
         The Jacobi sum of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
         - [[e_i, e_k], e_j]: the walk of :meth:`compositions` with the
-        partners (t, [e_m, e_t]) of each e_m, summed per triple.
+        partners (t, u, c) of each e_m, one per term c e_u of [e_m, e_t].
         """
-        partners: list[list[tuple[int, Mapping[int, Fraction]]]] = [
-            [] for _ in range(self.dim)
-        ]
+        partners: list[list[tuple[int, int, int | Fraction]]] = [[] for _ in range(self.dim)]
         for (a, b), coeffs in self.table.items():
-            partners[a].append((b, coeffs))
-            partners[b].append((a, {k: -c for k, c in coeffs.items()}))
-        sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for key, f, _, terms in self.compositions(partners):
-            acc = sums.setdefault(key, {})
-            for u, y in terms.items():
-                acc[u] = acc.get(u, 0) + f * y
-        return [key for key, acc in sums.items() if any(acc.values())]
+            for u, c in coeffs.items():
+                partners[a].append((b, u, c))
+                partners[b].append((a, u, -c))
+        return list(self.compositions(partners))
 
     def jacobi_failure(self) -> tuple[int, int, int] | None:
         """The first triple of :meth:`jacobi_failures`, if any."""
@@ -333,7 +345,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """Kernel of x |-> ([x, e_j])_j, i.e. everything that brackets to
         zero: the solutions of :meth:`center_rows` on every coordinate."""
-        kernel = sparse_kernel_basis(sparse_rref(self.center_rows(range(self.dim))), self.dim)
+        kernel = sparse_kernel_rows(sparse_rref(self.center_rows(range(self.dim))), self.dim)
         return Subspace(self.dim, kernel)
 
     def subalgebra_product(self, a: Subspace, b: Subspace) -> Subspace:

@@ -15,7 +15,8 @@ by s, the lcm of their denominators (:func:`integer_multiple`).
 Every linear system in the package goes through one Gauss-Jordan kernel,
 :func:`sparse_rref`.  A row is a sparse map ``{column: value}``; the
 kernel returns the reduced row-echelon form as pivot rows keyed by pivot
-column, and :func:`sparse_kernel_basis` reads a kernel basis off it.  The
+column, and :func:`sparse_kernel_rows` reads a kernel basis off it, as
+sparse rows.  The
 reduced echelon form of a row space is canonical, so the result does not
 depend on the order in which rows arrive, and callers assemble their
 systems (Leibniz, cocycle and center equations) sparse, straight from a
@@ -173,13 +174,6 @@ def sparse_kernel_rows(pivots: Mapping[int, SparseRow], cols: int) -> list[Spars
             if j != p:
                 basis[j][p] = -x
     return list(basis.values())
-
-
-def sparse_kernel_basis(
-    pivots: Mapping[int, SparseRow], cols: int
-) -> list[tuple[int | Fraction, ...]]:
-    """The vectors of :func:`sparse_kernel_rows` as dense tuples."""
-    return [dense_row(v, 0, cols) for v in sparse_kernel_rows(pivots, cols)]
 
 
 def sparse_product(xs: Sequence[SparseRow], ys: Sequence[SparseRow]) -> list[SparseRow]:

@@ -59,7 +59,6 @@ from .liealg import LieAlgebra, Subspace
 from .linalg import (
     as_exact,
     minimal_polynomial,
-    sparse_kernel_basis,
     sparse_kernel_rows,
     sparse_rref,
     upoly_is_squarefree,
@@ -470,7 +469,7 @@ def root_decomposition(t: TorusAction) -> RootDecomposition:
             covered = 0
             for lam, block in blocks.items():
                 stacked = rows + block
-                kernel = sparse_kernel_basis(sparse_rref(stacked), n)
+                kernel = sparse_kernel_rows(sparse_rref(stacked), n)
                 if kernel:
                     refined.append((beta + (lam,), stacked, kernel))
                     covered += len(kernel)

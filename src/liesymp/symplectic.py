@@ -13,7 +13,10 @@ global sign.
   so the literal top wedge power satisfies w^m = m! * Pf(M) * vol.
 
 A :class:`TwoForm` is stored once, as its nonzero coordinates M[i][j] on the
-pairs i < j, so antisymmetry holds by construction.  The Z^2 and B^2 bases,
+pairs i < j, so antisymmetry holds by construction; ``TwoForm(dim, pairs)``
+is its one constructor, and takes a pair in either orientation.  dw and
+the rows of dw = 0 are the sums of one walk of the bracket table
+(:meth:`LieAlgebra.compositions`).  The Z^2 and B^2 bases,
 the generic closed form, witnesses, sums and pullbacks are all built in that
 format, and the Pfaffian reads it directly
 (:func:`liesymp.linalg.sparsest_row_pfaffian`); ``TwoForm.entries`` is a
@@ -83,22 +86,24 @@ class TwoForm:
 
     __slots__ = ("dim", "coords", "variables", "_zero")
 
-    def __init__(self, dim: int, entries: Sequence[Sequence], variables: Sequence[str] = ()):
-        grid = tuple(tuple(map(_as_entry, row)) for row in entries)
-        if len(grid) != dim or any(len(r) != dim for r in grid):
-            raise ValueError("entry grid does not match dimension")
-        coords: Coords = {}
-        # entries are ints, Fractions or MultiPolys, all false exactly when zero
-        for i, row in enumerate(grid):
-            if row[i]:
-                raise ValueError("two-form has a nonzero diagonal entry")
-            for j in range(i + 1, dim):
-                a, b = row[j], grid[j][i]
-                if a or b:
-                    if a + b:
-                        raise ValueError("two-form entries are not antisymmetric")
-                    coords[(i, j)] = a
-        self._hold(dim, coords, variables)
+    def __init__(
+        self,
+        dim: int,
+        pairs: Mapping[tuple[int, int], object] | None = None,
+        variables: Sequence[str] = (),
+    ):
+        """sum of value * e^i ^ e^j over the pairs, a pair (j, i) counting as
+        -(i, j), so that both orientations of a pair sum; no pairs give the
+        zero form."""
+        items = []
+        for (i, j), value in (pairs or {}).items():
+            if i == j:
+                raise ValueError("diagonal coefficient in a two-form")
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError("two-form index out of range")
+            v = _as_entry(value)
+            items.append(((i, j), v) if i < j else ((j, i), -v))
+        self._hold(dim, _form_sum(dim, items).coords, variables)
 
     @classmethod
     def _of(cls, dim: int, coords: Coords, variables: Sequence[str] = ()) -> "TwoForm":
@@ -114,23 +119,6 @@ class TwoForm:
         self.variables = tuple(variables)
         parametric = self.variables or any(isinstance(x, MultiPoly) for x in coords.values())
         self._zero = MultiPoly.zero() if parametric else 0
-
-    @classmethod
-    def from_pairs(cls, dim: int, pairs: Mapping[tuple[int, int], object], variables: Sequence[str] = ()) -> "TwoForm":
-        """sum of value * e^i ^ e^j over the pairs; (j, i) counts as -(i, j)."""
-        items = []
-        for (i, j), value in pairs.items():
-            if i == j:
-                raise ValueError("diagonal coefficient in a two-form")
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError("two-form index out of range")
-            v = _as_entry(value)
-            items.append(((i, j), v) if i < j else ((j, i), -v))
-        return _form_sum(dim, items, variables)
-
-    @classmethod
-    def zero(cls, dim: int) -> "TwoForm":
-        return cls._of(dim, {})
 
     def is_concrete(self) -> bool:
         return not isinstance(self._zero, MultiPoly)
@@ -236,20 +224,17 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
 
     dw(x,y,z) = -( w([x,y],z) + w([y,z],x) + w([z,x],y) ); the sign makes
     d_two_form(d_one_form(a)) vanish identically.  The sums are those of
-    :meth:`LieAlgebra.compositions` with the partners (t, w(e_m, e_t)) of
-    each e_m, over the form's nonzero coordinates.
+    :meth:`LieAlgebra.compositions` with the partners (t, 0, w(e_m, e_t))
+    of each e_m, over the form's nonzero coordinates, in one column.
     """
     if w.dim != g.dim:
         raise ValueError("form dimension does not match algebra dimension")
-    partners: list[list[tuple[int, object]]] = [[] for _ in range(g.dim)]
+    partners: list[list[tuple[int, int, object]]] = [[] for _ in range(g.dim)]
     for (i, j), x in w.coords.items():
-        partners[i].append((j, x))
-        partners[j].append((i, -x))
-    sums: dict[tuple[int, int, int], object] = {}
-    for key, f, _, x in g.compositions(partners):
-        total = sums.get(key)
-        sums[key] = f * x if total is None else total + f * x
-    return {key: _as_entry(-sums[key]) for key in sorted(sums) if sums[key]}
+        partners[i].append((j, 0, x))
+        partners[j].append((i, 0, -x))
+    sums = g.compositions(partners)
+    return {key: _as_entry(-sums[key][0]) for key in sorted(sums)}
 
 
 def is_closed(g: LieAlgebra, w: TwoForm) -> bool:
@@ -313,7 +298,8 @@ class CocycleSpace:
         theta(h) = d i_h + i_h d for a grading vector e_h with mu(h) != 0, so
         Z^2 = Z^2_0 + B^2_{!=0}.  Only the rows of dw = 0 on the weight-0
         pairs are assembled (the sums of :meth:`LieAlgebra.compositions`
-        with the partners e_t of e_m, w_t = -w_m) and solved by the
+        with the partners (t, column of {m, t}, +-1) of e_m, w_t = -w_m, the
+        sign that of w(e_m, e_t)) and solved by the
         elimination kernel of :mod:`liesymp.linalg`; each vector of its
         kernel basis has 1 at its free column, which is its last, and 0 at
         every other free column.  The other blocks are the rows d(e^k) with
@@ -335,25 +321,12 @@ class CocycleSpace:
         for idx, (i, j) in enumerate(zero_pairs):
             column[i][j] = column[j][i] = idx
         # w(e_m, e_t) is the coordinate of the pair's column if m < t, else its negation
-        partners = [
-            [(t, (column[m][t], m < t)) for t in opposite[w] if t != m]
+        partners: list[list[tuple[int, int, int]]] = [
+            [(t, column[m][t], 1 if m < t else -1) for t in opposite[w] if t != m]
             for m, w in enumerate(weights)
         ]
-
         # dw = 0 on the weight-0 pairs, one row per triple
-        rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for key, f, neg, (col, up) in g.compositions(partners):
-            row = rows.setdefault(key, {})
-            v = f if up else neg
-            x = row.get(col)
-            if x is None:
-                row[col] = v
-            else:
-                x += v
-                if x:
-                    row[col] = x
-                else:
-                    del row[col]
+        rows = g.compositions(partners)
         z2 = [
             TwoForm._of(n, {zero_pairs[j]: c for j, c in v.items()})
             for v in sparse_kernel_rows(sparse_rref(rows.values()), len(zero_pairs))

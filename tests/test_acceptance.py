@@ -126,16 +126,16 @@ def test_acceptance_3_commutative_nilradical():
         torus_pairs = {
             (n + i, n + j): Q(i - j) for i in range(n) for j in range(i + 1, n)
         }
-        w = TwoForm.from_pairs(2 * n, {**pairs, **torus_pairs})
+        w = TwoForm(2 * n, {**pairs, **torus_pairs})
         t = diagonal([1 / c for c in coeffs] + [Q(1)] * n)
-        normal = TwoForm.from_pairs(
+        normal = TwoForm(
             2 * n, {**{(i, n + i): Q(1) for i in range(n)}, **torus_pairs}
         )
         pulled_ok = (not d_two_form(g, w)) and pullback(g, t, w) == normal
 
         # exact exactly when the torus-torus component vanishes
         b2 = Subspace(len(_pairs(2 * n)), [_coords(b) for b in cs.b2_basis])
-        w0 = TwoForm.from_pairs(2 * n, pairs)
+        w0 = TwoForm(2 * n, pairs)
         exact_ok = len(cs.b2_basis) == n and b2.contains(_coords(w0))
         if n >= 2:
             exact_ok = exact_ok and not b2.contains(_coords(w))
@@ -294,7 +294,7 @@ def test_acceptance_7_property_suites():
             [upper.get((r, c), -upper.get((c, r), Q(0)) if r > c else Q(0)) for c in range(n)]
             for r in range(n)
         ]
-        pf_ok &= TwoForm(n, grid).pfaffian() ** 2 == dense_determinant(grid)
+        pf_ok &= TwoForm(n, upper).pfaffian() ** 2 == dense_determinant(grid)
     ok &= pf_ok
     details.append(f"Pf^2 = det on 200 random antisymmetric matrices: {pf_ok}")
 

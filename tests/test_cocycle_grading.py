@@ -33,12 +33,8 @@ def ungraded_z2_basis(g: LieAlgebra) -> list[TwoForm]:
     column = [[0] * n for _ in range(n)]
     for idx, (i, j) in enumerate(pairs):
         column[i][j] = column[j][i] = idx
-    partners = [[(t, (column[m][t], m < t)) for t in range(n) if t != m] for m in range(n)]
-    rows: dict[tuple[int, int, int], dict[int, Q]] = {}
-    for key, f, neg, (col, up) in g.compositions(partners):
-        row = rows.setdefault(key, {})
-        row[col] = row.get(col, 0) + (f if up else neg)
-    system = ({j: x for j, x in row.items() if x} for row in rows.values())
+    partners = [[(t, column[m][t], 1 if m < t else -1) for t in range(n) if t != m] for m in range(n)]
+    system = g.compositions(partners).values()
     return [
         TwoForm._of(n, {pairs[j]: as_exact(c) for j, c in v.items()})
         for v in sparse_kernel_rows(sparse_rref(system), len(pairs))

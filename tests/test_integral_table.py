@@ -28,7 +28,7 @@ from liesymp.linalg import (
     Ring,
     diagonal,
     minimal_polynomial,
-    sparse_kernel_basis,
+    sparse_kernel_rows,
     sparse_row,
     sparse_rref,
     sparsest_row_pfaffian,
@@ -238,7 +238,7 @@ def _kernel_values(rows):
     cols = len(rows[0])
     pivots = sparse_rref(sparse_row(r) for r in rows)
     yield from (x for row in pivots.values() for x in row.values())
-    yield from (x for v in sparse_kernel_basis(pivots, cols) for x in v)
+    yield from (x for v in sparse_kernel_rows(pivots, cols) for x in v.values())
     yield from (x for v in Subspace(cols, [sparse_row(r) for r in rows]).basis for x in v)
     size = min(len(rows), cols)
     yield from minimal_polynomial([sparse_row(r[:size]) for r in rows[:size]])

@@ -149,6 +149,56 @@ def test_jacobi_failure_matches_brute_force(g):
     assert g.jacobi_failure() == _naive_first_jacobi_failure(g)
 
 
+def _naive_compositions(g: LieAlgebra, partners) -> dict:
+    """Per triple i < j < k, the cyclic sum over (p, q, r) of (i, j, k) of
+    c_pq^m x over the partners (r, col, x) of each e_m, with c_pq^m read
+    off bracket() on basis vectors; zero sums and empty triples dropped."""
+    out = {}
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        acc = {}
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in enumerate(g.bracket(g.basis_vector(p), g.basis_vector(q))):
+                for t, col, x in partners[m]:
+                    if t == r:
+                        acc[col] = acc.get(col, 0) + c * x
+        row = {col: y for col, y in acc.items() if y}
+        if row:
+            out[(i, j, k)] = row
+    return out
+
+
+def _assert_summed(sums) -> None:
+    """Triples i < j < k, each with a nonzero sum in every column it holds."""
+    assert all(i < j < k for i, j, k in sums)
+    assert all(row and all(row.values()) for row in sums.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=sparse_tables(), data=st.data())
+def test_compositions_match_the_naive_cyclic_sums(g, data):
+    """Random partners (t, col, x), repeated (t, col) among them, against the
+    cyclic sums written out triple by triple."""
+    n = g.dim
+    partner = st.tuples(st.integers(0, n - 1), st.integers(0, 2), COEFFS)
+    partners = [data.draw(st.lists(partner, max_size=4)) for _ in range(n)]
+    sums = g.compositions(partners)
+    _assert_summed(sums)
+    assert sums == _naive_compositions(g, partners)
+
+
+def test_compositions_drop_a_sum_that_cancels():
+    # [e0, e1] = e2 and [e0, e3] = e2: with the partners (3, 0, 1) and (1, 0, 1)
+    # of e2, both reach column 0 of the triple (0, 1, 3), with the signs +1
+    # (t = 3 > 1) and -1 (0 < t = 1 < 3), and cancel; column 1 is reached once
+    g = LieAlgebra(4, {(0, 1): {2: 1}, (0, 3): {2: 1}})
+    partners = [[], [], [(3, 0, 1), (1, 0, 1)], []]
+    assert g.compositions(partners) == {}
+    partners[2].append((3, 1, Q(5, 2)))
+    sums = g.compositions(partners)
+    assert sums == {(0, 1, 3): {1: Q(5, 2)}} == _naive_compositions(g, partners)
+    _assert_summed(sums)
+
+
 @pytest.mark.parametrize("name, params", SEMIDIRECT_ENTRIES)
 def test_unchecked_product_is_the_semidirect_product(name, params):
     t = build_entry(name, **params).torus

@@ -28,7 +28,7 @@ from test_liealg import sparse_tables
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.cli import main
 from liesymp.liealg import LieAlgebra
-from liesymp.linalg import RationalMatrix, as_exact
+from liesymp.linalg import RationalMatrix, as_exact, upper_entries
 from liesymp.poly import MultiPoly, PolyMatrix, monomial_pfaffian
 from liesymp.structure import semidirect
 from liesymp.symplectic import TwoForm, cocycle_space, decide_symplectic, generic_cocycle
@@ -109,7 +109,7 @@ def polys(draw):
 def test_rational_pfaffian_matches_first_row_expansion(grid):
     expected = first_row_pfaffian(grid, Q(0), Q(1))
     assert RationalMatrix(grid).pfaffian() == expected
-    form = TwoForm(len(grid), grid)
+    form = TwoForm(len(grid), upper_entries(grid))
     assert form.pfaffian() == expected
     # an int where integral, never Fraction(4, 1), though taken on s * w
     assert type(form.pfaffian()) is type(as_exact(expected))
@@ -121,7 +121,7 @@ def test_rational_pfaffian_matches_first_row_expansion(grid):
 def test_polynomial_pfaffian_matches_first_row_expansion(grid):
     expected = first_row_pfaffian(grid, MultiPoly.zero(), MultiPoly.constant(1))
     assert PolyMatrix(grid).pfaffian() == expected
-    form = TwoForm(len(grid), grid)
+    form = TwoForm(len(grid), upper_entries(grid))
     assert form.pfaffian() == expected
     assert form.entries == grid
 
@@ -145,7 +145,7 @@ def test_pfaffian_of_edge_shapes():
         ({(0, 1): Q(1, 2), (2, 3): Q(1, 3)}, Q(1, 6)),
         ({(0, 1): Q(3, 4), (2, 3): Q(5, 6), (0, 3): Q(1, 10)}, Q(5, 8)),
     ):
-        got = TwoForm.from_pairs(4 if pairs else 0, pairs).pfaffian()
+        got = TwoForm(4 if pairs else 0, pairs).pfaffian()
         assert got == pf and type(got) is type(pf)
 
 

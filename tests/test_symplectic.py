@@ -23,7 +23,7 @@ from liesymp import symplectic
 from liesymp.analysis import Analysis
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.liealg import LieAlgebra, Subspace
-from liesymp.linalg import diagonal, sparse_kernel_basis, sparse_row, sparse_rref
+from liesymp.linalg import diagonal, sparse_kernel_rows, sparse_row, sparse_rref, upper_entries
 from liesymp.poly import MultiPoly, poly_divides
 from liesymp.regression import check_entry
 from liesymp.structure import semidirect
@@ -63,7 +63,7 @@ def naive_cocycle_subspace(g: LieAlgebra) -> Subspace:
         x, y, z = g.basis_vector(i), g.basis_vector(j), g.basis_vector(k)
         row = []
         for (p, q) in pairs:
-            w = TwoForm.from_pairs(g.dim, {(p, q): Q(1)})
+            w = TwoForm(g.dim, {(p, q): Q(1)})
             val = (
                 w.value(g.bracket(x, y), z)
                 + w.value(g.bracket(y, z), x)
@@ -73,7 +73,7 @@ def naive_cocycle_subspace(g: LieAlgebra) -> Subspace:
         rows.append(row)
     if not rows:
         return Subspace.full(len(pairs))
-    kernel = sparse_kernel_basis(sparse_rref(map(sparse_row, rows)), len(pairs))
+    kernel = sparse_kernel_rows(sparse_rref(map(sparse_row, rows)), len(pairs))
     return Subspace(len(pairs), kernel)
 
 
@@ -85,9 +85,9 @@ def test_d_one_form_pairing_family_displays():
     g = _g("Q", n=5)
     n = 5
     de0 = d_one_form(g, g.basis_vector(0))
-    assert de0 == TwoForm.from_pairs(g.dim, {(0, n + 1): Q(1)})
+    assert de0 == TwoForm(g.dim, {(0, n + 1): Q(1)})
     de5 = d_one_form(g, g.basis_vector(n))
-    expected = TwoForm.from_pairs(
+    expected = TwoForm(
         g.dim,
         {(1, 4): Q(1), (2, 3): Q(-1), (n, n + 1): Q(n - 2), (n, n + 2): Q(2)},
     )
@@ -97,10 +97,10 @@ def test_d_one_form_pairing_family_displays():
 def test_d_one_form_torus_covector_dies():
     g = _g("abelian", n=3)
     for i in range(3, 6):
-        assert d_one_form(g, g.basis_vector(i)) == TwoForm.zero(6)
-    assert d_one_form(g, [0] * 6) == TwoForm.zero(6)
+        assert d_one_form(g, g.basis_vector(i)) == TwoForm(6)
+    assert d_one_form(g, [0] * 6) == TwoForm(6)
     # nilradical covectors produce the pairing forms
-    assert d_one_form(g, g.basis_vector(0)) == TwoForm.from_pairs(6, {(0, 3): Q(1)})
+    assert d_one_form(g, g.basis_vector(0)) == TwoForm(6, {(0, 3): Q(1)})
 
 
 def test_d_squared_is_zero():
@@ -116,7 +116,7 @@ def test_d_squared_is_zero():
 
 def test_d_two_form_detects_non_cocycles():
     g = _g("n4_1")
-    w = TwoForm.from_pairs(g.dim, {(0, 1): Q(1)})  # e^{1,2}
+    w = TwoForm(g.dim, {(0, 1): Q(1)})  # e^{1,2}
     table = d_two_form(g, w)
     assert table  # not closed
     # independent check of one reported value
@@ -130,7 +130,7 @@ def test_d_two_form_detects_non_cocycles():
     assert val == direct
     # abelian brackets: everything is closed
     flat = LieAlgebra(4)
-    assert not d_two_form(flat, TwoForm.from_pairs(4, {(0, 1): Q(1), (2, 3): Q(5)}))
+    assert not d_two_form(flat, TwoForm(4, {(0, 1): Q(1), (2, 3): Q(5)}))
 
 
 def _bracket_basis(g: LieAlgebra, i: int, j: int) -> dict:
@@ -166,14 +166,14 @@ def forms_on(draw, n: int) -> TwoForm:
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda p: p[0] != p[1]), max_size=2 * n))
     if draw(st.booleans()):
-        return TwoForm.from_pairs(n, {p: draw(FORM_VALUES) for p in pairs})
+        return TwoForm(n, {p: draw(FORM_VALUES) for p in pairs})
     names = ("t1", "t2")
     coords = {}
     for p in pairs:
         terms = {e: draw(FORM_VALUES) for e in draw(st.lists(
             st.sampled_from(((0, 0), (1, 0), (0, 1))), min_size=1, max_size=3, unique=True))}
         coords[p] = MultiPoly(names, to_sparse(terms))
-    return TwoForm.from_pairs(n, coords, names)
+    return TwoForm(n, coords, names)
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,7 +222,7 @@ def test_cocycle_space_matches_naive_enumerator():
 def _specialize(w: TwoForm, point) -> TwoForm:
     """The form with every entry of ``w`` evaluated at ``point``, rebuilt from
     the dense entries through the validating constructor."""
-    return TwoForm(w.dim, [[x.evaluate(point) for x in row] for row in w.entries])
+    return TwoForm(w.dim, upper_entries([[x.evaluate(point) for x in row] for row in w.entries]))
 
 
 def test_generic_cocycle_shape():
@@ -307,7 +307,7 @@ def test_witness_rechecks_on_an_integer_multiple_still_catch_faults():
         assert is_closed(g, changed) == (not d_two_form(g, changed))
     assert False in verdicts
     # Pf = (1/2) * 2 - 1 * 1: degenerate, with a Fraction entry
-    degenerate = TwoForm.from_pairs(4, {(0, 1): Q(1, 2), (2, 3): 2, (0, 2): 1, (1, 3): 1})
+    degenerate = TwoForm(4, {(0, 1): Q(1, 2), (2, 3): 2, (0, 2): 1, (1, 3): 1})
     assert degenerate.pfaffian() == 0 and type(degenerate.pfaffian()) is int
 
 
@@ -343,10 +343,10 @@ def test_witness_search_order_is_deterministic():
 
 def test_pullback_identity_and_normalization():
     g = _g("abelian", n=2)
-    w = TwoForm.from_pairs(4, {(0, 2): Q(3), (1, 3): Q(-2), (2, 3): Q(7)})
+    w = TwoForm(4, {(0, 2): Q(3), (1, 3): Q(-2), (2, 3): Q(7)})
     assert pullback(g, diagonal([1] * 4), w) == w
     t = diagonal([Q(1, 3), Q(-1, 2), 1, 1])
-    normal = TwoForm.from_pairs(4, {(0, 2): Q(1), (1, 3): Q(1), (2, 3): Q(7)})
+    normal = TwoForm(4, {(0, 2): Q(1), (1, 3): Q(1), (2, 3): Q(7)})
     assert pullback(g, t, w) == normal
     with pytest.raises(ValueError, match="invertible"):
         pullback(g, diagonal([0] * 4), w)
@@ -354,7 +354,7 @@ def test_pullback_identity_and_normalization():
 
 def test_pullback_rejects_a_singular_or_out_of_range_map():
     g = _g("abelian", n=2)
-    w = TwoForm.from_pairs(4, {(0, 2): Q(3), (1, 3): Q(-2)})
+    w = TwoForm(4, {(0, 2): Q(3), (1, 3): Q(-2)})
     # rank 3: e_4 -> e_1 + e_2 repeats the sum of the first two columns
     singular = {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {0: 1, 1: 1}}
     with pytest.raises(ValueError, match="invertible"):
@@ -390,7 +390,7 @@ def test_pullback_by_automorphism_preserves_closedness():
 def test_lagrangian_ideal():
     n = 3
     g = _g("abelian", n=n)
-    w0 = TwoForm.from_pairs(2 * n, {(i, n + i): Q(1) for i in range(n)})
+    w0 = TwoForm(2 * n, {(i, n + i): Q(1) for i in range(n)})
     nilpart = Subspace(2 * n, [g.basis_vector(i) for i in range(n)])
     assert is_lagrangian_ideal(g, w0, nilpart)
     assert not is_lagrangian_ideal(g, w0, Subspace.full(2 * n))
@@ -404,14 +404,14 @@ def test_lagrangian_ideal():
 
 def test_top_power_examples():
     # one pair: coefficient 1
-    w = TwoForm.from_pairs(2, {(0, 1): Q(1)})
+    w = TwoForm(2, {(0, 1): Q(1)})
     assert top_power(w) == 1
     # standard dim-4 block: literal square is 2! * Pf
-    w4 = TwoForm.from_pairs(4, {(0, 2): Q(1), (1, 3): Q(1)})
+    w4 = TwoForm(4, {(0, 2): Q(1), (1, 3): Q(1)})
     assert top_power(w4) == 2 * w4.pfaffian()
     assert top_power(w4) == -2  # (e^{1,3} + e^{2,4})^2 = -2 vol, by hand
     with pytest.raises(ValueError):
-        top_power(TwoForm.zero(3))
+        top_power(TwoForm(3))
 
 
 def test_top_power_matches_factorial_pfaffian_randomized():
@@ -423,36 +423,19 @@ def test_top_power_matches_factorial_pfaffian_randomized():
                 for j in range(i + 1, n):
                     if rng.random() < 0.6:
                         pairs[(i, j)] = Q(rng.randrange(-4, 5), rng.randrange(1, 3))
-            w = TwoForm.from_pairs(n, pairs)
+            w = TwoForm(n, pairs)
             assert top_power(w) == math.factorial(n // 2) * w.pfaffian()
 
 
 def test_two_form_validation():
-    with pytest.raises(ValueError):
-        TwoForm(2, [[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(ValueError):
-        TwoForm(2, [[0, 1], [1, 0]])  # not antisymmetric
-    # one nonzero side of a pair: the antisymmetry check must still see it
-    for grid in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]):
-        with pytest.raises(ValueError, match="not antisymmetric"):
-            TwoForm(2, grid)
     x, y = MultiPoly.variables(["x", "y"])
-    for grid in (
-        [[0, x], [MultiPoly.zero(), 0]],
-        [[0, x], [x, 0]],
-        [[0, x], [-y, 0]],
-        [[0, x], [Q(1), 0]],
-        [[0, x + y], [-x, 0]],
-        [[0, MultiPoly.constant(3)], [Q(3), 0]],
-    ):
-        with pytest.raises(ValueError, match=r"^two-form entries are not antisymmetric$"):
-            TwoForm(2, grid)
-    with pytest.raises(ValueError, match=r"^two-form has a nonzero diagonal entry$"):
-        TwoForm(2, [[x, 0], [0, 0]])
-    # a mirror over another variable tuple, or a constant against a rational
-    TwoForm(2, [[0, x], [MultiPoly(("y", "x"), {((1, 1),): Q(-1)}), 0]])
-    TwoForm(2, [[0, MultiPoly.constant(3)], [Q(-3), 0]])
-    w = TwoForm.from_pairs(3, {(0, 1): Q(2)})
+    for pairs in ({(0, 0): 1}, {(1, 1): x}, {(0, 1): 1, (1, 1): 0}):
+        with pytest.raises(ValueError, match=r"^diagonal coefficient in a two-form$"):
+            TwoForm(2, pairs)
+    # either orientation of a pair: (1, 0) counts as -(0, 1)
+    assert TwoForm(2, {(1, 0): x}).coords == {(0, 1): -x}
+    assert TwoForm(2, {(1, 0): Q(-3)}) == TwoForm(2, {(0, 1): 3})
+    w = TwoForm(3, {(0, 1): Q(2)})
     assert w.value((1, 0, 0), (0, 1, 0)) == 2
     assert w.value((0, 1, 0), (1, 0, 0)) == -2
     # a vector of the wrong length is neither truncated nor read past its end
@@ -460,31 +443,31 @@ def test_two_form_validation():
         with pytest.raises(ValueError, match=r"^vector length does not match form dimension$"):
             w.value(x, y)
     # (1, 0) counts as -(0, 1), so the pair cancels to the zero form
-    cancelled = TwoForm.from_pairs(3, {(0, 1): 1, (1, 0): 1})
-    assert cancelled == TwoForm.zero(3) and cancelled.coords == {}
+    cancelled = TwoForm(3, {(0, 1): 1, (1, 0): 1})
+    assert cancelled == TwoForm(3) and cancelled.coords == {}
     with pytest.raises(ValueError, match=r"^two-form index out of range$"):
-        TwoForm.from_pairs(3, {(0, 3): 1})
+        TwoForm(3, {(0, 3): 1})
 
 
 def test_a_form_of_ints_is_concrete_and_a_parametric_one_is_not():
     """A concrete form's zero is the int 0, so concreteness must not be read
     off the zero's type being Fraction."""
-    w = TwoForm.from_pairs(4, {(0, 1): 1, (2, 3): 1})
+    w = TwoForm(4, {(0, 1): 1, (2, 3): 1})
     assert all(type(x) is int for x in w.coords.values())
-    assert w.is_concrete() and TwoForm.zero(4).is_concrete()
+    assert w.is_concrete() and TwoForm(4).is_concrete()
     assert w.entries == ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
     assert all(type(x) is int for row in w.entries for x in row)
     assert w.pfaffian() == 1 and type(w.pfaffian()) is int
     assert top_power(w) == 2 and type(top_power(w)) is int
     t = MultiPoly.variables(["t1"])[0]
     for p in (
-        TwoForm.from_pairs(4, {(0, 1): t, (2, 3): 1}, ("t1",)),
-        TwoForm.from_pairs(4, {(0, 1): 1, (2, 3): 1}, ("t1",)),  # variables, no polynomial
+        TwoForm(4, {(0, 1): t, (2, 3): 1}, ("t1",)),
+        TwoForm(4, {(0, 1): 1, (2, 3): 1}, ("t1",)),  # variables, no polynomial
     ):
         assert not p.is_concrete()
         with pytest.raises(ValueError, match="top power requires a concrete form"):
             top_power(p)
-    assert str(TwoForm.from_pairs(4, {(0, 1): t, (2, 3): 1}, ("t1",)).pfaffian()) == "t1"
+    assert str(TwoForm(4, {(0, 1): t, (2, 3): 1}, ("t1",)).pfaffian()) == "t1"
 
 
 # the family members of the benchmark's scale tier

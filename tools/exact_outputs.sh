@@ -19,6 +19,12 @@
 # whose grading vector lies in [g, g], and abelian n=2 with one torus
 # generator), and the demos.  Two checkouts,
 # or two interpreters, that print the same bytes agree on every output.
+# tools/exact_outputs.sha256 pins the sha256 of the Python 3.11 battery's
+# stdout and stderr, saved as exact-outputs-3.11.txt and
+# exact-errors-3.11.txt; check them with
+#
+#   sha256sum -c tools/exact_outputs.sha256
+#
 # A failing command outside ``run`` (which records the exit code of the one
 # it runs) stops the battery with that command's exit code.
 set -euo pipefail
