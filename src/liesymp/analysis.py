@@ -10,8 +10,9 @@ center and Der(g) only when read), ``rank_bound(nilradical)`` and
 ``decide_symplectic(algebra)`` (whose verdict keeps the cocycle space it
 decided from, whose Z^2 and B^2 are each solved only when read, and out of
 which a reader builds the generic closed form).  The
-nilradical's Jacobi identity is read off that torus check, as t ⋉ n holds
-every triple of n.
+nilradical's Jacobi identity is read off that torus check: a diagonal torus
+is checked on its weights and walks n for it, and any other walks t ⋉ n,
+which holds every triple of n.
 
 An analysis holds no state beyond its caches and is built afresh for each
 catalog entry, file or command; nothing is shared between analyses.
@@ -56,8 +57,8 @@ class Analysis:
     @cached_property
     def jacobi_failure(self) -> tuple[int, int, int] | None:
         """The nilradical's first triple violating the Jacobi identity, if
-        any: the one a valid torus's check found in t ⋉ n, which holds every
-        triple of n, else computed on n."""
+        any: the one a valid torus's check found, on n or in t ⋉ n, which
+        holds every triple of n, else computed on n."""
         if self.torus is not None and self.torus.check.ok:
             return self.torus.check.jacobi_failure
         return self.nilradical.jacobi_failure()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -639,9 +640,11 @@ def _builder(name: str):
     raise ValueError(f"unknown catalog entry {name!r}; see entry_names()")
 
 
+@cache
 def entry_parameters(name: str) -> tuple[str, ...]:
-    """The parameter names that ``build_entry(name, ...)`` accepts; raises
-    ValueError on a name that is not an entry."""
+    """The parameter names that ``build_entry(name, ...)`` accepts, read off
+    the builder's signature once per name; raises ValueError on a name that
+    is not an entry."""
     builder = _builder(name)
     return tuple(inspect.signature(builder).parameters) if callable(builder) else ()
 

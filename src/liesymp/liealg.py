@@ -116,6 +116,10 @@ class Subspace:
         return cls(n, ())
 
 
+def _default_labels(dim: int) -> tuple[str, ...]:
+    return tuple(f"e{i + 1}" for i in range(dim))
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q, defined by structure constants.
 
@@ -134,9 +138,7 @@ class LieAlgebra:
         brackets: Mapping[tuple[int, int], Mapping[int, Fraction]] | None = None,
         labels: Sequence[str] | None = None,
     ):
-        if labels is None:
-            labels = tuple(f"e{i + 1}" for i in range(dim))
-        labels = tuple(labels)
+        labels = _default_labels(dim) if labels is None else tuple(labels)
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         if len(set(labels)) != dim:
@@ -169,6 +171,22 @@ class LieAlgebra:
                         del slot[k]
                 if not slot:
                     del table[(i, j)]
+        self._hold(dim, table, labels)
+
+    @classmethod
+    def _trusted(
+        cls, dim: int, table: dict[tuple[int, int], dict[int, int | Fraction]],
+        labels: Sequence[str] | None = None,
+    ) -> "LieAlgebra":
+        """An algebra from a table that already holds the invariants (pairs
+        i < j < dim, components in range(dim), each value nonzero and an int
+        when integral) and distinct labels, the default ones when None; no
+        copy and no check."""
+        g = cls.__new__(cls)
+        g._hold(dim, table, _default_labels(dim) if labels is None else tuple(labels))
+        return g
+
+    def _hold(self, dim: int, table: dict, labels: tuple[str, ...]) -> None:
         self.dim = dim
         self.labels = labels
         self.table = table
@@ -386,7 +404,13 @@ class LieAlgebra:
         ad e_a sends each e_b to later basis vectors, so every ad x lowers the
         flag of that order.  A nilpotent algebra in a basis adapted to no such
         flag has a cycle too, so a cycle alone proves nothing.
+
+        The basis order is topological when every nonzero c_ab^k (a < b) has
+        k > b, as in the adapted bases of the catalog; only a table where
+        it is not sorts the graph.
         """
+        if all(k > b for (_, b), coeffs in self.table.items() for k in coeffs):
+            return True
         graph = TopologicalSorter()
         for (a, b), coeffs in self.table.items():
             for k in coeffs:

@@ -18,7 +18,11 @@ generators are commuting derivations, so ``verify_torus`` builds t ⋉ n once
 and reads both axioms off its failing Jacobi triples; ``semidirect`` returns
 that product and checks nothing again.  Its failing triples inside n are
 n's own, so a valid torus check also answers the nilradical's Jacobi
-identity (:attr:`liesymp.analysis.Analysis.jacobi_failure`).
+identity (:attr:`liesymp.analysis.Analysis.jacobi_failure`).  A diagonal
+torus, the catalog's usual one, skips that walk: diag(l) is a derivation
+exactly when l_k = l_a + l_b for every nonzero c_ab^k, diagonal maps commute
+and are semisimple, and n's own walk gives its first failing triple; the
+product is assembled from n's table without a second validation.
 
 Tori are supplied (from reference data or the user) and verified here; no
 attempt is made to construct a maximal torus from scratch.  Maximality is
@@ -83,6 +87,42 @@ def _columns(flat: Mapping[int, int | Fraction], n: int) -> Columns:
 def _in_range(d: Columns, n: int) -> bool:
     """Whether every column and row index of ``d`` lies in range(n)."""
     return all(0 <= j < n and all(0 <= k < n for k in col) for j, col in d.items())
+
+
+def _is_diagonal(d: Columns, n: int) -> bool:
+    """Whether ``d`` is diagonal, each column j holding only its entry at
+    row j, with every index in range(n)."""
+    return all(0 <= j < n and len(col) == 1 and j in col for j, col in d.items())
+
+
+def _coerced(d: Mapping[int, Mapping[int, object]]) -> Columns:
+    """The column map of ``d`` with each entry coerced by :func:`as_exact`,
+    zero entries and empty columns dropped, columns and entries in
+    increasing order."""
+    cols = {}
+    for j, col in sorted(d.items()):
+        col = {k: x for k, c in sorted(col.items()) if (x := as_exact(c))}
+        if col:
+            cols[j] = col
+    return cols
+
+
+def _grades(n: LieAlgebra, d: Columns) -> bool:
+    """Whether the diagonal map ``d`` = diag(l) is a derivation of ``n``.
+
+    D[e_a, e_b] - [D e_a, e_b] - [e_a, D e_b] = sum_k c_ab^k (l_k - l_a - l_b) e_k,
+    so D is one exactly when l_k = l_a + l_b for every nonzero c_ab^k: the
+    weights l grade the table, read in one scan of it.
+    """
+    weight = [0] * n.dim
+    for j, col in d.items():
+        weight[j] = col[j]
+    for (a, b), coeffs in n.table.items():
+        w = weight[a] + weight[b]
+        for k in coeffs:
+            if weight[k] != w:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -159,7 +199,7 @@ def is_derivation(g: LieAlgebra, d: Columns) -> bool:
     """
     if not _in_range(d, g.dim):
         return False
-    return all(k != g.dim for _, _, k in _adjoin(g, (d,)).jacobi_failures())
+    return all(k != g.dim for _, _, k in _adjoin(g, (_coerced(d),)).jacobi_failures())
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationBasis:
@@ -252,15 +292,7 @@ class TorusAction:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        gens = []
-        for d in self.generators:
-            cols = {}
-            for j, col in sorted(d.items()):
-                col = {k: x for k, c in sorted(col.items()) if (x := as_exact(c))}
-                if col:
-                    cols[j] = col
-            gens.append(cols)
-        gens = tuple(gens)
+        gens = tuple(_coerced(d) for d in self.generators)
         object.__setattr__(self, "generators", gens)
         labels = tuple(self.labels)
         if not labels:
@@ -290,8 +322,8 @@ class TorusAction:
 @dataclass(frozen=True)
 class TorusCheck:
     """The verdict of :func:`verify_torus`.  A valid torus also keeps its
-    product t ⋉ n and the first triple at which that violates Jacobi (one
-    inside n), for :func:`semidirect` and for
+    product t ⋉ n and the first triple at which n violates Jacobi, which is
+    where t ⋉ n first does, for :func:`semidirect` and for
     :attr:`liesymp.analysis.Analysis.jacobi_failure`."""
 
     ok: bool
@@ -308,25 +340,38 @@ def _adjoin(
 ) -> LieAlgebra:
     """The bracket of t ⋉ n: n with the generators adjoined after its basis,
     [e_i, h] = -h(e_i), and [h, h'] = 0, whatever the generators are.  With
-    ``labels``, the basis is labelled n's labels then these."""
+    ``labels``, the basis is labelled n's labels then these, else by default.
+
+    The generators must be coerced column maps (see :class:`TorusAction`)
+    with every index in range(dim n), and ``labels`` must repeat no label
+    of n or each other: then n's normalised table, followed by the negated
+    columns, is already the table the validating constructor would build,
+    in the same order, and it is taken as it is.  Tables are never
+    modified, so the product shares n's coefficient maps."""
     dim = n.dim
-    # LieAlgebra copies the coefficient maps, so the nilradical's are shared
-    brackets: dict[tuple[int, int], Mapping[int, Fraction]] = dict(n.table)
+    table = dict(n.table)
     for a, d in enumerate(generators):
         for i, col in d.items():
             # [e_i, h] = -h(e_i): column i of the generator, negated
-            brackets[(i, dim + a)] = {k: -c for k, c in col.items()}
+            table[(i, dim + a)] = {k: -c for k, c in col.items()}
     if labels is not None:
         labels = n.labels + tuple(labels)
-    return LieAlgebra(dim + len(generators), brackets, labels)
+    return LieAlgebra._trusted(dim + len(generators), table, labels)
 
 
 def verify_torus(t: TorusAction) -> TorusCheck:
     """Check the torus axioms, reporting the first violated property.
 
-    The product t ⋉ n is built once, from the generators before the first
-    one of the wrong shape: one with a column or row index outside
-    range(dim n).  For basis vectors e_i of n, the Jacobi sum of
+    A diagonal torus, every generator diag(l) with its indices in
+    range(dim n), is checked on its weights: diag(l) is a derivation
+    exactly when l grades n's table (see :func:`_grades`), and diagonal maps
+    commute and are semisimple.  Then t ⋉ n satisfies Jacobi on every triple
+    with a torus index, so its first failing triple is n's own, from n's
+    walk, and the product is assembled once the axioms hold.
+
+    Any other torus is checked on t ⋉ n, built once, from the generators
+    before the first one of the wrong shape: one with a column or row index
+    outside range(dim n).  For basis vectors e_i of n, the Jacobi sum of
     {e_i, e_j, h_a} is the Leibniz identity of h_a on (e_i, e_j), and that of
     {e_i, h_a, h_b} is -[h_a, h_b] e_i.  So a failing triple with one torus
     index names a generator that is not a derivation, and one with two a
@@ -337,9 +382,31 @@ def verify_torus(t: TorusAction) -> TorusCheck:
     which characterises semisimple action over any field of characteristic
     zero (rational diagonalisability is strictly stronger and not required);
     a diagonal generator is semisimple outright.  Linear independence of the
-    generators is checked last, as the rank of their flattened entries, so
-    that the torus rank is the number of generators.
+    generators is checked last on both routes, as the rank of their
+    flattened entries, so that the torus rank is the number of generators.
     """
+    if all(_is_diagonal(d, t.nilradical.dim) for d in t.generators):
+        return _check_on_weights(t)
+    return _check_on_product(t)
+
+
+def _check_on_weights(t: TorusAction) -> TorusCheck:
+    """:func:`verify_torus` for a diagonal torus: each generator's weights
+    must grade n's table, the generators must be independent, and then
+    t ⋉ n is assembled and n walked for its first failing triple."""
+    nil = t.nilradical
+    for a, d in enumerate(t.generators):
+        if not _grades(nil, d):
+            return TorusCheck(False, f"generator {t.labels[a]} is not a derivation")
+    if violation := _dependence(t):
+        return TorusCheck(False, violation)
+    product = _adjoin(nil, t.generators, t.labels)
+    return TorusCheck(True, product=product, jacobi_failure=nil.jacobi_failure())
+
+
+def _check_on_product(t: TorusAction) -> TorusCheck:
+    """:func:`verify_torus` for any torus, read off the failing Jacobi
+    triples of t ⋉ n."""
     n = t.nilradical.dim
     labels = t.labels
     shaped = next((a for a, d in enumerate(t.generators) if not _in_range(d, n)), t.rank)
@@ -357,8 +424,8 @@ def verify_torus(t: TorusAction) -> TorusCheck:
         a, b = min(pairs)
         return TorusCheck(False, f"generators {labels[a]} and {labels[b]} do not commute")
     for a, d in enumerate(t.generators):
-        if all(col.keys() == {j} for j, col in d.items()):
-            continue  # diagonal
+        if _is_diagonal(d, n):
+            continue
         # the columns are the rows of the transpose, which has the same minimal polynomial
         if not upoly_is_squarefree(minimal_polynomial([d.get(j, {}) for j in range(n)])):
             return TorusCheck(
@@ -366,14 +433,23 @@ def verify_torus(t: TorusAction) -> TorusCheck:
                 f"generator {labels[a]} is not semisimple "
                 "(minimal polynomial has a repeated factor)",
             )
+    if violation := _dependence(t):
+        return TorusCheck(False, violation)
+    return TorusCheck(True, product=product, jacobi_failure=min(failures, default=None))
+
+
+def _dependence(t: TorusAction) -> str | None:
+    """The violation when the generators are linearly dependent, read off
+    the rank of their flattened entries; None when they are independent."""
+    n = t.nilradical.dim
     flat = (
         {j * n + k: c for j, col in d.items() for k, c in col.items()} for d in t.generators
     )
-    if len(sparse_rref(flat)) < t.rank:
-        if t.rank == 1:
-            return TorusCheck(False, f"generator {labels[0]} is zero")
-        return TorusCheck(False, f"generators {', '.join(labels)} are linearly dependent")
-    return TorusCheck(True, product=product, jacobi_failure=min(failures, default=None))
+    if len(sparse_rref(flat)) == t.rank:
+        return None
+    if t.rank == 1:
+        return f"generator {t.labels[0]} is zero"
+    return f"generators {', '.join(t.labels)} are linearly dependent"
 
 
 def semidirect(t: TorusAction) -> LieAlgebra:

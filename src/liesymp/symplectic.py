@@ -103,22 +103,27 @@ class TwoForm:
                 raise ValueError("two-form index out of range")
             v = _as_entry(value)
             items.append(((i, j), v) if i < j else ((j, i), -v))
-        self._hold(dim, _form_sum(dim, items).coords, variables)
+        w = _form_sum(dim, items, variables)
+        self._hold(dim, w.coords, w.variables, w.is_concrete())
 
     @classmethod
-    def _of(cls, dim: int, coords: Coords, variables: Sequence[str] = ()) -> "TwoForm":
+    def _of(
+        cls, dim: int, coords: Coords, variables: Sequence[str] = (), concrete: bool = True
+    ) -> "TwoForm":
         """A form from coordinates that already hold the invariants (pairs
-        i < j < dim, no zero value); no copy and no check."""
+        i < j < dim, no zero value), ``concrete`` exactly when there are no
+        variables and no MultiPoly value; no copy and no check."""
         w = cls.__new__(cls)
-        w._hold(dim, coords, variables)
+        w._hold(dim, coords, tuple(variables), concrete)
         return w
 
-    def _hold(self, dim: int, coords: Coords, variables: Sequence[str]) -> None:
+    def _hold(
+        self, dim: int, coords: Coords, variables: tuple[str, ...], concrete: bool
+    ) -> None:
         self.dim = dim
         self.coords = coords
-        self.variables = tuple(variables)
-        parametric = self.variables or any(isinstance(x, MultiPoly) for x in coords.values())
-        self._zero = MultiPoly.zero() if parametric else 0
+        self.variables = variables
+        self._zero = 0 if concrete else MultiPoly.zero()
 
     def is_concrete(self) -> bool:
         return not isinstance(self._zero, MultiPoly)
@@ -193,17 +198,27 @@ def _form_sum(
 ) -> TwoForm:
     """The form sum of value * e^i ^ e^j over the (pair, value) items, pairs
     i < j; coordinates that sum to zero are dropped, and an integral sum is
-    held as an int."""
-    coords: Coords = {}
+    held as an int.  The form is concrete when there are no ``variables``
+    and no sum is a MultiPoly, which the coercing pass reads off."""
+    sums: Coords = {}
     for pair, v in items:
-        x = coords.get(pair)
+        x = sums.get(pair)
         if x is not None:
             v = x + v
         if v:
-            coords[pair] = v
+            sums[pair] = v
         elif x is not None:
-            del coords[pair]
-    return TwoForm._of(dim, {pair: _as_entry(v) for pair, v in coords.items()}, variables)
+            del sums[pair]
+    variables = tuple(variables)
+    concrete = not variables
+    coords: Coords = {}
+    for pair, v in sums.items():
+        if isinstance(v, MultiPoly):
+            concrete = False
+        else:
+            v = as_exact(v)
+        coords[pair] = v
+    return TwoForm._of(dim, coords, variables, concrete)
 
 
 # -- exterior differentials ---------------------------------------------------
@@ -224,25 +239,32 @@ def d_two_form(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], object]:
 
     dw(x,y,z) = -( w([x,y],z) + w([y,z],x) + w([z,x],y) ); the sign makes
     d_two_form(d_one_form(a)) vanish identically.  The sums are those of
-    :meth:`LieAlgebra.compositions` with the partners (t, 0, w(e_m, e_t))
-    of each e_m, over the form's nonzero coordinates, in one column.
+    :func:`_dw_sums`, negated.
     """
+    sums = _dw_sums(g, w)
+    return {key: _as_entry(-sums[key][0]) for key in sorted(sums)}
+
+
+def _dw_sums(g: LieAlgebra, w: TwoForm) -> dict[tuple[int, int, int], dict[int, object]]:
+    """-dw on the triples where it is nonzero, in walk order: the sums of
+    :meth:`LieAlgebra.compositions` with the partners (t, 0, w(e_m, e_t))
+    of each e_m, over the form's nonzero coordinates, in one column."""
     if w.dim != g.dim:
         raise ValueError("form dimension does not match algebra dimension")
     partners: list[list[tuple[int, int, object]]] = [[] for _ in range(g.dim)]
     for (i, j), x in w.coords.items():
         partners[i].append((j, 0, x))
         partners[j].append((i, 0, -x))
-    sums = g.compositions(partners)
-    return {key: _as_entry(-sums[key][0]) for key in sorted(sums)}
+    return g.compositions(partners)
 
 
 def is_closed(g: LieAlgebra, w: TwoForm) -> bool:
-    """Whether dw = 0.  A concrete w is tested as s * w, its coordinates
-    ints (see :meth:`TwoForm.pfaffian`), which is closed exactly when w is."""
+    """Whether dw = 0: whether the walk of :func:`_dw_sums` finds no nonzero
+    sum.  A concrete w is tested as s * w, its coordinates ints (see
+    :meth:`TwoForm.pfaffian`), which is closed exactly when w is."""
     if w.is_concrete():
         w = TwoForm._of(w.dim, integer_multiple(w.coords)[1])
-    return not d_two_form(g, w)
+    return not _dw_sums(g, w)
 
 
 # -- cocycle spaces -----------------------------------------------------------
@@ -401,7 +423,7 @@ def _generic_combination(n: int, basis: Sequence[TwoForm]) -> TwoForm:
             upper.setdefault(pair, {})[t_k] = c
     # one term c * t_k per form, with a nonzero coefficient
     coords = {pair: MultiPoly._trusted(names, terms) for pair, terms in upper.items()}
-    return TwoForm._of(n, coords, names)
+    return TwoForm._of(n, coords, names, concrete=not names)
 
 
 def _parameters(m: int) -> tuple[str, ...]:

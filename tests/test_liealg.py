@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from graphlib import CycleError, TopologicalSorter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesymp import liealg
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.catalog import build_entry
 from liesymp.structure import semidirect
@@ -290,3 +293,59 @@ def test_subspace_membership_and_equality():
 def test_labels():
     with pytest.raises(ValueError):
         LieAlgebra(2, labels=("x", "x"))
+
+
+def _sorts(g: LieAlgebra) -> bool:
+    """Whether a topological sort of the bracket graph (a -> k and b -> k
+    for every nonzero c_ab^k) succeeds."""
+    graph = TopologicalSorter()
+    for (a, b), coeffs in g.table.items():
+        for k in coeffs:
+            graph.add(k, a, b)
+    try:
+        graph.prepare()
+    except CycleError:
+        return False
+    return True
+
+
+def _sorters_built(g: LieAlgebra) -> tuple[bool, int]:
+    """``g.has_acyclic_bracket_graph()`` and the number of sorters it built."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return TopologicalSorter()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liealg, "TopologicalSorter", counted)
+        answer = g.has_acyclic_bracket_graph()
+    return answer, len(built)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(central_extensions(), sparse_tables()), data=st.data())
+def test_acyclic_bracket_graph_matches_the_sorter(g, data):
+    """Permuted and relabelled, a table gets the sorter's answer; only a
+    basis order that is not topological builds a sorter."""
+    perm = data.draw(st.permutations(range(g.dim)))
+    table = {(perm[a], perm[b]): {perm[k]: c for k, c in coeffs.items()}
+             for (a, b), coeffs in g.table.items()}
+    labels = [f"x{perm.index(i)}" for i in range(g.dim)]
+    for h in (g, LieAlgebra(g.dim, table, labels)):
+        in_order = all(k > max(a, b) for (a, b), coeffs in h.table.items() for k in coeffs)
+        assert _sorters_built(h) == (_sorts(h), 0 if in_order else 1)
+        if in_order:
+            assert _sorts(h)
+
+
+def test_a_nilpotent_table_out_of_flag_order_falls_back_to_the_sorter():
+    # n4_1 in the basis e1 + e4, e2, e3, e4: [f2, f4] = f1 - f4 is a self-loop
+    n = LieAlgebra(4, {(0, 1): {0: -1, 3: 1}, (0, 2): {1: -1},
+                       (1, 3): {0: 1, 3: -1}, (2, 3): {1: 1}})
+    assert _sorters_built(n) == (False, 1)
+    assert n.is_nilpotent()
+    # n4_1's own basis runs its flag downwards: acyclic, as the sorter finds
+    assert _sorters_built(n4_1()) == (True, 1)
+    # reversed, the order is topological, and no sorter is built
+    assert _sorters_built(LieAlgebra(4, {(0, 2): {3: 1}, (0, 1): {2: 1}})) == (True, 0)

@@ -6,15 +6,18 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesymp import analysis, regression, structure
 from liesymp.catalog import DEFAULT_SELECTION, build_entry
 from liesymp.fileformat import build, parse
 from liesymp.liealg import LieAlgebra
-from liesymp.linalg import diagonal
+from liesymp.linalg import diagonal, sparse_kernel_rows, sparse_rref
 from liesymp.regression import check_entry
 from test_analysis import _dense_leibniz
 from test_linalg import ad_map, apply_map, columns, in_span, to_grid
+from test_liealg import COEFFS, sparse_tables
 from liesymp.structure import (
     NotRationallyDiagonalizable,
     TorusAction,
@@ -242,10 +245,12 @@ def test_is_derivation_answers_leibniz_on_a_table_that_violates_jacobi():
     assert True in answers and False in answers
 
 
-def test_check_entry_evaluates_the_jacobi_sums_of_t_x_n_once(monkeypatch):
-    """One Jacobi evaluation per entry, of the product t x n inside the torus
-    check; the nilradical's check is read off it, and ``semidirect``
-    evaluates none."""
+def test_check_entry_evaluates_the_jacobi_sums_once(monkeypatch):
+    """One Jacobi evaluation per entry, inside the torus check: of the
+    nilradical n for a diagonal torus, which is checked on its weights, and
+    of the product t x n for the others (n6_5, n6_10, n6_14 and n6_18).
+    The nilradical's check is read off it, and ``semidirect`` evaluates
+    none."""
     evaluated, inside, built = [], [], []
     failures, product = LieAlgebra.jacobi_failures, structure.semidirect
 
@@ -265,12 +270,19 @@ def test_check_entry_evaluates_the_jacobi_sums_of_t_x_n_once(monkeypatch):
     for mod in (structure, analysis, regression):
         if getattr(mod, "semidirect", None) is product:
             monkeypatch.setattr(mod, "semidirect", counted_semidirect)
+    walked = set()
     for name, params in DEFAULT_SELECTION:
         entry = build_entry(name, **params)
+        diagonal = all(
+            col.keys() == {j} for d in entry.torus.generators for j, col in d.items()
+        )
         evaluated.clear()
         assert check_entry(entry).green
-        assert evaluated == [(entry.total_dim, False)]
+        assert evaluated == [(entry.nilradical.dim if diagonal else entry.total_dim, False)]
+        if not diagonal:
+            walked.add(name)
     assert len(built) == len(DEFAULT_SELECTION)
+    assert walked == {"n6_5", "n6_10", "n6_14", "n6_18"}
 
 
 def test_semidirect_abelian_brackets():
@@ -475,3 +487,135 @@ def test_root_decomposition_irrational_eigenvalues():
 def test_root_decomposition_rejects_a_split_that_does_not_fill(gens):
     with pytest.raises(NotRationallyDiagonalizable, match="does not split"):
         root_decomposition(TorusAction(LieAlgebra(2), gens))
+
+
+def _grading_weights(g: LieAlgebra) -> list[dict[int, Q]]:
+    """A basis of the weights l with l_k = l_a + l_b for every nonzero
+    c_ab^k: the diagonal derivations diag(l) of ``g``."""
+    rows = []
+    for (a, b), coeffs in g.table.items():
+        for k in coeffs:
+            row: dict[int, Q] = {}
+            for i, c in ((k, 1), (a, -1), (b, -1)):
+                row[i] = row.get(i, 0) + c
+            rows.append({i: c for i, c in row.items() if c})
+    return sparse_kernel_rows(sparse_rref(rows), g.dim)
+
+
+# derivations twice: a perturbed table is often graded by no nonzero weight
+GENERATOR_KINDS = (
+    "derivation", "derivation", "moved", "zero", "multiple", "off-diagonal", "out of range"
+)
+
+
+@st.composite
+def diagonal_tori(draw, kinds=GENERATOR_KINDS) -> TorusAction:
+    """One to three generators on a ``sparse_tables`` algebra, which usually
+    fails Jacobi: integer combinations of the weights that grade its table
+    (derivations), such a combination with one entry moved (usually not a
+    derivation), zero, a multiple of an earlier generator (dependent),
+    one with an off-diagonal entry, or one with a column outside the
+    nilradical."""
+    g = draw(sparse_tables())
+    n = g.dim
+    grading = _grading_weights(g)
+    gens: list[dict] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "multiple" and gens:
+            c = draw(COEFFS)
+            earlier = draw(st.sampled_from(gens))
+            gens.append({j: {k: c * x for k, x in col.items()} for j, col in earlier.items()})
+            continue
+        weight = [0] * n
+        if kind != "zero":
+            for v in grading:
+                c = draw(st.integers(-2, 2))
+                for i, x in v.items():
+                    weight[i] += c * x
+        if kind == "moved":
+            weight[draw(st.integers(0, n - 1))] += draw(COEFFS)
+        d = diagonal(weight)
+        if kind == "off-diagonal":
+            j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            d.setdefault(j, {})[k] = draw(COEFFS)
+        elif kind == "out of range":
+            d[n] = {n: 1}
+        gens.append(d)
+    return TorusAction(g, tuple(gens))
+
+
+def _table_items(g: LieAlgebra) -> list:
+    """The bracket table with its dict order: its pairs and their terms in order."""
+    return [(pair, list(coeffs.items())) for pair, coeffs in g.table.items()]
+
+
+def _walked_dims(t: TorusAction) -> list[int]:
+    """The dimensions of the algebras whose Jacobi sums ``verify_torus(t)`` walks."""
+    walked = []
+    failures = LieAlgebra.jacobi_failures
+
+    def counted(self):
+        walked.append(self.dim)
+        return failures(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LieAlgebra, "jacobi_failures", counted)
+        verify_torus(t)
+    return walked
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=diagonal_tori())
+def test_the_weight_route_gives_the_walk_verdict(t):
+    """A diagonal torus in range is checked on its weights, walking n alone
+    and only once the axioms hold; every torus gets the verdict of the t x n
+    walk, its violation text and n's first failing triple included, and a
+    valid one the product the validating constructor builds, in the same
+    dict order."""
+    n = t.nilradical
+    check = verify_torus(t)
+    assert check == structure._check_on_product(t)
+    if all(structure._is_diagonal(d, n.dim) for d in t.generators):
+        assert _walked_dims(t) == ([n.dim] if check.ok else [])
+    else:
+        # t x n, from the generators before the first of the wrong shape
+        shaped = next(
+            (a for a, d in enumerate(t.generators) if not structure._in_range(d, n.dim)), t.rank
+        )
+        assert _walked_dims(t) == [n.dim + shaped]
+    if check.ok:
+        assert check.jacobi_failure == n.jacobi_failure()
+        brackets = dict(n.table)
+        for a, d in enumerate(t.generators):
+            for i, col in d.items():
+                brackets[(i, n.dim + a)] = {k: -c for k, c in col.items()}
+        expected = LieAlgebra(n.dim + t.rank, brackets, n.labels + t.labels)
+        assert check.product == expected
+        assert _table_items(check.product) == _table_items(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=diagonal_tori(kinds=("derivation", "moved", "zero")), data=st.data())
+def test_a_torus_with_one_non_diagonal_generator_takes_the_walk(t, data):
+    n = t.nilradical.dim
+    j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    gens = list(t.generators)
+    gens.insert(data.draw(st.integers(0, len(gens))), {j: {k: data.draw(COEFFS)}})
+    mixed = TorusAction(t.nilradical, tuple(gens))
+    assert _walked_dims(mixed) == [n + mixed.rank]
+    assert verify_torus(mixed) == structure._check_on_product(mixed)
+
+
+@pytest.mark.parametrize("labels", [None, ("h1", "h2")])
+def test_the_product_has_the_labels_the_validating_constructor_gives(labels):
+    n = n4_1()
+    gens = (diagonal([1, 0, 1, 0]), diagonal([0, 1, 1, 0]))
+    brackets = dict(n.table)
+    for a, d in enumerate(gens):
+        for i, col in d.items():
+            brackets[(i, 4 + a)] = {k: -c for k, c in col.items()}
+    full = None if labels is None else n.labels + labels
+    expected = LieAlgebra(6, brackets, full)
+    product = structure._adjoin(n, gens, labels)
+    assert product == expected and _table_items(product) == _table_items(expected)

@@ -29,6 +29,7 @@ from liesymp.regression import check_entry
 from liesymp.structure import semidirect
 from liesymp.symplectic import (
     TwoForm,
+    _form_sum,
     _generic_combination,
     cocycle_space,
     d_one_form,
@@ -468,6 +469,48 @@ def test_a_form_of_ints_is_concrete_and_a_parametric_one_is_not():
         with pytest.raises(ValueError, match="top power requires a concrete form"):
             top_power(p)
     assert str(TwoForm(4, {(0, 1): t, (2, 3): 1}, ("t1",)).pfaffian()) == "t1"
+
+
+def _concrete(w: TwoForm) -> bool:
+    """Concreteness read off the form: no variables and no MultiPoly value."""
+    return not w.variables and not any(isinstance(x, MultiPoly) for x in w.coords.values())
+
+
+_T1, _T2 = MultiPoly.variables(["t1", "t2"])
+MIXED_VALUES = st.sampled_from((0, 1, -2, Q(1, 3), _T1, -_T1, _T2 - _T1, MultiPoly.constant(2)))
+
+
+@st.composite
+def mixed_forms(draw) -> TwoForm:
+    """A dim-4 form of ints, Fractions and MultiPolys, some summing to zero,
+    with pairs in both orientations and with or without variables."""
+    pairs = st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True).map(tuple)
+    items = draw(st.dictionaries(pairs, MIXED_VALUES, max_size=6))
+    return TwoForm(4, items, draw(st.sampled_from(((), ("t1", "t2")))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=mixed_forms(), v=mixed_forms(), c=MIXED_VALUES, data=st.data())
+def test_concreteness_is_recorded_on_every_construction_path(w, v, c, data):
+    """Every way of building a form records whether it is concrete, the
+    same answer as reading its variables and values."""
+    perm = data.draw(st.permutations(range(4)))
+    t = {j: {perm[j]: data.draw(st.sampled_from((1, -1, 2)))} for j in range(4)}
+    built = [w, v, w.add(v), v.add(w), w.scale(c), w.scale(0), pullback(LieAlgebra(4), t, w)]
+    items = list(w.coords.items()) + list(v.coords.items())
+    built += [_form_sum(4, items), _form_sum(4, items, ("t1",))]
+    basis = [z for z in (w, v) if _concrete(z)]  # a zero form still brings its parameter
+    built += [_generic_combination(4, []), _generic_combination(4, basis)]
+    for form in built:
+        assert form.is_concrete() == _concrete(form)
+
+
+def test_a_polynomial_value_without_variables_is_parametric():
+    assert not TwoForm(4, {(0, 1): _T1}).is_concrete()
+    assert not TwoForm(4, {(1, 0): MultiPoly.constant(2)}).is_concrete()
+    # a polynomial pair that cancels leaves no polynomial value
+    assert TwoForm(4, {(0, 1): _T1, (1, 0): _T1}).is_concrete()
+    assert not TwoForm(4, {(0, 1): _T1, (1, 0): _T1}, ("t1",)).is_concrete()
 
 
 # the family members of the benchmark's scale tier

@@ -17,7 +17,10 @@
 # decision, props and completeness of Q n=45 and of L n=20, props and
 # completeness of two algebras with a nonzero center in weight 0 (sl2 x R,
 # whose grading vector lies in [g, g], and abelian n=2 with one torus
-# generator), and the demos.  Two checkouts,
+# generator), check and the symplectic decision of one torus file per
+# torus axiom that can fail (a diagonal and a non-diagonal non-derivation,
+# a non-commuting pair, a non-semisimple, a zero and dependent generators;
+# exit 2, with their stderr), and the demos.  Two checkouts,
 # or two interpreters, that print the same bytes agree on every output.
 # tools/exact_outputs.sha256 pins the sha256 of the Python 3.11 battery's
 # stdout and stderr, saved as exact-outputs-3.11.txt and
@@ -105,6 +108,21 @@ battery() {
   for f in "$dir/sl2r.lie" "$dir/abelian2-h1.lie"; do
     run der "$f" --complete
     run props "$f"
+  done
+  # one torus on the Heisenberg algebra per axiom that can fail: diagonal
+  # tori are checked on their weights, the others through t ⋉ n
+  heisenberg='algebra h3\nbasis e1 e2 e3\n[e1,e2] = e3\n'
+  printf "$heisenberg"'torus e4\n[e4,e1] = e1\n' > "$dir/torus-diagonal-not-derivation.lie"
+  printf "$heisenberg"'torus e4\n[e4,e1] = e1 + e2\n' > "$dir/torus-not-derivation.lie"
+  printf "$heisenberg"'torus e4 e5\n[e4,e1] = e1\n[e4,e3] = e3\n[e5,e1] = e2\n' \
+    > "$dir/torus-not-commuting.lie"
+  printf "$heisenberg"'torus e4\n[e4,e1] = e2\n' > "$dir/torus-not-semisimple.lie"
+  printf "$heisenberg"'torus e4\n' > "$dir/torus-zero.lie"
+  printf "$heisenberg"'torus e4 e5\n[e4,e1] = e1\n[e4,e3] = e3\n[e5,e1] = 2*e1\n[e5,e3] = 2*e3\n' \
+    > "$dir/torus-dependent.lie"
+  for f in "$dir"/torus-*.lie; do
+    run check "$f"
+    run symplectic "$f" --json
   done
   for f in demos/*.py; do
     echo "== $f"
