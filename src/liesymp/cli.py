@@ -400,6 +400,29 @@ def _set_integer(key: str, digits: str) -> int:
         raise ValueError(f"--set {key}: number too long ({count} digits)") from None
 
 
+def _with_sets(selection, params: dict) -> list:
+    """The selection with each ``--set`` value given to the entries whose
+    builder takes its key, leaving out every entry that rejects its values,
+    as Q does an even n.  When every entry that takes some key rejects it,
+    raises the first rejection, in the order of the selection."""
+    kept, accepted, rejections = [], set(), []
+    for name, ps in selection:
+        sets = {k: v for k, v in params.items() if k in cat.entry_parameters(name)}
+        if sets:
+            ps = {**ps, **sets}
+            try:
+                cat.build_entry(name, **ps)
+            except ValueError as exc:
+                rejections.append((exc, sets.keys()))
+                continue
+            accepted.update(sets)
+        kept.append((name, ps))
+    for exc, keys in rejections:
+        if not keys <= accepted:
+            raise exc
+    return kept
+
+
 def _cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
         for name in cat.entry_names():
@@ -441,10 +464,7 @@ def _cmd_catalog(args) -> int:
     if unused:
         raise ValueError(f"--set {unused[0]}: no selected entry takes this parameter")
     if params:
-        selection = [
-            (name, {**ps, **{k: v for k, v in params.items() if k in cat.entry_parameters(name)}})
-            for name, ps in selection
-        ]
+        selection = _with_sets(selection, params)
     report = run_regression(selection)
     if args.json:
         payload = {

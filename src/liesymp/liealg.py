@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 from typing import Container, Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -347,6 +348,23 @@ class LieAlgebra:
         return weights, {w: tuple(idx) for w, idx in classes.items()}, grading
 
     # -- classical subspaces ----------------------------------------------------
+
+    def central_basis_vectors(self) -> tuple[int, ...]:
+        """The basis indices i in no pair of the bracket table, increasing:
+        exactly the e_i with [e_i, e_j] = 0 for every j, read off the table
+        in one scan of its pairs.
+
+        A nonempty answer proves a nonzero center without solving for it.
+        A nilpotent table in an adapted basis, every nonzero c_ab^k (a < b)
+        with k > b as in the catalog and the generated files, always has
+        one: its last basis vector, the sink of the acyclic bracket graph
+        (see :meth:`has_acyclic_bracket_graph`), has no pair (a, n - 1) with
+        a nonzero bracket.
+        """
+        paired = set(chain.from_iterable(self.table))
+        if len(paired) == self.dim:  # as in every t ⋉ n of the catalog
+            return ()
+        return tuple(i for i in range(self.dim) if i not in paired)
 
     def center_rows(self, columns: Container[int]) -> list[dict[int, int | Fraction]]:
         """The center's equations, one per (j, k): sum_i c_ij^k x_i = 0 over the

@@ -217,6 +217,11 @@ class CompletenessReport:
 
     The center and Der(g) are solved only when read, and ``complete`` reads
     Der(g) only for a trivial center: otherwise the answer is already no.
+    A basis vector in no pair of the bracket table
+    (:meth:`LieAlgebra.central_basis_vectors`) is central, so with one,
+    as every nilpotent table in an adapted basis has, ``complete`` is False
+    before the center is solved; ``center_dim`` and ``derivation_dim``
+    still give their values when read.
     Only the center's dimension is needed, so ``center_dim`` is dim g_0
     minus the rank of :meth:`LieAlgebra.center_rows` on the coordinates of
     g_0, with no basis solved: the center lies in g_0, as [h, x] = mu(h) x
@@ -268,6 +273,8 @@ class CompletenessReport:
 
     @property
     def complete(self) -> bool:
+        if self.algebra.central_basis_vectors():
+            return False
         return self.center_dim == 0 and self.derivation_dim == self.algebra.dim
 
 

@@ -28,7 +28,10 @@ So the decision builds no generic form; its verdict keeps the
 :class:`CocycleSpace`, from which :func:`generic_cocycle` builds one.
 Each part of a cocycle space, Z^2 and B^2, is solved when read: in odd
 dimension the decision reads neither, and once the closed Pfaffian is
-zero the exact one is zero too (B^2 ⊆ Z^2), so B^2 is not read.
+zero the exact one is zero too (B^2 ⊆ Z^2), so B^2 is not read.  Nor is
+it when a basis vector lies in no pair of the bracket table, as in every
+nilpotent table in an adapted basis: that vector is central, so it lies in
+the kernel of every exact form.
 
 Z^2 is solved by the weights of :meth:`LieAlgebra.weights`, the grading
 that completeness uses too: only the weight-0 block of dw = 0 is
@@ -288,7 +291,8 @@ class CocycleSpace:
     needs it; ``dims`` reads both.  A space nobody reads, as in odd
     dimension, solves nothing.  B^2 ⊆ Z^2, as d(d a) = 0, so when every
     closed form is degenerate every exact one is too, and the decision
-    reads no B^2 then (see :func:`decide_symplectic`).
+    reads no B^2 then, nor when a basis vector is central (see
+    :func:`decide_symplectic`).
     """
 
     algebra: LieAlgebra
@@ -569,9 +573,11 @@ class SymplecticVerdict:
     ``exists`` and ``exact_exists`` are "yes", "no" or "odd" (odd dimension,
     not applicable).  ``pfaffian`` and ``exact_pfaffian`` are those of the
     generic forms over the Z^2 and B^2 bases of ``cocycles`` (zero in odd
-    dimension, where none is taken).  After a "no" for Z^2,
-    ``exact_pfaffian`` is the zero polynomial over no variables: it is not
-    taken, since B^2 ⊆ Z^2 makes it zero.  When "yes", the matching witness
+    dimension, where none is taken).  After a "no" for Z^2, or when a basis
+    vector is central (in no pair of the bracket table), ``exact_pfaffian``
+    is the zero polynomial over no variables: it is not taken, since
+    B^2 ⊆ Z^2, or the central vector's zero row, makes it zero.  When
+    "yes", the matching witness
     fields hold a concrete closed two-form with nonzero Pfaffian;
     ``exact_witness`` is d of the recorded ``exact_one_form``.
     """
@@ -603,7 +609,12 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
     Pfaffian is the zero polynomial, every rational closed form is
     degenerate; every exact form is closed (B^2 ⊆ Z^2), so the exact
     Pfaffian vanishes at every rational point, and, Q being infinite, is
-    the zero polynomial: exact existence is "no" without solving B^2.  In
+    the zero polynomial: exact existence is "no" without solving B^2.  So
+    it is when a basis vector e_z lies in no pair of the bracket table
+    (:meth:`LieAlgebra.central_basis_vectors`), as in every nilpotent table
+    in an adapted basis: e_z is central, (d a)(e_z, .) = -a([e_z, .]) = 0,
+    so every B^2 basis form has a zero row at z and the exact Pfaffian is
+    the zero polynomial, given as the one over no variables.  In
     dimension zero the empty Pfaffian is 1, so the algebra is vacuously
     symplectic (and flagged as ``degenerate``).  The witness search bounds
     itself (see :func:`find_nonvanishing_point`).  Neither generic form is
@@ -626,8 +637,9 @@ def decide_symplectic(g: LieAlgebra) -> SymplecticVerdict:
         )
 
     pf, witness, _ = _pfaffian_and_witness(n, cs.z2_basis)
-    if pf.is_zero():
-        # every closed form is degenerate, so every exact one is (B^2 ⊆ Z^2)
+    if pf.is_zero() or g.central_basis_vectors():
+        # every closed form is degenerate, so every exact one is (B^2 ⊆ Z^2);
+        # or a central e_z is in the kernel of every exact form
         exact_pf, exact_witness, point = MultiPoly.zero(), None, None
     else:
         exact_pf, exact_witness, point = _pfaffian_and_witness(n, cs.b2_basis)
@@ -729,25 +741,24 @@ def top_power(w: TwoForm) -> int | Fraction:
     m = n // 2
     if n == 0:
         return 1
-    pair_terms = list(w.coords.items())
-    acc: dict[tuple[int, ...], int | Fraction] = {(): 1}
+    # a partial product e^S is keyed by the bitmask of S; e^{i j} moves past
+    # the members of S above i and above j, which sets its sign
+    pair_terms = [(i, j, 1 << i | 1 << j, c) for (i, j), c in w.coords.items()]
+    acc: dict[int, int | Fraction] = {0: 1}
     for _ in range(m):
-        nxt: dict[tuple[int, ...], int | Fraction] = {}
-        for subset, coeff in acc.items():
-            taken = set(subset)
-            for (i, j), c in pair_terms:
-                if i in taken or j in taken:
+        nxt: dict[int, int | Fraction] = {}
+        for mask, coeff in acc.items():
+            for i, j, bits, c in pair_terms:
+                if mask & bits:
                     continue
-                sign = 1
-                cnt_i = sum(1 for s in subset if s > i)
-                cnt_j = sum(1 for s in subset if s > j)
-                if (cnt_i + cnt_j) % 2:
-                    sign = -1
-                key = tuple(sorted(subset + (i, j)))
-                val = nxt.get(key, 0) + sign * coeff * c
+                term = coeff * c
+                if ((mask >> i).bit_count() + (mask >> j).bit_count()) & 1:
+                    term = -term
+                key = mask | bits
+                val = nxt.get(key, 0) + term
                 if val == 0:
                     nxt.pop(key, None)
                 else:
                     nxt[key] = val
         acc = nxt
-    return as_exact(acc.get(tuple(range(n)), 0))
+    return as_exact(acc.get((1 << n) - 1, 0))

@@ -11,6 +11,7 @@ compared with the full, ungraded Leibniz solve of ``derivation_algebra``.
 """
 
 import itertools
+import json
 import sys
 from fractions import Fraction as Q
 
@@ -26,6 +27,7 @@ from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.linalg import diagonal, minimal_polynomial, sparse_row, upoly_is_squarefree
 from liesymp.regression import run_regression
 from liesymp.structure import (
+    CompletenessReport,
     TorusAction,
     derivation_algebra,
     is_complete,
@@ -380,10 +382,11 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def _count_solves(monkeypatch, part):
-    """The cocycle spaces that solve ``part``, a cached property of
-    :class:`CocycleSpace` ("z2_basis", or "_exact" for B^2), one per solve."""
-    prop = vars(CocycleSpace)[part]
+def _count_solves(monkeypatch, part, owner=CocycleSpace):
+    """The instances that solve ``part``, a cached property of ``owner``
+    (of :class:`CocycleSpace`, "z2_basis", or "_exact" for B^2), one per
+    solve."""
+    prop = vars(owner)[part]
     calls = []
     original = prop.func
 
@@ -531,7 +534,8 @@ def test_a_zero_closed_pfaffian_decides_exact_no_without_solving_b2(monkeypatch)
     is too.  The implication is checked, on each even "no" of the catalog
     and of the benchmark's files core: the Pfaffian packed over the B^2
     basis is the zero polynomial, and the verdict, decided without solving
-    B^2, has the exact fields of the eager decision."""
+    B^2, has the exact fields of the eager decision.  B^2 is solved only by
+    a "yes" with no central basis vector, and every "yes" here has one."""
     from test_structure import _files_core_nilradicals  # it imports this module
 
     b2_solves = _count_solves(monkeypatch, "_exact")
@@ -541,8 +545,10 @@ def test_a_zero_closed_pfaffian_decides_exact_no_without_solving_b2(monkeypatch)
     assert all(v.exists == "no" for v in verdicts[: len(EVEN_NO_ENTRIES)])
     no = [(g, v) for g, v in zip(algebras, verdicts) if v.exists == "no"]
     assert len(no) == len(EVEN_NO_ENTRIES) + 27
-    # B^2 solved by the "yes" decisions only
-    assert len(b2_solves) == len(verdicts) - len(no)
+    yes = [g for g, v in zip(algebras, verdicts) if v.exists == "yes"]
+    assert len(yes) == len(verdicts) - len(no) > 0
+    assert all(g.central_basis_vectors() for g in yes)
+    assert b2_solves == []
     assert all("_exact" not in vars(v.cocycles) for _, v in no)
     for g, v in no:
         basis = cocycle_space(g).b2_basis
@@ -554,6 +560,87 @@ def test_a_zero_closed_pfaffian_decides_exact_no_without_solving_b2(monkeypatch)
         exact = (v.exact_exists, v.exact_pfaffian, v.exact_witness, v.exact_one_form)
         assert exact == ("no", exact_pf, None, None)
         assert str(v.exact_pfaffian) == str(exact_pf) == "0"
+
+
+def _check_the_central_certificate(g: LieAlgebra) -> bool:
+    """For ``g`` satisfying Jacobi: the central basis vectors are the e_i
+    that bracket every basis vector to zero, and with one, the center is
+    nonzero, ``g`` is not complete, and in even dimension the Pfaffian
+    packed over the eagerly solved B^2 basis is zero and the verdict has the
+    exact fields of that eager route.  Returns whether the certificate
+    fired."""
+    e = g.basis_vector
+    central = g.central_basis_vectors()
+    assert central == tuple(
+        i for i in range(g.dim) if not any(any(g.bracket(e(i), e(j))) for j in range(g.dim))
+    )
+    report, eager = is_complete(g), is_complete(g)
+    assert report.complete == (eager.center_dim == 0 and eager.derivation_dim == g.dim)
+    if not central:
+        return False
+    assert report.center_dim >= 1 and not report.complete
+    verdict = decide_symplectic(g)
+    exact = (verdict.exact_exists, verdict.exact_pfaffian, verdict.exact_witness,
+             verdict.exact_one_form)
+    if g.dim % 2:
+        assert verdict.exact_exists == "odd"
+        return True
+    exact_pf, witness, point = _pfaffian_and_witness(g.dim, cocycle_space(g).b2_basis)
+    assert exact_pf.is_zero() and witness is None and point is None
+    assert exact == ("no", exact_pf, None, None) and str(verdict.exact_pfaffian) == "0"
+    return True
+
+
+def test_a_central_basis_vector_decides_completeness_and_exactness_on_known_algebras():
+    """The catalog (each t ⋉ n and its nilradical) and the benchmark's files
+    core: the certificate fires on every nilradical, each in an adapted
+    basis, and on no t ⋉ n, whose torus acts on every basis vector."""
+    from test_structure import _files_core_nilradicals  # it imports this module
+
+    products, nilradicals = [], []
+    for name, params in DEFAULT_SELECTION:
+        entry = build_entry(name, **params)
+        products.append(semidirect(entry.torus))
+        nilradicals.append(entry.nilradical)
+    nilradicals += _files_core_nilradicals()
+    assert not any(map(_check_the_central_certificate, products))
+    assert all(map(_check_the_central_certificate, nilradicals))
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(g=sparse_tables())
+def test_a_central_basis_vector_decides_completeness_and_exactness(g):
+    """Permuted and rescaled central extensions and catalog products, as
+    they satisfy Jacobi (see ``test_liealg.sparse_tables``)."""
+    assume(g.jacobi_holds())
+    _check_the_central_certificate(g)
+
+
+def test_symplectic_json_on_a_nilpotent_yes_solves_neither_center_nor_b2(
+    monkeypatch, tmp_path, capsys
+):
+    """An even nilpotent file with a closed symplectic form: its central
+    basis vector answers "complete" and exact "no", so ``symplectic --json``
+    solves neither the center nor B^2, while ``der --complete``, which
+    prints the center's dimension, solves the center once."""
+    path = tmp_path / "core_110.lie"
+    path.write_text(
+        "algebra core_110\nbasis e1 e2 e3 e4 e5 e6 e7 e8\n"
+        "[e1,e3] = -2*e8\n[e2,e3] = e5\n[e3,e5] = -2*e8\n",
+        encoding="utf-8",
+    )
+    b2_solves = _count_solves(monkeypatch, "_exact")
+    center_solves = _count_solves(monkeypatch, "center_dim", CompletenessReport)
+    assert cli.main(["symplectic", str(path), "--json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["complete"] is False and verdicts["symplectic"]["exists"] == "yes"
+    assert verdicts["exact"] == {"exists": "no", "witness": None}
+    assert b2_solves == [] and center_solves == []
+    assert cli.main(["der", str(path), "--complete"]) == 0
+    assert "center dimension: 5\n" in capsys.readouterr().out
+    assert len(center_solves) == 1
 
 
 def test_analysis_without_a_torus_studies_the_algebra_itself():

@@ -13,11 +13,12 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import liesymp
-from liesymp.catalog import entry_names
+from liesymp.catalog import DEFAULT_SELECTION, entry_names, entry_parameters
 from liesymp.cli import (
     CATALOG_REPORT_SCHEMA,
     PROPS_REPORT_SCHEMA,
     SYMPLECTIC_REPORT_SCHEMA,
+    _parse_sets,
     main,
 )
 from liesymp.fileformat import build, parse
@@ -435,6 +436,54 @@ def test_catalog_verify_set_reaches_the_entries_that_take_it(capsys):
     overridden = [e["name"] for e in data["entries"] if e["params"].get("a") == "3"]
     assert overridden == ["n6_5", "n6_10", "n6_14", "n6_18"]
     assert all(e["params"].keys() <= {"n"} for e in data["entries"] if e["name"] not in overridden)
+
+
+def test_catalog_verify_set_leaves_out_the_entries_that_reject_it(capsys):
+    """Q takes n but rejects an even one, so --set n=4 verifies abelian and
+    L at n=4 and leaves Q out."""
+    assert main(["catalog", "verify", "--json", "--set", "n=4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    jsonschema.validate(data, CATALOG_REPORT_SCHEMA)
+    assert data["green"] is True
+    families = [(e["name"], e["params"]) for e in data["entries"] if "n" in e["params"]]
+    assert [name for name, _ in families] == ["abelian"] * 4 + ["L"] * 6
+    assert all(params == {"n": "4"} for _, params in families)
+    assert len(data["entries"]) == len(DEFAULT_SELECTION) - 3
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("n=0", "error: abelian family requires n >= 1"),
+        ("a=0", "error: parameter a must be nonzero (printed condition: a != 0)"),
+    ],
+)
+def test_catalog_verify_set_that_every_entry_rejects_exits_2(value, error, capsys):
+    """The first rejection, in the order of the selection, of a value that
+    every entry taking its key rejects."""
+    assert main(["catalog", "verify", "--set", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == error
+
+
+@pytest.mark.parametrize("sets", [["n=5"], ["n=7"], ["a=3"], ["a=-1/2", "n=9"]])
+def test_catalog_verify_set_that_every_entry_accepts_keeps_the_selection(
+    sets, monkeypatch, capsys
+):
+    """A value that every entry taking its key accepts reaches each of them,
+    as it did before entries could be left out."""
+    import liesymp.cli as cli
+
+    selections = []
+    real = cli.run_regression
+    monkeypatch.setattr(cli, "run_regression", lambda sel: selections.append(sel) or real(sel))
+    assert main(["catalog", "verify"] + [x for s in sets for x in ("--set", s)]) == 0
+    params = _parse_sets(sets)
+    assert selections == [[
+        (name, {**ps, **{k: v for k, v in params.items() if k in entry_parameters(name)}})
+        for name, ps in DEFAULT_SELECTION
+    ]]
 
 
 def test_catalog_verify_exit_code_follows_greenness(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from liesymp import liealg
 from liesymp.liealg import LieAlgebra, Subspace
 from liesymp.catalog import build_entry
-from liesymp.structure import semidirect
+from liesymp.structure import TorusAction, semidirect
 from liesymp.symplectic import cocycle_space
 from test_linalg import to_grid
 
@@ -240,6 +240,23 @@ def test_center():
     assert full.center().is_zero()
     two_dim = semidirect(build_entry("abelian", n=1).torus)
     assert two_dim.center().is_zero()
+
+
+def test_central_basis_vectors_are_the_ones_in_no_table_pair():
+    assert LieAlgebra(3).central_basis_vectors() == (0, 1, 2)
+    assert LieAlgebra(0).central_basis_vectors() == ()
+    # n4_1's center is spanned by e1, which occurs as a value only
+    assert n4_1().central_basis_vectors() == (0,)
+    # a pair that sums to zero is dropped from the table, so e4 is central
+    g = LieAlgebra(4, {(0, 1): {2: 1}, (0, 3): {2: 1}, (3, 0): {2: 1}})
+    assert g.table == {(0, 1): {2: 1}} and g.central_basis_vectors() == (2, 3)
+    # a torus vector acting on e1 only: e2 and e3 stay central in t ⋉ n
+    t = semidirect(TorusAction(LieAlgebra(3), ({0: {0: 1}},)))
+    assert t.central_basis_vectors() == (1, 2) and t.center().dim == 2
+    # a central vector need not be a basis vector: e1 - e4 spans this center
+    g = LieAlgebra(4, {(0, 1): {2: 1}, (1, 3): {2: -1}})
+    assert g.central_basis_vectors() == (2,) and g.center().dim == 2
+    assert semidirect(build_entry("n4_1").torus).central_basis_vectors() == ()
 
 
 def test_center_is_ideal():

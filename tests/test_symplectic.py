@@ -428,6 +428,46 @@ def test_top_power_matches_factorial_pfaffian_randomized():
             assert top_power(w) == math.factorial(n // 2) * w.pfaffian()
 
 
+def _tuple_top_power(w: TwoForm):
+    """The literal wedge power w^m with each partial product e^S keyed by
+    the sorted tuple S: the reference for ``top_power``'s bitmask keys."""
+    n = w.dim
+    acc = {(): 1}
+    for _ in range(n // 2):
+        nxt = {}
+        for subset, coeff in acc.items():
+            for (i, j), c in w.coords.items():
+                if i in subset or j in subset:
+                    continue
+                moves = sum(1 for s in subset if s > i) + sum(1 for s in subset if s > j)
+                key = tuple(sorted(subset + (i, j)))
+                nxt[key] = nxt.get(key, 0) + (-1) ** moves * coeff * c
+        acc = {key: x for key, x in nxt.items() if x}
+    top = Q(acc.get(tuple(range(n)), 0))
+    return top.numerator if top.denominator == 1 else top
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((2, 4, 6, 8)),
+    values=st.lists(st.sampled_from((0, 0, 1, -1, 3, Q(1, 2), Q(-5, 3))), min_size=28, max_size=28),
+)
+def test_top_power_matches_the_tuple_expansion_and_factorial_pfaffian(n, values):
+    """The bitmask expansion equals the tuple-keyed one, value and type, and
+    m! Pf, on forms with ints and Fractions and zero coordinates."""
+    w = TwoForm(n, dict(zip(_pairs(n), values)))
+    top = top_power(w)
+    reference = _tuple_top_power(w)
+    assert top == reference and type(top) is type(reference)
+    assert top == math.factorial(n // 2) * w.pfaffian()
+
+
+@pytest.mark.parametrize("name, params", [("abelian", {"n": 4}), ("L", {"n": 4}), ("Q", {"n": 9})])
+def test_top_power_of_catalog_witnesses_matches_the_tuple_expansion(name, params):
+    w = decide_symplectic(_g(name, **params)).witness
+    assert top_power(w) == _tuple_top_power(w) == math.factorial(w.dim // 2) * w.pfaffian() != 0
+
+
 def test_two_form_validation():
     x, y = MultiPoly.variables(["x", "y"])
     for pairs in ({(0, 0): 1}, {(1, 1): x}, {(0, 1): 1, (1, 1): 0}):

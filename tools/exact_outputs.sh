@@ -20,7 +20,10 @@
 # generator), check and the symplectic decision of one torus file per
 # torus axiom that can fail (a diagonal and a non-diagonal non-derivation,
 # a non-commuting pair, a non-semisimple, a zero and dependent generators;
-# exit 2, with their stderr), and the demos.  Two checkouts,
+# exit 2, with their stderr), the symplectic decision and completeness of
+# two algebras with a basis vector in no pair of the bracket table away from
+# the generated files (a torus file and a file of "= 0" rules), and the
+# demos.  Two checkouts,
 # or two interpreters, that print the same bytes agree on every output.
 # tools/exact_outputs.sha256 pins the sha256 of the Python 3.11 battery's
 # stdout and stderr, saved as exact-outputs-3.11.txt and
@@ -123,6 +126,16 @@ battery() {
   for f in "$dir"/torus-*.lie; do
     run check "$f"
     run symplectic "$f" --json
+  done
+  # a basis vector in no pair of the bracket table is central, which
+  # decides completeness and exact existence: e2 and e3 of a torus file, and
+  # v, which occurs only in "= 0" rules
+  printf 'algebra a3h\nbasis e1 e2 e3\ntorus e4\n[e4,e1] = e1\n' > "$dir/central-torus.lie"
+  printf 'algebra z\nbasis x y u v\n[x,y] = u\n[x,v] = 0\n[y,v] = 0\n' > "$dir/central-zero-rules.lie"
+  for f in "$dir"/central-*.lie; do
+    run symplectic "$f" --json
+    run symplectic "$f" --witness
+    run der "$f" --complete
   done
   for f in demos/*.py; do
     echo "== $f"
