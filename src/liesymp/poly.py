@@ -77,12 +77,17 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        """The zero polynomial over no variables; built unchecked, as an
+        empty term map holds every invariant."""
+        return cls._trusted((), {})
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
+        """The constant ``value`` (an int, a Fraction or a string such as
+        "3/4") over no variables, stored as :func:`as_exact` gives it.  The
+        empty monomial needs no check, so it is built unchecked."""
         value = as_exact(value)
-        return cls((), {(): value} if value != 0 else {})
+        return cls._trusted((), {(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -238,7 +243,7 @@ class MultiPoly:
             raise ValueError(f"no value for variable(s) {', '.join(missing)}")
         if not self.terms:
             return Q(0)
-        point = {v: as_fraction(assignment[v]) for v in used}
+        point = {v: as_exact(assignment[v]) for v in used}
         b = math.lcm(*(x.denominator for x in point.values()))
         # an unused variable occurs in no monomial, so its 0 is never read
         nums = [point[v].numerator * (b // point[v].denominator) if v in point else 0 for v in self.vars]
@@ -344,43 +349,49 @@ def _times(a: Monomial, b: Monomial, sign: int) -> Monomial | None:
 def _grlex(mono: Monomial) -> tuple[int, Monomial]:
     """The graded-lex sort key of a monomial: the order of its dense
     exponent tuple, as a lower index that occurs outranks a higher one."""
-    return sum(e for _, e in mono), tuple((-k, e) for k, e in mono)
+    return sum([e for _, e in mono]), tuple([(-k, e) for k, e in mono])
 
 
 def poly_divmod(p: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Quotient and remainder of p by a single divisor d under graded-lex.
+    """Quotient and remainder of p by a single divisor d under graded-lex:
+    the textbook division, so p = quot * d + rem and no term of rem is a
+    multiple of the leading term of d.
 
-    While the leading term of the remainder is a multiple of that of d, the
-    multiple f * step of d that cancels it is taken off, in place, from one
-    remainder map; f * step is the next quotient term.  The remainder is
-    zero exactly when d divides p.
+    The leading term of what is left of p is taken off at each step: when
+    the leading term of d divides it, the multiple f * step of d that
+    cancels it is taken off, in place, and f * step is the next quotient
+    term; otherwise the term moves to the remainder.  The remainder is the
+    graded-lex normal form of p modulo (d), as {d} is a Groebner basis of
+    that ideal, so it is zero exactly when d divides p.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     variables, pt, dt = p._aligned(d)
-    rem = dict(pt)
+    left = dict(pt)
     quot: dict[Monomial, Fraction] = {}
-    order = {mono: _grlex(mono) for mono in rem}  # each sort key built once per division
+    rem: dict[Monomial, Fraction] = {}
+    order = {mono: _grlex(mono) for mono in left}  # each sort key built once per division
     d_mono = max(dt, key=_grlex)
     d_coeff = dt[d_mono]
     tail = [(mono, c) for mono, c in dt.items() if mono != d_mono]
-    while rem:
-        r_mono = max(rem, key=order.__getitem__)
+    while left:
+        r_mono = max(left, key=order.__getitem__)
         step = _times(r_mono, d_mono, -1)
         if step is None:
-            break
-        f = exact_quotient(rem.pop(r_mono), d_coeff)
+            rem[r_mono] = left.pop(r_mono)
+            continue
+        f = exact_quotient(left.pop(r_mono), d_coeff)
         quot[step] = f
         for mono, c in tail:
             key = _times(step, mono, 1)
             if key not in order:
                 order[key] = _grlex(key)
-            x = rem.get(key)
+            x = left.get(key)
             x = -f * c if x is None else x - f * c
             if x:
-                rem[key] = x
+                left[key] = x
             else:
-                del rem[key]
+                del left[key]
     return (
         MultiPoly._trusted(variables if quot else (), quot),
         MultiPoly._trusted(variables, rem),

@@ -3,8 +3,8 @@
 For each selected entry the runner rebuilds the semidirect product from
 scratch, re-verifies the axioms, decides symplectic and exact existence, and
 checks the printed non-degeneracy conditions by exact polynomial division
-against the computed Pfaffian (falling back to its square, since a printed
-determinant is the Pfaffian squared).
+against the computed Pfaffian (or its square, since a printed determinant
+is the Pfaffian squared; see :func:`divides_pfaffian`).
 
 A comparison that disagrees with the reference value is a mismatch; if the
 expectation it compares against carries an erratum id (see TYPOS.md) it is
@@ -26,7 +26,7 @@ from .analysis import Analysis
 from .catalog import DEFAULT_SELECTION, CatalogEntry, build_entry
 from .liealg import Subspace
 from .linalg import Q, diagonal, reduce_row, sparse_rref
-from .poly import MultiPoly, poly_divides
+from .poly import MultiPoly, poly_divides, poly_divmod
 from .structure import semidirect
 from .symplectic import (
     TwoForm,
@@ -109,6 +109,17 @@ def _status(agrees: bool, typo: str | None) -> tuple[str, str | None]:
     return (MISMATCH, None) if typo is None else (DOCUMENTED, typo)
 
 
+def divides_pfaffian(p: MultiPoly, pf: MultiPoly) -> str:
+    """How a nonzero condition p divides the Pfaffian pf: "pf" when p | pf,
+    "pf^2" when p divides pf^2 but not pf, and "no" otherwise, decided from
+    one division of pf by p."""
+    rem = poly_divmod(pf, p)[1]
+    if rem.is_zero():
+        return "pf"
+    # pf = q*p + r gives pf^2 = p*(q^2*p + 2*q*r) + r^2, so p | pf^2 iff p | r^2
+    return "pf^2" if poly_divides(p, rem * rem) else "no"
+
+
 def check_entry(entry: CatalogEntry) -> EntryResult:
     """Recompute all verdicts for one entry and compare with the reference."""
     comparisons: list[Comparison] = []
@@ -151,17 +162,10 @@ def check_entry(entry: CatalogEntry) -> EntryResult:
     if entry.expected.conditions:
         # a zero Pfaffian (odd dimension included) divides no condition
         pf = verdict.pfaffian
-        pf_sq = None  # squared once, for the first condition that pf does not divide
         generic = None if pf.is_zero() else generic_cocycle(verdict.cocycles)
         for cond in entry.expected.conditions:
             p = None if generic is None else cond.polynomial(generic)
-            if p is None or p.is_zero():
-                divides = "no"
-            elif poly_divides(p, pf):
-                divides = "pf"
-            else:
-                pf_sq = pf_sq or pf * pf
-                divides = "pf^2" if poly_divides(p, pf_sq) else "no"
+            divides = "no" if p is None or p.is_zero() else divides_pfaffian(p, pf)
             conditions.append(ConditionResult(
                 cond.label, divides,
                 *_status(divides != "no", cond.typo),

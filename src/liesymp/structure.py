@@ -259,7 +259,8 @@ class CompletenessReport:
     def derivation_dim(self) -> int:
         g = self.algebra
         weights, classes = g.weights(), g.weight_classes()
-        fixed = set(g.grading_vectors()) if self.center_dim == 0 else set()
+        grading = g.grading_vectors()  # none in a nilpotent table, so no center is solved
+        fixed = set(grading) if grading and self.center_dim == 0 else set()
         unknowns = sum(len(c) ** 2 for c in classes.values())
         unknowns -= sum(len(classes[weights[h]]) for h in fixed)
         rows = _leibniz_rows(g, [classes[w] for w in weights], fixed).values()

@@ -643,6 +643,36 @@ def test_symplectic_json_on_a_nilpotent_yes_solves_neither_center_nor_b2(
     assert len(center_solves) == 1
 
 
+def test_der_without_a_grading_vector_solves_no_center(monkeypatch, tmp_path, capsys):
+    """A nilpotent table has no grading vector, so the Der(g) count fixes
+    none and reads no center: ``der`` without ``--complete`` solves none.
+    Where a grading vector meets a nonzero center (sl2 x R, and abelian
+    n=2 with one torus generator) the count still matches the full solve."""
+    core_110 = LieAlgebra(8, {(0, 2): {7: -2}, (1, 2): {4: 1}, (2, 4): {7: -2}})
+    assert core_110.grading_vectors() == ()
+    report = is_complete(core_110)
+    assert report.derivation_dim == derivation_algebra(core_110).dim
+    assert "center_dim" not in report.__dict__
+    path = tmp_path / "core_110.lie"
+    path.write_text(
+        "algebra core_110\nbasis e1 e2 e3 e4 e5 e6 e7 e8\n"
+        "[e1,e3] = -2*e8\n[e2,e3] = e5\n[e3,e5] = -2*e8\n",
+        encoding="utf-8",
+    )
+    center_solves = _count_solves(monkeypatch, "center_dim", CompletenessReport)
+    assert cli.main(["der", str(path)]) == 0
+    assert capsys.readouterr().out == f"algebra core_110: dim Der = {report.derivation_dim}\n"
+    assert center_solves == []
+    for text in (
+        "algebra sl2r\nbasis x y z c\n[x,y] = x\n[x,z] = y\n[y,z] = z\n",
+        "algebra abelian\nbasis e1 e2\ntorus e3\n[e3,e1] = e1\n",
+    ):
+        g = build(parse(text)).algebra
+        report = is_complete(g)
+        assert g.grading_vectors() and report.center_dim == g.center().dim == 1
+        assert report.derivation_dim == derivation_algebra(g).dim
+
+
 def test_analysis_without_a_torus_studies_the_algebra_itself():
     g = build_entry("n4_1").nilradical
     analysis = Analysis(g)

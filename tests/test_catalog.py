@@ -1,5 +1,6 @@
 """Catalog integrity and the regression runner."""
 
+import random
 import re
 from fractions import Fraction as Q
 
@@ -14,10 +15,12 @@ from liesymp.catalog import (
     entry_names,
     entry_parameters,
 )
+from liesymp.poly import MultiPoly, poly_divides
 from liesymp.regression import (
     DOCUMENTED,
     MISMATCH,
     check_entry,
+    divides_pfaffian,
     reproduce_propositions,
     run_regression,
 )
@@ -172,6 +175,44 @@ def test_check_entry_single_rows():
     assert result.green and result.symplectic == "never"
     result = check_entry(build_entry("n5_2"))
     assert result.green and result.symplectic == "odd"
+
+
+def _divides_pfaffian_by_squaring(p: MultiPoly, pf: MultiPoly) -> str:
+    """The condition rule the long way: divide pf, then pf squared."""
+    if poly_divides(p, pf):
+        return "pf"
+    return "pf^2" if poly_divides(p, pf * pf) else "no"
+
+
+def test_one_division_decides_the_pfaffian_and_its_square():
+    """No catalog entry reaches "pf^2", so synthetic pairs show it: p = f^2
+    divides (f*g)^2 but not f*g, as f does not divide g.  On products of a
+    few irreducible factors the remainder rule agrees with dividing pf^2."""
+    x, y, z = MultiPoly.variables(["x", "y", "z"])
+    f, g = x - Q(1, 2) * y, x * z + 3
+    cases = [
+        (f * f, f * g, "pf^2"),
+        (f * f * z, 2 * f * g * z, "pf^2"),
+        (f, f * g, "pf"),
+        (MultiPoly.constant(Q(-3, 4)), f * g, "pf"),
+        (x + 1, f * g, "no"),
+    ]
+    for p, pf, expected in cases:
+        assert divides_pfaffian(p, pf) == _divides_pfaffian_by_squaring(p, pf) == expected
+    rng = random.Random(7)
+    pool = [f, g, x + 2 * y, y - Q(1, 3) * z, x * x + y, z + 1, x * y - z * z]
+    seen = set()
+    for _ in range(150):
+        p = MultiPoly.constant(Q(rng.randrange(1, 5), rng.randrange(1, 4)))
+        for _ in range(rng.randint(1, 3)):
+            p = p * rng.choice(pool)
+        pf = MultiPoly.constant(rng.choice((1, -2, Q(1, 3))))
+        for _ in range(rng.randint(1, 4)):
+            pf = pf * rng.choice(pool)
+        expected = _divides_pfaffian_by_squaring(p, pf)
+        assert divides_pfaffian(p, pf) == expected
+        seen.add(expected)
+    assert seen == {"pf", "pf^2", "no"}
 
 
 def test_full_regression_is_green():

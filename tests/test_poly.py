@@ -153,8 +153,8 @@ def _from_sympy(expr, gens) -> MultiPoly:
     "p, d",
     [
         ("(2*x**2 - 3*y) * (x*y - 1)", "2*x**2 - 3*y"),  # divides: the quotient is x*y - 1
-        ("x**3 + y", "2*x**2 + y"),  # stops at x*y, with the quotient x/2
-        ("3*x**2*y + x*y**2 - 5", "x + y"),  # stops at 2*y**3 - 5 after two steps
+        ("x**3 + y", "2*x**2 + y"),  # the quotient x/2 leaves -x*y/2 + y
+        ("3*x**2*y + x*y**2 - 5", "x + y"),  # two quotient terms leave 2*y**3 - 5
     ],
     ids=["dividing", "half-quotient", "non-dividing"],
 )
@@ -251,6 +251,64 @@ def test_divides_matches_sympy_reduced(data, with_rest):
     ps = expr(dd) * expr(qd) + expr(rd)
     remainder = sympy.reduced(ps, [expr(dd)], *gens, order="grlex")[1]
     assert poly_divides(d, p) == (remainder == 0)
+
+
+def _grlex_dense(r: MultiPoly, names) -> dict[tuple[int, ...], Q]:
+    """The terms of r keyed by dense exponent tuples over ``names``."""
+    return {
+        tuple(dict(zip(r.vars, exps)).get(v, 0) for v in names): c
+        for exps, c in to_dense(r.terms, len(r.vars)).items()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), with_rest=st.booleans())
+def test_divmod_is_the_textbook_division(data, with_rest):
+    """p = quot*d + rem, no term of rem is a multiple of the leading term of
+    d, and quot and rem are those of sympy's graded-lex reduction of p by d,
+    with d declared over a permuted variable tuple: as one divisor is a
+    Groebner basis, rem is the normal form, which a division that stops at
+    the first irreducible term does not reach."""
+    sympy = pytest.importorskip("sympy")
+    names = ("x", "y", "z")
+    gens = sympy.symbols(names)
+    dd = data.draw(DIVISION_TERMS.filter(bool))
+    qd = data.draw(DIVISION_TERMS)
+    rd = data.draw(DIVISION_TERMS) if with_rest else {}
+    order = data.draw(st.permutations(range(3)))
+    d = MultiPoly(
+        [names[i] for i in order], to_sparse({tuple(e[i] for i in order): c for e, c in dd.items()})
+    )
+
+    def expr(terms):
+        return sympy.Poly.from_dict(terms or {(0, 0, 0): 0}, *gens).as_expr()
+
+    ps = sympy.expand(expr(dd) * expr(qd) + expr(rd))
+    p = _from_sympy(ps, gens)
+    quot, rem = poly_divmod(p, d)
+    assert quot * d + rem == p
+    lead = max(dd, key=lambda e: (sum(e), e))
+    assert not any(
+        all(a >= b for a, b in zip(exps, lead)) for exps in _grlex_dense(rem, names)
+    )
+    q_expected, r_expected = sympy.reduced(ps, [expr(dd)], *gens, order="grlex")
+    # sympy lists no quotient for p = 0
+    assert quot == _from_sympy(q_expected[0] if q_expected else 0, gens)
+    assert rem == _from_sympy(r_expected, gens)
+
+
+def test_constant_and_zero_store_what_the_validating_constructor_stores():
+    """Built unchecked, a constant still holds an int where integral, a
+    Fraction otherwise, and no term for zero, read from any value the
+    validating constructor takes."""
+    for value in (3, -1, 0, Q(4, 2), Q(-5, 2), "3/4", "6/3", "0", True):
+        built, validated = MultiPoly.constant(value), MultiPoly((), {(): value})
+        assert built.vars == validated.vars == ()
+        assert built.terms == validated.terms
+        assert [type(c) for c in built.terms.values()] == [type(c) for c in validated.terms.values()]
+    assert MultiPoly.zero().vars == () and MultiPoly.zero().terms == {}
+    with pytest.raises(TypeError):
+        MultiPoly.constant(0.5)
 
 
 def test_a_constant_hashes_as_its_value():
